@@ -574,7 +574,7 @@ async def _warm_respawn_hit_rate(ready, host, port, process):
 
 def test_bench_net_warm_respawn_hit_rate(bench_json_record):
     """Hit rate of the respawned reader's first served lookup: 1.0 when
-    the warm handoff (hot-set import + shared segment) works, 0.0 when
+    the warm handoff (hot-set import over the bus sync) works, 0.0 when
     the replacement boots cold."""
     with tempfile.TemporaryDirectory(prefix="bench-respawn-") as tmpdir:
         ready = os.path.join(tmpdir, "fleet.ready")

@@ -25,9 +25,10 @@ must produce identical summaries and exit codes.
 The same contract then runs against a ``serve --workers 2`` fleet
 (SO_REUSEPORT multi-process serve): every scheme answers through the
 fleet, degraded/failed exits hold, one SIGTERM to the parent tears
-down every worker (verified by pid), and the ``info.capabilities``
-cache counters show real hot-key hits — written out as a JSON
-artifact with ``--cache-stats PATH`` for CI to upload.
+down every worker (verified by pid), a SIGKILLed fleet leaves no
+``/dev/shm`` entry behind, and the ``info.capabilities`` cache
+counters show real hot-key hits — written out as a JSON artifact
+with ``--cache-stats PATH`` for CI to upload.
 
 Finally the durability contract: a ``serve --store log`` service is
 populated, SIGKILLed mid-workload (no shutdown path runs), and
@@ -306,12 +307,13 @@ def collect_cache_stats(host: str, port: int) -> dict:
 
 
 def check_zerocopy_identity(host: str, port: int) -> None:
-    """The zero-copy reply path serves the legacy encoder's exact bytes.
+    """The zero-copy reply path changes chunking, never bytes.
 
-    Two assertions: (1) locally, joining the fragment encoder's buffer
-    list reproduces the flat binary encoder byte for byte, splices and
-    all; (2) on the wire, a cacheable lookup asked twice on one binary
-    connection answers with identical raw reply frames — the first
+    Two assertions: (1) locally, a frame whose prepacked sub-reply is
+    spliced in by reference joins to the bytes of the same frame
+    packed from the plain reply dict; (2) on the wire, a cacheable
+    lookup asked twice on one binary connection answers with
+    identical raw reply frames — the first
     reply was packed cold through the fragment path, the second spliced
     straight out of the reply cache, and neither may differ from the
     other by even one byte.
@@ -322,7 +324,7 @@ def check_zerocopy_identity(host: str, port: int) -> None:
     from repro.cluster.messages import LookupRequest
     from repro.net.codec import (
         CODEC_BINARY,
-        encode_envelope_binary,
+        encode_envelope_as,
         encode_envelope_fragments,
         encode_message,
         hello_envelope,
@@ -332,13 +334,12 @@ def check_zerocopy_identity(host: str, port: int) -> None:
     )
     from repro.core.entry import Entry
 
-    sample = {
-        "op": "batch",
-        "value": [pack_send_reply(7, tuple(Entry(f"v{i}") for i in range(1, 200)))],
-    }
-    joined = b"".join(bytes(b) for b in encode_envelope_fragments(sample))
-    if joined != encode_envelope_binary(sample):
-        fail("fragment encoder diverged from the flat binary encoder")
+    entries = tuple(Entry(f"v{i}") for i in range(1, 200))
+    spliced = {"op": "batch", "value": [pack_send_reply(7, entries)]}
+    plain = {"op": "batch", "value": [{"ok": True, "value": entries, "id": 7}]}
+    joined = b"".join(bytes(b) for b in encode_envelope_fragments(spliced))
+    if joined != encode_envelope_as(plain, CODEC_BINARY):
+        fail("spliced reply frame diverged from the plainly packed one")
 
     async def probe() -> tuple[bytes, bytes]:
         reader, writer = await asyncio.open_connection(host, port)
@@ -522,19 +523,33 @@ def check_log_store_recovery(ready_dir: str, deadline: float) -> None:
     )
 
 
+def _shm_entries() -> set[str]:
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:
+        return set()
+
+
 def _fleet_pids(ready: str) -> list[int]:
     with open(f"{ready}.workers", encoding="utf-8") as handle:
         lines = [line.split() for line in handle if line.strip()]
     return [int(pid) for _index, pid in lines]
 
 
-def _assert_fleet_gone(pids: list[int]) -> None:
-    time.sleep(0.5)
-    for pid in pids:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            continue
+def _assert_fleet_gone(pids: list[int], grace: float = 0.5) -> None:
+    deadline = time.monotonic() + grace
+    while True:
+        alive = []
+        for pid in pids:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                continue
+            alive.append(pid)
+        if not alive or time.monotonic() >= deadline:
+            break
+        time.sleep(0.05)
+    for pid in alive:
         os.kill(pid, signal.SIGKILL)
         fail(f"worker pid {pid} survived the fleet teardown")
 
@@ -545,9 +560,11 @@ def check_worker_fleet(ready_dir: str, deadline: float) -> dict:
     Asserts 0 (every scheme serves full answers through the fleet), 3
     (short-but-non-empty stays degraded), 4 (a lone non-home *fleet*
     answers empty), that mutating/reading across worker processes is
-    transparent to ``repro call``, and that one SIGTERM to the parent
-    tears down every worker with a clean "[serve] stopped".
+    transparent to ``repro call``, that one SIGTERM to the parent
+    tears down every worker with a clean "[serve] stopped", and that
+    even a SIGKILLed fleet leaves nothing behind in ``/dev/shm``.
     """
+    shm_before = _shm_entries()
     ready = os.path.join(ready_dir, "fleet-ready.txt")
     server = subprocess.Popen(
         [
@@ -637,6 +654,7 @@ def check_worker_fleet(ready_dir: str, deadline: float) -> dict:
     )
     try:
         host, port = wait_for_ready(ready4, shard, deadline)
+        shard_pids = _fleet_pids(ready4)
         summary = run_call(
             "fixed", host, port, deadline, verify=False, expect=4
         )
@@ -644,6 +662,18 @@ def check_worker_fleet(ready_dir: str, deadline: float) -> dict:
             if lookup["found"] != 0:
                 fail(f"fleet failed-exit leg answered data: {lookup}")
         print("ok exit-code 4 [workers 2]: non-home fleet answers empty")
+        # A SIGKILLed parent runs no teardown at all: the workers must
+        # notice through the lifeline pipe, and no shared-memory
+        # segment may outlive the fleet.
+        shard.kill()
+        shard.wait()
+        # Orphans: they exit on lifeline EOF and init reaps them, so
+        # allow more than the supervised teardown's half second.
+        _assert_fleet_gone(shard_pids, grace=10.0)
+        leaked = _shm_entries() - shm_before
+        if leaked:
+            fail(f"SIGKILLed worker fleet left /dev/shm entries: {sorted(leaked)}")
+        print("ok SIGKILL [workers 2]: workers exited, /dev/shm unchanged")
     finally:
         if shard.poll() is None:
             shard.send_signal(signal.SIGTERM)

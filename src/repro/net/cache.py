@@ -33,29 +33,10 @@ ints so the hot path stays cheap; :meth:`publish` mirrors them into a
 ``set_to`` ledger convention :class:`~repro.cluster.network
 .MessageStats` uses, and :meth:`snapshot` returns them for the
 ``info.capabilities`` wire surface.
-
-:class:`SharedReplyCache` is the cross-process sibling for the worker
-fleet: a fixed-slot hash table over one
-``multiprocessing.shared_memory`` segment, so every reader worker
-shares one hot set (a respawned reader is warm the moment it maps the
-segment).  Its soundness story is different from the LRU's eager
-invalidation: entries are stamped with the **writer-bus epoch** of the
-scheme's last applied delta (globally monotonic, never reused), and
-:meth:`SharedReplyCache.get` only returns a body whose stamp equals
-the reading process's own bus-derived epoch for that scheme — a stamp
-match proves the filling process and the reading process had applied
-exactly the same delta prefix for the scheme, hence byte-identical
-stores.  Readers are lock-free (per-slot seqlocks catch torn reads);
-fills serialize on one fork-inherited lock acquired *non-blocking* —
-a contended (or crashed-holder) lock skips the fill, because a cache
-fill is never worth stalling a reply for, and a SIGKILLed worker
-mid-fill must not wedge the fleet.
 """
 
 from __future__ import annotations
 
-import struct
-import zlib
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
@@ -198,268 +179,7 @@ class ReplyCache:
         metrics.gauge(f"{prefix}.hit_rate").set(self.hit_rate)
 
 
-# --------------------------------------------------------------------------
-# The cross-process shared cache (worker fleets)
-# --------------------------------------------------------------------------
-
-#: Segment header: magic, slot count, slot payload size.
-_SHM_HEADER = struct.Struct(">III")
-_SHM_MAGIC = 0x52394343  # "R9CC"
-#: Per-slot header: seqlock word (odd = write in progress), epoch
-#: stamp, key length, body length.  Key bytes then body bytes follow.
-_SLOT_HEADER = struct.Struct(">IQHI")
-_SLOT_SEQ = struct.Struct(">I")
-#: Linear probes per key before a lookup gives up / a fill clobbers.
-_PROBES = 8
-
-#: Defaults sized so a full segment stays a few MB: 1024 slots of 8 KiB
-#: hold the hot (scheme x server x target) set many times over.
-DEFAULT_SHARED_SLOTS = 1024
-DEFAULT_SLOT_SIZE = 8192
-
-
-class SharedReplyCache:
-    """Packed reply bodies in one shared-memory segment, epoch-stamped.
-
-    One writer-at-a-time hash table with linear probing and per-slot
-    seqlocks, designed for the fork-based worker fleet:
-
-    - The segment and the writers' lock are created **before** the
-      fleet forks; every worker (including later respawns, which fork
-      from the same supervisor) inherits the same mapping and
-      semaphore.
-    - :meth:`get` never locks.  It snapshots a slot under its seqlock
-      (even word, re-read after the copy) and accepts the body only if
-      the key matches and the stamp equals the caller's epoch.
-    - :meth:`put` serializes on ``lock`` with a *non-blocking*
-      acquire: contention — or the stuck semaphore a SIGKILLed holder
-      leaves behind — skips the fill rather than stalling a reply.
-      The write itself flips the slot's seq word odd, copies, then
-      flips it even, so a killed mid-write slot parks at an odd word
-      that every reader (and a later rewrite) handles.
-
-    Bodies are the fully packed binary reply values (what
-    :class:`~repro.net.codec.Prepacked` splices); oversized entries
-    are simply not cached.  Counters are per-process (each worker
-    reports its own view in ``info.capabilities``).
-    """
-
-    __slots__ = (
-        "slots",
-        "slot_size",
-        "hits",
-        "misses",
-        "puts",
-        "skips",
-        "_shm",
-        "_lock",
-        "_owner",
-    )
-
-    def __init__(
-        self,
-        slots: int = DEFAULT_SHARED_SLOTS,
-        slot_size: int = DEFAULT_SLOT_SIZE,
-        *,
-        name: Optional[str] = None,
-    ) -> None:
-        if slots < 1 or slot_size <= _SLOT_HEADER.size:
-            raise InvalidParameterError(
-                f"shared cache wants slots >= 1 and slot_size > "
-                f"{_SLOT_HEADER.size}, got {slots}/{slot_size}"
-            )
-        import multiprocessing
-        from multiprocessing import shared_memory
-
-        self.slots = slots
-        self.slot_size = slot_size
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-        self.skips = 0
-        size = _SHM_HEADER.size + slots * slot_size
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=size, name=name
-        )
-        # A fresh segment is zero-filled (POSIX shm), so every slot
-        # starts empty: seq 0 (even), key_len 0 (no key matches).
-        _SHM_HEADER.pack_into(self._shm.buf, 0, _SHM_MAGIC, slots, slot_size)
-        self._lock = multiprocessing.get_context("fork").Lock()
-        self._owner = True
-
-    # -- key / slot helpers --------------------------------------------------
-
-    @staticmethod
-    def _key_bytes(key: Any) -> bytes:
-        """A flat byte form of the service's cache-slot tuple.
-
-        ``(codec, op, scheme, server, target)`` joined with ``|`` —
-        injective for the service's keyspace (codec and op come from
-        fixed vocabularies, server/target are ints, and scheme names
-        never contain ``|``).
-        """
-        if isinstance(key, tuple):
-            return "|".join(str(part) for part in key).encode("utf-8")
-        return str(key).encode("utf-8")
-
-    def _probe_bases(self, key_bytes: bytes) -> List[int]:
-        start = zlib.crc32(key_bytes) % self.slots
-        header = _SHM_HEADER.size
-        size = self.slot_size
-        return [
-            header + ((start + i) % self.slots) * size
-            for i in range(min(_PROBES, self.slots))
-        ]
-
-    # -- the data path -------------------------------------------------------
-
-    def get(self, key: Any, epoch: int) -> Optional[bytes]:
-        """The packed body cached under ``key`` at ``epoch``, or None.
-
-        Lock-free: a torn or in-progress slot simply misses.  The
-        returned bytes are a copy — the slot may be rewritten the
-        moment this returns.
-        """
-        key_bytes = self._key_bytes(key)
-        key_len = len(key_bytes)
-        buf = self._shm.buf
-        for base in self._probe_bases(key_bytes):
-            (seq1,) = _SLOT_SEQ.unpack_from(buf, base)
-            if seq1 & 1:
-                continue  # write in progress (or died mid-write)
-            _seq, stamped, stored_key_len, body_len = _SLOT_HEADER.unpack_from(
-                buf, base
-            )
-            if stored_key_len != key_len:
-                continue
-            data = base + _SLOT_HEADER.size
-            if bytes(buf[data : data + key_len]) != key_bytes:
-                continue
-            body = bytes(buf[data + key_len : data + key_len + body_len])
-            (seq2,) = _SLOT_SEQ.unpack_from(buf, base)
-            if seq2 != seq1:
-                continue  # overwritten while we copied: torn snapshot
-            if stamped != epoch:
-                continue  # a different delta prefix filled this
-            self.hits += 1
-            return body
-        self.misses += 1
-        return None
-
-    def put(self, key: Any, epoch: int, body: bytes) -> bool:
-        """Publish ``body`` for ``key`` as of ``epoch``; False if skipped.
-
-        Skips (rather than blocks) when another writer holds the fill
-        lock, and when the entry cannot fit a slot.
-        """
-        key_bytes = self._key_bytes(key)
-        payload = len(key_bytes) + len(body)
-        if _SLOT_HEADER.size + payload > self.slot_size:
-            self.skips += 1
-            return False
-        if not self._lock.acquire(block=False):
-            self.skips += 1
-            return False
-        try:
-            buf = self._shm.buf
-            bases = self._probe_bases(key_bytes)
-            target = None
-            for base in bases:
-                seq, _stamp, stored_key_len, _blen = _SLOT_HEADER.unpack_from(
-                    buf, base
-                )
-                if seq & 1 or stored_key_len == 0:
-                    # Dead (killed mid-write) or empty: reclaimable.
-                    if target is None:
-                        target = base
-                    continue
-                data = base + _SLOT_HEADER.size
-                if (
-                    stored_key_len == len(key_bytes)
-                    and bytes(buf[data : data + stored_key_len]) == key_bytes
-                ):
-                    target = base  # overwrite our own slot in place
-                    break
-            if target is None:
-                # All probes hold live foreign keys: deterministic
-                # clobber keeps the table simple (it is only a cache).
-                target = bases[zlib.crc32(body) % len(bases)]
-            (seq,) = _SLOT_SEQ.unpack_from(buf, target)
-            writing = seq + 1 if seq & 1 == 0 else seq  # ensure odd
-            _SLOT_SEQ.pack_into(buf, target, writing)
-            _SLOT_HEADER.pack_into(
-                buf, target, writing, epoch, len(key_bytes), len(body)
-            )
-            data = target + _SLOT_HEADER.size
-            buf[data : data + len(key_bytes)] = key_bytes
-            buf[data + len(key_bytes) : data + payload] = body
-            _SLOT_SEQ.pack_into(buf, target, writing + 1)
-            self.puts += 1
-            return True
-        finally:
-            self._lock.release()
-
-    def clear(self, timeout: float = 1.0) -> bool:
-        """Zero every slot (tests/benchmarks); False if the lock is stuck."""
-        if not self._lock.acquire(timeout=timeout):
-            return False
-        try:
-            buf = self._shm.buf
-            empty = bytes(self.slot_size)
-            for index in range(self.slots):
-                base = _SHM_HEADER.size + index * self.slot_size
-                buf[base : base + self.slot_size] = empty
-            return True
-        finally:
-            self._lock.release()
-
-    # -- bookkeeping ---------------------------------------------------------
-
-    @property
-    def hit_rate(self) -> float:
-        looked = self.hits + self.misses
-        return self.hits / looked if looked else 0.0
-
-    @property
-    def name(self) -> str:
-        """The segment name (diagnostics; workers inherit by fork)."""
-        return self._shm.name
-
-    def snapshot(self) -> Dict[str, Any]:
-        """This process's counters, for ``info.capabilities.cache.shared``."""
-        return {
-            "slots": self.slots,
-            "slot_size": self.slot_size,
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "skips": self.skips,
-            "hit_rate": round(self.hit_rate, 6),
-        }
-
-    def publish(self, metrics: Any, prefix: str = "net.cache.shared") -> None:
-        metrics.counter(f"{prefix}.hits").set_to(self.hits)
-        metrics.counter(f"{prefix}.misses").set_to(self.misses)
-        metrics.counter(f"{prefix}.puts").set_to(self.puts)
-        metrics.counter(f"{prefix}.skips").set_to(self.skips)
-        metrics.gauge(f"{prefix}.hit_rate").set(self.hit_rate)
-
-    def close(self, *, unlink: bool = False) -> None:
-        """Unmap the segment; ``unlink=True`` destroys it (creator only)."""
-        try:
-            self._shm.close()
-        finally:
-            if unlink and self._owner:
-                try:
-                    self._shm.unlink()
-                except FileNotFoundError:
-                    pass
-
-
 __all__ = [
     "DEFAULT_CAPACITY",
-    "DEFAULT_SHARED_SLOTS",
-    "DEFAULT_SLOT_SIZE",
     "ReplyCache",
-    "SharedReplyCache",
 ]

@@ -115,11 +115,6 @@ def add_serve_parser(subparsers: argparse._SubParsersAction) -> None:
         help="write 'host port' here once the socket is bound",
     )
     parser.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="run on uvloop when installed (falls back to asyncio)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -141,23 +136,6 @@ def add_serve_parser(subparsers: argparse._SubParsersAction) -> None:
         "--no-cache",
         action="store_true",
         help="disable the hot-key reply cache (same as --cache-size 0)",
-    )
-    cache.add_argument(
-        "--shared-cache",
-        dest="shared_cache",
-        action="store_true",
-        default=True,
-        help=(
-            "back the worker fleet's reply cache with one shared-memory "
-            "segment so every worker sees every hit (default; binary "
-            "codec only, --workers >= 2)"
-        ),
-    )
-    cache.add_argument(
-        "--no-shared-cache",
-        dest="shared_cache",
-        action="store_false",
-        help="keep reply caches strictly per-process",
     )
     storage = parser.add_argument_group("storage")
     storage.add_argument(
@@ -310,7 +288,6 @@ def _config_from_args(args: argparse.Namespace) -> ServiceConfig:
         backup_fraction=args.backup_fraction,
         probes=args.probes,
         cache_size=cache_size,
-        shared_cache=getattr(args, "shared_cache", True),
         store=getattr(args, "store", "memory"),
         data_dir=getattr(args, "data_dir", None),
         log_compact_records=getattr(args, "log_compact_records", 4096),
@@ -337,18 +314,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             workers=workers,
             ready_file=args.ready_file,
         )
-    if getattr(args, "uvloop", False):
-        try:
-            import uvloop  # noqa: PLC0415 - optional accelerator
-        except ImportError:
-            print(
-                "[serve] uvloop not installed; continuing on asyncio",
-                file=sys.stderr,
-                flush=True,
-            )
-        else:
-            with asyncio.Runner(loop_factory=uvloop.new_event_loop) as runner:
-                return runner.run(_serve_async(args))
     return asyncio.run(_serve_async(args))
 
 

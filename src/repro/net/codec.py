@@ -990,22 +990,6 @@ class _Unpacker:
         raise FrameError(f"unknown binary value tag: {tag:#x}")
 
 
-def encode_envelope_binary(obj: dict[str, Any]) -> bytes:
-    """Serialize one envelope as a framed binary byte string."""
-    out = bytearray()
-    out.append(BINARY_MAGIC)
-    out.append(BINARY_VERSION)
-    body = dict(obj)
-    opcode = _OPCODE_BY_OP.get(body.get("op"), 0)
-    if opcode:
-        del body["op"]
-    out.append(opcode)
-    _pack_value(body, out)
-    if len(out) > MAX_FRAME:
-        raise WireError(f"frame too large: {len(out)} bytes")
-    return _LENGTH.pack(len(out)) + bytes(out)
-
-
 #: Prepacked splices shorter than this are copied into the current
 #: scratch buffer instead of earning their own buffer slot: below a
 #: couple hundred bytes the memcpy is cheaper than the extra list
@@ -1092,13 +1076,12 @@ def _pack_value_frags(value: Any, out: _FragmentWriter) -> None:
 def encode_envelope_fragments(obj: dict[str, Any]) -> list:
     """Serialize one envelope as a framed binary *fragment list*.
 
-    The concatenation of the returned buffers (``bytes`` /
-    ``bytearray`` / ``memoryview``) is exactly
-    :func:`encode_envelope_binary` of the same envelope, but
-    :class:`Prepacked` payloads are spliced by reference instead of
-    re-copied — a reply built from cached bodies costs zero body
-    copies here.  Hand the list to :func:`write_frames` (or
-    ``b"".join`` it for the flat frame bytes).
+    The one binary frame encoder: the concatenation of the returned
+    buffers (``bytes`` / ``bytearray`` / ``memoryview``) is the flat
+    frame, with :class:`Prepacked` payloads spliced by reference
+    instead of re-copied — a reply built from cached bodies costs zero
+    body copies here.  Hand the list to :func:`write_frames` (or
+    ``b"".join`` it, as :func:`encode_envelope_as` does).
 
     Fragment lifetime: the buffers may alias producer-owned storage
     (the memoryviews :func:`pack_send_reply` wraps), so the list must
@@ -1234,7 +1217,7 @@ def decode_frame_body(body: bytes) -> dict[str, Any]:
 def encode_envelope_as(obj: dict[str, Any], codec: str) -> bytes:
     """Serialize one envelope under the named codec."""
     if codec == CODEC_BINARY:
-        return encode_envelope_binary(obj)
+        return b"".join(encode_envelope_fragments(obj))
     if codec == CODEC_JSON:
         return encode_envelope(obj)
     raise WireError(f"unknown codec: {codec!r}")
@@ -1334,7 +1317,6 @@ __all__ = [
     "decode_value",
     "encode_envelope",
     "encode_envelope_as",
-    "encode_envelope_binary",
     "encode_envelope_fragments",
     "encode_frame_fragments",
     "encode_message",

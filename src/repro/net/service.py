@@ -22,8 +22,10 @@ system and clients reach it over the network.
 
 Concurrency: handlers run on the event loop and the cluster is touched
 only between awaits, so envelope processing is effectively serialized
-per event-loop step; no locks are needed.  All state mutation happens
-synchronously inside :meth:`LookupService.handle_envelope`.
+per event-loop step; no locks are needed.  All local state mutation
+happens synchronously inside :meth:`LookupService.handle_envelope`;
+the one await on the request path is a worker-fleet reader handing a
+mutating envelope to the writer.
 
 Sharding: with ``shard_count > 1`` the process is one shard of a
 fleet.  Key→shard placement comes from :mod:`repro.net.sharding`
@@ -49,7 +51,7 @@ from repro.cluster.messages import LookupRequest, Message, MessageCategory
 from repro.cluster.network import DROPPED, is_undelivered
 from repro.core.entry import make_entries
 from repro.core.exceptions import InvalidParameterError
-from repro.net.cache import DEFAULT_CAPACITY, ReplyCache, SharedReplyCache
+from repro.net.cache import DEFAULT_CAPACITY, ReplyCache
 from repro.net.codec import (
     CODEC_BINARY,
     CODEC_JSON,
@@ -59,14 +61,13 @@ from repro.net.codec import (
     WireError,
     decode_heartbeat,
     decode_message,
-    encode_envelope_fragments,
+    encode_frame_fragments,
     encode_message,
     encode_value,
     negotiate_codec,
     pack_send_reply,
     pack_value_bytes,
     read_frame,
-    write_frame,
     write_frames,
 )
 from repro.net.sharding import ShardMap, partial_replica
@@ -117,11 +118,6 @@ class ServiceConfig:
     probes: int = 21
     #: Hot-key reply cache capacity (entries); 0 disables the cache.
     cache_size: int = DEFAULT_CAPACITY
-    #: Whether a worker fleet backs its reply caches with one
-    #: cross-process shared-memory segment (``serve --shared-cache``).
-    #: Single-process deployments ignore it (there is nobody to share
-    #: with); the fleet supervisor reads it before forking.
-    shared_cache: bool = True
     #: Storage backend: ``"memory"`` (the historical default) or
     #: ``"log"`` (append-log durability; requires ``data_dir``).
     store: str = "memory"
@@ -256,16 +252,10 @@ class LookupService:
             ReplyCache(self.config.cache_size) if self.config.cache_size else None
         )
         self._epochs: dict[str, int] = {}
-        #: Cross-process shared reply cache (attached by the worker
-        #: fleet; see :mod:`repro.net.workers`).  None everywhere else.
-        self.shared_cache: Optional[SharedReplyCache] = None
-        #: Per-scheme *bus-derived* epochs stamping shared-cache
-        #: entries: the writer-bus epoch of the scheme's last applied
-        #: delta.  Unlike ``_epochs`` (a process-local mutation count),
-        #: these mean the same thing in every worker, which is what
-        #: makes a cross-process stamp match a proof of identical
-        #: store state.  Maintained by the bus/delta plumbing via
-        #: :meth:`set_shared_epoch`.
+        #: Per-scheme writer-bus epoch of the scheme's last journaled
+        #: delta — replication-log bookkeeping, not a cache stamp:
+        #: recovered from the journal, advanced by the writer bus via
+        #: :meth:`set_shared_epoch`, folded into compaction snapshots.
         self._shared_epochs: dict[str, int] = {}
         #: Worker-fleet placement (set by :mod:`repro.net.workers`);
         #: the defaults describe a plain single-process serve.
@@ -339,12 +329,19 @@ class LookupService:
     def handle_envelope(
         self, envelope: dict[str, Any], *, raw: bool = False
     ) -> dict[str, Any]:
-        """Process one request envelope; returns the reply envelope.
+        """Process one request envelope locally; returns the reply envelope.
 
         Pure dispatch — no I/O — so tests can drive the service
         without sockets exactly as the connection loop does.  A
         request ``id`` (int or str) is echoed verbatim on the reply —
         pipelining clients correlate out-of-order responses by it.
+
+        Everything is applied to this process's own cluster; the
+        forwarder is never consulted, which makes this both the whole
+        request path of a single-process service and the writer's
+        apply step.  It is :meth:`_serve` stepped once: without a
+        forwarder that coroutine has nothing to wait for, so it runs
+        to completion on its first ``send``.
 
         ``raw=True`` leaves ``send`` reply values as live
         :class:`~repro.cluster.messages.Message` objects instead of
@@ -352,7 +349,32 @@ class LookupService:
         binary connection (whose packer encodes them natively) or
         stays in-process; the JSON encoder cannot carry them.
         """
-        reply = self._dispatch(envelope, raw)
+        steps = self._serve(envelope, raw, None)
+        try:
+            steps.send(None)
+        except StopIteration as done:
+            return done.value
+        steps.close()
+        raise RuntimeError("local dispatch suspended without a forwarder")
+
+    async def _serve(
+        self, envelope: dict[str, Any], raw: bool, forwarder: Optional[Any]
+    ) -> dict[str, Any]:
+        """The one request path: classify, then answer here or via the writer.
+
+        In a worker fleet every worker answers reads locally but ships
+        mutating ops to the single writer; :func:`envelope_mutates` is
+        the classify point that splits the two, and the only await on
+        the path is that hand-off.  ``forwarder=None`` (a single
+        process, or the writer applying a forwarded op) answers
+        everything locally without ever suspending.
+        """
+        if envelope.get("op") == "batch":
+            reply = await self._handle_batch(envelope, raw, forwarder)
+        elif forwarder is not None and envelope_mutates(envelope):
+            reply = await self._forward(forwarder, envelope)
+        else:
+            reply = self._dispatch(envelope, raw)
         return self._echo_id(envelope, reply)
 
     @staticmethod
@@ -362,31 +384,8 @@ class LookupService:
             reply["id"] = request_id
         return reply
 
-    async def handle_envelope_async(
-        self, envelope: dict[str, Any], *, raw: bool = False
-    ) -> dict[str, Any]:
-        """:meth:`handle_envelope`, plus writer forwarding when attached.
-
-        In a worker fleet, reader workers answer every read locally
-        but must ship mutating ops to the single writer (worker 0);
-        this is the dispatch point that splits the two.  With no
-        forwarder attached (the single-process case, and the writer
-        itself) it is exactly the synchronous path.
-        """
-        if self.forwarder is not None:
-            if envelope_mutates(envelope):
-                return self._echo_id(envelope, await self._forward(envelope))
-            if envelope.get("op") == "batch":
-                requests = envelope.get("requests")
-                if isinstance(requests, list) and any(
-                    isinstance(sub, dict) and envelope_mutates(sub)
-                    for sub in requests
-                ):
-                    reply = await self._handle_batch_async(envelope, raw)
-                    return self._echo_id(envelope, reply)
-        return self.handle_envelope(envelope, raw=raw)
-
-    async def _forward(self, envelope: dict[str, Any]) -> dict[str, Any]:
+    @staticmethod
+    async def _forward(forwarder: Any, envelope: dict[str, Any]) -> dict[str, Any]:
         """Ship one mutating envelope to the writer; returns its reply.
 
         The reply (and its value) is JSON-shaped regardless of the
@@ -394,7 +393,7 @@ class LookupService:
         for mutation acks (they carry scalars, not entry lists).
         """
         try:
-            return await self.forwarder.forward(envelope)
+            return await forwarder.forward(envelope)
         except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
             return {
                 "ok": False,
@@ -419,8 +418,6 @@ class LookupService:
                 return {"ok": True, "value": self.membership_view()}
             if op == "hello":
                 return self._handle_hello(envelope)
-            if op == "batch":
-                return self._handle_batch(envelope, raw)
             return {
                 "ok": False,
                 "error": "bad-request",
@@ -444,12 +441,6 @@ class LookupService:
         if cache is not None:
             cache_caps.update(cache.snapshot())
             cache.publish(self.metrics)
-        shared = self.shared_cache
-        shared_caps: dict[str, Any] = {"enabled": shared is not None}
-        if shared is not None:
-            shared_caps.update(shared.snapshot())
-            shared.publish(self.metrics)
-        cache_caps["shared"] = shared_caps
         storage_caps: dict[str, Any] = {
             "kind": self.config.store,
             "recovered": self.recovered,
@@ -496,7 +487,42 @@ class LookupService:
         value["codec"] = negotiate_codec(offered)
         return {"ok": True, "value": value}
 
-    def _check_batch(self, envelope: dict[str, Any]) -> Optional[dict[str, Any]]:
+    def _batch_sub(self, sub: Any, raw: bool) -> Any:
+        """One batch item's local reply (or prepacked bytes on the raw path)."""
+        if not isinstance(sub, dict):
+            return {
+                "ok": False,
+                "error": "bad-request",
+                "detail": "batch item must be an envelope dict",
+            }
+        if sub.get("op") == "batch":
+            return {
+                "ok": False,
+                "error": "bad-request",
+                "detail": "batch envelopes do not nest",
+            }
+        reply = self._dispatch(sub, raw)
+        if raw and sub.get("op") == "send":
+            # The binary-connection hot path: an ok send reply is
+            # packed to its final wire bytes right here, so the
+            # frame encoder later splices it instead of walking
+            # the reply dict again.
+            request_id = sub.get("id")
+            if type(request_id) is int and request_id >= 0 and reply.get("ok"):
+                return pack_send_reply(request_id, reply["value"])
+        # Each sub-reply echoes its own request id for correlation.
+        return self._echo_id(sub, reply)
+
+    async def _handle_batch(
+        self, envelope: dict[str, Any], raw: bool, forwarder: Optional[Any]
+    ) -> dict[str, Any]:
+        """The batch op: items answered in order, one loop for every deployment.
+
+        Reads are answered locally; with a forwarder attached, a
+        mutating item awaits the writer round-trip, which also applies
+        the resulting delta here before the sub-reply is emitted — a
+        client that mutates and reads in one batch sees its own write.
+        """
         requests = envelope.get("requests")
         if not isinstance(requests, list):
             return {
@@ -510,73 +536,16 @@ class LookupService:
                 "error": "bad-request",
                 "detail": f"batch of {len(requests)} exceeds max_batch {MAX_BATCH}",
             }
-        return None
-
-    def _batch_sub(self, sub: Any, raw: bool) -> Any:
-        """One batch item's reply (or prepacked bytes on the raw path)."""
-        if not isinstance(sub, dict):
-            return {
-                "ok": False,
-                "error": "bad-request",
-                "detail": "batch item must be an envelope dict",
-            }
-        if sub.get("op") == "batch":
-            return {
-                "ok": False,
-                "error": "bad-request",
-                "detail": "batch envelopes do not nest",
-            }
-        if raw and sub.get("op") == "send":
-            # The binary-connection hot path: an ok send reply is
-            # packed to its final wire bytes right here, so the
-            # frame encoder later splices it instead of walking
-            # the reply dict again.
-            reply = self._dispatch(sub, True)
-            request_id = sub.get("id")
-            has_id = isinstance(request_id, (int, str)) and not isinstance(
-                request_id, bool
-            )
-            if (
-                has_id
-                and type(request_id) is int
-                and request_id >= 0
-                and reply.get("ok")
-            ):
-                return pack_send_reply(request_id, reply["value"])
-            if has_id:
-                reply["id"] = request_id
-            return reply
-        # handle_envelope (not _dispatch) so each sub-reply
-        # echoes its own request id for correlation.
-        return self.handle_envelope(sub, raw=raw)
-
-    def _handle_batch(
-        self, envelope: dict[str, Any], raw: bool = False
-    ) -> dict[str, Any]:
-        bad = self._check_batch(envelope)
-        if bad is not None:
-            return bad
-        replies = [self._batch_sub(sub, raw) for sub in envelope["requests"]]
-        return {"ok": True, "value": replies}
-
-    async def _handle_batch_async(
-        self, envelope: dict[str, Any], raw: bool
-    ) -> dict[str, Any]:
-        """The batch op with mutating items routed through the writer.
-
-        Reads are answered locally (same prepacked fast path as the
-        sync loop); mutating sends await the writer round-trip, which
-        also applies the resulting delta here before the sub-reply is
-        emitted — a client that mutates and reads in one batch sees
-        its own write.
-        """
-        bad = self._check_batch(envelope)
-        if bad is not None:
-            return bad
         replies: list[Any] = []
-        for sub in envelope["requests"]:
-            if isinstance(sub, dict) and envelope_mutates(sub):
-                replies.append(self._echo_id(sub, await self._forward(sub)))
+        for sub in requests:
+            if (
+                forwarder is not None
+                and isinstance(sub, dict)
+                and envelope_mutates(sub)
+            ):
+                replies.append(
+                    self._echo_id(sub, await self._forward(forwarder, sub))
+                )
             else:
                 replies.append(self._batch_sub(sub, raw))
         return {"ok": True, "value": replies}
@@ -652,12 +621,7 @@ class LookupService:
             self.reply_cache.invalidate(key)
 
     def flush_cache(self) -> None:
-        """Drop every cached reply (e.g. after out-of-band store edits).
-
-        Local only: shared-cache entries are epoch-stamped with
-        bus-assigned values, so a resync makes this process's stamps
-        move instead of clearing the segment other workers still use.
-        """
+        """Drop every cached reply (e.g. after out-of-band store edits)."""
         if self.reply_cache is not None:
             self.reply_cache.clear()
 
@@ -718,19 +682,13 @@ class LookupService:
         )
 
     def set_shared_epoch(self, key: str, epoch: int) -> None:
-        """Adopt the writer-bus epoch of ``key``'s last applied delta.
+        """Record the writer-bus epoch of ``key``'s last applied delta.
 
-        Called by the fleet plumbing (bus apply, delta apply, resync)
-        — never by local mutation bookkeeping.  A shared-cache entry
-        is served only when its stamp equals this value, so two
-        workers agree on an entry exactly when they have applied the
-        same delta prefix for the scheme.
+        Called by the writer bus — never by local mutation
+        bookkeeping — so the next compaction snapshot carries the
+        epoch a recovering fleet resumes its delta sequence from.
         """
         self._shared_epochs[key] = epoch
-
-    def shared_epoch(self, key: str) -> int:
-        """The bus-derived epoch shared-cache entries stamp for ``key``."""
-        return self._shared_epochs.get(key, 0)
 
     # -- warm handoff (worker fleet) -----------------------------------------
 
@@ -847,34 +805,19 @@ class LookupService:
         message = decode_message(envelope["message"])
         network = self.cluster.network
         cache = self.reply_cache
-        # The shared segment holds packed binary bodies only; a JSON
-        # connection keeps the per-process cache to itself.
-        shared = self.shared_cache if raw else None
         slot = None
         if message.category is not MessageCategory.LOOKUP:
             # Invalidate-before-apply: no post-mutation request may
             # ever see a pre-mutation cached reply, even if the
             # handler raises half-way through.
             self.note_mutation(key)
-        elif cache is not None or shared is not None:
+        elif cache is not None:
             slot = self._cache_slot(server_id, key, message, raw)
             if slot is not None:
-                if cache is not None:
-                    epoch = self._epochs.get(key, 0)
-                    payload = cache.get(slot, epoch)
-                    if payload is not None:
-                        self._book_cached_send(network, server_id, message)
-                        return {"ok": True, "value": payload}
-                if shared is not None:
-                    body = shared.get(slot, self._shared_epochs.get(key, 0))
-                    if body is not None:
-                        payload = Prepacked(body)
-                        if cache is not None:
-                            # Promote: later hits on this worker skip
-                            # the segment probe and body copy.
-                            cache.put(slot, self._epochs.get(key, 0), payload)
-                        self._book_cached_send(network, server_id, message)
-                        return {"ok": True, "value": payload}
+                payload = cache.get(slot, self._epochs.get(key, 0))
+                if payload is not None:
+                    self._book_cached_send(network, server_id, message)
+                    return {"ok": True, "value": payload}
         reply = network.send(server_id, key, message)
         if message.category is not MessageCategory.LOOKUP:
             # The store mutations are already on disk (the backend
@@ -892,12 +835,7 @@ class LookupService:
             # Pack once, serve many: the cached payload is already in
             # its wire form, so later hits are splice/memcpy-only.
             payload = Prepacked(pack_value_bytes(reply)) if raw else encode_value(reply)
-            if cache is not None:
-                cache.put(slot, self._epochs.get(key, 0), payload)
-            if shared is not None:
-                # No awaits separate the send above from this fill, so
-                # the stamp still matches the state the reply saw.
-                shared.put(slot, self._shared_epochs.get(key, 0), payload.data)
+            cache.put(slot, self._epochs.get(key, 0), payload)
             return {"ok": True, "value": payload}
         return {"ok": True, "value": reply if raw else encode_value(reply)}
 
@@ -955,32 +893,34 @@ class LookupService:
                     # not decodable (unknown message type, bad tag
                     # payload): the stream is still in sync, so answer
                     # and keep serving.
-                    await write_frame(
-                        writer,
-                        {
-                            "ok": False,
-                            "error": "bad-request",
-                            "detail": "undecodable frame body",
-                        },
-                        codec=codec,
+                    reply = {
+                        "ok": False,
+                        "error": "bad-request",
+                        "detail": "undecodable frame body",
+                    }
+                    await write_frames(
+                        writer, (encode_frame_fragments(reply, codec),)
                     )
                     continue
                 except FrameError:
                     break
                 if envelope is None:
                     break
-                reply = await self.handle_envelope_async(
-                    envelope, raw=codec == CODEC_BINARY
-                )
-                if codec == CODEC_BINARY:
-                    # Zero-copy path: cached/prepacked bodies are
-                    # spliced into the frame's buffer list and the
-                    # whole reply goes out in one writelines+drain.
-                    await write_frames(
-                        writer, (encode_envelope_fragments(reply),)
-                    )
+                raw = codec == CODEC_BINARY
+                if self.forwarder is None:
+                    # Through the public entry, so anything wrapping
+                    # handle_envelope (tracing, test doubles) sees
+                    # socket traffic too.
+                    reply = self.handle_envelope(envelope, raw=raw)
                 else:
-                    await write_frame(writer, reply, codec=codec)
+                    reply = await self._serve(envelope, raw, self.forwarder)
+                # Zero-copy on binary: cached/prepacked bodies are
+                # spliced into the frame's buffer list and the whole
+                # reply goes out in one writelines+drain.  A JSON frame
+                # is a one-buffer list through the same writer.
+                await write_frames(
+                    writer, (encode_frame_fragments(reply, codec),)
+                )
                 if envelope.get("op") == "hello" and reply.get("ok"):
                     codec = reply["value"]["codec"]
         except (ConnectionError, OSError):

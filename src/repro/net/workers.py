@@ -43,9 +43,8 @@ framing; see ``docs/protocols.md``):
 - writer → every other reader ``{"op": "delta", "delta": {...}}``.
 - reader → writer ``{"op": "sync", "id": n}`` answered by
   ``{"op": "sync_reply", "id": n, "epoch": E, "stores": {...},
-  "scheme_epochs": {...}, "hot": [...]}`` — a full store snapshot,
-  used on (re)connect and on gap recovery, plus the shared-cache
-  epoch map and the writer's warm-handoff hot set (see
+  "hot": [...]}`` — a full store snapshot, used on (re)connect and on
+  gap recovery, plus the writer's warm-handoff hot set (see
   ``docs/protocols.md`` §7 for the row schema).
 
 A delta is ``{"epoch": E, "key": scheme, "servers": {"<sid>":
@@ -82,7 +81,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.messages import Message
 from repro.core.exceptions import InvalidParameterError
-from repro.net.cache import SharedReplyCache
 from repro.net.codec import (
     FrameError,
     decode_value,
@@ -173,11 +171,6 @@ def apply_delta(service: LookupService, delta: Dict[str, Any]) -> None:
     if key not in service.strategies:
         return
     service.note_mutation(key)
-    epoch = delta.get("epoch")
-    if isinstance(epoch, int):
-        # Adopt the bus epoch as the scheme's shared-cache stamp: all
-        # workers that applied the same delta prefix stamp identically.
-        service.set_shared_epoch(key, epoch)
     servers = service.cluster.servers
     for sid_text, change in delta["servers"].items():
         store = servers[int(sid_text)].store(key)
@@ -261,26 +254,10 @@ class DeltaApplier:
         apply_delta(self.service, delta)
         self.applied = delta["epoch"]
 
-    def resync(
-        self,
-        epoch: int,
-        snapshot: Dict[str, Any],
-        scheme_epochs: Optional[Dict[str, int]] = None,
-    ) -> None:
-        """Adopt a full snapshot taken at ``epoch``; drop the buffer.
-
-        ``scheme_epochs`` (when the writer supplied one) realigns the
-        shared-cache stamps with the snapshot: after a resync this
-        worker's stores match the writer's at exactly those per-scheme
-        bus epochs, so shared slots stamped with them are valid here.
-        """
+    def resync(self, epoch: int, snapshot: Dict[str, Any]) -> None:
+        """Adopt a full snapshot taken at ``epoch``; drop the buffer."""
         load_snapshot(self.service, snapshot)
         self.service.flush_cache()
-        if scheme_epochs is not None:
-            for key in self.service.strategies:
-                value = scheme_epochs.get(key)
-                if isinstance(value, int):
-                    self.service.set_shared_epoch(key, value)
         self.applied = epoch
         self._pending.clear()
 
@@ -309,13 +286,6 @@ class WriterBus:
         # journal left it, so readers that recovered from the same
         # journal can sync incrementally instead of re-snapshotting.
         self.epoch = service.recovered_epoch
-        #: Bus epoch of each scheme's last applied delta — the stamps
-        #: the shared reply cache keys its coherence on.
-        self.scheme_epochs: Dict[str, int] = {
-            key: service.shared_epoch(key)
-            for key in service.strategies
-            if service.shared_epoch(key)
-        }
         #: Recent deltas, newest last, for ``sync`` requests carrying a
         #: ``since`` watermark: a reader that is at most this far
         #: behind catches up from the log instead of a full snapshot.
@@ -376,7 +346,6 @@ class WriterBus:
         if delta is not None:
             self.epoch += 1
             delta["epoch"] = self.epoch
-            self.scheme_epochs[delta["key"]] = self.epoch
             self.service.set_shared_epoch(delta["key"], self.epoch)
             if self.service.journal is not None:
                 # Durability barrier: the store records were appended
@@ -427,7 +396,6 @@ class WriterBus:
                 "op": "sync_reply",
                 "id": frame.get("id"),
                 "epoch": self.epoch,
-                "scheme_epochs": dict(self.scheme_epochs),
             }
             since = frame.get("since")
             if isinstance(since, int) and not isinstance(since, bool) and (
@@ -485,9 +453,12 @@ class WriteForwarder:
         self._next_id = 0
         self._wlock = asyncio.Lock()
         self._pump_task: Optional[asyncio.Task] = None
+        #: The one gap-recovery resync the pump may have in flight.
+        self._resync_task: Optional[asyncio.Task] = None
         self._advanced = asyncio.Event()
-        #: Called once when the bus connection dies (writer crashed):
-        #: the worker uses it to stop serving and exit loudly.
+        #: Called once when the bus connection dies (writer crashed)
+        #: or a resync fails: the worker uses it to stop serving and
+        #: exit loudly.
         self.on_fatal: Optional[Any] = None
         self._closed = False
 
@@ -510,10 +481,11 @@ class WriteForwarder:
 
     async def stop(self) -> None:
         self._closed = True
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._pump_task
+        for task in (self._pump_task, self._resync_task):
+            if task is not None:
+                task.cancel()
+                with contextlib.suppress(asyncio.CancelledError, ConnectionError):
+                    await task
         if self._writer is not None:
             self._writer.close()
             with contextlib.suppress(ConnectionError, OSError):
@@ -547,15 +519,7 @@ class WriteForwarder:
             for delta in deltas:
                 self.applier.offer(delta)
         else:
-            # Snapshot adoption and stamp realignment run
-            # synchronously here — no await separates them, so no
-            # delta or client request can interleave and skew the
-            # stamps.
-            self.applier.resync(
-                reply.get("epoch", 0),
-                reply.get("stores", {}),
-                reply.get("scheme_epochs") or {},
-            )
+            self.applier.resync(reply.get("epoch", 0), reply.get("stores", {}))
         # The warm handoff lands after the stores are current either
         # way, so imported rows are stamped with live epochs.
         hot = reply.get("hot")
@@ -614,7 +578,7 @@ class WriteForwarder:
                 elif op == "delta":
                     status = self.applier.offer(frame.get("delta") or {})
                     if status == "resync":
-                        asyncio.ensure_future(self._sync())
+                        self._start_resync()
                     elif status == "applied":
                         self._advanced.set()
         except (ConnectionError, OSError, asyncio.CancelledError):
@@ -626,8 +590,31 @@ class WriteForwarder:
                         ConnectionError("writer bus connection lost")
                     )
             self._pending.clear()
-            if not self._closed and self.on_fatal is not None:
-                self.on_fatal()
+            self._fatal()
+
+    def _start_resync(self) -> None:
+        """Resync in the background — the pump must keep reading, the
+        ``sync_reply`` arrives through it — unless one is in flight.
+
+        A second gap while the first snapshot is on its way needs no
+        second sync: the bus connection is ordered, so every delta
+        newer than that snapshot reaches the applier after it.
+        """
+        if self._resync_task is None:
+            self._resync_task = asyncio.create_task(self._sync())
+            self._resync_task.add_done_callback(self._resync_done)
+
+    def _resync_done(self, task: asyncio.Task) -> None:
+        self._resync_task = None
+        if not task.cancelled() and task.exception() is not None:
+            # A reader that could not adopt a snapshot serves stale
+            # state forever; fail it so the supervisor respawns it.
+            self._fatal()
+
+    def _fatal(self) -> None:
+        callback, self.on_fatal = self.on_fatal, None
+        if callback is not None and not self._closed:
+            callback()
 
 
 # --------------------------------------------------------------------------
@@ -657,7 +644,6 @@ def _worker_main(
     reuseport: bool,
     shared_sock: Optional[socket.socket],
     ready_path: str,
-    shared_cache: Optional[SharedReplyCache] = None,
 ) -> None:
     # The child inherited the parent's signal handlers and both
     # lifeline ends across fork; reset the former, and drop the write
@@ -679,7 +665,6 @@ def _worker_main(
                 reuseport,
                 shared_sock,
                 ready_path,
-                shared_cache,
             )
         )
     )
@@ -696,7 +681,6 @@ async def _worker_async(
     reuseport: bool,
     shared_sock: Optional[socket.socket],
     ready_path: str,
-    shared_cache: Optional[SharedReplyCache] = None,
 ) -> int:
     if config.store == "log" and index != 0:
         # The writer owns the journal; readers replay it on boot (a
@@ -707,9 +691,6 @@ async def _worker_async(
     service.worker_index = index
     service.worker_count = total
     service.worker_role = "writer" if index == 0 else "reader"
-    # The segment was created pre-fork by the supervisor; every worker
-    # inherited the same mapping and writer lock across fork.
-    service.shared_cache = shared_cache
 
     stop = asyncio.Event()
     exit_code = 0
@@ -790,20 +771,6 @@ class _Supervisor:
         self._placeholder: Optional[socket.socket] = None
         self._shared: Optional[socket.socket] = None
         self._lifeline_r, self._lifeline_w = os.pipe()
-        self.shared_cache: Optional[SharedReplyCache] = None
-        if config.shared_cache and config.cache_size:
-            # Created before any fork so every worker inherits the one
-            # mapping.  A box without (enough) /dev/shm just falls back
-            # to the per-process caches — never a boot failure.
-            try:
-                self.shared_cache = SharedReplyCache()
-            except (OSError, ValueError) as exc:
-                print(
-                    f"[serve] shared reply cache unavailable ({exc}); "
-                    "workers fall back to per-process caches",
-                    file=sys.stderr,
-                    flush=True,
-                )
 
     # -- socket setup --------------------------------------------------------
 
@@ -852,7 +819,6 @@ class _Supervisor:
                 self.reuseport,
                 self._shared,
                 ready,
-                self.shared_cache,
             ),
             name=f"repro-worker-{index}",
         )
@@ -974,9 +940,6 @@ class _Supervisor:
         for sock in (self._placeholder, self._shared):
             if sock is not None:
                 sock.close()
-        if self.shared_cache is not None:
-            self.shared_cache.close(unlink=True)
-            self.shared_cache = None
         with contextlib.suppress(OSError):
             import shutil
 

@@ -1,14 +1,27 @@
 """Pipelined batches and codec negotiation, end to end over sockets."""
 
 import asyncio
+import json
 import random
+import struct
 import time
 
 import pytest
 
+from repro.cluster.messages import AddRequest, DeleteRequest, LookupRequest
+from repro.core.entry import Entry
 from repro.net.client import AsyncLookupClient, ServiceError
-from repro.net.codec import CODEC_BINARY, CODEC_JSON
+from repro.net.codec import (
+    CODEC_BINARY,
+    CODEC_JSON,
+    decode_frame_body,
+    decode_value,
+    encode_envelope_as,
+    encode_message,
+    hello_envelope,
+)
 from repro.net.service import MAX_BATCH, LookupService, ServiceConfig
+from repro.net.workers import apply_delta, compute_apply_delta, wire_envelope
 
 def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=30))
@@ -31,8 +44,8 @@ class ReversingService(LookupService):
     *reverse* request order.  Ids are echoed, so a correct client must
     correlate by id and never by position."""
 
-    def _handle_batch(self, envelope, raw=False):
-        reply = super()._handle_batch(envelope, raw)
+    async def _handle_batch(self, envelope, raw, forwarder):
+        reply = await super()._handle_batch(envelope, raw, forwarder)
         if reply.get("ok"):
             reply["value"] = list(reversed(reply["value"]))
         return reply
@@ -47,8 +60,8 @@ class StallingService(LookupService):
         super().__init__(config)
         self.stalls = 0
 
-    def _handle_batch(self, envelope, raw=False):
-        reply = super()._handle_batch(envelope, raw)
+    async def _handle_batch(self, envelope, raw, forwarder):
+        reply = await super()._handle_batch(envelope, raw, forwarder)
         if reply.get("ok") and len(reply["value"]) > 1:
             self.stalls += 1
             time.sleep(0.005)
@@ -275,3 +288,120 @@ class TestBatchEnvelope:
                 assert replies[1]["value"]["coverage"] == 30
 
         run(with_service(scenario))
+
+
+# --------------------------------------------------------------------------
+# One request path, one frame encoder
+# --------------------------------------------------------------------------
+
+
+class StubForwarder:
+    """What ``WriteForwarder.forward`` does, minus the bus socket: the
+    writer applies, the reply crosses a JSON pipe, and the delta lands
+    on the reader before the reply is handed back."""
+
+    def __init__(self, writer, reader):
+        self.writer = writer
+        self.reader = reader
+        self.forwarded = 0
+
+    async def forward(self, envelope):
+        self.forwarded += 1
+        reply, delta = compute_apply_delta(self.writer, wire_envelope(envelope))
+        await asyncio.sleep(0)  # a real suspension, like the bus round-trip
+        if delta is not None:
+            apply_delta(self.reader, delta)
+        return json.loads(json.dumps(reply))
+
+
+def _mixed_batch(codec):
+    """Reads, writes and junk in one frame: a sampled lookup, an add,
+    a whole-store lookup, a delete, another whole-store lookup, a
+    nested batch and a non-dict item."""
+
+    def send(request_id, message):
+        return {
+            "op": "send",
+            "id": request_id,
+            "server": 0,
+            "key": "full_replication",
+            # A binary frame decodes to live messages, a JSON one to
+            # tagged dicts; each path gets what its decoder would give.
+            "message": message if codec == CODEC_BINARY else encode_message(message),
+        }
+
+    return {
+        "op": "batch",
+        "id": 99,
+        "requests": [
+            send(1, LookupRequest(3)),
+            send("a", AddRequest(entry=Entry("zz-mixed"))),
+            send(2, LookupRequest(0)),
+            send(3, DeleteRequest(entry=Entry("v1"))),
+            send(4, LookupRequest(0)),
+            {"op": "batch", "id": 5, "requests": []},
+            "not-an-envelope",
+        ],
+    }
+
+
+async def _raw_exchange(host, port, codec, envelope):
+    """One envelope over a fresh connection; the raw reply frame bytes."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        if codec == CODEC_BINARY:
+            writer.write(encode_envelope_as(hello_envelope((CODEC_BINARY,)), CODEC_JSON))
+            (length,) = struct.unpack(">I", await reader.readexactly(4))
+            hello = decode_frame_body(await reader.readexactly(length))
+            assert hello["value"]["codec"] == CODEC_BINARY
+        writer.write(encode_envelope_as(envelope, codec))
+        header = await reader.readexactly(4)
+        (length,) = struct.unpack(">I", header)
+        return header + await reader.readexactly(length)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+class TestOneRequestPath:
+    @pytest.mark.parametrize("codec", [CODEC_JSON, CODEC_BINARY])
+    def test_mixed_batch_is_byte_identical_on_every_path(self, codec):
+        """`handle_envelope` on a single process, the socket loop, and
+        a fleet reader handing its writes to a forwarder all emit the
+        same reply frame for the same mixed batch."""
+        envelope = _mixed_batch(codec)
+        direct = LookupService(CONFIG).handle_envelope(
+            _mixed_batch(codec), raw=codec == CODEC_BINARY
+        )
+        expected = encode_envelope_as(direct, codec)
+
+        async def over_socket(service, host, port):
+            return await _raw_exchange(host, port, codec, envelope)
+
+        assert run(with_service(over_socket)) == expected
+
+        async def through_a_forwarder(reader_service, host, port):
+            stub = StubForwarder(LookupService(CONFIG), reader_service)
+            reader_service.forwarder = stub
+            frame = await _raw_exchange(host, port, codec, envelope)
+            assert stub.forwarded == 2  # the add and the delete, nothing else
+            return frame
+
+        forwarded = run(with_service(through_a_forwarder))
+        assert forwarded == expected
+
+        reply = decode_frame_body(forwarded[4:])
+        assert reply["ok"] and reply["id"] == 99
+        subs = reply["value"]
+        # per-item id echo, verbatim and in request order (items
+        # refused before dispatch carry none)
+        assert [sub.get("id") for sub in subs] == [1, "a", 2, 3, 4, None, None]
+        assert [sub["ok"] for sub in subs] == [True] * 5 + [False, False]
+
+        def ids(sub):
+            return {entry.entry_id for entry in decode_value(sub["value"])}
+
+        # read-your-writes inside one batch, through the forwarder
+        assert len(ids(subs[0])) == 3
+        assert "zz-mixed" in ids(subs[2]) and "v1" in ids(subs[2])
+        assert "zz-mixed" in ids(subs[4]) and "v1" not in ids(subs[4])

@@ -36,7 +36,6 @@ from repro.net.codec import (
     decode_value,
     encode_envelope,
     encode_envelope_as,
-    encode_envelope_binary,
     encode_envelope_fragments,
     encode_frame_fragments,
     encode_message,
@@ -123,7 +122,7 @@ messages = st.one_of(
 
 def binary_roundtrip(value):
     """One value through the binary envelope path and back."""
-    framed = encode_envelope_binary({"v": value})
+    framed = encode_envelope_as({"v": value}, CODEC_BINARY)
     return decode_envelope_binary(framed[4:])["v"]
 
 
@@ -181,7 +180,7 @@ class TestValueProperties:
     def test_unencodable_rejected(self):
         for bad in (object(), {1: "non-string key"}, {"!": "reserved"}):
             with pytest.raises(WireError):
-                encode_envelope_binary({"v": bad})
+                encode_envelope_as({"v": bad}, CODEC_BINARY)
 
     def test_prepacked_splices_verbatim(self):
         value = {"deep": [Entry("v3"), (1, "two")]}
@@ -238,7 +237,7 @@ class TestBinaryEnvelopes:
     )
     def test_envelope_roundtrip(self, op, body):
         envelope = {"op": op, **body}
-        framed = encode_envelope_binary(envelope)
+        framed = encode_envelope_as(envelope, CODEC_BINARY)
         assert framed[4] == BINARY_MAGIC
         assert framed[5] == BINARY_VERSION
         assert decode_frame_body(framed[4:]) == envelope
@@ -247,14 +246,14 @@ class TestBinaryEnvelopes:
         # Ops outside the opcode table still work (opcode 0, op key
         # stays in the payload) — forward compatibility for new ops.
         envelope = {"op": "someday", "x": 1}
-        framed = encode_envelope_binary(envelope)
+        framed = encode_envelope_as(envelope, CODEC_BINARY)
         assert framed[6] == 0
         assert decode_envelope_binary(framed[4:]) == envelope
 
     @given(value=wire_values)
     @settings(max_examples=40)
     def test_truncation_always_raises(self, value):
-        framed = encode_envelope_binary({"v": value})
+        framed = encode_envelope_as({"v": value}, CODEC_BINARY)
         body = framed[4:]
         for cut in range(len(body)):
             with pytest.raises((FrameError, WireError)):
@@ -273,7 +272,7 @@ class TestBinaryEnvelopes:
         assert isinstance(got, dict)
 
     def test_bad_header_rejected(self):
-        good = encode_envelope_binary({"op": "ping"})[4:]
+        good = encode_envelope_as({"op": "ping"}, CODEC_BINARY)[4:]
         with pytest.raises(FrameError):  # wrong magic
             decode_envelope_binary(b"\x00" + good[1:])
         with pytest.raises(FrameError):  # future version
@@ -287,7 +286,7 @@ class TestBinaryEnvelopes:
 
     def test_oversized_frame_rejected(self):
         with pytest.raises(WireError):
-            encode_envelope_binary({"v": "x" * (MAX_FRAME + 1)})
+            encode_envelope_as({"v": "x" * (MAX_FRAME + 1)}, CODEC_BINARY)
 
     def test_frame_sniffing(self):
         binary = encode_envelope_as({"op": "ping"}, CODEC_BINARY)[4:]
@@ -319,8 +318,12 @@ class TestFastPathEquivalence:
             "message": message,
         }
         packed = pack_send_envelope(request_id, server, key, message)
-        framed = encode_envelope_binary({"op": "batch", "requests": [packed]})
-        generic = encode_envelope_binary({"op": "batch", "requests": [plain]})
+        framed = encode_envelope_as(
+            {"op": "batch", "requests": [packed]}, CODEC_BINARY
+        )
+        generic = encode_envelope_as(
+            {"op": "batch", "requests": [plain]}, CODEC_BINARY
+        )
         assert decode_envelope_binary(framed[4:])["requests"][0] == plain
         assert decode_envelope_binary(generic[4:])["requests"][0] == plain
 
@@ -328,7 +331,7 @@ class TestFastPathEquivalence:
     def test_send_reply(self, request_id, value):
         plain = {"ok": True, "value": value, "id": request_id}
         packed = pack_send_reply(request_id, value)
-        framed = encode_envelope_binary({"replies": [packed]})
+        framed = encode_envelope_as({"replies": [packed]}, CODEC_BINARY)
         assert decode_envelope_binary(framed[4:])["replies"][0] == plain
 
 
@@ -379,7 +382,7 @@ def test_lookup_request_binary_is_compact():
         "key": "round_robin",
         "message": LookupRequest(8),
     }
-    binary = encode_envelope_binary(envelope)
+    binary = encode_envelope_as(envelope, CODEC_BINARY)
     as_json = encode_envelope({**envelope, "message": encode_message(LookupRequest(8))})
     assert len(binary) < len(as_json) / 2
 
@@ -394,18 +397,9 @@ def _joined(fragments):
 
 
 class TestFragmentEncoder:
-    """`encode_envelope_fragments` must be `encode_envelope_binary`
-    with different chunking: same bytes, always, for every envelope —
-    that identity is what lets the service swap the flat encoder for
-    the scatter-gather one without a wire version bump."""
-
-    @given(value=wire_values)
-    @settings(deadline=None)
-    def test_fragment_join_matches_flat_encoding(self, value):
-        envelope = {"op": "send", "v": value}
-        assert _joined(encode_envelope_fragments(envelope)) == encode_envelope_binary(
-            envelope
-        )
+    """`encode_envelope_fragments` is the one binary frame encoder:
+    how a frame is chunked (spliced by reference or copied into
+    scratch) must never change its bytes."""
 
     @given(
         request_ids=st.lists(
@@ -427,24 +421,36 @@ class TestFragmentEncoder:
             "extra": value,
         }
         flat = _joined(encode_envelope_fragments(envelope))
-        assert flat == encode_envelope_binary(envelope)
+        # Splicing by reference emits what the flat value packer's
+        # memcpy of the same Prepacked bodies does, after the 4-byte
+        # length and the magic/version/opcode header.
+        body = {name: item for name, item in envelope.items() if name != "op"}
+        assert flat[7:] == pack_value_bytes(body)
+        assert int.from_bytes(flat[:4], "big") == len(flat) - 4
         assert decode_envelope_binary(flat[4:])["op"] == "batch"
 
     def test_large_splices_earn_their_own_fragments(self):
-        reply = pack_send_reply(1, tuple(Entry(f"v{i}") for i in range(1, 400)))
-        envelope = {"op": "batch", "replies": [reply, reply]}
-        fragments = encode_envelope_fragments(envelope)
+        entries = tuple(Entry(f"v{i}") for i in range(1, 400))
+        reply = pack_send_reply(1, entries)
+        plain = {"ok": True, "value": entries, "id": 1}
+        fragments = encode_envelope_fragments(
+            {"op": "batch", "replies": [reply, reply]}
+        )
         # length prefix + scratch + two by-reference splices at least
         assert len(fragments) >= 4
         assert any(isinstance(buffer, memoryview) for buffer in fragments)
-        assert _joined(fragments) == encode_envelope_binary(envelope)
+        assert _joined(fragments) == encode_envelope_as(
+            {"op": "batch", "replies": [plain, plain]}, CODEC_BINARY
+        )
 
     def test_small_splices_fold_into_scratch(self):
         tiny = pack_send_reply(2, ())
-        envelope = {"op": "batch", "replies": [tiny] * 8}
-        fragments = encode_envelope_fragments(envelope)
+        plain = {"ok": True, "value": (), "id": 2}
+        fragments = encode_envelope_fragments({"op": "batch", "replies": [tiny] * 8})
         assert len(fragments) == 2  # length prefix + one sealed scratch
-        assert _joined(fragments) == encode_envelope_binary(envelope)
+        assert _joined(fragments) == encode_envelope_as(
+            {"op": "batch", "replies": [plain] * 8}, CODEC_BINARY
+        )
 
     def test_json_frame_fragments_are_the_legacy_bytes(self):
         envelope = {"op": "ping"}

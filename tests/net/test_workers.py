@@ -23,6 +23,8 @@ from repro.core.entry import Entry
 from repro.net.codec import (
     CODEC_BINARY,
     decode_envelope_binary,
+    decode_frame_body,
+    encode_envelope,
     encode_message,
     read_frame,
     write_frame,
@@ -315,10 +317,14 @@ class TestWriterBusAndForwarder:
                 writer_svc.forwarder = bus
                 fwd = WriteForwarder(reader_svc, self._bus_path(tmp))
                 await fwd.start()
+                host, port = await writer_svc.start(port=0)
+                client_r, client_w = await asyncio.open_connection(host, port)
                 try:
-                    reply = await writer_svc.handle_envelope_async(
-                        _send("full_replication", AddRequest(entry=Entry("zz-w")))
+                    await write_frame(
+                        client_w,
+                        _send("full_replication", AddRequest(entry=Entry("zz-w"))),
                     )
+                    reply = await read_frame(client_r)
                     assert reply["ok"]
                     deadline = asyncio.get_running_loop().time() + 5
                     while asyncio.get_running_loop().time() < deadline:
@@ -331,6 +337,8 @@ class TestWriterBusAndForwarder:
                         writer_svc, "full_replication"
                     )
                 finally:
+                    client_w.close()
+                    await writer_svc.stop()
                     await fwd.stop()
                     await bus.stop()
 
@@ -378,6 +386,108 @@ class TestWriterBusAndForwarder:
                     await asyncio.wait_for(fatal.wait(), timeout=5)
                 finally:
                     await fwd.stop()
+
+        run(scenario())
+
+
+class _PipeWriter:
+    """The bus connection's write half, captured instead of sent."""
+
+    def __init__(self):
+        self.frames = []
+
+    def write(self, data):
+        self.frames.append(decode_frame_body(data[4:]))
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+class TestPumpResync:
+    """`WriteForwarder._pump` gap recovery, sans socket: frames are fed
+    straight into the forwarder's stream reader, requests land in a
+    list."""
+
+    @staticmethod
+    def _gap(reader, first_epoch):
+        # one more than the buffer holds forces "resync"; the one after
+        # that starts buffering again
+        for offset in range(MAX_DELTA_BUFFER + 2):
+            reader.feed_data(
+                encode_envelope(
+                    {
+                        "op": "delta",
+                        "delta": {
+                            "epoch": first_epoch + offset,
+                            "key": "hash",
+                            "servers": {},
+                        },
+                    }
+                )
+            )
+
+    def test_one_resync_in_flight_and_failure_is_fatal(self):
+        async def scenario():
+            fwd = WriteForwarder(LookupService(CONFIG), "unused.sock")
+            fwd._reader = asyncio.StreamReader()
+            fwd._writer = pipe = _PipeWriter()
+            fatal = []
+            fwd.on_fatal = lambda: fatal.append(True)
+            fwd._pump_task = asyncio.create_task(fwd._pump())
+
+            async def settle():
+                for _ in range(5):
+                    await asyncio.sleep(0)
+
+            try:
+                # two unbridgeable gaps back to back: one sync request,
+                # not two overlapping ones
+                self._gap(fwd._reader, 1000)
+                self._gap(fwd._reader, 2000)
+                await settle()
+                assert [frame["op"] for frame in pipe.frames] == ["sync"]
+                assert fwd._resync_task is not None
+                fwd._reader.feed_data(
+                    encode_envelope(
+                        {
+                            "op": "sync_reply",
+                            "id": pipe.frames[0]["id"],
+                            "epoch": 3000,
+                            "stores": {},
+                        }
+                    )
+                )
+                await settle()
+                assert fwd.applier.applied == 3000
+                assert fwd._resync_task is None and not fatal
+
+                # the slot is free again: a later gap resyncs anew, and
+                # a snapshot that cannot be adopted fails the reader
+                # instead of vanishing into an unobserved task
+                self._gap(fwd._reader, 4000)
+                await settle()
+                assert [frame["op"] for frame in pipe.frames] == ["sync", "sync"]
+                fwd._reader.feed_data(
+                    encode_envelope(
+                        {
+                            "op": "sync_reply",
+                            "id": pipe.frames[1]["id"],
+                            "epoch": 5000,
+                            "stores": {"hash": 7},
+                        }
+                    )
+                )
+                await settle()
+                assert fatal == [True]
+                assert fwd.applier.applied == 3000
+            finally:
+                await fwd.stop()
 
         run(scenario())
 
@@ -475,14 +585,13 @@ class TestFleetEndToEnd:
             cache_size=64,
             no_cache=False,
             ready_file=None,
-            uvloop=False,
         )
         with pytest.raises(InvalidParameterError, match="--peers"):
             cmd_serve(args)
 
 
 # --------------------------------------------------------------------------
-# Warm respawn: the shared cache + hot-set handoff, end to end
+# Warm respawn: the hot-set handoff, end to end
 # --------------------------------------------------------------------------
 
 
@@ -545,8 +654,8 @@ class TestWarmRespawn:
         """SIGKILL a reader mid-fleet: its replacement must answer the
         previously-hot key as a cache hit — no cold miss — and
         byte-identically to the pre-kill replies, because the writer
-        shipped its hot set (stamped with bus epochs) over the sync
-        handshake and the shared segment survived the kill."""
+        shipped its hot set over the sync handshake and the reader
+        imported it before accepting its first connection."""
         with tempfile.TemporaryDirectory() as tmp:
             ready = os.path.join(tmp, "ready")
             env = dict(os.environ)

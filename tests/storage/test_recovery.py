@@ -9,6 +9,7 @@ from repro.core.entry import Entry
 from repro.core.exceptions import InvalidParameterError
 from repro.net.codec import encode_message
 from repro.net.service import LookupService, ServiceConfig
+from repro.storage.appendlog import AppendLogJournal
 
 
 def _config(tmp_path, **overrides):
@@ -134,8 +135,11 @@ class TestCrashRecovery:
         crashed.journal.close()
         reborn = LookupService(_config(tmp_path))
         assert reborn.recovered_epoch == 7
-        assert reborn.shared_epoch("full_replication") == 7
-        assert reborn.shared_epoch("hash") == 4
+        # ...per scheme, and a compaction carries them forward
+        reborn.compact_journal()
+        reborn.journal.close()
+        epochs = AppendLogJournal(str(tmp_path), read_only=True).load().epochs
+        assert epochs["full_replication"] == 7 and epochs["hash"] == 4
 
 
 class TestCompactionAndObservability:
