@@ -376,7 +376,7 @@ def check_log_store_recovery(ready_dir: str, deadline: float) -> None:
     The control replies are captured from the *uncrashed* service right
     after a post-boot mutation, as raw binary reply frames.  The server
     is then SIGKILLed — no shutdown hook, no final flush beyond the
-    per-record journal flush — and restarted on the same data
+    journal's per-mutation write barrier — and restarted on the same data
     directory.  The recovered service must report
     ``storage.recovered`` in its capabilities and answer every
     (scheme, server) full-store lookup with frames byte-for-byte equal

@@ -124,6 +124,10 @@ class Server:
     def keys(self) -> list[str]:
         return list(self._stores)
 
+    def has_store(self, key: str) -> bool:
+        """Whether a store for ``key`` exists here (never creates one)."""
+        return key in self._stores
+
     # -- logic installation and dispatch -----------------------------------
 
     def install_logic(self, key: str, logic: ServerLogic) -> None:

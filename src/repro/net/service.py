@@ -633,7 +633,8 @@ class LookupService:
         Store contents were already journaled record-by-record by the
         :class:`~repro.storage.appendlog.LogBackend` mutators as
         placement ran (or were replayed, on a recovery boot, in which
-        case every record here dedupes to nothing).
+        case every record here dedupes to nothing).  The flush at the
+        end puts the whole boot on disk in one piece.
         """
         journal = self.journal
         journal.record_params(
@@ -643,6 +644,7 @@ class LookupService:
             for key in server.keys():
                 journal.record_state(key, server.server_id, server.state(key))
         journal.record_rng(self.cluster.rng)
+        journal.flush()
 
     def _journal_sync_point(self, key: str) -> None:
         """Re-journal ``key``'s volatile state after a mutation landed.
@@ -651,17 +653,21 @@ class LookupService:
         the backend; this adds what replay cannot re-derive — strategy
         scratch state (Round-Robin counters, reservoir estimates) and
         the cluster RNG position — then compacts if the log is due.
-        Both record kinds dedupe, so an unchanged state costs nothing.
+        Both record kinds dedupe by comparison, so an unchanged state
+        costs an ``==``.  The flush at the end is the write barrier:
+        the mutation's records reach the log file in one ``write``,
+        before the reply is built.
         """
         journal = self.journal
         if journal is None or journal.read_only:
             return
         for server in self.cluster.servers:
-            if key in server.keys():
+            if server.has_store(key):
                 journal.record_state(key, server.server_id, server.state(key))
         journal.record_rng(self.cluster.rng)
         if journal.should_compact():
             self.compact_journal()
+        journal.flush()
 
     def compact_journal(self) -> None:
         """Fold the journal's live logs into one snapshot, now."""
@@ -806,7 +812,8 @@ class LookupService:
         network = self.cluster.network
         cache = self.reply_cache
         slot = None
-        if message.category is not MessageCategory.LOOKUP:
+        mutates = message.category is not MessageCategory.LOOKUP
+        if mutates:
             # Invalidate-before-apply: no post-mutation request may
             # ever see a pre-mutation cached reply, even if the
             # handler raises half-way through.
@@ -818,12 +825,16 @@ class LookupService:
                 if payload is not None:
                     self._book_cached_send(network, server_id, message)
                     return {"ok": True, "value": payload}
-        reply = network.send(server_id, key, message)
-        if message.category is not MessageCategory.LOOKUP:
-            # The store mutations are already on disk (the backend
-            # journals inline); persist the strategy counters and the
-            # RNG position they advanced to.
-            self._journal_sync_point(key)
+        try:
+            reply = network.send(server_id, key, message)
+        finally:
+            if mutates:
+                # The backend queued the store mutations as they ran;
+                # add the strategy counters and the RNG position they
+                # advanced to, and flush.  In a ``finally`` because a
+                # handler that raises half-way has still mutated, and
+                # the writer ships that partial diff to the readers.
+                self._journal_sync_point(key)
         if is_undelivered(reply):
             code = "dropped" if reply is DROPPED else "unavailable"
             return {

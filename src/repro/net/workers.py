@@ -348,11 +348,11 @@ class WriterBus:
             delta["epoch"] = self.epoch
             self.service.set_shared_epoch(delta["key"], self.epoch)
             if self.service.journal is not None:
-                # Durability barrier: the store records were appended
-                # by the backend as the apply ran; the epoch marker
-                # lands (and flushes) before any reader sees the delta,
-                # so a journal that knows epoch E holds all of E's
-                # mutations.
+                # Durability barrier: the mutation's records were
+                # written at the end of the apply's sync point; the
+                # epoch marker is written before any reader sees the
+                # delta, so a journal that knows epoch E holds all of
+                # E's mutations.
                 self.service.journal.record_epoch(delta["key"], self.epoch)
             self._history.append(delta)
         return reply, delta

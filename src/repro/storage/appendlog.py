@@ -12,10 +12,21 @@ process.
 
 Durability model
 ----------------
-Each record is ``flush()``-ed to the OS page cache, which survives the
-*process* dying (SIGKILL) — the crash mode the chaos harness and smoke
-tests exercise.  Surviving power loss additionally needs ``fsync=True``
-(one ``os.fsync`` per record), which the service deliberately does not
+``append`` serialises a record into a pending list; :meth:`flush` hands
+the pending lines to the OS page cache in one ``write``, which survives
+the *process* dying (SIGKILL) — the crash mode the chaos harness and
+smoke tests exercise.  The barriers that flush are the end of the
+service's mutation sync point (before the reply is built),
+``record_epoch`` (before any reader sees the delta), the end of the
+boot records, ``compact()``, ``close()`` and the ``log_bytes`` getter.
+A mutation therefore reaches the file together with the ``state`` and
+``rng`` it advanced to, or not at all: SIGKILL at any instant loses at
+most the mutation that was never acknowledged.  (As far as one
+``write(2)`` is atomic — the kernel may cut a multi-page write short on
+a fatal signal — and up to :data:`MAX_PENDING_RECORDS` records: a
+bulk placement is written in several chunks so the pending list stays
+bounded.)  Surviving power loss additionally needs ``fsync=True`` (one
+``os.fsync`` per barrier), which the service deliberately does not
 default to; the paper's replication schemes already tolerate losing a
 whole server.
 
@@ -42,6 +53,7 @@ resumes the exact random stream of the crashed one.
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
 import os
 import pathlib
@@ -67,6 +79,12 @@ _TRANSIENT_STATE_KEYS = ("migrations",)
 
 _LOG_NAME_RE = re.compile(r"^journal\.(\d{6})\.log$")
 
+#: ``append`` flushes on its own once this many lines are pending, so a
+#: bulk placement cannot hold its whole journal in memory.
+MAX_PENDING_RECORDS = 4096
+
+_SCALARS = (int, str, float, bool, type(None))
+
 
 class RecoveryError(ReproError):
     """The journal's contents contradict themselves during replay.
@@ -90,6 +108,33 @@ def _rng_from_jsonable(state: Any) -> tuple:
 
 def _persistable_state(state: Dict[str, Any]) -> Dict[str, Any]:
     return {k: v for k, v in state.items() if k not in _TRANSIENT_STATE_KEYS}
+
+
+def _detached(value: Any) -> Any:
+    """A copy of a journaled payload that shares no container with it.
+
+    The dedupe compares a live payload with this copy by ``==`` where
+    it used to compare sorted-JSON texts.  The two agree for what a
+    strategy keeps in ``server.state(key)`` and what ``params()``
+    returns — str-keyed dicts, lists, ints, strs — because dict
+    equality ignores key order just as ``sort_keys`` did.  (They part
+    only where Python equates what JSON tells apart, ``1 == 1.0 ==
+    True``, or the reverse, a tuple against a list; no strategy keeps
+    either.)  Dicts and lists are walked by hand: ``copy.deepcopy`` of
+    a Round-Robin ``positions`` map costs five times as much.
+    """
+    if value.__class__ is dict:
+        out = value.copy()
+        for key, item in value.items():
+            if item.__class__ not in _SCALARS:
+                out[key] = _detached(item)
+        return out
+    if value.__class__ is list:
+        return [
+            item if item.__class__ in _SCALARS else _detached(item)
+            for item in value
+        ]
+    return copy.deepcopy(value)
 
 
 @dataclass
@@ -236,8 +281,9 @@ class AppendLogJournal:
         A read-only journal never writes (``append`` is a no-op); used
         by reader workers that recover from the writer's journal.
     fsync:
-        ``os.fsync`` after every record (power-loss durability); off by
-        default — ``flush()`` alone survives SIGKILL.
+        ``os.fsync`` at every :meth:`flush` barrier (power-loss
+        durability); off by default — the ``write`` alone survives
+        SIGKILL.
     compact_every:
         Auto-compact after this many records since the last compaction
         (see :meth:`maybe_compact`); ``0`` disables auto-compaction.
@@ -263,7 +309,11 @@ class AppendLogJournal:
         self._serial = 1
         self._fh: Optional[Any] = None
         self._records_since_compact = 0
-        self._last_blob: Dict[Any, str] = {}
+        #: Serialised lines not yet handed to the OS; see :meth:`flush`.
+        self._pending: List[str] = []
+        #: Dedupe: the last *journaled* payload per slot — ``("state",
+        #: key, server)``, ``"rng"``, ``"params"`` — as a private copy.
+        self._journaled: Dict[Any, Any] = {}
         if not read_only:
             self.data_dir.mkdir(parents=True, exist_ok=True)
 
@@ -298,6 +348,7 @@ class AppendLogJournal:
     @property
     def log_bytes(self) -> int:
         """Total size of the live (un-compacted) log files."""
+        self.flush()
         total = 0
         for serial in self._log_serials():
             if serial >= self._serial:
@@ -318,18 +369,27 @@ class AppendLogJournal:
             self.replaying = previous
 
     def append(self, record: Dict[str, Any]) -> bool:
-        """Write one record; returns False when suppressed."""
+        """Queue one record for the next barrier; False when suppressed."""
         if self.read_only or self.replaying:
             return False
+        self._pending.append(json.dumps(record, separators=(",", ":")) + "\n")
+        self.log_records += 1
+        self._records_since_compact += 1
+        if len(self._pending) >= MAX_PENDING_RECORDS:
+            self.flush()
+        return True
+
+    def flush(self) -> None:
+        """Barrier: hand every pending line to the OS in one ``write``."""
+        if not self._pending:
+            return
         if self._fh is None:
             self._fh = open(self._log_path(self._serial), "a", encoding="utf-8")
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        self._fh.write("".join(self._pending))
+        self._pending.clear()
         self._fh.flush()
         if self.fsync:
             os.fsync(self._fh.fileno())
-        self.log_records += 1
-        self._records_since_compact += 1
-        return True
 
     def record_add(self, key: str, server_id: int, index: int, entry: Entry) -> None:
         self.append(
@@ -376,35 +436,37 @@ class AppendLogJournal:
 
     def record_state(self, key: str, server_id: int, state: Dict[str, Any]) -> None:
         """Journal a strategy scratch state, skipping no-op rewrites."""
-        payload = _persistable_state(state)
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         slot = ("state", key, server_id)
-        if self._last_blob.get(slot) == blob:
+        # A never-journaled slot reads as empty, so a state that was
+        # always empty is never journaled.
+        last = self._journaled.get(slot) or {}
+        if not state and not last:
             return
-        if not payload and slot not in self._last_blob:
-            return  # never journal a state that was always empty
+        payload = _persistable_state(state)
+        if payload == last:
+            return
         if self.append({"op": "state", "k": key, "s": server_id, "state": payload}):
-            self._last_blob[slot] = blob
+            self._journaled[slot] = _detached(payload)
 
     def record_rng(self, rng: random.Random) -> None:
         """Journal the cluster RNG state, skipping no-op rewrites."""
-        state = _rng_to_jsonable(rng.getstate())
-        blob = json.dumps(state, separators=(",", ":"))
-        if self._last_blob.get("rng") == blob:
+        state = rng.getstate()
+        if state == self._journaled.get("rng"):
             return
-        if self.append({"op": "rng", "state": state}):
-            self._last_blob["rng"] = blob
+        if self.append({"op": "rng", "state": _rng_to_jsonable(state)}):
+            self._journaled["rng"] = state  # nested tuples: nothing to detach
 
     def record_epoch(self, key: str, epoch: int) -> None:
+        """Journal a delta's epoch marker and flush: the fleet's barrier."""
         self.append({"op": "epoch", "k": key, "n": epoch})
+        self.flush()
 
     def record_params(self, schemes: Dict[str, Dict[str, Any]]) -> None:
         """Journal effective strategy params, skipping no-op rewrites."""
-        blob = json.dumps(schemes, sort_keys=True, separators=(",", ":"))
-        if self._last_blob.get("params") == blob:
+        if schemes == self._journaled.get("params"):
             return
         if self.append({"op": "params", "schemes": schemes}):
-            self._last_blob["params"] = blob
+            self._journaled["params"] = _detached(schemes)
 
     # -- reading -------------------------------------------------------------
 
@@ -433,21 +495,16 @@ class AppendLogJournal:
             records += self._replay_file(self._log_path(serial), image)
         self._serial = max([snapshot_serial, 1] + serials)
         self.log_records = records
-        # Seed the dedupe cache so the first post-recovery state/rng
-        # record is only written if it actually differs.
+        # Seed the dedupe so the first post-recovery state/rng record is
+        # only written if it actually differs.  Copies, not the image's
+        # own dicts: ``apply_image`` hands those to the live servers.
         for key, by_server in image.states.items():
             for sid, state in by_server.items():
-                self._last_blob[("state", key, sid)] = json.dumps(
-                    state, sort_keys=True, separators=(",", ":")
-                )
+                self._journaled[("state", key, sid)] = _detached(state)
         if image.rng_state is not None:
-            self._last_blob["rng"] = json.dumps(
-                image.rng_state, separators=(",", ":")
-            )
+            self._journaled["rng"] = _rng_from_jsonable(image.rng_state)
         if image.params:
-            self._last_blob["params"] = json.dumps(
-                image.params, sort_keys=True, separators=(",", ":")
-            )
+            self._journaled["params"] = _detached(image.params)
         return image
 
     def _replay_file(self, path: pathlib.Path, image: RecoveredImage) -> int:
@@ -480,6 +537,9 @@ class AppendLogJournal:
         """
         if self.read_only:
             return
+        # Pending lines belong to the history being folded: they land in
+        # the old serial before it rotates away.
+        self.flush()
         folded = [s for s in self._log_serials() if s <= self._serial]
         # (1) open the next serial's log so new records land past the
         # snapshot's coverage...
@@ -534,6 +594,7 @@ class AppendLogJournal:
         }
 
     def close(self) -> None:
+        self.flush()
         if self._fh is not None:
             self._fh.close()
             self._fh = None

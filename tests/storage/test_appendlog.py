@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.entry import Entry, make_entries
 from repro.core.interning import EntryInterner
+from repro.storage import appendlog
 from repro.storage.appendlog import (
     AppendLogJournal,
     LogBackend,
@@ -162,6 +163,137 @@ class TestJournalRecords:
         journal.close()
         image = AppendLogJournal(tmp_path).load()
         assert image.params == {"hash": {"y": 2, "hash_seed": 9}}
+
+
+    def test_in_place_mutation_of_a_journaled_state_is_seen(self, tmp_path):
+        # The dedupe keeps its own copy of the last journaled payload:
+        # a strategy mutating its (nested) state in place must compare
+        # unequal to it, never to itself.
+        journal = AppendLogJournal(tmp_path)
+        state = {"tail": 1, "positions": {"a": 0}, "log": [[1]]}
+        journal.record_state("k", 0, state)
+        state["positions"]["b"] = 1
+        journal.record_state("k", 0, state)
+        state["log"][0].append(2)
+        journal.record_state("k", 0, state)
+        journal.record_state("k", 0, state)  # unchanged: skipped
+        assert journal.log_records == 3
+        journal.close()
+        assert AppendLogJournal(tmp_path).load().states["k"][0] == state
+
+    def test_key_order_does_not_defeat_the_dedupe(self, tmp_path):
+        # Equality stands in for the sorted-JSON fingerprint it replaced.
+        journal = AppendLogJournal(tmp_path)
+        journal.record_state("k", 0, {"head": 1, "tail": 2})
+        journal.record_state("k", 0, {"tail": 2, "head": 1})
+        journal.record_params({"a": {"x": 1, "y": 2}, "b": {}})
+        journal.record_params({"b": {}, "a": {"y": 2, "x": 1}})
+        assert journal.log_records == 2
+
+    def test_load_seeds_the_dedupe_with_private_copies(self, tmp_path):
+        journal = AppendLogJournal(tmp_path)
+        rng = random.Random(5)
+        state = {"tail": 3, "positions": {"a": 0}}
+        journal.record_state("k", 0, state)
+        journal.record_rng(rng)
+        journal.record_params({"hash": {"y": 2}})
+        journal.close()
+
+        reborn = AppendLogJournal(tmp_path)
+        image = reborn.load()
+        before = reborn.log_records
+        reborn.record_state("k", 0, state)
+        reborn.record_rng(rng)
+        reborn.record_params({"hash": {"y": 2}})
+        assert reborn.log_records == before  # all three recognised
+        # apply_image hands the image's own dicts to the live servers,
+        # so an in-place edit of one must still register as a change.
+        image.states["k"][0]["positions"]["b"] = 1
+        reborn.record_state("k", 0, image.states["k"][0])
+        assert reborn.log_records == before + 1
+
+
+class TestFlushBarriers:
+    def _log_text(self, tmp_path, serial=1):
+        path = tmp_path / f"journal.{serial:06d}.log"
+        return path.read_text() if path.exists() else ""
+
+    def test_appends_wait_for_the_barrier_and_land_in_one_write(
+        self, tmp_path, count_writes
+    ):
+        journal = AppendLogJournal(tmp_path)
+        store = _backend(journal)
+        store.add(Entry("a"))
+        journal.flush()
+        counting = count_writes(journal)
+        for entry in make_entries(5):
+            store.add(entry)
+        journal.record_state("k", 0, {"tail": 5})
+        assert counting.writes == 0
+        assert self._log_text(tmp_path).count("\n") == 1  # nothing torn, nothing early
+        journal.flush()
+        assert counting.writes == 1
+        assert self._log_text(tmp_path).count("\n") == 7
+        journal.flush()  # nothing pending: no write
+        assert counting.writes == 1
+
+    def test_record_epoch_is_a_barrier(self, tmp_path):
+        journal = AppendLogJournal(tmp_path)
+        _backend(journal).add(Entry("a"))
+        journal.record_epoch("k", 1)
+        lines = self._log_text(tmp_path).splitlines()
+        assert [json.loads(line)["op"] for line in lines] == ["add", "epoch"]
+
+    def test_log_bytes_counts_pending_records(self, tmp_path):
+        journal = AppendLogJournal(tmp_path)
+        _backend(journal).add(Entry("a"))
+        assert journal.log_bytes == len(self._log_text(tmp_path)) > 0
+
+    def test_compaction_lands_pending_lines_in_the_old_serial(self, tmp_path, monkeypatch):
+        journal = AppendLogJournal(tmp_path)
+        store = _backend(journal)
+        store.add(Entry("a"))
+        folded = []
+        real_unlink = appendlog.pathlib.Path.unlink
+
+        def keep_text(path, *args, **kwargs):
+            folded.append((path.name, path.read_text()))
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(appendlog.pathlib.Path, "unlink", keep_text)
+        journal.compact(TestCompaction()._image_for(store))
+        assert [name for name, _ in folded] == ["journal.000001.log"]
+        assert json.loads(folded[0][1])["op"] == "add"
+        assert self._log_text(tmp_path, serial=2) == ""
+
+    def test_fsync_runs_once_per_barrier_not_per_record(self, tmp_path, monkeypatch):
+        synced = []
+        monkeypatch.setattr(appendlog.os, "fsync", synced.append)
+        journal = AppendLogJournal(tmp_path, fsync=True)
+        store = _backend(journal)
+        for entry in make_entries(6):
+            store.add(entry)
+        assert synced == []
+        journal.flush()
+        assert len(synced) == 1
+        journal.record_epoch("k", 1)
+        assert len(synced) == 2
+
+    def test_a_bulk_mutation_flushes_in_bounded_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(appendlog, "MAX_PENDING_RECORDS", 4)
+        journal = AppendLogJournal(tmp_path)
+        store = _backend(journal)
+        for entry in make_entries(9):
+            store.add(entry)
+        assert self._log_text(tmp_path).count("\n") == 8
+        assert len(journal._pending) == 1
+
+    def test_suppressed_appends_leave_nothing_pending(self, tmp_path):
+        journal = AppendLogJournal(tmp_path)
+        with journal.suspended():
+            assert journal.append({"op": "clear", "k": "k", "s": 0}) is False
+        journal.close()
+        assert not (tmp_path / "journal.000001.log").exists()
 
 
 class TestReplayRobustness:
