@@ -15,10 +15,10 @@ This package is the second driver for the protocol state machines in
 - :mod:`repro.net.service` — an asyncio server hosting a cluster's
   :class:`~repro.protocol.server.ServerProtocol` instances behind one
   listening socket.
-- :mod:`repro.net.cache` — the hot-key reply cache: an epoch-
-  invalidated LRU of fully packed lookup replies for the RNG-free
-  lookup shapes (cache-on and cache-off services are byte-identical
-  on the wire).
+- :mod:`repro.net.cache` — the hot-key reply cache: an LRU of fully
+  packed lookup replies for the RNG-free lookup shapes, invalidated
+  before every mutation (cache-on and cache-off services are
+  byte-identical on the wire).
 - :mod:`repro.net.workers` — the multi-core worker fleet behind
   ``serve --workers N``: SO_REUSEPORT acceptors, a single writer
   applying every mutation, and an epoch-stamped delta log fanning

@@ -1,4 +1,4 @@
-"""Hot-key reply cache: packed lookup replies, epoch-invalidated.
+"""Hot-key reply cache: packed lookup replies, dropped on mutation.
 
 Production lookup traffic is Zipf-shaped: a handful of hot keys absorb
 most requests, and the service re-runs the same deterministic
@@ -20,12 +20,14 @@ Soundness comes from two rules enforced by the service, not here:
    caches the RNG-free case, so a cache-enabled service draws exactly
    the same RNG stream as a cache-disabled one and every reply —
    cached or not — is byte-identical between the two.
-2. **Mutations invalidate before they answer.**  The service keeps a
-   per-scheme mutation epoch; every add/delete/place bumps it (and
-   eagerly drops that scheme's entries here) *before* the mutating
-   reply is sent.  Cached entries are stamped with the epoch they were
-   filled under and :meth:`get` refuses a stale stamp, so a reader can
-   never observe a pre-mutation answer after the mutation's reply.
+2. **Invalidate before apply; a resident row is current.**  Whatever
+   is about to change a scheme's stores — a local add/delete/place, a
+   writer delta, a snapshot adoption — first drops that scheme's rows
+   here (:meth:`invalidate`, or :meth:`clear` on a resync), *before*
+   the stores move and before any reply is sent.  A row is only ever
+   filled from the stores as they stand, so presence alone means
+   validity: there is no stamp to compare, and a reader can never
+   observe a pre-mutation answer after the mutation's reply.
 
 The counters (hits / misses / evictions / invalidations) are plain
 ints so the hot path stays cheap; :meth:`publish` mirrors them into a
@@ -37,6 +39,7 @@ ints so the hot path stays cheap; :meth:`publish` mirrors them into a
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
@@ -49,7 +52,7 @@ DEFAULT_CAPACITY = 1024
 
 
 class ReplyCache:
-    """A size-bounded LRU of packed lookup replies with epoch stamps.
+    """A size-bounded LRU of packed lookup replies.
 
     Parameters
     ----------
@@ -71,39 +74,29 @@ class ReplyCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        #: key -> (epoch stamp, packed payload); insertion order is
-        #: recency order (MRU at the end).
-        self._entries: "OrderedDict[Hashable, Tuple[int, Any]]" = OrderedDict()
+        #: key -> packed payload; insertion order is recency order
+        #: (MRU at the end).
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Hashable, epoch: int) -> Optional[Any]:
-        """The payload cached under ``key`` at ``epoch``, or None.
-
-        An entry stamped with a different epoch is dropped on sight —
-        the eager :meth:`invalidate` already counted its demise when
-        the mutation ran, so a stale hit here only counts as a miss.
-        """
-        slot = self._entries.get(key)
-        if slot is None:
-            self.misses += 1
-            return None
-        stamped, payload = slot
-        if stamped != epoch:
-            del self._entries[key]
+    def get(self, key: Hashable) -> Optional[Any]:
+        """The payload cached under ``key``, or None."""
+        payload = self._entries.get(key)
+        if payload is None:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
         return payload
 
-    def put(self, key: Hashable, epoch: int, payload: Any) -> None:
-        """Remember ``payload`` for ``key`` as of ``epoch`` (MRU)."""
+    def put(self, key: Hashable, payload: Any) -> None:
+        """Remember ``payload`` for ``key`` (MRU)."""
         entries = self._entries
         if key in entries:
             entries.move_to_end(key)
-        entries[key] = (epoch, payload)
+        entries[key] = payload
         while len(entries) > self.capacity:
             entries.popitem(last=False)
             self.evictions += 1
@@ -139,23 +132,14 @@ class ReplyCache:
         looked = self.hits + self.misses
         return self.hits / looked if looked else 0.0
 
-    def export_hot(
-        self, limit: int = 256
-    ) -> List[Tuple[Hashable, int, Any]]:
-        """The MRU ``(key, epoch stamp, payload)`` rows, hottest first.
+    def export_hot(self, limit: int = 256) -> List[Tuple[Hashable, Any]]:
+        """The MRU ``(key, payload)`` rows, hottest first.
 
         Feeds the worker fleet's warm handoff: the writer ships its
         current hot set to a (re)spawning reader so the reader's first
-        hot-key request is already a hit.  Stamps are this process's
-        epochs — the importer re-stamps under its own.
+        hot-key request is already a hit.
         """
-        rows: List[Tuple[Hashable, int, Any]] = []
-        for key in reversed(self._entries):
-            if len(rows) >= limit:
-                break
-            epoch, payload = self._entries[key]
-            rows.append((key, epoch, payload))
-        return rows
+        return list(itertools.islice(reversed(self._entries.items()), limit))
 
     def snapshot(self) -> Dict[str, Any]:
         """The counters + occupancy, as published in ``info.capabilities``."""

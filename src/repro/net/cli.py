@@ -132,11 +132,6 @@ def add_serve_parser(subparsers: argparse._SubParsersAction) -> None:
         metavar="N",
         help="hot-key reply cache capacity per process (0 disables)",
     )
-    cache.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the hot-key reply cache (same as --cache-size 0)",
-    )
     storage = parser.add_argument_group("storage")
     storage.add_argument(
         "--store",
@@ -231,11 +226,11 @@ def add_call_parser(subparsers: argparse._SubParsersAction) -> None:
     )
     parser.add_argument(
         "--codec",
-        choices=("json", "binary", "auto"),
+        choices=("json", "binary"),
         default="json",
         help=(
-            "wire codec: json (legacy, default), binary, or auto "
-            "(negotiate, JSON fallback)"
+            "wire codec: json (legacy, default) or binary "
+            "(negotiated per connection, JSON fallback)"
         ),
     )
     parser.add_argument(
@@ -277,7 +272,6 @@ def add_call_parser(subparsers: argparse._SubParsersAction) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> ServiceConfig:
     shard_index, shard_count = _parse_shard(args.shard)
-    cache_size = 0 if getattr(args, "no_cache", False) else args.cache_size
     return ServiceConfig(
         server_count=args.servers,
         entry_count=args.entries,
@@ -287,19 +281,18 @@ def _config_from_args(args: argparse.Namespace) -> ServiceConfig:
         replicas=args.replicas,
         backup_fraction=args.backup_fraction,
         probes=args.probes,
-        cache_size=cache_size,
-        store=getattr(args, "store", "memory"),
-        data_dir=getattr(args, "data_dir", None),
-        log_compact_records=getattr(args, "log_compact_records", 4096),
+        cache_size=args.cache_size,
+        store=args.store,
+        data_dir=args.data_dir,
+        log_compact_records=args.log_compact_records,
     )
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the service until SIGINT/SIGTERM."""
-    workers = getattr(args, "workers", 1)
-    if workers < 1:
-        raise InvalidParameterError(f"--workers must be >= 1, got {workers}")
-    if workers > 1:
+    if args.workers < 1:
+        raise InvalidParameterError(f"--workers must be >= 1, got {args.workers}")
+    if args.workers > 1:
         if args.peers is not None:
             # Readers would heartbeat through stale per-process views;
             # the membership plane stays a one-process-per-shard affair.
@@ -311,7 +304,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             _config_from_args(args),
             host=args.host,
             port=args.port,
-            workers=workers,
+            workers=args.workers,
             ready_file=args.ready_file,
         )
     return asyncio.run(_serve_async(args))
@@ -380,12 +373,6 @@ def cmd_call(args: argparse.Namespace) -> int:
         return 1
 
 
-def _lookup_row(result) -> dict:
-    # The typed result owns its row shape now (including the shard
-    # attribution in fleet mode); see repro.net.results.
-    return result.as_row()
-
-
 def exit_code_for(lookups: list) -> int:
     """Map a batch of lookup rows onto the ``call`` exit code scheme.
 
@@ -407,14 +394,14 @@ async def _call_async(args: argparse.Namespace) -> int:
         policy = RetryPolicy(max_attempts=args.retries)
     if args.shards is not None:
         return await _call_fleet(args, rng, policy)
-    batch = max(1, getattr(args, "batch", 1))
+    batch = max(1, args.batch)
     client = AsyncLookupClient(
         args.host,
         args.port,
         rng=rng,
         timeout=args.timeout,
         retry_policy=policy,
-        codec=getattr(args, "codec", "json"),
+        codec=args.codec,
     )
     async with client:
         try:
@@ -429,7 +416,7 @@ async def _call_async(args: argparse.Namespace) -> int:
             remaining -= window
             if window == 1:
                 result = await client.lookup(args.scheme, args.target)
-                lookups.append(_lookup_row(result))
+                lookups.append(result.as_row())
             else:
                 report = await client.lookup_many(
                     args.scheme, [args.target] * window
@@ -454,7 +441,7 @@ async def _call_fleet(
     rng: Optional[random.Random],
     policy: Optional[RetryPolicy],
 ) -> int:
-    batch = max(1, getattr(args, "batch", 1))
+    batch = max(1, args.batch)
     router = ShardRouter(
         _parse_endpoints(args.shards),
         replicas=args.replicas,
@@ -462,7 +449,7 @@ async def _call_fleet(
         rng=rng if rng is not None else random.Random(),
         timeout=args.timeout,
         retry_policy=policy,
-        codec=getattr(args, "codec", "json"),
+        codec=args.codec,
     )
     try:
         lookups = []
@@ -472,7 +459,7 @@ async def _call_fleet(
             remaining -= window
             if window == 1:
                 routed = await router.lookup(args.scheme, args.target)
-                lookups.append(_lookup_row(routed))
+                lookups.append(routed.as_row())
             else:
                 report = await router.lookup_many(
                     [(args.scheme, args.target)] * window

@@ -27,13 +27,11 @@ Typed surface: :meth:`~AsyncLookupClient.lookup` and
 :class:`repro.net.results.LookupResult` / ``LookupReport``;
 ``ping``/``info``/``verify``/``capabilities``/``membership``/``batch``
 cover the control ops.  Raw envelopes are a private escape hatch
-(:meth:`~AsyncLookupClient._request`); the old public ``request()``
-shim is gone — calling it raises :class:`AttributeError` with a
-migration hint.
+(:meth:`~AsyncLookupClient._request`).
 
 Codec: ``codec="json"`` (the default) speaks exactly the legacy wire
-— no hello, byte-identical frames.  ``codec="binary"`` or ``"auto"``
-negotiates per connection via the ``hello`` op, falling back to JSON
+— no hello, byte-identical frames.  ``codec="binary"`` negotiates
+per connection via the ``hello`` op, falling back to JSON
 (and, for batches, to sequential lookups) when the peer predates the
 negotiation.
 
@@ -133,10 +131,8 @@ class AsyncLookupClient:
         Optional :class:`~repro.cluster.client.RetryPolicy` applied to
         every lookup; backoffs are real sleeps.
     codec:
-        ``"json"`` (default: legacy wire, no negotiation),
-        ``"binary"`` or ``"auto"`` (negotiate per connection, JSON
-        fallback).  ``"auto"`` and ``"binary"`` behave identically
-        today — both prefer binary and degrade gracefully.
+        ``"json"`` (default: legacy wire, no negotiation) or
+        ``"binary"`` (negotiate per connection, JSON fallback).
     pool_size:
         Connections ``lookup_many`` may fan batches over.  Control
         ops and single lookups always use the first connection.
@@ -153,8 +149,8 @@ class AsyncLookupClient:
         codec: str = "json",
         pool_size: int = 1,
     ) -> None:
-        if codec not in ("json", "binary", "auto"):
-            raise ValueError(f"codec must be json, binary, or auto: {codec!r}")
+        if codec not in ("json", "binary"):
+            raise ValueError(f"codec must be json or binary: {codec!r}")
         if pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
         self.host = host
@@ -222,17 +218,6 @@ class AsyncLookupClient:
 
     # -- raw envelope round-trips --------------------------------------------
 
-    def __getattr__(self, name: str) -> Any:
-        if name == "request":
-            raise AttributeError(
-                "AsyncLookupClient.request() was removed; use the typed "
-                "methods (ping/info/verify/capabilities/membership/batch/"
-                "lookup/lookup_many) or the private _request() escape hatch"
-            )
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
     async def _request(self, envelope: dict[str, Any]) -> dict[str, Any]:
         """One envelope round-trip on the first connection, no timeout.
 
@@ -275,9 +260,7 @@ class AsyncLookupClient:
         """
         if conn.caps is not None:
             return
-        offered = (
-            list(SUPPORTED_CODECS) if self.codec in ("binary", "auto") else ["json"]
-        )
+        offered = list(SUPPORTED_CODECS) if self.codec == "binary" else ["json"]
         reply = await self._request_on(
             conn, {"op": "hello", "codecs": offered, "batch": True}
         )

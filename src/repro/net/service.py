@@ -247,14 +247,13 @@ class LookupService:
         self.membership: Optional[Any] = None
         self.metrics = MetricsRegistry()
         #: Hot-key reply cache (see :mod:`repro.net.cache`); None when
-        #: disabled.  Per-scheme mutation epochs stamp its entries.
+        #: disabled.
         self.reply_cache: Optional[ReplyCache] = (
             ReplyCache(self.config.cache_size) if self.config.cache_size else None
         )
-        self._epochs: dict[str, int] = {}
         #: Per-scheme writer-bus epoch of the scheme's last journaled
-        #: delta — replication-log bookkeeping, not a cache stamp:
-        #: recovered from the journal, advanced by the writer bus via
+        #: delta — the only epoch the service knows: recovered from the
+        #: journal, advanced by the writer bus via
         #: :meth:`set_shared_epoch`, folded into compaction snapshots.
         self._shared_epochs: dict[str, int] = {}
         #: Worker-fleet placement (set by :mod:`repro.net.workers`);
@@ -601,22 +600,16 @@ class LookupService:
         reply = self.membership.on_wire_heartbeat(heartbeat)
         return {"ok": True, "value": encode_message(reply)}
 
-    # -- mutation epochs and the reply cache ---------------------------------
-
-    def mutation_epoch(self, key: str) -> int:
-        """The per-scheme mutation epoch cache entries are stamped with."""
-        return self._epochs.get(key, 0)
+    # -- reply-cache invalidation --------------------------------------------
 
     def note_mutation(self, key: str) -> None:
         """Record that ``key``'s stores are (about to be) changed.
 
-        Bumps the scheme's epoch and eagerly drops its cached replies.
-        Called *before* a mutating message is applied, so even a
-        mutation that dies half-way can never leave a pre-mutation
-        reply reachable; and called by the worker delta/resync path
-        when an external mutation lands.
+        Drops the scheme's cached replies.  Called *before* a mutating
+        message is applied, so even a mutation that dies half-way can
+        never leave a pre-mutation reply reachable; and called by the
+        worker delta/resync path when an external mutation lands.
         """
-        self._epochs[key] = self._epochs.get(key, 0) + 1
         if self.reply_cache is not None:
             self.reply_cache.invalidate(key)
 
@@ -699,20 +692,16 @@ class LookupService:
     # -- warm handoff (worker fleet) -----------------------------------------
 
     def export_hot_set(self, limit: int = 256) -> list[dict[str, Any]]:
-        """The local cache's live hot rows, wire-shaped for the writer bus.
+        """The local cache's hot rows, wire-shaped for the writer bus.
 
-        MRU-first, only rows still stamped with their scheme's current
-        epoch (a stale row would be dropped on import anyway).  Binary
-        bodies travel base64-wrapped — the bus speaks JSON.
+        MRU-first.  Binary bodies travel base64-wrapped — the bus
+        speaks JSON.
         """
         if self.reply_cache is None:
             return []
         rows: list[dict[str, Any]] = []
-        for key, stamp, payload in self.reply_cache.export_hot(limit):
+        for key, payload in self.reply_cache.export_hot(limit):
             if not (isinstance(key, tuple) and len(key) == 5):
-                continue
-            scheme = key[2]
-            if stamp != self._epochs.get(scheme, 0):
                 continue
             body: Any
             if key[0] == CODEC_BINARY:
@@ -733,8 +722,8 @@ class LookupService:
         The caller guarantees the rows describe this process's
         *current* store state (the fleet ships them in the same
         ``sync_reply`` as the snapshot and applies both without
-        yielding), so entries are stamped with the current epochs.
-        Malformed rows are skipped — the handoff is best-effort.
+        yielding).  Malformed rows are skipped — the handoff is
+        best-effort.
         """
         cache = self.reply_cache
         if cache is None or not isinstance(rows, list):
@@ -760,11 +749,7 @@ class LookupService:
                     continue
             else:
                 payload = body
-            cache.put(
-                (codec, op, scheme, server, target),
-                self._epochs.get(scheme, 0),
-                payload,
-            )
+            cache.put((codec, op, scheme, server, target), payload)
             imported += 1
         return imported
 
@@ -821,7 +806,7 @@ class LookupService:
         elif cache is not None:
             slot = self._cache_slot(server_id, key, message, raw)
             if slot is not None:
-                payload = cache.get(slot, self._epochs.get(key, 0))
+                payload = cache.get(slot)
                 if payload is not None:
                     self._book_cached_send(network, server_id, message)
                     return {"ok": True, "value": payload}
@@ -846,7 +831,7 @@ class LookupService:
             # Pack once, serve many: the cached payload is already in
             # its wire form, so later hits are splice/memcpy-only.
             payload = Prepacked(pack_value_bytes(reply)) if raw else encode_value(reply)
-            cache.put(slot, self._epochs.get(key, 0), payload)
+            cache.put(slot, payload)
             return {"ok": True, "value": payload}
         return {"ok": True, "value": reply if raw else encode_value(reply)}
 

@@ -32,27 +32,35 @@ answers; strategy scratch state (round-robin heads, reservoirs) only
 matters for *future mutations*, which only the writer runs.
 
 Writer-pipe wire schema (JSON frames over the codec's length-prefixed
-framing; see ``docs/protocols.md``):
+framing; see ``docs/protocols.md`` §7):
 
 - reader → writer ``{"op": "fwd", "id": n, "envelope": {...}}`` — a
   mutating client envelope, JSON-encoded.
 - writer → reader ``{"op": "fwd_reply", "id": n, "reply": {...},
   "delta": {...}?}`` — the client reply, plus the delta when state
-  changed.  The forwarding reader applies the delta *before*
-  answering its client: read-your-writes on that connection.
+  changed.
 - writer → every other reader ``{"op": "delta", "delta": {...}}``.
-- reader → writer ``{"op": "sync", "id": n}`` answered by
-  ``{"op": "sync_reply", "id": n, "epoch": E, "stores": {...},
-  "hot": [...]}`` — a full store snapshot, used on (re)connect and on
-  gap recovery, plus the writer's warm-handoff hot set (see
-  ``docs/protocols.md`` §7 for the row schema).
+- reader → writer ``{"op": "sync", "id": n, "since": E}`` answered by
+  ``{"op": "sync_reply", "id": n, "epoch": E, "stores": {...} |
+  "deltas": [...], "hot": [...]}`` — a full store snapshot (or the
+  missed tail of the log), used on (re)connect and on gap recovery,
+  plus the writer's warm-handoff hot set.
 
 A delta is ``{"epoch": E, "key": scheme, "servers": {"<sid>":
 {"add": [entry...], "drop": [entry_id...]}}}`` with epochs assigned by
-the writer in one global monotonic sequence.  Readers apply deltas in
-epoch order (:class:`DeltaApplier` buffers out-of-order arrivals,
-deduplicates the fwd-reply/broadcast double delivery, and requests a
-resync when a gap cannot close).
+the writer in one global monotonic sequence.
+
+The pipe is a FIFO log, and ordering holds by construction rather
+than by repair.  The writer hands every frame an apply produces to the
+connections' transports *before its first await*, so each connection
+carries strictly increasing, gap-free epochs, and a ``fwd_reply`` or
+``sync_reply`` sits in its stream exactly where the state it reports
+does.  A reader has one applier — the forwarder's pump — which applies
+whatever a frame carries, in arrival order, before it resolves the
+request the frame answers: read-your-writes needs no waiting.  A gap
+can therefore only follow a fault; it is answered with one ``sync``,
+and until its reply arrives deltas are skipped (the snapshot covers
+them) and forward replies are held (their writes are in it).
 
 Failure policy: a dead reader is respawned by the parent supervisor
 (it resyncs through the writer pipe on boot); a dead **writer** fails
@@ -77,17 +85,17 @@ import socket
 import sys
 import tempfile
 import time
+import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.messages import Message
 from repro.core.exceptions import InvalidParameterError
 from repro.net.codec import (
-    FrameError,
     decode_value,
+    encode_envelope,
     encode_message,
     encode_value,
     read_frame,
-    write_frame,
 )
 from repro.net.service import LookupService, ServiceConfig, envelope_mutates
 
@@ -95,9 +103,9 @@ from repro.net.service import LookupService, ServiceConfig, envelope_mutates
 #: concludes the failure is systemic and fails the fleet loudly.
 MAX_RESPAWNS = 5
 
-#: Out-of-order deltas a reader buffers before declaring a gap
-#: unbridgeable and resyncing from a full snapshot.
-MAX_DELTA_BUFFER = 64
+#: Recent deltas the writer keeps for ``sync`` requests: a reader at
+#: most this far behind catches up from the log, not a full snapshot.
+DELTA_HISTORY = 64
 
 
 def reuseport_available() -> bool:
@@ -215,51 +223,38 @@ def load_snapshot(
 
 
 class DeltaApplier:
-    """Epoch-ordered delta application with duplicate/gap handling.
+    """The update log's consumer: apply the next epoch, nothing else.
 
-    The update log's consumer half, kept sans-IO so the ordering
-    contract is testable without a fleet: deltas apply strictly in
-    epoch order; a delta at or below the applied watermark is a
-    duplicate (the fwd-reply/broadcast double delivery) and is
-    skipped; a delta from the future is buffered until the sequence
-    closes; a buffer overflowing :data:`MAX_DELTA_BUFFER` reports
-    ``"resync"`` — the caller fetches a snapshot and calls
+    Kept sans-IO so the ordering contract is testable without a
+    fleet.  ``epoch == applied + 1`` applies; a delta at or below the
+    watermark is a duplicate (a journal-recovered epoch arriving
+    again) and is skipped; anything else — a gap, or no epoch at all —
+    reports ``"resync"``: the caller fetches a snapshot and calls
     :meth:`resync`.
     """
 
     def __init__(self, service: LookupService, applied: int = 0) -> None:
         self.service = service
         self.applied = applied
-        self._pending: Dict[int, Dict[str, Any]] = {}
 
     def offer(self, delta: Dict[str, Any]) -> str:
-        """Feed one delta; returns ``applied|duplicate|buffered|resync``."""
+        """Feed one delta; returns ``applied|duplicate|resync``."""
         epoch = delta.get("epoch")
         if not isinstance(epoch, int):
             return "resync"
         if epoch <= self.applied:
             return "duplicate"
-        if epoch > self.applied + 1:
-            self._pending[epoch] = delta
-            if len(self._pending) > MAX_DELTA_BUFFER:
-                self._pending.clear()
-                return "resync"
-            return "buffered"
-        self._apply(delta)
-        while self.applied + 1 in self._pending:
-            self._apply(self._pending.pop(self.applied + 1))
+        if epoch != self.applied + 1:
+            return "resync"
+        apply_delta(self.service, delta)
+        self.applied = epoch
         return "applied"
 
-    def _apply(self, delta: Dict[str, Any]) -> None:
-        apply_delta(self.service, delta)
-        self.applied = delta["epoch"]
-
     def resync(self, epoch: int, snapshot: Dict[str, Any]) -> None:
-        """Adopt a full snapshot taken at ``epoch``; drop the buffer."""
+        """Adopt a full snapshot taken at ``epoch``."""
         load_snapshot(self.service, snapshot)
         self.service.flush_cache()
         self.applied = epoch
-        self._pending.clear()
 
 
 # --------------------------------------------------------------------------
@@ -271,12 +266,12 @@ class WriterBus:
     """Worker 0's half of the writer pipe: apply, reply, fan out.
 
     One Unix-socket server; each reader worker holds one connection.
-    Frame handling is serialized per connection task, and the
-    apply+epoch-assignment step has no awaits, so epochs are assigned
-    in apply order even when forwards from different readers
-    interleave.  Broadcast writes go out under a per-connection lock;
-    two in-flight deltas may reach a reader out of order, which the
-    reader's :class:`DeltaApplier` reorders.
+    :meth:`_handle` and :meth:`_apply` are plain functions: from the
+    apply to the last ``write`` of the frames it produced there is no
+    await, so every connection's byte stream lists epochs in apply
+    order with nothing missing, however forwards from different
+    readers and the writer's own clients interleave.  Flow control
+    (:meth:`_drain`) comes after everything is queued.
     """
 
     def __init__(self, service: LookupService, path: str) -> None:
@@ -287,12 +282,10 @@ class WriterBus:
         # journal can sync incrementally instead of re-snapshotting.
         self.epoch = service.recovered_epoch
         #: Recent deltas, newest last, for ``sync`` requests carrying a
-        #: ``since`` watermark: a reader that is at most this far
-        #: behind catches up from the log instead of a full snapshot.
-        self._history: collections.deque = collections.deque(
-            maxlen=MAX_DELTA_BUFFER
-        )
+        #: ``since`` watermark.
+        self._history: collections.deque = collections.deque(maxlen=DELTA_HISTORY)
         self._server: Optional[asyncio.AbstractServer] = None
+        #: One ``StreamWriter`` per connected reader.
         self._conns: set = set()
         self._tasks: set = set()
 
@@ -309,7 +302,7 @@ class WriterBus:
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
-        for writer, _lock in list(self._conns):
+        for writer in list(self._conns):
             writer.close()
         self._conns.clear()
 
@@ -319,43 +312,53 @@ class WriterBus:
         task = asyncio.current_task()
         if task is not None:
             self._tasks.add(task)
-        conn = (writer, asyncio.Lock())
-        self._conns.add(conn)
+        self._conns.add(writer)
         try:
             while True:
                 frame = await read_frame(reader)
                 if frame is None:
                     break
-                await self._handle(frame, conn)
+                self._handle(frame, writer)
+                await self._drain()
         except (ConnectionError, OSError, asyncio.CancelledError):
             pass
         finally:
             if task is not None:
                 self._tasks.discard(task)
-            self._conns.discard(conn)
+            self._conns.discard(writer)
             writer.close()
             with contextlib.suppress(ConnectionError, OSError):
                 await writer.wait_closed()
 
-    def _apply(
-        self, envelope: Dict[str, Any]
-    ) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
-        # No awaits between apply and epoch assignment: the delta
-        # sequence is exactly the apply order.
+    def _apply(self, envelope: Dict[str, Any], origin: Any) -> Dict[str, Any]:
+        """Apply, stamp, journal and fan out — all before any await.
+
+        Returns the ``fwd_reply`` body for ``origin`` (the connection
+        the envelope came in on; None for the writer's own clients).
+        The delta rides on that reply, so ``origin`` is the one
+        connection the broadcast skips.
+        """
         reply, delta = compute_apply_delta(self.service, envelope)
-        if delta is not None:
-            self.epoch += 1
-            delta["epoch"] = self.epoch
-            self.service.set_shared_epoch(delta["key"], self.epoch)
-            if self.service.journal is not None:
-                # Durability barrier: the mutation's records were
-                # written at the end of the apply's sync point; the
-                # epoch marker is written before any reader sees the
-                # delta, so a journal that knows epoch E holds all of
-                # E's mutations.
-                self.service.journal.record_epoch(delta["key"], self.epoch)
-            self._history.append(delta)
-        return reply, delta
+        response: Dict[str, Any] = {"reply": reply}
+        if delta is None:
+            return response
+        self.epoch += 1
+        delta["epoch"] = self.epoch
+        self.service.set_shared_epoch(delta["key"], self.epoch)
+        if self.service.journal is not None:
+            # Durability barrier: the mutation's records were written
+            # at the end of the apply's sync point; the epoch marker is
+            # written before any reader sees the delta, so a journal
+            # that knows epoch E holds all of E's mutations.
+            self.service.journal.record_epoch(delta["key"], self.epoch)
+        self._history.append(delta)
+        others = [conn for conn in self._conns if conn is not origin]
+        if others:
+            data = encode_envelope({"op": "delta", "delta": delta})
+            for conn in others:
+                conn.write(data)
+        response["delta"] = delta
+        return response
 
     async def forward(self, envelope: Dict[str, Any]) -> Dict[str, Any]:
         """The writer's own mutations, through the same epoch log.
@@ -365,38 +368,28 @@ class WriterBus:
         still gets an epoch stamp and fans out to every reader —
         otherwise only the readers' stores would ever converge.
         """
-        reply, delta = self._apply(envelope)
-        if delta is not None:
-            await self._broadcast(delta, exclude=None)
+        reply = self._apply(envelope, None)["reply"]
+        await self._drain()
         return reply
 
-    async def _handle(self, frame: Dict[str, Any], conn: tuple) -> None:
-        writer, lock = conn
+    def _handle(self, frame: Dict[str, Any], writer: Any) -> None:
+        """One reader frame in, its reply queued on ``writer``."""
         op = frame.get("op")
         if op == "fwd":
             envelope = frame.get("envelope")
-            if not isinstance(envelope, dict):
-                reply: Dict[str, Any] = {
-                    "ok": False,
-                    "error": "bad-request",
-                    "detail": "fwd wants an envelope dict",
-                }
-                delta = None
+            if isinstance(envelope, dict):
+                response = self._apply(envelope, writer)
             else:
-                reply, delta = self._apply(envelope)
-            response = {"op": "fwd_reply", "id": frame.get("id"), "reply": reply}
-            if delta is not None:
-                response["delta"] = delta
-            async with lock:
-                await write_frame(writer, response)
-            if delta is not None:
-                await self._broadcast(delta, exclude=conn)
+                response = {
+                    "reply": {
+                        "ok": False,
+                        "error": "bad-request",
+                        "detail": "fwd wants an envelope dict",
+                    }
+                }
+            response["op"] = "fwd_reply"
         elif op == "sync":
-            response = {
-                "op": "sync_reply",
-                "id": frame.get("id"),
-                "epoch": self.epoch,
-            }
+            response = {"op": "sync_reply", "epoch": self.epoch}
             since = frame.get("since")
             if isinstance(since, int) and not isinstance(since, bool) and (
                 since >= self.epoch
@@ -411,21 +404,18 @@ class WriterBus:
             else:
                 response["stores"] = snapshot_stores(self.service)
             response["hot"] = self.service.export_hot_set()
-            async with lock:
-                await write_frame(writer, response)
-        # Unknown bus ops are dropped: the pipe is an internal,
-        # version-locked surface (both ends come from one build).
+        else:
+            # Unknown bus ops are dropped: the pipe is an internal,
+            # version-locked surface (both ends come from one build).
+            return
+        response["id"] = frame.get("id")
+        writer.write(encode_envelope(response))
 
-    async def _broadcast(
-        self, delta: Dict[str, Any], exclude: Optional[tuple]
-    ) -> None:
+    async def _drain(self) -> None:
+        """Flow control, after the frames are queued; drops dead readers."""
         for conn in list(self._conns):
-            if conn is exclude:
-                continue
-            writer, lock = conn
             try:
-                async with lock:
-                    await write_frame(writer, {"op": "delta", "delta": delta})
+                await conn.drain()
             except (ConnectionError, OSError):
                 self._conns.discard(conn)
 
@@ -433,12 +423,14 @@ class WriterBus:
 class WriteForwarder:
     """A reader worker's half of the writer pipe.
 
-    Owns the one bus connection: forwards mutating envelopes (replies
-    correlated by id), consumes broadcast deltas through a
-    :class:`DeltaApplier`, and resyncs from a snapshot on connect and
-    on gaps.  ``forward`` returns only after the op's own delta has
-    been applied locally — the client that performed the write reads
-    its own write on that connection from then on.
+    Owns the one bus connection.  Requests (``fwd``, ``sync``) are
+    written from wherever they arise; everything that comes back goes
+    through :meth:`_pump`, the only code that touches this worker's
+    stores.  The pump applies what a frame carries — a broadcast
+    delta, the delta riding on a ``fwd_reply``, a ``sync_reply``'s
+    snapshot and hot set — in arrival order and only then resolves the
+    request the frame answers, so ``forward`` returns with the op's own
+    write already visible locally.
     """
 
     def __init__(self, service: LookupService, path: str) -> None:
@@ -451,14 +443,14 @@ class WriteForwarder:
         self._writer: Optional[asyncio.StreamWriter] = None
         self._pending: Dict[int, asyncio.Future] = {}
         self._next_id = 0
-        self._wlock = asyncio.Lock()
         self._pump_task: Optional[asyncio.Task] = None
-        #: The one gap-recovery resync the pump may have in flight.
-        self._resync_task: Optional[asyncio.Task] = None
-        self._advanced = asyncio.Event()
+        #: A ``sync`` is on its way: deltas are skipped (its snapshot
+        #: covers them) and forward replies wait in ``_held`` for it.
+        self._syncing = False
+        self._held: List[Dict[str, Any]] = []
         #: Called once when the bus connection dies (writer crashed)
-        #: or a resync fails: the worker uses it to stop serving and
-        #: exit loudly.
+        #: or the pump fails to apply what it read: the worker uses it
+        #: to stop serving and exit loudly.
         self.on_fatal: Optional[Any] = None
         self._closed = False
 
@@ -477,70 +469,47 @@ class WriteForwarder:
         else:
             raise ConnectionError(f"writer bus never came up at {self.path}: {last}")
         self._pump_task = asyncio.create_task(self._pump())
-        await self._sync()
+        await self._request(self._sync_frame())
 
     async def stop(self) -> None:
         self._closed = True
-        for task in (self._pump_task, self._resync_task):
-            if task is not None:
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError, ConnectionError):
-                    await task
+        if self._pump_task is not None:
+            self._pump_task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await self._pump_task
         if self._writer is not None:
             self._writer.close()
             with contextlib.suppress(ConnectionError, OSError):
                 await self._writer.wait_closed()
 
-    def _new_future(self) -> Tuple[int, asyncio.Future]:
+    def _send(self, frame: Dict[str, Any]) -> int:
+        """Queue one request frame on the bus connection; returns its id."""
         self._next_id += 1
-        future = asyncio.get_running_loop().create_future()
-        self._pending[self._next_id] = future
-        return self._next_id, future
+        frame["id"] = self._next_id
+        self._writer.write(encode_envelope(frame))
+        return self._next_id
 
     async def _request(self, frame: Dict[str, Any]) -> Dict[str, Any]:
-        fid, future = self._new_future()
-        frame["id"] = fid
+        """One round trip; resolved by the pump once the reply is applied."""
+        fid = self._send(frame)
+        future = asyncio.get_running_loop().create_future()
+        self._pending[fid] = future
         try:
-            async with self._wlock:
-                await write_frame(self._writer, frame)
+            await self._writer.drain()
             return await future
         finally:
             self._pending.pop(fid, None)
 
-    async def _sync(self) -> None:
-        reply = await self._request(
-            {"op": "sync", "since": self.applier.applied}
-        )
-        deltas = reply.get("deltas")
-        if isinstance(deltas, list):
-            # Incremental catch-up: this worker's stores (recovered
-            # from the journal, usually) are within the writer's delta
-            # history; apply the missed tail in order.
-            for delta in deltas:
-                self.applier.offer(delta)
-        else:
-            self.applier.resync(reply.get("epoch", 0), reply.get("stores", {}))
-        # The warm handoff lands after the stores are current either
-        # way, so imported rows are stamped with live epochs.
-        hot = reply.get("hot")
-        if isinstance(hot, list) and hot:
-            self.service.import_hot_set(hot)
-        self._advanced.set()
+    def _sync_frame(self) -> Dict[str, Any]:
+        """The next ``sync`` request; building it starts the skip/hold rule."""
+        self._syncing = True
+        return {"op": "sync", "since": self.applier.applied}
 
     async def forward(self, envelope: Dict[str, Any]) -> Dict[str, Any]:
         """One mutating envelope through the writer; read-your-writes."""
         frame = await self._request(
             {"op": "fwd", "envelope": wire_envelope(envelope)}
         )
-        delta = frame.get("delta")
-        if delta is not None:
-            status = self.applier.offer(delta)
-            if status == "resync":
-                await self._sync()
-            elif status == "buffered":
-                await self._wait_applied(delta["epoch"])
-            else:
-                self._advanced.set()
         reply = frame.get("reply")
         if not isinstance(reply, dict):
             return {
@@ -550,39 +519,21 @@ class WriteForwarder:
             }
         return reply
 
-    async def _wait_applied(self, epoch: int, timeout: float = 10.0) -> None:
-        """Block until the update log has caught up to ``epoch``."""
-        deadline = asyncio.get_running_loop().time() + timeout
-        while self.applier.applied < epoch:
-            remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0:
-                await self._sync()
-                return
-            self._advanced.clear()
-            if self.applier.applied >= epoch:
-                break
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(self._advanced.wait(), timeout=remaining)
-
     async def _pump(self) -> None:
         try:
             while True:
                 frame = await read_frame(self._reader)
                 if frame is None:
                     break
-                op = frame.get("op")
-                if op in ("fwd_reply", "sync_reply"):
-                    future = self._pending.get(frame.get("id"))
-                    if future is not None and not future.done():
-                        future.set_result(frame)
-                elif op == "delta":
-                    status = self.applier.offer(frame.get("delta") or {})
-                    if status == "resync":
-                        self._start_resync()
-                    elif status == "applied":
-                        self._advanced.set()
-        except (ConnectionError, OSError, asyncio.CancelledError):
+                self._on_frame(frame)
+        except (ConnectionError, OSError):
             pass
+        except Exception:  # noqa: BLE001 - any apply failure is fatal
+            # A reader that could not apply a delta or adopt a snapshot
+            # would serve stale state forever; report it and let the
+            # supervisor respawn the worker.
+            print("[serve] writer pipe: cannot apply update", file=sys.stderr)
+            traceback.print_exc()
         finally:
             for future in self._pending.values():
                 if not future.done():
@@ -592,24 +543,54 @@ class WriteForwarder:
             self._pending.clear()
             self._fatal()
 
-    def _start_resync(self) -> None:
-        """Resync in the background — the pump must keep reading, the
-        ``sync_reply`` arrives through it — unless one is in flight.
+    def _on_frame(self, frame: Dict[str, Any]) -> None:
+        """Apply one bus frame, then resolve the request it answers."""
+        op = frame.get("op")
+        if op == "delta":
+            self._offer(frame.get("delta") or {})
+        elif op == "fwd_reply":
+            if self._syncing:
+                self._held.append(frame)
+                return
+            delta = frame.get("delta")
+            if delta is not None:
+                self._offer(delta)
+            self._resolve(frame)
+        elif op == "sync_reply":
+            self._adopt(frame)
+            for answered in (frame, *self._held):
+                self._resolve(answered)
+            self._held.clear()
 
-        A second gap while the first snapshot is on its way needs no
-        second sync: the bus connection is ordered, so every delta
-        newer than that snapshot reaches the applier after it.
-        """
-        if self._resync_task is None:
-            self._resync_task = asyncio.create_task(self._sync())
-            self._resync_task.add_done_callback(self._resync_done)
+    def _offer(self, delta: Dict[str, Any]) -> None:
+        if self._syncing:
+            return
+        if self.applier.offer(delta) == "resync":
+            # Not awaited: the reply comes back through this pump.
+            self._send(self._sync_frame())
 
-    def _resync_done(self, task: asyncio.Task) -> None:
-        self._resync_task = None
-        if not task.cancelled() and task.exception() is not None:
-            # A reader that could not adopt a snapshot serves stale
-            # state forever; fail it so the supervisor respawns it.
-            self._fatal()
+    def _adopt(self, reply: Dict[str, Any]) -> None:
+        deltas = reply.get("deltas")
+        if isinstance(deltas, list):
+            # Incremental catch-up: this worker's stores (recovered
+            # from the journal, usually) are within the writer's delta
+            # history; apply the missed tail in order.
+            for delta in deltas:
+                if self.applier.offer(delta) == "resync":
+                    raise RuntimeError(f"sync_reply tail has a gap at {delta!r}")
+        else:
+            self.applier.resync(reply.get("epoch", 0), reply.get("stores", {}))
+        # The warm handoff lands after the stores are current either
+        # way, so every imported row describes the adopted state.
+        hot = reply.get("hot")
+        if isinstance(hot, list) and hot:
+            self.service.import_hot_set(hot)
+        self._syncing = False
+
+    def _resolve(self, frame: Dict[str, Any]) -> None:
+        future = self._pending.get(frame.get("id"))
+        if future is not None and not future.done():
+            future.set_result(frame)
 
     def _fatal(self) -> None:
         callback, self.on_fatal = self.on_fatal, None
@@ -991,7 +972,7 @@ def run_worker_fleet(
 
 
 __all__ = [
-    "MAX_DELTA_BUFFER",
+    "DELTA_HISTORY",
     "MAX_RESPAWNS",
     "DeltaApplier",
     "WriteForwarder",

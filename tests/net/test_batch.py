@@ -80,7 +80,6 @@ class TestNegotiationMatrix:
         [
             ("json", CODEC_JSON),  # legacy client: no hello at all
             ("binary", CODEC_BINARY),
-            ("auto", CODEC_BINARY),
         ],
     )
     def test_client_preference(self, client_codec, negotiated):
@@ -96,6 +95,12 @@ class TestNegotiationMatrix:
                 assert (await client.lookup("hash", 6)).success
 
         run(with_service(scenario))
+
+    def test_unknown_codec_is_rejected(self):
+        # "auto" was an alias of "binary" and is gone with it
+        for codec in ("auto", "msgpack"):
+            with pytest.raises(ValueError, match="json or binary"):
+                AsyncLookupClient("127.0.0.1", 1, codec=codec)
 
     def test_json_only_server_falls_back(self, monkeypatch):
         # Simulate a pre-binary peer: its hello negotiation only ever

@@ -5,8 +5,8 @@ interleaving of lookups and mutations, across every hosted scheme and
 both wire codecs, a cache-enabled service must answer byte-identically
 to a cache-disabled one — same reply frames, same Section 6.4 message
 accounting.  That single property implies both soundness rules the
-cache relies on (only RNG-free replies cached, mutations invalidate
-before answering): if either broke, some interleaving would surface a
+cache relies on (only RNG-free replies cached, invalidate before
+apply): if either broke, some interleaving would surface a
 divergent frame or a diverged RNG stream.
 """
 
@@ -20,6 +20,12 @@ from repro.core.exceptions import InvalidParameterError
 from repro.net.cache import DEFAULT_CAPACITY, ReplyCache
 from repro.net.codec import CODEC_BINARY, CODEC_JSON, encode_envelope_as, encode_message
 from repro.net.service import DEFAULT_SCHEMES, LookupService, ServiceConfig
+from repro.net.workers import (
+    apply_delta,
+    compute_apply_delta,
+    load_snapshot,
+    snapshot_stores,
+)
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -30,48 +36,58 @@ class TestReplyCacheUnit:
         with pytest.raises(InvalidParameterError):
             ReplyCache(-3)
 
-    def test_hit_miss_and_epoch_staleness(self):
+    def test_hit_miss_and_invalidation(self):
         cache = ReplyCache(4)
         key = ("json", "send", "hash", 0, 5)
-        assert cache.get(key, epoch=0) is None
-        cache.put(key, epoch=0, payload=b"abc")
-        assert cache.get(key, epoch=0) == b"abc"
-        # a bumped epoch makes the stored stamp stale: miss, entry gone
-        assert cache.get(key, epoch=1) is None
-        assert cache.get(key, epoch=1) is None  # really gone, not re-stamped
+        assert cache.get(key) is None
+        cache.put(key, b"abc")
+        assert cache.get(key) == b"abc"
+        # present => valid: the only way out is invalidation (or LRU)
+        assert cache.invalidate("hash") == 1
+        assert cache.get(key) is None
         snap = cache.snapshot()
-        assert snap["hits"] == 1 and snap["misses"] == 3 and snap["size"] == 0
+        assert snap["hits"] == 1 and snap["misses"] == 2 and snap["size"] == 0
 
     def test_lru_eviction_order(self):
         cache = ReplyCache(2)
-        cache.put(("c", "send", "a", 0, 1), 0, b"1")
-        cache.put(("c", "send", "a", 1, 1), 0, b"2")
-        assert cache.get(("c", "send", "a", 0, 1), 0) == b"1"  # refresh 0
-        cache.put(("c", "send", "a", 2, 1), 0, b"3")  # evicts server 1
-        assert cache.get(("c", "send", "a", 1, 1), 0) is None
-        assert cache.get(("c", "send", "a", 0, 1), 0) == b"1"
+        cache.put(("c", "send", "a", 0, 1), b"1")
+        cache.put(("c", "send", "a", 1, 1), b"2")
+        assert cache.get(("c", "send", "a", 0, 1)) == b"1"  # refresh 0
+        cache.put(("c", "send", "a", 2, 1), b"3")  # evicts server 1
+        assert cache.get(("c", "send", "a", 1, 1)) is None
+        assert cache.get(("c", "send", "a", 0, 1)) == b"1"
         assert cache.evictions == 1
 
     def test_invalidate_is_scoped_to_the_scheme(self):
         cache = ReplyCache(8)
-        cache.put(("c", "send", "hash", 0, 1), 0, b"h")
-        cache.put(("c", "send", "hash", 1, 1), 0, b"h2")
-        cache.put(("c", "send", "fixed", 0, 1), 0, b"f")
+        cache.put(("c", "send", "hash", 0, 1), b"h")
+        cache.put(("c", "send", "hash", 1, 1), b"h2")
+        cache.put(("c", "send", "fixed", 0, 1), b"f")
         assert cache.invalidate("hash") == 2
-        assert cache.get(("c", "send", "fixed", 0, 1), 0) == b"f"
+        assert cache.get(("c", "send", "fixed", 0, 1)) == b"f"
         assert len(cache) == 1
         assert cache.invalidations == 2
 
     def test_clear_counts_as_invalidations(self):
         cache = ReplyCache(8)
-        cache.put(("c", "send", "hash", 0, 1), 0, b"h")
+        cache.put(("c", "send", "hash", 0, 1), b"h")
         assert cache.clear() == 1
         assert cache.invalidations == 1 and len(cache) == 0
 
+    def test_export_hot_is_mru_first_and_bounded(self):
+        cache = ReplyCache(8)
+        for server in range(3):
+            cache.put(("c", "send", "hash", server, 0), bytes([server]))
+        cache.get(("c", "send", "hash", 0, 0))  # 0 becomes the hottest
+        assert cache.export_hot(2) == [
+            (("c", "send", "hash", 0, 0), b"\x00"),
+            (("c", "send", "hash", 2, 0), b"\x02"),
+        ]
+
     def test_publish_mirrors_counters(self):
         cache = ReplyCache(8)
-        cache.put(("c", "send", "hash", 0, 1), 0, b"h")
-        cache.get(("c", "send", "hash", 0, 1), 0)
+        cache.put(("c", "send", "hash", 0, 1), b"h")
+        cache.get(("c", "send", "hash", 0, 1))
         metrics = MetricsRegistry()
         cache.publish(metrics)
         state = metrics.dump_state()
@@ -179,6 +195,46 @@ def test_mutation_invalidates_before_the_reply_is_sent():
     ids = {e["id"] for e in after["value"]}
     assert "zz-hot" in ids
     assert service.reply_cache.invalidations >= 1
+
+
+@pytest.mark.parametrize("route", ["local", "apply_delta", "load_snapshot"])
+def test_reply_cached_before_a_mutation_is_never_served_after_it(route):
+    """Present => valid holds because every way a store can change
+    drops the scheme's rows first: a local mutation, a writer delta,
+    a snapshot adoption."""
+    config = ServiceConfig(server_count=6, entry_count=8, seed=13)
+    service = LookupService(config)
+    lookup = {
+        "op": "send",
+        "server": 0,
+        "key": "full_replication",
+        "message": encode_message(LookupRequest(target=0)),
+    }
+    stale = service.handle_envelope(dict(lookup))
+    assert service.handle_envelope(dict(lookup)) == stale
+    assert service.reply_cache.hits == 1
+    add = {
+        "op": "send",
+        "server": 0,
+        "key": "full_replication",
+        "message": encode_message(AddRequest(entry=Entry("zz-hot"))),
+    }
+    if route == "local":
+        assert service.handle_envelope(add)["ok"]
+    else:
+        writer = LookupService(config)
+        _, delta = compute_apply_delta(writer, add)
+        if route == "apply_delta":
+            apply_delta(service, delta)
+        else:
+            load_snapshot(service, snapshot_stores(writer))
+    assert len(service.reply_cache) == 0
+    after = service.handle_envelope(dict(lookup))
+    assert service.reply_cache.hits == 1  # a miss, answered from the stores
+    assert "zz-hot" in {e["id"] for e in after["value"]}
+    # the refilled row is the post-mutation answer
+    assert service.handle_envelope(dict(lookup)) == after
+    assert service.reply_cache.hits == 2
 
 
 def test_sampled_targets_are_never_cached():

@@ -243,12 +243,10 @@ class TestBackoffBudget:
 
 
 class TestRemovedRequestShim:
-    def test_request_raises_with_migration_hint(self):
-        client = AsyncLookupClient("127.0.0.1", 1)
-        with pytest.raises(AttributeError, match="_request"):
-            client.request
-
     def test_other_missing_attributes_raise_plainly(self):
+        # the long-removed request() is a missing attribute like any
+        # other: no special-cased hint
         client = AsyncLookupClient("127.0.0.1", 1)
-        with pytest.raises(AttributeError, match="no attribute"):
-            client.no_such_method
+        for name in ("request", "no_such_method"):
+            with pytest.raises(AttributeError, match="no attribute"):
+                getattr(client, name)

@@ -31,7 +31,7 @@ from repro.net.codec import (
 )
 from repro.net.service import LookupService, ServiceConfig, envelope_mutates
 from repro.net.workers import (
-    MAX_DELTA_BUFFER,
+    DELTA_HISTORY,
     DeltaApplier,
     WriteForwarder,
     WriterBus,
@@ -177,26 +177,24 @@ class TestDeltaApplierOrdering:
             writer, "full_replication"
         )
 
-    def test_out_of_order_deltas_buffer_then_apply_in_epoch_order(self):
+    def test_out_of_order_delta_requests_resync(self):
         writer = LookupService(CONFIG)
         reader = LookupService(CONFIG)
+        untouched = _masks(reader, "full_replication")
         applier = DeltaApplier(reader)
-        d1 = self._delta(writer, 1, "zz-1")
-        d2 = self._delta(writer, 2, "zz-2")
-        d3 = self._delta(writer, 3, "zz-3")
-        assert applier.offer(d3) == "buffered"
-        assert applier.offer(d2) == "buffered"
+        deltas = [self._delta(writer, n, f"zz-{n}") for n in (1, 2, 3)]
+        # the pipe is FIFO: a delta from the future means one was lost
+        assert applier.offer(deltas[2]) == "resync"
         assert applier.applied == 0
-        # the gap closes: 1 applies, then the buffered 2 and 3 drain
-        assert applier.offer(d1) == "applied"
-        assert applier.applied == 3
+        assert _masks(reader, "full_replication") == untouched
+        # nothing was kept: the sequence applies only from its start
+        assert [applier.offer(delta) for delta in deltas] == ["applied"] * 3
         assert _masks(reader, "full_replication") == _masks(
             writer, "full_replication"
         )
 
     def test_duplicate_delivery_is_dropped(self):
-        # the forwarding reader gets its op's delta twice: once on the
-        # fwd_reply, once (potentially) via broadcast
+        # a recovered reader hears epochs its journal already replayed
         writer = LookupService(CONFIG)
         reader = LookupService(CONFIG)
         applier = DeltaApplier(reader)
@@ -206,15 +204,15 @@ class TestDeltaApplierOrdering:
         assert applier.applied == 1
 
     def test_unbridgeable_gap_requests_resync(self):
-        reader = LookupService(CONFIG)
-        applier = DeltaApplier(reader)
-        status = "buffered"
-        for i in range(MAX_DELTA_BUFFER + 1):
-            status = applier.offer(
-                {"epoch": 1000 + i, "key": "hash", "servers": {}}
+        # every gap is unbridgeable: however many future deltas follow,
+        # each one reports "resync" and the watermark stays put
+        applier = DeltaApplier(LookupService(CONFIG))
+        for epoch in range(1000, 1000 + DELTA_HISTORY + 2):
+            assert (
+                applier.offer({"epoch": epoch, "key": "hash", "servers": {}})
+                == "resync"
             )
-        assert status == "resync"
-        assert applier._pending == {}
+        assert applier.applied == 0
 
     def test_resync_adopts_snapshot_and_watermark(self):
         writer = LookupService(CONFIG)
@@ -223,16 +221,19 @@ class TestDeltaApplierOrdering:
         )
         reader = LookupService(CONFIG)
         applier = DeltaApplier(reader)
-        applier.offer({"epoch": 50, "key": "hash", "servers": {}})  # buffered
+        assert applier.offer({"epoch": 50, "key": "hash", "servers": {}}) == "resync"
         applier.resync(41, snapshot_stores(writer))
         assert applier.applied == 41
-        assert applier._pending == {}
         assert _masks(reader, "full_replication") == _masks(
             writer, "full_replication"
         )
-        # epochs at or below the snapshot are now duplicates
+        # epochs at or below the snapshot are now duplicates, the next
+        # one applies
         assert applier.offer({"epoch": 41, "key": "hash", "servers": {}}) == (
             "duplicate"
+        )
+        assert applier.offer({"epoch": 42, "key": "hash", "servers": {}}) == (
+            "applied"
         )
 
     def test_malformed_epoch_requests_resync(self):
@@ -391,7 +392,11 @@ class TestWriterBusAndForwarder:
 
 
 class _PipeWriter:
-    """The bus connection's write half, captured instead of sent."""
+    """A bus connection's write half, captured instead of sent.
+
+    ``drain`` yields to the loop, so every flow-control point is a
+    place where other tasks really do run in between.
+    """
 
     def __init__(self):
         self.frames = []
@@ -400,7 +405,7 @@ class _PipeWriter:
         self.frames.append(decode_frame_body(data[4:]))
 
     async def drain(self):
-        pass
+        await asyncio.sleep(0)
 
     def close(self):
         pass
@@ -409,83 +414,253 @@ class _PipeWriter:
         pass
 
 
-class TestPumpResync:
-    """`WriteForwarder._pump` gap recovery, sans socket: frames are fed
-    straight into the forwarder's stream reader, requests land in a
-    list."""
+def _add(entry_id):
+    return _send("full_replication", AddRequest(entry=Entry(entry_id)))
 
-    @staticmethod
-    def _gap(reader, first_epoch):
-        # one more than the buffer holds forces "resync"; the one after
-        # that starts buffering again
-        for offset in range(MAX_DELTA_BUFFER + 2):
-            reader.feed_data(
-                encode_envelope(
-                    {
-                        "op": "delta",
-                        "delta": {
-                            "epoch": first_epoch + offset,
-                            "key": "hash",
-                            "servers": {},
-                        },
-                    }
-                )
+
+class TestWriterBusOrdering:
+    """The FIFO contract of the writer pipe, sans socket: each reader's
+    frames are fed straight into `WriterBus._serve`, its replies land
+    in a list."""
+
+    def test_each_connection_carries_gap_free_epochs(self):
+        async def scenario():
+            bus = WriterBus(LookupService(CONFIG), "unused.sock")
+            conns = {"a": _PipeWriter(), "b": _PipeWriter()}
+            # both readers are connected before the first write lands
+            bus._conns.update(conns.values())
+            tasks = []
+            for tag, conn in conns.items():
+                inbox = asyncio.StreamReader()
+                for n in range(6):
+                    inbox.feed_data(
+                        encode_envelope(
+                            {"op": "fwd", "id": n, "envelope": _add(f"zz-{tag}{n}")}
+                        )
+                    )
+                    if n == 2:
+                        # a write that changes nothing, and a sync
+                        inbox.feed_data(
+                            encode_envelope(
+                                {
+                                    "op": "fwd",
+                                    "id": 100,
+                                    "envelope": _send(
+                                        "full_replication",
+                                        DeleteRequest(entry=Entry("zz-nope")),
+                                    ),
+                                }
+                            )
+                        )
+                        inbox.feed_data(encode_envelope({"op": "sync", "id": 101}))
+                tasks.append((inbox, asyncio.create_task(bus._serve(inbox, conn))))
+            # the writer's own clients mutate in between
+            for n in range(6):
+                assert (await bus.forward(_add(f"zz-w{n}")))["ok"]
+            while bus.epoch < 18:
+                await asyncio.sleep(0)
+            for inbox, task in tasks:
+                inbox.feed_eof()
+                await task
+            return conns
+
+        for conn in run(scenario()).values():
+            seen = 0
+            replies = []
+            for frame in conn.frames:
+                if frame["op"] == "sync_reply":
+                    # the snapshot sits where its epoch does in the log
+                    assert frame["epoch"] == seen
+                    continue
+                if frame["op"] == "fwd_reply":
+                    replies.append(frame["id"])
+                    if "delta" not in frame:
+                        continue
+                else:
+                    assert frame["op"] == "delta"
+                # a delta, broadcast or riding on a reply: the next epoch
+                assert frame["delta"]["epoch"] == seen + 1
+                seen += 1
+            assert seen == 18
+            assert replies == [0, 1, 2, 100, 3, 4, 5]
+
+    def test_delta_skips_only_the_originating_connection(self):
+        bus = WriterBus(LookupService(CONFIG), "unused.sock")
+        origin, other = _PipeWriter(), _PipeWriter()
+        bus._conns.update((origin, other))
+        bus._handle({"op": "fwd", "id": 7, "envelope": _add("zz-o")}, origin)
+        assert [f["op"] for f in origin.frames] == ["fwd_reply"]
+        assert [f["op"] for f in other.frames] == ["delta"]
+        assert origin.frames[0]["delta"] == other.frames[0]["delta"]
+
+
+def _pumped_forwarder(service=None):
+    """A forwarder whose pump runs with no socket: frames are fed
+    straight into its stream reader, requests land in a list."""
+    fwd = WriteForwarder(service or LookupService(CONFIG), "unused.sock")
+    fwd._reader = asyncio.StreamReader()
+    fwd._writer = _PipeWriter()
+    fwd.fatal = []
+    fwd.on_fatal = lambda: fwd.fatal.append(True)
+    fwd._pump_task = asyncio.create_task(fwd._pump())
+    return fwd
+
+
+def _feed(fwd, **frame):
+    fwd._reader.feed_data(encode_envelope(frame))
+
+
+def _empty(epoch):
+    return {"epoch": epoch, "key": "hash", "servers": {}}
+
+
+async def _settle():
+    for _ in range(5):
+        await asyncio.sleep(0)
+
+
+class TestPumpOrdering:
+    """`WriteForwarder._pump` is the one applier: what a frame carries
+    is applied in arrival order, before the request it answers."""
+
+    def test_reply_delta_applies_in_order_before_it_resolves(self):
+        async def scenario():
+            writer = LookupService(CONFIG)
+            deltas = []
+            for epoch in (1, 2, 3):
+                _, delta = compute_apply_delta(writer, _add(f"zz-{epoch}"))
+                deltas.append(dict(delta, epoch=epoch))
+            reader = LookupService(CONFIG)
+            fwd = _pumped_forwarder(reader)
+            resolved_at = []
+            resolve = fwd._resolve
+            fwd._resolve = lambda frame: (
+                resolved_at.append(fwd.applier.applied),
+                resolve(frame),
             )
+            try:
+                forward = asyncio.create_task(fwd.forward(_add("zz-2")))
+                await _settle()
+                (request,) = fwd._writer.frames
+                assert request["op"] == "fwd"
+                # back to back: a broadcast, the reply to our own write,
+                # another broadcast
+                _feed(fwd, op="delta", delta=deltas[0])
+                _feed(
+                    fwd,
+                    op="fwd_reply",
+                    id=request["id"],
+                    reply={"ok": True, "value": None},
+                    delta=deltas[1],
+                )
+                _feed(fwd, op="delta", delta=deltas[2])
+                assert (await forward)["ok"]
+                assert resolved_at == [2]
+                assert fwd.applier.applied == 3
+                assert _masks(reader, "full_replication") == _masks(
+                    writer, "full_replication"
+                )
+                assert len(fwd._writer.frames) == 1  # no sync was sent
+                assert not fwd.fatal
+            finally:
+                await fwd.stop()
+
+        run(scenario())
+
+class TestPumpResync:
+    """`WriteForwarder._pump` gap recovery and failure, sans socket."""
 
     def test_one_resync_in_flight_and_failure_is_fatal(self):
         async def scenario():
-            fwd = WriteForwarder(LookupService(CONFIG), "unused.sock")
-            fwd._reader = asyncio.StreamReader()
-            fwd._writer = pipe = _PipeWriter()
-            fatal = []
-            fwd.on_fatal = lambda: fatal.append(True)
-            fwd._pump_task = asyncio.create_task(fwd._pump())
-
-            async def settle():
-                for _ in range(5):
-                    await asyncio.sleep(0)
-
+            fwd = _pumped_forwarder()
+            pipe = fwd._writer
             try:
-                # two unbridgeable gaps back to back: one sync request,
-                # not two overlapping ones
-                self._gap(fwd._reader, 1000)
-                self._gap(fwd._reader, 2000)
-                await settle()
+                # a gap, then more deltas behind it: one sync request,
+                # and nothing applies while its reply is on the way
+                for epoch in (5, 6, 7, 8):
+                    _feed(fwd, op="delta", delta=_empty(epoch))
+                await _settle()
                 assert [frame["op"] for frame in pipe.frames] == ["sync"]
-                assert fwd._resync_task is not None
-                fwd._reader.feed_data(
-                    encode_envelope(
-                        {
-                            "op": "sync_reply",
-                            "id": pipe.frames[0]["id"],
-                            "epoch": 3000,
-                            "stores": {},
-                        }
-                    )
+                assert pipe.frames[0]["since"] == 0
+                assert fwd.applier.applied == 0
+                _feed(
+                    fwd, op="sync_reply", id=pipe.frames[0]["id"], epoch=8, stores={}
                 )
-                await settle()
-                assert fwd.applier.applied == 3000
-                assert fwd._resync_task is None and not fatal
+                # deltas behind the snapshot apply again
+                _feed(fwd, op="delta", delta=_empty(9))
+                await _settle()
+                assert fwd.applier.applied == 9
+                assert len(pipe.frames) == 1 and not fwd.fatal
 
-                # the slot is free again: a later gap resyncs anew, and
-                # a snapshot that cannot be adopted fails the reader
-                # instead of vanishing into an unobserved task
-                self._gap(fwd._reader, 4000)
-                await settle()
+                # a later gap syncs anew, and a snapshot that cannot be
+                # adopted fails the reader instead of vanishing into an
+                # unobserved task exception
+                _feed(fwd, op="delta", delta=_empty(20))
+                await _settle()
                 assert [frame["op"] for frame in pipe.frames] == ["sync", "sync"]
-                fwd._reader.feed_data(
-                    encode_envelope(
-                        {
-                            "op": "sync_reply",
-                            "id": pipe.frames[1]["id"],
-                            "epoch": 5000,
-                            "stores": {"hash": 7},
-                        }
-                    )
+                assert pipe.frames[1]["since"] == 9
+                _feed(
+                    fwd,
+                    op="sync_reply",
+                    id=pipe.frames[1]["id"],
+                    epoch=30,
+                    stores={"hash": 7},
                 )
-                await settle()
-                assert fatal == [True]
-                assert fwd.applier.applied == 3000
+                await _settle()
+                assert fwd.fatal == [True]
+                assert fwd.applier.applied == 9
+                assert fwd._pump_task.done()
+                assert fwd._pump_task.exception() is None
+            finally:
+                await fwd.stop()
+
+        run(scenario())
+
+    def test_forward_reply_waits_for_the_sync_in_flight(self):
+        async def scenario():
+            fwd = _pumped_forwarder()
+            pipe = fwd._writer
+            try:
+                forward = asyncio.create_task(fwd.forward(_add("zz-held")))
+                await _settle()
+                _feed(fwd, op="delta", delta=_empty(5))  # a gap
+                # our write's reply overtakes the snapshot that holds it:
+                # resolving now would let the client read its write away
+                _feed(
+                    fwd,
+                    op="fwd_reply",
+                    id=pipe.frames[0]["id"],
+                    reply={"ok": True, "value": None},
+                    delta=_empty(6),
+                )
+                await _settle()
+                assert [frame["op"] for frame in pipe.frames] == ["fwd", "sync"]
+                assert not forward.done()
+                _feed(
+                    fwd, op="sync_reply", id=pipe.frames[1]["id"], epoch=6, stores={}
+                )
+                assert (await forward)["ok"]
+                assert fwd.applier.applied == 6
+            finally:
+                await fwd.stop()
+
+        run(scenario())
+
+    def test_a_delta_that_cannot_apply_is_fatal(self):
+        async def scenario():
+            fwd = _pumped_forwarder()
+            try:
+                forward = asyncio.create_task(fwd.forward(_add("zz-lost")))
+                await _settle()
+                bad = {"epoch": 1, "key": "hash", "servers": {"not-a-server": {}}}
+                _feed(fwd, op="delta", delta=bad)
+                await _settle()
+                assert fwd.fatal == [True]
+                assert fwd._pump_task.done()
+                assert fwd._pump_task.exception() is None
+                # whoever was waiting on the pipe hears about it
+                with pytest.raises(ConnectionError):
+                    await forward
             finally:
                 await fwd.stop()
 
@@ -568,23 +743,10 @@ class TestFleetEndToEnd:
         from repro.core.exceptions import InvalidParameterError
         from repro.net.cli import cmd_serve
 
-        import argparse
+        from repro.experiments.cli import build_parser
 
-        args = argparse.Namespace(
-            workers=2,
-            peers="s1=127.0.0.1:1",
-            host="127.0.0.1",
-            port=0,
-            servers=4,
-            entries=8,
-            seed=0,
-            shard="0/1",
-            replicas=2,
-            backup_fraction=0.25,
-            probes=21,
-            cache_size=64,
-            no_cache=False,
-            ready_file=None,
+        args = build_parser().parse_args(
+            ["serve", "--workers", "2", "--peers", "s1=127.0.0.1:1", "--port", "0"]
         )
         with pytest.raises(InvalidParameterError, match="--peers"):
             cmd_serve(args)

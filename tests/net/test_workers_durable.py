@@ -5,8 +5,8 @@ The snapshot half is the ``snapshot_stores``/``load_snapshot`` contract
 (every scheme round-trips through ``StorageBackend.restore``, on both
 backends); the applier half is the recover-from-disk boot path — a
 respawned worker replays the journal, seeds its watermark from the
-recovered epoch, and then catches up from buffered bus deltas instead
-of a full network resync (with the gap-too-wide fallback intact).
+recovered epoch, and then catches up from the bus deltas that follow
+instead of a full network resync (with the gap fallback intact).
 """
 
 import asyncio
@@ -20,7 +20,6 @@ from repro.core.entry import Entry
 from repro.net.codec import encode_message
 from repro.net.service import DEFAULT_SCHEMES, LookupService, ServiceConfig
 from repro.net.workers import (
-    MAX_DELTA_BUFFER,
     DeltaApplier,
     WriteForwarder,
     WriterBus,
@@ -154,41 +153,33 @@ class TestDurableDeltaApplier:
             writer, "full_replication"
         )
 
-    def test_buffered_epochs_apply_in_order_after_recovery(self, tmp_path):
+    def test_next_epochs_apply_after_recovery(self, tmp_path):
         _, _, recovered = self._crash_and_recover(tmp_path)
         applier = DeltaApplier(recovered, applied=recovered.recovered_epoch)
         live = LookupService(_log_config(tmp_path, store_read_only=True))
         next_epoch = recovered.recovered_epoch + 1
-        _, d4 = compute_apply_delta(
-            live, _send("full_replication", AddRequest(entry=Entry("post-a")))
-        )
-        d4["epoch"] = next_epoch
-        _, d5 = compute_apply_delta(
-            live, _send("full_replication", AddRequest(entry=Entry("post-b")))
-        )
-        d5["epoch"] = next_epoch + 1
-        # out-of-order arrival: the future epoch buffers, then both
-        # apply the moment the sequence closes
-        assert applier.offer(d5) == "buffered"
-        assert applier.offer(d4) == "applied"
+        for offset, entry_id in enumerate(("post-a", "post-b")):
+            _, delta = compute_apply_delta(
+                live, _send("full_replication", AddRequest(entry=Entry(entry_id)))
+            )
+            delta["epoch"] = next_epoch + offset
+            # the sequence picks up exactly where the journal left off
+            assert applier.offer(delta) == "applied"
         assert applier.applied == next_epoch + 1
         assert _masks(recovered, "full_replication") == _masks(
             live, "full_replication"
         )
 
-    def test_gap_beyond_the_buffer_requests_a_resync(self, tmp_path):
+    def test_gap_after_recovery_requests_a_resync(self, tmp_path):
         writer, _, recovered = self._crash_and_recover(tmp_path)
         applier = DeltaApplier(recovered, applied=recovered.recovered_epoch)
-        base = recovered.recovered_epoch + 2  # leave a hole at +1
+        ahead = recovered.recovered_epoch + 2  # leave a hole at +1
         template = {"key": "full_replication", "servers": {}}
-        for offset in range(MAX_DELTA_BUFFER):
-            status = applier.offer(dict(template, epoch=base + offset))
-            assert status == "buffered"
-        # one more unbridgeable future delta overflows the buffer
-        assert applier.offer(dict(template, epoch=base + MAX_DELTA_BUFFER)) == "resync"
+        assert applier.offer(dict(template, epoch=ahead)) == "resync"
+        assert applier.applied == recovered.recovered_epoch
         # the snapshot fallback then converges the recovered reader
-        applier.resync(base + MAX_DELTA_BUFFER, snapshot_stores(writer))
-        assert applier.applied == base + MAX_DELTA_BUFFER
+        applier.resync(ahead, snapshot_stores(writer))
+        assert applier.applied == ahead
         for key in DEFAULT_SCHEMES:
             assert _masks(recovered, key) == _masks(writer, key)
 
