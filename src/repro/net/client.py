@@ -462,7 +462,8 @@ class AsyncLookupClient:
             "message": encode_message(request),
         }
         try:
-            reply = await asyncio.wait_for(self._request(envelope), self.timeout)
+            async with asyncio.timeout(self.timeout):
+                reply = await self._request(envelope)
         except (asyncio.TimeoutError, ConnectionError, OSError):
             # A late reply on the old stream would desync framing;
             # start the next request on a fresh connection.
@@ -634,10 +635,10 @@ class AsyncLookupClient:
                         }
                         for request_id, _, effect in window
                     ]
-                reply = await asyncio.wait_for(
-                    self._request_on(conn, {"op": "batch", "requests": requests}),
-                    self.timeout,
-                )
+                async with asyncio.timeout(self.timeout):
+                    reply = await self._request_on(
+                        conn, {"op": "batch", "requests": requests}
+                    )
             except (asyncio.TimeoutError, ConnectionError, OSError):
                 try:
                     await self._reconnect(conn_index)

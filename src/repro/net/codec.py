@@ -139,6 +139,29 @@ def decode_value(wire: Any) -> Any:
     binary codec yields) pass through unchanged, so drivers can call
     this on any frame's payload without knowing which codec carried it.
     """
+    if isinstance(wire, dict):
+        tag = wire.get("!")
+        if tag is None:
+            return {k: decode_value(v) for k, v in wire.items()}
+        if tag == "entry":
+            entry_id = wire["id"]
+            if not isinstance(entry_id, str):
+                raise WireError(f"entry id must be a string: {entry_id!r}")
+            payload = wire.get("payload")
+            if payload is not None:
+                return Entry(entry_id, decode_value(payload))
+            # Payload-free entries are shared by id, as on the binary side.
+            entry = _ENTRY_JSON_CACHE.get(entry_id)
+            if entry is None:
+                if len(_ENTRY_JSON_CACHE) >= _CACHE_CAP:
+                    _ENTRY_JSON_CACHE.clear()
+                entry = _ENTRY_JSON_CACHE[entry_id] = Entry(entry_id)
+            return entry
+        if tag == "tuple":
+            return tuple(decode_value(v) for v in wire["items"])
+        if tag == "msg":
+            return decode_message(wire)
+        raise WireError(f"unknown wire tag: {tag!r}")
     if wire is None or isinstance(wire, (bool, int, float, str)):
         return wire
     if isinstance(wire, (Entry, Message)):
@@ -147,17 +170,6 @@ def decode_value(wire: Any) -> Any:
         return tuple(decode_value(v) for v in wire)
     if isinstance(wire, list):
         return [decode_value(v) for v in wire]
-    if isinstance(wire, dict):
-        tag = wire.get("!")
-        if tag is None:
-            return {k: decode_value(v) for k, v in wire.items()}
-        if tag == "entry":
-            return Entry(wire["id"], decode_value(wire.get("payload")))
-        if tag == "tuple":
-            return tuple(decode_value(v) for v in wire["items"])
-        if tag == "msg":
-            return decode_message(wire)
-        raise WireError(f"unknown wire tag: {tag!r}")
     raise WireError(f"undecodable wire value: {wire!r}")
 
 
@@ -302,6 +314,8 @@ _ENTRY_ENC_CACHE: dict[str, bytes] = {}
 #: the regex so the all-dense tuple probe costs one dict hit per item).
 _DENSE_IDX_CACHE: dict[str, int] = {}
 _ENTRY_DEC_CACHE: dict[int, Entry] = {}
+#: entry_id -> the shared payload-free Entry :func:`decode_value` answers.
+_ENTRY_JSON_CACHE: dict[str, Entry] = {}
 _KEY_ENC_CACHE: dict[str, bytes] = {}
 _TEXT_DEC_CACHE: dict[bytes, str] = {}
 #: Request-path message memo (see :func:`pack_send_envelope`): packed

@@ -11,12 +11,15 @@ functions from the same shard names.
 
 :class:`ShardMap` is multi-probe consistent hashing (Appleton &
 O'Reilly 2015): shards are hashed onto the 64-bit ring **once** — no
-virtual-node tables, no extra routing storage — and a key is probed
-at ``probes`` independent positions, landing on the shard closest to
-any probe.  More probes flatten the load the way more virtual nodes
-would, at the memory cost of none, and the probe ranking yields a
-*deterministic replica sequence* for free: a key's home group is the
-first ``replicas`` distinct shards in closest-probe order.
+virtual-node tables — and a key is probed at ``probes`` independent
+positions, landing on the shard closest to any probe.  More probes
+flatten the load the way more virtual nodes would, and the probe
+ranking yields a *deterministic replica sequence* for free: a key's
+home group is the first ``replicas`` distinct shards in closest-probe
+order.  The only routing storage is that ranking, kept per key the
+first time the key is asked for (the shard set is immutable, so it
+never goes stale): one tuple of shard names per key, at most
+:data:`RANK_TABLE_CAP` keys per map, cleared when full.
 
 :func:`partial_replica` is the paper's premise applied across
 shards: a backup shard keeps only a deterministic fraction of a
@@ -28,7 +31,7 @@ rather than wrong or absent.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.entry import Entry
 from repro.core.exceptions import InvalidParameterError
@@ -38,6 +41,11 @@ from repro.hashing.families import fnv1a_64
 RING = 1 << 64
 
 _MASK = RING - 1
+
+#: Keys a :class:`ShardMap` keeps rankings for before it starts over:
+#: real key universes are a handful of scheme names, the bound is for
+#: a long-lived router fed garbage keys.
+RANK_TABLE_CAP = 4096
 
 
 def ring_position(label: str) -> int:
@@ -68,7 +76,8 @@ class ShardMap:
     probes:
         Key probe count.  21 keeps peak/mean load within a few
         percent for realistic key counts (the 1 + ε bound improves
-        with more probes) at a few extra hashes per lookup.
+        with more probes) at a few extra hashes the *first* time a
+        key is looked up; after that its ranking is a table read.
     """
 
     def __init__(self, shards: Sequence[str], probes: int = 21) -> None:
@@ -81,6 +90,7 @@ class ShardMap:
         self._positions: Dict[str, int] = {
             name: ring_position(f"shard|{name}") for name in names
         }
+        self._ranked: Dict[str, Tuple[str, ...]] = {}
 
     @property
     def shards(self) -> List[str]:
@@ -91,21 +101,28 @@ class ShardMap:
 
         Shards are ranked by their closest clockwise distance to any
         of the key's probe positions; ties break by name so the
-        mapping is total and deterministic.
+        mapping is total and deterministic.  The ranking is computed
+        on the key's first call and read from the table after that;
+        the answer is a fresh list either way.
         """
         if replicas < 1:
             raise InvalidParameterError(f"replicas must be >= 1, got {replicas}")
-        probe_points = [
-            ring_position(f"key|{key}|{i}") for i in range(self.probes)
-        ]
-        ranked = sorted(
-            self._positions.items(),
-            key=lambda item: (
-                min((item[1] - point) % RING for point in probe_points),
-                item[0],
-            ),
-        )
-        return [name for name, _ in ranked[: min(replicas, len(ranked))]]
+        ranked = self._ranked.get(key)
+        if ranked is None:
+            probe_points = [
+                ring_position(f"key|{key}|{i}") for i in range(self.probes)
+            ]
+            by_distance = sorted(
+                self._positions.items(),
+                key=lambda item: (
+                    min((item[1] - point) % RING for point in probe_points),
+                    item[0],
+                ),
+            )
+            if len(self._ranked) >= RANK_TABLE_CAP:
+                self._ranked.clear()
+            ranked = self._ranked[key] = tuple(name for name, _ in by_distance)
+        return list(ranked[:replicas])
 
     def role(self, key: str, shard: str, replicas: int) -> Optional[int]:
         """0 for the key's primary, 1.. for backups, None if not hosted."""
@@ -146,4 +163,4 @@ def partial_replica(
     return ranked[:keep]
 
 
-__all__ = ["RING", "ShardMap", "partial_replica", "ring_position"]
+__all__ = ["RANK_TABLE_CAP", "RING", "ShardMap", "partial_replica", "ring_position"]

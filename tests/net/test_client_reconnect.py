@@ -20,6 +20,7 @@ from repro.cluster.client import RetryPolicy
 from repro.cluster.messages import LookupRequest
 from repro.net.client import AsyncLookupClient
 from repro.net.codec import read_frame, write_frame
+from repro.net.service import LookupService, ServiceConfig
 from repro.protocol.events import ContactFailed, ReplyReceived
 
 
@@ -113,6 +114,69 @@ class TestStaleReplies:
                 assert isinstance(third, ReplyReceived)
                 # Same (fresh) connection serves subsequent requests.
                 assert client._writer is writer_after_timeout
+            finally:
+                await client.close()
+                await server.stop()
+
+        run(scenario())
+
+
+class TestTimeoutScope:
+    """The per-contact timeout is a scope on the caller's own task."""
+
+    def test_contacts_create_no_tasks(self):
+        async def scenario():
+            service = LookupService(
+                ServiceConfig(server_count=12, entry_count=30, seed=7)
+            )
+            host, port = await service.start(port=0)
+            client = AsyncLookupClient(host, port, timeout=5.0)
+            loop = asyncio.get_running_loop()
+            created = []
+
+            def counting_factory(loop, coro, **kwargs):
+                created.append(coro)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            try:
+                # Dial first: the service's per-connection task is the
+                # one Task this exchange legitimately owns.
+                await client.contact_server(0, "hash", LookupRequest(3))
+                loop.set_task_factory(counting_factory)
+                for n in range(100):
+                    event = await client.contact_server(
+                        n % 12, "hash", LookupRequest(3)
+                    )
+                    assert isinstance(event, ReplyReceived)
+                loop.set_task_factory(None)
+                assert created == []
+            finally:
+                await client.close()
+                await service.stop()
+
+        run(scenario())
+
+    def test_stalled_peer_fails_on_time_and_next_contact_redials(self):
+        async def scenario():
+            server = SlowThenHonestServer(late_by=0.8)
+            host, port = await server.start()
+            client = AsyncLookupClient(host, port, timeout=0.2)
+            loop = asyncio.get_running_loop()
+            try:
+                await client.connect()
+                stalled_writer = client._writer
+                started = loop.time()
+                first = await client.contact_server(3, "hash", LookupRequest(2))
+                elapsed = loop.time() - started
+                assert isinstance(first, ContactFailed)
+                assert first.server_id == 3 and first.dropped
+                # The scope fired at the timeout, not at the late reply.
+                assert 0.2 <= elapsed < 0.8
+                assert client._writer is not None
+                assert client._writer is not stalled_writer
+                second = await client.contact_server(4, "hash", LookupRequest(2))
+                assert isinstance(second, ReplyReceived)
+                assert second.entries == "reply-2"
             finally:
                 await client.close()
                 await server.stop()

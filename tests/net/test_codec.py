@@ -16,6 +16,7 @@ from repro.cluster.messages import (
     StoreSetMessage,
 )
 from repro.core.entry import Entry, make_entries
+from repro.net import codec
 from repro.net.codec import (
     MAX_FRAME,
     MESSAGE_TYPES,
@@ -70,6 +71,55 @@ class TestValueRoundtrip:
     def test_unknown_tag_rejected(self):
         with pytest.raises(WireError):
             decode_value({"!": "mystery"})
+
+
+class TestEntryMemo:
+    """``decode_value`` answers payload-free entries from a memo."""
+
+    def test_roundtrip_is_value_identical_cold_warm_and_just_cleared(self):
+        entries = make_entries(40)
+        wire = encode_value(tuple(entries))
+        codec._ENTRY_JSON_CACHE.clear()
+        cold = decode_value(wire)
+        warm = decode_value(wire)
+        codec._ENTRY_JSON_CACHE.clear()
+        cleared = decode_value(wire)
+        for got in (cold, warm, cleared):
+            assert got == tuple(entries)
+            assert all(entry.payload is None for entry in got)
+        # Warm answers are the memo's own instances, as on the binary side.
+        assert all(a is b for a, b in zip(cold, warm))
+
+    def test_payload_entry_is_fresh_and_never_memoised(self):
+        codec._ENTRY_JSON_CACHE.clear()
+        wire = encode_value(Entry("v7", payload={"host": "h:1"}))
+        first, second = decode_value(wire), decode_value(wire)
+        assert first == Entry("v7") and first.payload == {"host": "h:1"}
+        assert first is not second
+        assert codec._ENTRY_JSON_CACHE == {}
+        # ... and a memoised payload-free twin does not shadow it.
+        bare = decode_value(encode_value(Entry("v7")))
+        assert bare.payload is None
+        assert decode_value(wire).payload == {"host": "h:1"}
+
+    @pytest.mark.parametrize("bad_id", [7, ["v1"], None, True, 1.5, {"a": 1}])
+    def test_non_string_entry_id_rejected(self, bad_id):
+        with pytest.raises(WireError):
+            decode_value({"!": "entry", "id": bad_id, "payload": None})
+        with pytest.raises(WireError):
+            decode_value({"!": "entry", "id": bad_id, "payload": "p"})
+
+    def test_missing_entry_id_rejected(self):
+        with pytest.raises(KeyError):
+            decode_value({"!": "entry", "payload": None})
+
+    def test_memo_honours_cache_cap(self, monkeypatch):
+        monkeypatch.setattr(codec, "_CACHE_CAP", 8)
+        codec._ENTRY_JSON_CACHE.clear()
+        for entry in make_entries(100):
+            assert decode_value(encode_value(entry)) == entry
+            assert len(codec._ENTRY_JSON_CACHE) <= 8
+        assert codec._ENTRY_JSON_CACHE
 
 
 class TestMessageRoundtrip:

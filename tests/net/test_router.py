@@ -14,7 +14,7 @@ import pytest
 from repro.net.client import ServiceError
 from repro.net.membership import MembershipPump
 from repro.net.router import ShardRouter
-from repro.net.service import LookupService, ServiceConfig
+from repro.net.service import DEFAULT_SCHEMES, LookupService, ServiceConfig
 from repro.net.sharding import ShardMap, partial_replica
 from repro.core.entry import make_entries
 from repro.protocol.membership import MembershipConfig
@@ -168,6 +168,39 @@ class TestHealthyRouting:
                 await fleet.stop()
 
         run(scenario())
+
+    def test_ranking_table_draws_no_randomness(self):
+        # Two same-seed routers over two identical fleets, one reading
+        # a warm ranking table and one ranking from cold on every
+        # lookup: the seeded contact walks and the answers must agree.
+        script_rng = random.Random(11)
+        keys = sorted(DEFAULT_SCHEMES)
+        script = [
+            (script_rng.choice(keys), script_rng.choice([1, 4, TARGET, ENTRIES]))
+            for _ in range(200)
+        ]
+
+        async def replay(warm):
+            fleet = Fleet()
+            await fleet.start(with_pumps=False)
+            router = fleet.router()
+            seen = []
+            try:
+                for key, target in script:
+                    if warm:
+                        router.map.home(key, REPLICAS)
+                    else:
+                        router.map._ranked.clear()
+                    result = await router.lookup(key, target)
+                    seen.append(
+                        (result.home, result.routed, result.contacts, result.entries)
+                    )
+            finally:
+                await router.close()
+                await fleet.stop()
+            return seen
+
+        assert run(replay(warm=True)) == run(replay(warm=False))
 
 
 class TestFailover:

@@ -107,6 +107,39 @@ class TestEnvelopeDispatch:
         )["value"]
         assert verify["coverage"] == CONFIG.entry_count + 1
 
+    @pytest.mark.parametrize("store", ["memory", "log"])
+    def test_non_string_entry_id_is_refused_before_anything_is_applied(
+        self, store, tmp_path
+    ):
+        # One JSON frame used to poison a scheme for every binary
+        # client: the int-id entry was stored (and journaled), and the
+        # dense-id regex then failed every full-store binary reply.
+        config = ServiceConfig(
+            server_count=12, entry_count=30, seed=7, store=store,
+            data_dir=str(tmp_path) if store == "log" else None,
+        )
+        service = LookupService(config)
+        message = encode_message(AddRequest(Entry("fresh")))
+        message["fields"]["entry"]["id"] = 7
+        records = service.journal.log_records if store == "log" else None
+        reply = service.handle_envelope(
+            {"op": "send", "server": 1, "key": "full_replication", "message": message}
+        )
+        assert not reply["ok"]
+        assert reply["error"] == "bad-request"
+        verify = service.handle_envelope(
+            {"op": "verify", "key": "full_replication"}
+        )["value"]
+        assert verify["coverage"] == config.entry_count
+        lookup0 = {
+            "op": "send", "server": 1, "key": "full_replication",
+            "message": LookupRequest(0),
+        }
+        assert service.handle_envelope(lookup0, raw=True)["ok"]
+        if store == "log":
+            assert service.journal.log_records == records
+            service.journal.close()
+
 
 class TestOverSockets:
     def test_all_schemes_complete_partial_lookups(self):

@@ -1,10 +1,36 @@
 """Pure tests for the key→shard placement core (no sockets, no clocks)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.entry import make_entries
 from repro.core.exceptions import InvalidParameterError
-from repro.net.sharding import ShardMap, partial_replica, ring_position
+from repro.net.sharding import (
+    RANK_TABLE_CAP,
+    RING,
+    ShardMap,
+    partial_replica,
+    ring_position,
+)
+
+
+def reference_home(shards, probes, key, replicas):
+    """The ranking as ``ShardMap.home`` computed it before it kept a
+    table — hash every probe, sort every shard, on every call.  Kept
+    verbatim as the oracle for the rank-once table."""
+    positions = {
+        name: ring_position(f"shard|{name}") for name in sorted(set(shards))
+    }
+    probe_points = [ring_position(f"key|{key}|{i}") for i in range(probes)]
+    ranked = sorted(
+        positions.items(),
+        key=lambda item: (
+            min((item[1] - point) % RING for point in probe_points),
+            item[0],
+        ),
+    )
+    return [name for name, _ in ranked[: min(replicas, len(ranked))]]
 
 
 class TestShardMap:
@@ -61,6 +87,54 @@ class TestShardMap:
             ShardMap(["s0"], probes=0)
         with pytest.raises(InvalidParameterError):
             ShardMap(["s0"]).home("k", 0)
+
+
+class TestRankOnce:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        shards=st.sets(st.text(min_size=1, max_size=4), min_size=1, max_size=8),
+        probes=st.integers(1, 32),
+        lookups=st.lists(
+            st.tuples(st.text(max_size=6), st.integers(1, 10)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_home_and_role_match_the_recomputed_ranking(
+        self, shards, probes, lookups
+    ):
+        shard_map = ShardMap(list(shards), probes=probes)
+        # Twice over the script: every key is answered cold, then warm,
+        # and at replica counts other than the one that filled its row.
+        for key, replicas in lookups + lookups:
+            want = reference_home(shards, probes, key, replicas)
+            got = shard_map.home(key, replicas)
+            assert got == want
+            for shard in shards:
+                role = shard_map.role(key, shard, replicas)
+                assert role == (want.index(shard) if shard in want else None)
+            # The caller owns the list: wrecking it changes nothing.
+            got.reverse()
+            got.append("intruder")
+            assert shard_map.home(key, replicas) == want
+
+    def test_table_is_bounded_and_correct_across_the_clear(self):
+        shards = ["s0", "s1", "s2"]
+        shard_map = ShardMap(shards, probes=2)
+        largest = 0
+        for i in range(10 * RANK_TABLE_CAP):
+            key = f"garbage-{i}"
+            home = shard_map.home(key, 2)
+            largest = max(largest, len(shard_map._ranked))
+            if i % 97 == 0 or len(shard_map._ranked) == 1:
+                # Sampled keys, and every key that landed on a table
+                # that had just been cleared.
+                assert home == reference_home(shards, 2, key, 2)
+        assert largest == RANK_TABLE_CAP
+        # A key ranked before the clears still answers the same.
+        assert shard_map.home("garbage-0", 3) == reference_home(
+            shards, 2, "garbage-0", 3
+        )
 
 
 class TestRingPosition:
