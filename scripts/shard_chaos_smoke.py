@@ -6,6 +6,9 @@ CI's shard-chaos job runs this script.  It spawns three
 fast failure-detection timings, then runs the
 :func:`repro.chaos.shards.run_kill_shard_scenario` cycle:
 
+0. CLI leg on the healthy fleet — ``repro call --shards`` with
+   ``--batch 8`` (routed batch frames) and ``--batch 1`` exits 0 with
+   eight attributed ``success`` rows;
 1. healthy sweep — every scheme key returns its full target;
 2. SIGKILL the busiest primary shard; survivors detect it dead;
 3. outage sweep — the victim's keys come back *degraded* (short,
@@ -53,6 +56,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import subprocess
 import sys
 
 from repro.chaos.shards import (
@@ -87,6 +91,36 @@ def _dump_fleet_output(fleet: ShardFleet) -> None:
         print(f"--- {name} (exited {process.returncode}) ---\n{output}")
 
 
+def check_routed_call(fleet: ShardFleet, batch: int, timeout: float) -> None:
+    """``repro call --shards`` against the healthy fleet, end to end."""
+    shards = ",".join(
+        f"{name}={host}:{port}" for name, (host, port) in sorted(fleet.addresses.items())
+    )
+    command = [
+        sys.executable, "-m", "repro", "call", "round_robin",
+        "--shards", shards, "--codec", "binary",
+        "--count", "8", "--batch", str(batch), "--seed", "1",
+    ]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=timeout)
+    if result.returncode != 0:
+        raise ScenarioError(
+            f"repro call --shards --batch {batch} exited {result.returncode}:\n"
+            f"{result.stdout}\n{result.stderr}"
+        )
+    summary = json.loads(result.stdout)
+    rows = summary["lookups"]
+    attributed = [
+        row for row in rows
+        if row["success"] and row["home"] and row["routed"] and row["contacts"]
+    ]
+    if len(rows) != 8 or len(attributed) != 8 or summary["exit_code"] != 0:
+        raise ScenarioError(
+            f"repro call --shards --batch {batch}: want 8 attributed success "
+            f"rows and exit_code 0, got:\n{result.stdout}"
+        )
+    print(f"repro call --shards --batch {batch}: 8 routed lookups ok")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--timeout", type=float, default=120.0)
@@ -98,13 +132,15 @@ def main() -> int:
     try:
         fleet.start()
         print(f"fleet up: {fleet.addresses}")
+        for batch in (8, 1):
+            check_routed_call(fleet, batch, args.timeout)
         report = asyncio.run(
             asyncio.wait_for(
                 run_kill_shard_scenario(fleet, target=TARGET),
                 timeout=args.timeout,
             )
         )
-    except (ScenarioError, asyncio.TimeoutError) as exc:
+    except (ScenarioError, asyncio.TimeoutError, subprocess.TimeoutExpired) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         _dump_fleet_output(fleet)
         fleet.stop_all()

@@ -20,10 +20,7 @@ the very same machine over real sockets.
 The one public entry point is :meth:`Client.lookup`: a keyword-only
 API built around the frozen :class:`LookupOptions` dataclass, whose
 ``order`` selects between the random walk (``"random"``) and the
-Round-Robin stride walk (:class:`Stride`).  The legacy
-``lookup_random`` / ``lookup_stride`` shims were removed after one
-deprecation release; calling them now raises an ``AttributeError``
-naming the replacement.
+Round-Robin stride walk (:class:`Stride`).
 
 Under a fault plan the transport can also *lose* requests
 (:data:`~repro.cluster.network.DROPPED`), which the paper's protocol
@@ -195,13 +192,6 @@ class LookupOptions:
             )
 
 
-#: The removed legacy entry points and the hint shown for each.
-_REMOVED_METHODS = {
-    "lookup_random": "Client.lookup(key, target, max_servers=...)",
-    "lookup_stride": "Client.lookup(key, target, order=Stride(y))",
-}
-
-
 class Client:
     """A lookup client bound to a cluster (the simulated-network driver).
 
@@ -236,16 +226,6 @@ class Client:
         self.retry_policy = retry_policy
         self.tracer = tracer
         self.metrics = metrics
-
-    def __getattr__(self, name: str):
-        if name in _REMOVED_METHODS:
-            raise AttributeError(
-                f"Client.{name} was removed (deprecated since the unified "
-                f"lookup API landed); use {_REMOVED_METHODS[name]} instead"
-            )
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
 
     # -- server orderings -----------------------------------------------------
 

@@ -1,11 +1,13 @@
 """CLI faces for the network service: ``repro serve`` and ``repro call``.
 
 ``serve`` runs a :class:`~repro.net.service.LookupService` in the
-foreground until interrupted; ``call`` connects an
-:class:`~repro.net.client.AsyncLookupClient` and issues partial
-lookups.  Both are registered as subcommands of the main ``repro``
-parser (see :mod:`repro.experiments.cli`); the handlers here follow
-the same convention — take the parsed namespace, return an exit code.
+foreground until interrupted; ``call`` issues partial lookups through
+an :class:`~repro.net.client.AsyncLookupClient` (one service) or,
+with ``--shards``, a :class:`~repro.net.router.ShardRouter` (a fleet)
+— one lookup loop, either client.  Both are registered as subcommands
+of the main ``repro`` parser (see :mod:`repro.experiments.cli`); the
+handlers here follow the same convention — take the parsed namespace,
+return an exit code.
 
 The ``--ready-file`` flag makes ``serve`` write ``host port\\n`` once
 the socket is bound.  With ``--port 0`` (an ephemeral port) this is
@@ -14,20 +16,22 @@ the only way a supervisor can learn the address; the CI smoke job and
 
 Sharded deployments add ``serve --shard i/N --peers s0=host:port,...``
 (one process per shard, heartbeating its peers) and ``call
---shards s0=host:port,...`` (route through the
-:class:`~repro.net.router.ShardRouter` with membership-aware
-failover).
+--shards s0=host:port,...`` (membership-aware failover; with
+``--batch N`` a round of N lookups costs one batch frame per shard).
 
 Exit codes — ``call`` distinguishes outcomes so CI scripts can assert
 on them without parsing stdout:
 
 - 0: every lookup returned its full target.
-- :data:`EXIT_DEGRADED` (3): at least one lookup came back short but
-  non-empty (the partial-failure regime the paper is about).
-- :data:`EXIT_FAILED` (4): at least one lookup returned nothing at
-  all despite a positive target.
+- 3: at least one lookup came back short but non-empty (the
+  partial-failure regime the paper is about).
+- 4: at least one lookup returned nothing at all despite a positive
+  target.
 - 1: the service could not be reached; 2 is reserved for usage /
   :class:`~repro.core.exceptions.ReproError` failures in ``main``.
+
+Worst outcome wins; the rule itself is
+:attr:`repro.net.results.LookupReport.exit_code`.
 """
 
 from __future__ import annotations
@@ -40,22 +44,18 @@ import random
 import signal
 import sys
 import time
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.client import RetryPolicy
 from repro.core.exceptions import InvalidParameterError
 from repro.net.cache import DEFAULT_CAPACITY as DEFAULT_CACHE_CAPACITY
-from repro.net.client import AsyncLookupClient, ServiceError
+from repro.net.client import AsyncLookupClient
 from repro.net.membership import MembershipPump
+from repro.net.results import LookupReport, LookupResult
 from repro.net.router import ShardRouter
 from repro.net.service import DEFAULT_SCHEMES, LookupService, ServiceConfig
 from repro.net.workers import run_worker_fleet
 from repro.protocol.membership import MembershipConfig
-
-#: ``call`` exit code: some lookup was short but non-empty.
-EXIT_DEGRADED = 3
-#: ``call`` exit code: some lookup returned nothing (target > 0).
-EXIT_FAILED = 4
 
 
 def _parse_shard(spec: str) -> Tuple[int, int]:
@@ -207,8 +207,10 @@ def add_call_parser(subparsers: argparse._SubParsersAction) -> None:
         "call",
         help="issue partial lookups against a running service",
         description=(
-            "Connect to a repro serve instance and run partial lookups "
-            "under one scheme, printing a JSON summary."
+            "Run partial lookups under one scheme against a repro serve "
+            "instance (--host/--port) or, routed by home shard, against "
+            "a shard fleet (--shards), printing a JSON summary.  Exit "
+            "code: 0 all full, 3 some degraded, 4 some empty, 1 unreachable."
         ),
     )
     parser.add_argument(
@@ -238,7 +240,10 @@ def add_call_parser(subparsers: argparse._SubParsersAction) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="pipeline lookups in batched windows of N (1 = sequential)",
+        help=(
+            "pipeline lookups in windows of N: one batch frame per "
+            "connection per round (1 = sequential plain sends)"
+        ),
     )
     parser.add_argument("--seed", type=int, default=None, help="client RNG seed")
     parser.add_argument(
@@ -373,121 +378,66 @@ def cmd_call(args: argparse.Namespace) -> int:
         return 1
 
 
-def exit_code_for(lookups: list) -> int:
-    """Map a batch of lookup rows onto the ``call`` exit code scheme.
-
-    Worst outcome wins: any empty answer (target > 0) is a *failure*
-    (4), any short-but-non-empty answer is *degraded* (3), a clean
-    sweep is 0.
-    """
-    if any(l["found"] == 0 and l["target"] > 0 for l in lookups):
-        return EXIT_FAILED
-    if not all(l["success"] for l in lookups):
-        return EXIT_DEGRADED
-    return 0
-
-
 async def _call_async(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed) if args.seed is not None else None
+    """One lookup loop over either client: a service's, or the fleet's router."""
     policy: Optional[RetryPolicy] = None
     if args.retries > 1:
         policy = RetryPolicy(max_attempts=args.retries)
-    if args.shards is not None:
-        return await _call_fleet(args, rng, policy)
+    options: Dict[str, Any] = {
+        "rng": random.Random(args.seed) if args.seed is not None else None,
+        "timeout": args.timeout,
+        "retry_policy": policy,
+        "codec": args.codec,
+    }
     batch = max(1, args.batch)
-    client = AsyncLookupClient(
-        args.host,
-        args.port,
-        rng=rng,
-        timeout=args.timeout,
-        retry_policy=policy,
-        codec=args.codec,
-    )
-    async with client:
-        try:
+    fleet = args.shards is not None
+    summary: Dict[str, Any] = {"scheme": args.scheme}
+    if fleet:
+        client = ShardRouter(
+            _parse_endpoints(args.shards),
+            replicas=args.replicas,
+            probes=args.probes,
+            **options,
+        )
+        summary["shards"] = client.map.shards
+    else:
+        client = AsyncLookupClient(args.host, args.port, **options)
+    try:
+        if not fleet:
             info = await client.info()
-        except ServiceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        lookups = []
+            summary["service"] = {"servers": info.servers, "entries": info.entries}
+        results: List[LookupResult] = []
         remaining = args.count
         while remaining > 0:
             window = min(batch, remaining)
             remaining -= window
             if window == 1:
-                result = await client.lookup(args.scheme, args.target)
-                lookups.append(result.as_row())
-            else:
-                report = await client.lookup_many(
-                    args.scheme, [args.target] * window
+                results.append(await client.lookup(args.scheme, args.target))
+            elif fleet:
+                results.extend(
+                    await client.lookup_many([(args.scheme, args.target)] * window)
                 )
-                lookups.extend(report.rows())
-        code = exit_code_for(lookups)
-        summary = {
-            "scheme": args.scheme,
-            "service": {"servers": info.servers, "entries": info.entries},
-            "lookups": lookups,
-            "all_success": all(l["success"] for l in lookups),
-            "exit_code": code,
-        }
+            else:
+                results.extend(
+                    await client.lookup_many(args.scheme, [args.target] * window)
+                )
+        report = LookupReport(results=tuple(results))
+        if fleet:
+            summary["membership"] = await client.membership_view(refresh=True)
+        summary["lookups"] = report.rows()
+        summary["all_success"] = report.all_success
+        summary["exit_code"] = report.exit_code
         if args.verify:
             summary["verify"] = await client.verify(args.scheme)
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return code
-
-
-async def _call_fleet(
-    args: argparse.Namespace,
-    rng: Optional[random.Random],
-    policy: Optional[RetryPolicy],
-) -> int:
-    batch = max(1, args.batch)
-    router = ShardRouter(
-        _parse_endpoints(args.shards),
-        replicas=args.replicas,
-        probes=args.probes,
-        rng=rng if rng is not None else random.Random(),
-        timeout=args.timeout,
-        retry_policy=policy,
-        codec=args.codec,
-    )
-    try:
-        lookups = []
-        remaining = args.count
-        while remaining > 0:
-            window = min(batch, remaining)
-            remaining -= window
-            if window == 1:
-                routed = await router.lookup(args.scheme, args.target)
-                lookups.append(routed.as_row())
-            else:
-                report = await router.lookup_many(
-                    [(args.scheme, args.target)] * window
-                )
-                lookups.extend(report.rows())
-        code = exit_code_for(lookups)
-        summary = {
-            "scheme": args.scheme,
-            "shards": router.map.shards,
-            "membership": await router.membership_view(refresh=True),
-            "lookups": lookups,
-            "all_success": all(l["success"] for l in lookups),
-            "exit_code": code,
-        }
-        if args.verify:
-            summary["verify"] = await router.verify(args.scheme)
     finally:
-        await router.close()
+        await client.close()
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return code
+    return report.exit_code
 
 
 __all__ = [
-    "EXIT_DEGRADED",
-    "EXIT_FAILED",
     "add_call_parser",
     "add_serve_parser",
     "cmd_call",
     "cmd_serve",
-    "exit_code_for",
 ]

@@ -16,11 +16,19 @@ purely in how effects are enacted:
   :class:`~repro.cluster.client.RetryPolicy`'s backoff schedule is
   enacted in wall-clock time instead of merely accounted.
 
-After a timeout the connection is re-established: the stale reply may
-still arrive on the old stream, and reconnecting is the simplest way
-to keep request/reply framing in lockstep (the single-request wire
-path carries no request ids — one in-flight request per connection;
-only ``batch`` envelopes correlate by id).
+That enactment lives in two module-level drivers, which the
+:class:`~repro.net.router.ShardRouter` rides too: :func:`pump` runs
+one session over plain ``send`` envelopes, :func:`pump_many` runs many
+a round at a time, every live session's next send riding its client's
+``batch`` frame.  Both take a *route* — ``SendRequest`` → ``(client,
+wire server id)`` — so a client routes to itself and the router
+through its per-lookup ``(shard, server)`` table.
+
+A client is one connection, re-established after a timeout: the stale
+reply may still arrive on the old stream, and reconnecting is the
+simplest way to keep request/reply framing in lockstep (the
+single-request wire path carries no request ids — one in-flight
+request per connection; only ``batch`` envelopes correlate by id).
 
 Typed surface: :meth:`~AsyncLookupClient.lookup` and
 :meth:`~AsyncLookupClient.lookup_many` return the frozen
@@ -32,7 +40,7 @@ cover the control ops.  Raw envelopes are a private escape hatch
 Codec: ``codec="json"`` (the default) speaks exactly the legacy wire
 — no hello, byte-identical frames.  ``codec="binary"`` negotiates
 per connection via the ``hello`` op, falling back to JSON
-(and, for batches, to sequential lookups) when the peer predates the
+(and, for batches, to sequential sends) when the peer predates the
 negotiation.
 
 Determinism: the session's RNG is supplied by the caller, so a seeded
@@ -48,7 +56,7 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.client import RetryPolicy
 from repro.net.codec import (
@@ -62,8 +70,9 @@ from repro.net.codec import (
     write_frames,
 )
 from repro.cluster.messages import Message
+from repro.core.result import LookupResult as CoreLookupResult
 from repro.net.results import LookupReport, LookupResult
-from repro.protocol.effects import Complete, SendRequest, Sleep
+from repro.protocol.effects import SendRequest, Sleep
 from repro.protocol.events import SLEPT, ContactFailed, Event, ReplyReceived
 from repro.protocol.lookup import LookupSession, random_order, stride_order
 
@@ -92,8 +101,121 @@ class ServiceInfo:
     schemes: dict[str, SchemeInfo]
 
 
+# -- the session drivers ------------------------------------------------------
+
+#: Where one ``SendRequest`` goes: the client whose connection carries
+#: it and the server id to put on the wire.  The resulting event is
+#: stamped with the session's own ``effect.server_id`` either way.
+Route = Callable[[SendRequest], Tuple["AsyncLookupClient", int]]
+
+#: One send riding a batch round:
+#: ``(request id, session index, wire server id, effect)``.
+_Ride = Tuple[int, int, int, SendRequest]
+
+
+def contact_order(order: Any, servers: int, rng: random.Random) -> List[int]:
+    """Materialize a scheme's declared contact order locally.
+
+    Mirrors ``Client._resolve_order``: a stride draws its start
+    first, then builds the walk, so seeded async and simulated
+    clients agree on draw order.
+    """
+    if isinstance(order, dict) and "stride" in order:
+        start = rng.randrange(servers)
+        return stride_order(servers, start, order["stride"], rng)
+    return random_order(servers, rng)
+
+
+async def pump(session: LookupSession, route: Route) -> CoreLookupResult:
+    """Drive one session to completion, one plain ``send`` per contact.
+
+    No hello and no batch frame: on a JSON client this is exactly the
+    legacy wire.  Never raises on shortfall — a short answer is the
+    session's labelled degraded result.
+    """
+    effects = session.start()
+    while not session.done:
+        event: Optional[Event] = None
+        for effect in effects:
+            if isinstance(effect, SendRequest):
+                client, server = route(effect)
+                event = await client.contact_server(
+                    server, effect.key, effect.request, event_server_id=effect.server_id
+                )
+            elif isinstance(effect, Sleep):
+                await asyncio.sleep(effect.delay)
+                event = SLEPT
+        effects = session.on_event(event)
+    return session.result
+
+
+async def pump_many(
+    sessions: Sequence[LookupSession], routes: Sequence[Route]
+) -> List[CoreLookupResult]:
+    """Drive many sessions to completion, pipelined per round.
+
+    ``routes[i]`` routes ``sessions[i]``.  Every live session's next
+    ``send`` rides its client's ``batch`` frame, the clients' frames
+    of one round are in flight together, and replies are correlated
+    back by request id — so a round costs one round trip per client
+    regardless of how many lookups ride it, and a stalled or
+    reordering peer cannot mismatch replies.  Results come back in
+    session order.
+    """
+    # Per-session pending state: "send" effects waiting for this
+    # round's batch, "sleep" delays waiting for the shared timer.
+    sends: Dict[int, SendRequest] = {}
+    sleeps: Dict[int, float] = {}
+    next_id = 0
+
+    def absorb(index: int, effects: Sequence[Any]) -> None:
+        for effect in effects:
+            if isinstance(effect, SendRequest):
+                sends[index] = effect
+            elif isinstance(effect, Sleep):
+                sleeps[index] = effect.delay
+
+    for index, session in enumerate(sessions):
+        absorb(index, session.start())
+
+    while sends or sleeps:
+        if sends:
+            chunks: Dict[AsyncLookupClient, List[_Ride]] = {}
+            for index, effect in sends.items():
+                client, server = routes[index](effect)
+                chunks.setdefault(client, []).append((next_id, index, server, effect))
+                next_id += 1
+            sends.clear()
+            rounds = await asyncio.gather(
+                *(client._batch_round(chunk) for client, chunk in chunks.items())
+            )
+            for events in rounds:
+                for index, event in events:
+                    absorb(index, sessions[index].on_event(event))
+        else:
+            # Nothing on the wire: let the nearest backoff expire,
+            # crediting the wait to every other sleeper.
+            delay = min(sleeps.values())
+            await asyncio.sleep(delay)
+            due = [i for i, left in sleeps.items() if left <= delay]
+            for index in sleeps:
+                sleeps[index] -= delay
+            for index in due:
+                del sleeps[index]
+                absorb(index, sessions[index].on_event(SLEPT))
+
+    return [session.result for session in sessions]
+
+
+def _dropped(rides: Iterable[_Ride]) -> List[Tuple[int, Event]]:
+    return [
+        (index, ContactFailed(effect.server_id, dropped=True))
+        for _, index, _, effect in rides
+    ]
+
+
 class _Conn:
-    """One pooled connection: streams plus negotiated wire state.
+    """A client's connection: streams plus negotiated wire state.
 
     ``codec`` is what *we send* on this connection (the peer's replies
     are sniffed per frame regardless).  ``caps`` is the peer's hello
@@ -133,9 +255,6 @@ class AsyncLookupClient:
     codec:
         ``"json"`` (default: legacy wire, no negotiation) or
         ``"binary"`` (negotiate per connection, JSON fallback).
-    pool_size:
-        Connections ``lookup_many`` may fan batches over.  Control
-        ops and single lookups always use the first connection.
     """
 
     def __init__(
@@ -147,63 +266,40 @@ class AsyncLookupClient:
         timeout: float = 5.0,
         retry_policy: Optional[RetryPolicy] = None,
         codec: str = "json",
-        pool_size: int = 1,
     ) -> None:
         if codec not in ("json", "binary"):
             raise ValueError(f"codec must be json or binary: {codec!r}")
-        if pool_size < 1:
-            raise ValueError(f"pool_size must be >= 1, got {pool_size}")
         self.host = host
         self.port = port
         self.timeout = timeout
         self.retry_policy = retry_policy
         self.codec = codec
-        self.pool_size = pool_size
         self._rng = rng if rng is not None else random.Random()
-        self._pool: Dict[int, _Conn] = {}
+        self._conn: Optional[_Conn] = None
         self._info: Optional[ServiceInfo] = None
 
     # -- connection management ----------------------------------------------
 
     @property
-    def _reader(self) -> Optional[asyncio.StreamReader]:
-        conn = self._pool.get(0)
-        return None if conn is None else conn.reader
+    def _writer(self) -> Optional[asyncio.StreamWriter]:
+        return None if self._conn is None else self._conn.writer
 
     @property
-    def _writer(self) -> Optional[asyncio.StreamWriter]:
-        conn = self._pool.get(0)
-        return None if conn is None else conn.writer
+    def wire_codec(self) -> str:
+        """The codec this client's connection currently sends in."""
+        return CODEC_JSON if self._conn is None else self._conn.codec
 
     async def connect(self) -> None:
-        await self._conn(0)
+        await self._connection()
 
-    async def _conn(self, index: int) -> _Conn:
-        conn = self._pool.get(index)
-        if conn is None:
+    async def _connection(self) -> _Conn:
+        if self._conn is None:
             reader, writer = await asyncio.open_connection(self.host, self.port)
-            conn = _Conn(reader, writer)
-            self._pool[index] = conn
-        return conn
+            self._conn = _Conn(reader, writer)
+        return self._conn
 
     async def close(self) -> None:
-        pool, self._pool = self._pool, {}
-        for conn in pool.values():
-            conn.writer.close()
-            try:
-                await conn.writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def __aenter__(self) -> "AsyncLookupClient":
-        await self.connect()
-        return self
-
-    async def __aexit__(self, *exc: Any) -> None:
-        await self.close()
-
-    async def _drop_conn(self, index: int) -> None:
-        conn = self._pool.pop(index, None)
+        conn, self._conn = self._conn, None
         if conn is None:
             return
         conn.writer.close()
@@ -212,20 +308,31 @@ class AsyncLookupClient:
         except (ConnectionError, OSError):
             pass
 
-    async def _reconnect(self, index: int = 0) -> None:
-        await self._drop_conn(index)
-        await self._conn(index)
+    async def __aenter__(self) -> "AsyncLookupClient":
+        await self.connect()
+        return self
+
+    async def __aexit__(self, *exc: Any) -> None:
+        await self.close()
+
+    async def _redial(self) -> None:
+        """Drop the stream (a late reply on it would desync framing); dial afresh."""
+        await self.close()
+        try:
+            await self._connection()
+        except OSError:
+            pass
 
     # -- raw envelope round-trips --------------------------------------------
 
     async def _request(self, envelope: dict[str, Any]) -> dict[str, Any]:
-        """One envelope round-trip on the first connection, no timeout.
+        """One envelope round-trip, no timeout.
 
         Raises :class:`ServiceError` if the connection drops before
         the reply arrives.  Used for the control ops; data-path sends
-        go through the timeout-aware path inside :meth:`lookup`.
+        go through the timeout-aware :meth:`contact_server`.
         """
-        conn = await self._conn(0)
+        conn = await self._connection()
         if self.codec != "json" and conn.caps is None and envelope.get("op") != "hello":
             await self._negotiate(conn)
         return await self._request_on(conn, envelope)
@@ -251,15 +358,15 @@ class AsyncLookupClient:
             raise ServiceError("service closed the connection mid-request")
         return reply
 
-    async def _negotiate(self, conn: _Conn) -> None:
-        """Run the hello exchange on ``conn`` (idempotent).
+    async def _negotiate(self, conn: _Conn) -> dict[str, Any]:
+        """Run the hello exchange on ``conn`` (idempotent); the peer's caps.
 
         A peer that answers ``bad-request`` predates negotiation:
         record empty capabilities and keep speaking JSON — the
         mandatory fallback — so old servers keep working unchanged.
         """
         if conn.caps is not None:
-            return
+            return conn.caps
         offered = list(SUPPORTED_CODECS) if self.codec == "binary" else ["json"]
         reply = await self._request_on(
             conn, {"op": "hello", "codecs": offered, "batch": True}
@@ -276,6 +383,7 @@ class AsyncLookupClient:
             raise ServiceError(
                 f"hello failed: {reply.get('error')}: {reply.get('detail')}"
             )
+        return conn.caps
 
     # -- typed control ops ----------------------------------------------------
 
@@ -344,9 +452,8 @@ class AsyncLookupClient:
         envelopes.  Requires a batch-capable peer (negotiated via
         ``hello``); raises :class:`ServiceError` otherwise.
         """
-        conn = await self._conn(0)
-        await self._negotiate(conn)
-        if not (conn.caps or {}).get("batch"):
+        conn = await self._connection()
+        if not (await self._negotiate(conn)).get("batch"):
             raise ServiceError("peer does not support batch envelopes")
         reply = await self._request_on(
             conn, {"op": "batch", "requests": list(envelopes)}
@@ -357,22 +464,12 @@ class AsyncLookupClient:
             )
         return reply["value"]
 
-    # -- the lookup driver ----------------------------------------------------
+    # -- lookups --------------------------------------------------------------
 
-    def _contact_order(self, scheme: SchemeInfo, servers: int) -> List[int]:
-        """Materialize the scheme's declared contact order locally.
-
-        Mirrors ``Client._resolve_order``: a stride draws its start
-        first, then builds the walk, so seeded async and simulated
-        clients agree on draw order.
-        """
-        order = scheme.order
-        if isinstance(order, dict) and "stride" in order:
-            start = self._rng.randrange(servers)
-            return stride_order(servers, start, order["stride"], self._rng)
-        return random_order(servers, self._rng)
-
-    async def _scheme_spec(self, scheme: str) -> tuple[SchemeInfo, int]:
+    async def _sessions(
+        self, scheme: str, targets: Sequence[int]
+    ) -> List[LookupSession]:
+        """One session per target; every contact order drawn here, in order."""
         info = await self.info()
         spec = info.schemes.get(scheme)
         if spec is None:
@@ -380,62 +477,48 @@ class AsyncLookupClient:
                 f"service does not host scheme {scheme!r} "
                 f"(hosts: {', '.join(sorted(info.schemes))})"
             )
-        return spec, info.servers
+        return [
+            LookupSession(
+                scheme,
+                target,
+                contact_order(spec.order, info.servers, self._rng),
+                max_servers=spec.max_servers,
+                retry_policy=self.retry_policy,
+                rng=self._rng,
+            )
+            for target in targets
+        ]
 
-    def _session(
-        self,
-        scheme: str,
-        target: int,
-        spec: SchemeInfo,
-        servers: int,
-        retry: Optional[RetryPolicy],
-    ) -> LookupSession:
-        return LookupSession(
-            scheme,
-            target,
-            self._contact_order(spec, servers),
-            max_servers=spec.max_servers,
-            retry_policy=self.retry_policy if retry is None else retry,
-            rng=self._rng,
-        )
+    def _route(self, effect: SendRequest) -> Tuple["AsyncLookupClient", int]:
+        return self, effect.server_id
 
-    async def lookup(
-        self,
-        scheme: str,
-        target: int,
-        *,
-        retry: Optional[RetryPolicy] = None,
-    ) -> LookupResult:
+    async def lookup(self, scheme: str, target: int) -> LookupResult:
         """One partial lookup for ``target`` entries under ``scheme``.
 
         Contacts real sockets but never raises on shortfall — like the
         simulated client, a short answer comes back as a labelled
         degraded :class:`~repro.net.results.LookupResult`.
         """
-        spec, servers = await self._scheme_spec(scheme)
-        session = self._session(scheme, target, spec, servers, retry)
-        effects = session.start()
-        while True:
-            event: Optional[Event] = None
-            for effect in effects:
-                if isinstance(effect, SendRequest):
-                    event = await self._contact(effect)
-                elif isinstance(effect, Sleep):
-                    await asyncio.sleep(effect.delay)
-                    event = SLEPT
-                elif isinstance(effect, Complete):
-                    conn = self._pool.get(0)
-                    return LookupResult.from_core(
-                        scheme,
-                        effect.result,
-                        codec=conn.codec if conn is not None else CODEC_JSON,
-                    )
-            effects = session.on_event(event)
+        (session,) = await self._sessions(scheme, (target,))
+        core = await pump(session, self._route)
+        return LookupResult.from_core(scheme, core, codec=self.wire_codec)
 
-    async def _contact(self, effect: SendRequest) -> Event:
-        """Enact one ``SendRequest`` over the socket."""
-        return await self.contact_server(
-            effect.server_id, effect.key, effect.request
+    async def lookup_many(self, scheme: str, targets: Sequence[int]) -> LookupReport:
+        """Many partial lookups under ``scheme``, pipelined per round.
+
+        One ``batch`` frame per round (see :func:`pump_many`); results
+        come back in request order inside a
+        :class:`~repro.net.results.LookupReport`.  Against a peer
+        without batch support (pre-negotiation server) each round
+        transparently degrades to sequential sends.
+        """
+        sessions = await self._sessions(scheme, targets)
+        cores = await pump_many(sessions, [self._route] * len(sessions))
+        codec = self.wire_codec
+        return LookupReport(
+            results=tuple(
+                LookupResult.from_core(scheme, core, codec=codec) for core in cores
+            )
         )
 
     async def contact_server(
@@ -448,11 +531,10 @@ class AsyncLookupClient:
     ) -> Event:
         """One timeout-bounded ``send`` to ``server``, as a session event.
 
-        The public face of the data path, also pumped by the
-        :class:`~repro.net.router.ShardRouter` whose sessions span
-        several shards: ``event_server_id`` lets the caller stamp the
-        returned event with the *session's* contact index when it
-        differs from the wire-level server id.
+        The public face of the data path and the one contact
+        :func:`pump` makes: ``event_server_id`` stamps the returned
+        event with the *session's* contact index when it differs from
+        the wire-level server id (a router's sessions span shards).
         """
         sid = server if event_server_id is None else event_server_id
         envelope = {
@@ -465,12 +547,7 @@ class AsyncLookupClient:
             async with asyncio.timeout(self.timeout):
                 reply = await self._request(envelope)
         except (asyncio.TimeoutError, ConnectionError, OSError):
-            # A late reply on the old stream would desync framing;
-            # start the next request on a fresh connection.
-            try:
-                await self._reconnect()
-            except OSError:
-                await self.close()
+            await self._redial()
             return ContactFailed(sid, dropped=True)
         return self._reply_event(sid, reply)
 
@@ -495,122 +572,36 @@ class AsyncLookupClient:
             return ContactFailed(sid, dropped=True)
         raise ServiceError(f"lookup send failed: {error}: {reply.get('detail')}")
 
-    # -- batched lookups -------------------------------------------------------
+    async def _batch_round(self, chunk: List[_Ride]) -> List[Tuple[int, Event]]:
+        """One round's sends on this connection, as ``batch`` frames.
 
-    async def lookup_many(
-        self,
-        scheme: str,
-        targets: Sequence[int],
-        *,
-        retry: Optional[RetryPolicy] = None,
-    ) -> LookupReport:
-        """Many partial lookups under ``scheme``, pipelined per round.
-
-        Every live session's next ``send`` is packed into one
-        ``batch`` frame per pooled connection and the replies are
-        correlated back by request id — so a round costs one round
-        trip per connection regardless of how many lookups ride it,
-        and a stalled or reordering peer cannot mismatch replies.
-        Results come back in request order inside a
-        :class:`~repro.net.results.LookupReport`.
-
-        Against a peer without batch support (pre-negotiation server)
-        this transparently degrades to sequential single lookups.
+        Returns ``(session_index, event)`` pairs.  Negotiates first: a
+        peer without batch support gets the sends one by one, a chunk
+        longer than the peer's ``max_batch`` is windowed.  A timeout
+        or broken connection fails every ride-along send as dropped
+        (the exact semantics one timed-out single request has) and
+        redials.
         """
-        spec, servers = await self._scheme_spec(scheme)
-        conn = await self._conn(0)
-        await self._negotiate(conn)
-        if not (conn.caps or {}).get("batch"):
-            results = [
-                await self.lookup(scheme, target, retry=retry) for target in targets
-            ]
-            return LookupReport(results=tuple(results))
-        max_batch = int((conn.caps or {}).get("max_batch") or 1024)
-
-        sessions = [
-            self._session(scheme, target, spec, servers, retry)
-            for target in targets
-        ]
-        results: List[Optional[LookupResult]] = [None] * len(sessions)
-        # Per-session pending state: "send" effects waiting for this
-        # round's batch, "sleep" delays waiting for the shared timer.
-        sends: Dict[int, SendRequest] = {}
-        sleeps: Dict[int, float] = {}
-        next_id = 0
-
-        def absorb(index: int, effects: Sequence[Any]) -> None:
-            for effect in effects:
-                if isinstance(effect, SendRequest):
-                    sends[index] = effect
-                elif isinstance(effect, Sleep):
-                    sleeps[index] = effect.delay
-                elif isinstance(effect, Complete):
-                    results[index] = LookupResult.from_core(
-                        scheme, effect.result, codec=conn.codec
-                    )
-
-        for index, session in enumerate(sessions):
-            absorb(index, session.start())
-
-        while sends or sleeps:
-            if sends:
-                # Spread this round's sends across the pool, then run
-                # the per-connection batches concurrently.
-                per_conn: Dict[int, List[tuple[int, int, SendRequest]]] = {}
-                for index, effect in sends.items():
-                    request_id = next_id
-                    next_id += 1
-                    per_conn.setdefault(index % self.pool_size, []).append(
-                        (request_id, index, effect)
-                    )
-                sends = {}
-                rounds = await asyncio.gather(
-                    *(
-                        self._batch_round(conn_index, chunk, scheme, max_batch)
-                        for conn_index, chunk in per_conn.items()
-                    )
+        try:
+            async with asyncio.timeout(self.timeout):
+                caps = await self._negotiate(await self._connection())
+        except (asyncio.TimeoutError, ConnectionError, OSError):
+            await self._redial()
+            return _dropped(chunk)
+        events: List[Tuple[int, Event]] = []
+        if not caps.get("batch"):
+            for _, index, server, effect in chunk:
+                event = await self.contact_server(
+                    server, effect.key, effect.request, event_server_id=effect.server_id
                 )
-                for events in rounds:
-                    for index, event in events:
-                        absorb(index, sessions[index].on_event(event))
-            else:
-                # Nothing on the wire: let the nearest backoff expire,
-                # crediting the wait to every other sleeper.
-                delay = min(sleeps.values())
-                await asyncio.sleep(delay)
-                due = [i for i, left in sleeps.items() if left <= delay]
-                for index in sleeps:
-                    sleeps[index] -= delay
-                for index in due:
-                    del sleeps[index]
-                    absorb(index, sessions[index].on_event(SLEPT))
-
-        return LookupReport(results=tuple(results))  # type: ignore[arg-type]
-
-    async def _batch_round(
-        self,
-        conn_index: int,
-        chunk: List[tuple[int, int, SendRequest]],
-        scheme: str,
-        max_batch: int,
-    ) -> List[tuple[int, Event]]:
-        """One batch frame round trip on one pooled connection.
-
-        Returns ``(session_index, event)`` pairs.  A timeout or broken
-        connection fails every ride-along send as dropped (the exact
-        semantics one timed-out single request has) and redials.
-        """
-        events: List[tuple[int, Event]] = []
+                events.append((index, event))
+            return events
+        max_batch = int(caps.get("max_batch") or 1024)
         for start in range(0, len(chunk), max_batch):
             window = chunk[start : start + max_batch]
-            by_id = {
-                request_id: (index, effect)
-                for request_id, index, effect in window
-            }
+            pending = {ride[0]: ride for ride in window}
             try:
-                conn = await self._conn(conn_index)
-                if conn_index != 0:
-                    await self._negotiate(conn)
+                conn = await self._connection()
                 # A binary connection packs live Message objects
                 # natively — skip the JSON tagging round trip.
                 binary = conn.codec != CODEC_JSON
@@ -620,64 +611,52 @@ class AsyncLookupClient:
                     # per (message, server) pair.
                     requests: List[Any] = [
                         pack_send_envelope(
-                            request_id, effect.server_id, effect.key, effect.request
+                            request_id, server, effect.key, effect.request
                         )
-                        for request_id, _, effect in window
+                        for request_id, _, server, effect in window
                     ]
                 else:
                     requests = [
                         {
                             "op": "send",
                             "id": request_id,
-                            "server": effect.server_id,
+                            "server": server,
                             "key": effect.key,
                             "message": encode_message(effect.request),
                         }
-                        for request_id, _, effect in window
+                        for request_id, _, server, effect in window
                     ]
                 async with asyncio.timeout(self.timeout):
                     reply = await self._request_on(
                         conn, {"op": "batch", "requests": requests}
                     )
             except (asyncio.TimeoutError, ConnectionError, OSError):
-                try:
-                    await self._reconnect(conn_index)
-                except OSError:
-                    await self._drop_conn(conn_index)
-                for request_id, index, effect in window:
-                    events.append(
-                        (index, ContactFailed(effect.server_id, dropped=True))
-                    )
+                await self._redial()
+                events.extend(_dropped(window))
                 continue
             if not reply.get("ok"):
                 raise ServiceError(
                     f"batch failed: {reply.get('error')}: {reply.get('detail')}"
                 )
-            answered = set()
             for sub in reply["value"]:
-                request_id = sub.get("id") if isinstance(sub, dict) else None
-                matched = by_id.get(request_id)
-                if matched is None or request_id in answered:
-                    continue
-                answered.add(request_id)
-                index, effect = matched
-                events.append(
-                    (
-                        index,
-                        self._reply_event(effect.server_id, sub, decoded=binary),
-                    )
-                )
-            for request_id, index, effect in window:
-                if request_id not in answered:
-                    events.append(
-                        (index, ContactFailed(effect.server_id, dropped=True))
-                    )
+                # By id, first answer wins: a reordering or repeating
+                # peer cannot hand one session another's reply.
+                ride = pending.pop(sub.get("id") if isinstance(sub, dict) else None, None)
+                if ride is not None:
+                    _, index, _, effect = ride
+                    event = self._reply_event(effect.server_id, sub, decoded=binary)
+                    events.append((index, event))
+            events.extend(_dropped(pending.values()))
         return events
 
 
 __all__ = [
     "AsyncLookupClient",
+    "Route",
     "SchemeInfo",
     "ServiceError",
     "ServiceInfo",
+    "contact_order",
+    "pump",
+    "pump_many",
 ]

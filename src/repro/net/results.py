@@ -1,9 +1,7 @@
 """Typed results for the network client surface.
 
-The asyncio client and the shard router used to answer with a mix of
-the simulator's :class:`repro.core.result.LookupResult` and an ad-hoc
-``RoutedLookup`` wrapper, and the CLI flattened both into row dicts.
-This module is the one public answer shape for the network data path:
+The one public answer shape for the network data path, shared by the
+asyncio client, the shard router and the CLI:
 
 - :class:`LookupResult` — one lookup, frozen: the entries and targets
   the core result carried, plus the network-only attribution (which
@@ -15,12 +13,8 @@ This module is the one public answer shape for the network data path:
   ``lookup_many``; owns the batch-level verdicts (``all_success``,
   ``exit_code``) so scripts stop re-deriving them.
 
-Migration: the pre-redesign surfaces (``result["entries"]`` row-dict
-indexing, the old ``RoutedLookup``-era ``.result`` inner object) had
-a one-release :class:`DeprecationWarning` grace period and are now
-gone — both raise with a hint naming the replacement.  ``as_row()``
-is the supported way to get the CLI's JSON row and ``core()`` the
-simulator's core result.
+``as_row()`` gives the CLI's JSON row and ``core()`` the simulator's
+core result.
 """
 
 from __future__ import annotations
@@ -174,27 +168,6 @@ class LookupResult:
             row["contacts"] = [list(c) for c in self.contacts]
             row["failover"] = self.failover
         return row
-
-    # -- removed migration shims ---------------------------------------------
-
-    def __getitem__(self, key: str) -> Any:
-        raise TypeError(
-            "indexing a net LookupResult like a row dict was removed; "
-            "use the typed attributes or as_row()[...] for the CLI row "
-            "shape"
-        )
-
-    def __getattr__(self, name: str) -> Any:
-        if name == "result":
-            raise AttributeError(
-                "LookupResult.result was removed; the net LookupResult "
-                "carries the core result's fields directly — use the "
-                "typed attributes, or core() for the simulator's "
-                "LookupResult"
-            )
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
 
     def core(self) -> CoreLookupResult:
         """This result as the simulator's core :class:`LookupResult`."""

@@ -10,15 +10,18 @@ rest are **backups** holding a deterministic partial replica
 compute the identical mapping from the shard names alone; no routing
 table crosses the wire.
 
-:class:`ShardRouter` drives one
-:class:`~repro.protocol.lookup.LookupSession` per lookup whose
-contact order spans the home group's servers, primary first.  Shard
-death therefore *degrades* lookups instead of erroring them: contacts
-on a dead shard surface as dropped/failed contacts (the PR-1
-vocabulary), the walk continues onto the backups' servers, and a
-short merged answer comes back explicitly labelled
-``degraded=True`` — never wrong, never hung (every contact is
-timeout-bounded).  The router consumes the membership view
+:class:`ShardRouter` is a routing table, not a driver: per lookup it
+plans one :class:`~repro.protocol.lookup.LookupSession` whose contact
+order spans the home group's servers, primary first, and hands it to
+:func:`~repro.net.client.pump` (``lookup``) or
+:func:`~repro.net.client.pump_many` (``lookup_many``: one ``batch``
+frame per shard per round) with a route from contact index to shard
+client and server id.  Shard death therefore *degrades* lookups
+instead of erroring them: contacts on a dead shard surface as
+dropped/failed contacts (the PR-1 vocabulary), the walk continues
+onto the backups' servers, and a short merged answer comes back
+explicitly labelled ``degraded=True`` — never wrong, never hung (every
+contact is timeout-bounded).  The router consumes the membership view
 (:mod:`repro.protocol.membership`) to skip shards known dead or
 still in rejoin quarantine, so steady-state outage traffic goes
 straight to the backups without burning timeouts on the corpse.
@@ -26,21 +29,29 @@ straight to the backups without burning timeouts on the corpse.
 
 from __future__ import annotations
 
-import asyncio
 import random
 import time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.client import RetryPolicy
 from repro.core.exceptions import InvalidParameterError
-from repro.net.client import AsyncLookupClient, SchemeInfo, ServiceError, ServiceInfo
+from repro.core.result import LookupResult as CoreLookupResult
+from repro.net.client import (
+    AsyncLookupClient,
+    Route,
+    ServiceError,
+    ServiceInfo,
+    contact_order,
+    pump,
+    pump_many,
+)
 from repro.net.codec import CODEC_JSON
 from repro.net.results import LookupReport, LookupResult
 from repro.net.sharding import ShardMap, partial_replica
-from repro.protocol.effects import Complete, SendRequest, Sleep
-from repro.protocol.events import SLEPT, Event
-from repro.protocol.lookup import LookupSession, random_order, stride_order
+from repro.protocol.effects import SendRequest
+from repro.protocol.lookup import LookupSession
 from repro.protocol.membership import ROUTABLE_STATES
+
 
 class ShardRouter:
     """A lookup client for a sharded deployment.
@@ -60,7 +71,7 @@ class ShardRouter:
     timeout:
         Per-contact reply timeout, as in :class:`AsyncLookupClient`.
     retry_policy:
-        Optional default retry policy applied to every lookup.
+        Optional retry policy applied to every lookup.
     view_ttl:
         How long a fetched membership view is trusted before being
         refreshed, in ``clock`` units.
@@ -157,27 +168,17 @@ class ShardRouter:
                 last_error = exc
         raise ServiceError(f"no shard reachable for info: {last_error}")
 
-    def _shard_order(self, spec: SchemeInfo, servers: int) -> List[int]:
-        # Mirrors AsyncLookupClient._contact_order: stride draws its
-        # start first so seeded routers replay identical walks.
-        order = spec.order
-        if isinstance(order, dict) and "stride" in order:
-            start = self._rng.randrange(servers)
-            return stride_order(servers, start, order["stride"], self._rng)
-        return random_order(servers, self._rng)
+    async def _plan(
+        self, key: str, target: int
+    ) -> Tuple[LookupSession, Route, Callable[[CoreLookupResult], LookupResult]]:
+        """One lookup as ``(session, route, finish)``, nothing sent yet.
 
-    async def lookup(
-        self,
-        key: str,
-        target: int,
-        *,
-        retry: Optional[RetryPolicy] = None,
-    ) -> LookupResult:
-        """One partial lookup for ``target`` entries under ``key``.
-
-        Contacts the key's home shards in probe order, skipping shards
-        the membership view rules out (dead or quarantined).  Never
-        raises on shard death — the result degrades instead.
+        Home group → membership filter → one contact order per
+        admitted shard → a session over the indices of the resulting
+        ``(shard, server)`` table.  ``route`` resolves an index to the
+        shard's client and wire server id; ``finish`` attributes the
+        session's core result back to shards.  All of the lookup's
+        contact-order draws happen here, in call order.
         """
         info = await self._info()
         spec = info.schemes.get(key)
@@ -186,93 +187,71 @@ class ShardRouter:
                 f"fleet does not host key {key!r} "
                 f"(hosts: {', '.join(sorted(info.schemes))})"
             )
-        home = self.map.home(key, self.replicas)
+        home = tuple(self.map.home(key, self.replicas))
         view = await self.membership_view()
-        routed = [
-            shard
-            for shard in home
-            if view.get(shard, "alive") in ROUTABLE_STATES
-        ]
+        routed = tuple(
+            shard for shard in home if view.get(shard, "alive") in ROUTABLE_STATES
+        )
         if not routed:
             # The view condemned the whole home group; it may be
             # stale, and a wrong "dead" must cost timeouts, not data.
-            routed = list(home)
-        targets: List[Tuple[str, int]] = []
-        for shard in routed:
-            targets.extend(
-                (shard, server) for server in self._shard_order(spec, info.servers)
-            )
+            routed = home
+        table = [
+            (shard, server)
+            for shard in routed
+            for server in contact_order(spec.order, info.servers, self._rng)
+        ]
         session = LookupSession(
             key,
             target,
-            list(range(len(targets))),
+            list(range(len(table))),
             max_servers=spec.max_servers,
-            retry_policy=self.retry_policy if retry is None else retry,
+            retry_policy=self.retry_policy,
             rng=self._rng,
         )
-        effects = session.start()
-        while True:
-            event: Optional[Event] = None
-            for effect in effects:
-                if isinstance(effect, SendRequest):
-                    shard, server = targets[effect.server_id]
-                    event = await self._clients[shard].contact_server(
-                        server,
-                        key,
-                        effect.request,
-                        event_server_id=effect.server_id,
-                    )
-                elif isinstance(effect, Sleep):
-                    await asyncio.sleep(effect.delay)
-                    event = SLEPT
-                elif isinstance(effect, Complete):
-                    result = effect.result
-                    contacts = tuple(targets[i] for i in result.servers_contacted)
-                    return LookupResult.from_core(
-                        key,
-                        result,
-                        codec=self._contact_codec(contacts),
-                        home=tuple(home),
-                        routed=tuple(routed),
-                        contacts=contacts,
-                    )
-            effects = session.on_event(event)
 
-    def _contact_codec(self, contacts: Tuple[Tuple[str, int], ...]) -> str:
-        """The codec the first answering contact's connection speaks."""
-        for shard, _server in contacts:
-            conn = self._clients[shard]._pool.get(0)
-            if conn is not None:
-                return conn.codec
-        return CODEC_JSON
+        def route(effect: SendRequest) -> Tuple[AsyncLookupClient, int]:
+            shard, server = table[effect.server_id]
+            return self._clients[shard], server
 
-    async def lookup_many(
-        self,
-        requests: Sequence[Tuple[str, int]],
-        *,
-        retry: Optional[RetryPolicy] = None,
-    ) -> LookupReport:
-        """Many ``(key, target)`` lookups, fanned out by home shard.
+        def finish(core: CoreLookupResult) -> LookupResult:
+            contacts = tuple(table[i] for i in core.servers_contacted)
+            # The codec the first answering contact's connection speaks.
+            codec = self._clients[contacts[0][0]].wire_codec if contacts else CODEC_JSON
+            return LookupResult.from_core(
+                key, core, codec=codec, home=home, routed=routed, contacts=contacts
+            )
 
-        Requests are grouped by their key's primary home shard; the
-        groups run concurrently (one coroutine per primary, so a slow
-        or dead shard only stalls its own keys) while requests inside
-        a group run in order.  Results come back in request order in a
-        :class:`~repro.net.results.LookupReport`.
+        return session, route, finish
+
+    async def lookup(self, key: str, target: int) -> LookupResult:
+        """One partial lookup for ``target`` entries under ``key``.
+
+        Contacts the key's home shards in probe order, skipping shards
+        the membership view rules out (dead or quarantined).  Never
+        raises on shard death — the result degrades instead.
         """
-        groups: Dict[str, List[int]] = {}
-        for index, (key, _target) in enumerate(requests):
-            primary = self.map.home(key, self.replicas)[0]
-            groups.setdefault(primary, []).append(index)
-        results: List[Optional[LookupResult]] = [None] * len(requests)
+        session, route, finish = await self._plan(key, target)
+        return finish(await pump(session, route))
 
-        async def run_group(indices: List[int]) -> None:
-            for index in indices:
-                key, target = requests[index]
-                results[index] = await self.lookup(key, target, retry=retry)
+    async def lookup_many(self, requests: Sequence[Tuple[str, int]]) -> LookupReport:
+        """Many ``(key, target)`` lookups, one batch frame per shard per round.
 
-        await asyncio.gather(*(run_group(idx) for idx in groups.values()))
-        return LookupReport(results=tuple(results))  # type: ignore[arg-type]
+        Every lookup is planned up front, in request order (so a
+        seeded batch replays the same walks), then all sessions
+        advance together: a round's sends ride one ``batch`` frame per
+        shard, the shards' frames in flight together, and the round
+        ends with its slowest frame — at worst one timeout, after
+        which a dead shard's sends count as dropped contacts and the
+        walks move on to the backups.  Results come back in request
+        order in a :class:`~repro.net.results.LookupReport`.
+        """
+        plans = [await self._plan(key, target) for key, target in requests]
+        cores = await pump_many(
+            [session for session, _, _ in plans], [route for _, route, _ in plans]
+        )
+        results = tuple(finish(core) for (_, _, finish), core in zip(plans, cores))
+        return LookupReport(results=results)
 
     async def verify(self, key: str) -> Dict[str, Any]:
         """The ``verify`` report from the key's first reachable home shard."""

@@ -781,7 +781,7 @@ class LookupService:
     ) -> dict[str, Any]:
         server_id = envelope["server"]
         key = envelope["key"]
-        if not isinstance(server_id, int) or not 0 <= server_id < self.cluster.size:
+        if type(server_id) is not int or not 0 <= server_id < self.cluster.size:
             return {
                 "ok": False,
                 "error": "bad-request",
@@ -794,6 +794,14 @@ class LookupService:
                 "detail": f"unknown scheme key: {key!r}",
             }
         message = decode_message(envelope["message"])
+        if type(message) is LookupRequest and type(message.target) is not int:
+            # Before the cache probe: a float or bool target would key
+            # its own cache row, and the store cannot sample by one.
+            return {
+                "ok": False,
+                "error": "bad-request",
+                "detail": f"lookup target must be an integer: {message.target!r}",
+            }
         network = self.cluster.network
         cache = self.reply_cache
         slot = None

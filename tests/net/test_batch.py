@@ -89,7 +89,7 @@ class TestNegotiationMatrix:
             ) as client:
                 result = await client.lookup("round_robin", 6)
                 assert result.success
-                conn = await client._conn(0)
+                conn = await client._connection()
                 assert conn.codec == negotiated
                 # A second lookup on the negotiated connection.
                 assert (await client.lookup("hash", 6)).success
@@ -118,7 +118,7 @@ class TestNegotiationMatrix:
             ) as client:
                 report = await client.lookup_many("round_robin", [6, 6, 6])
                 assert report.all_success
-                conn = await client._conn(0)
+                conn = await client._connection()
                 assert conn.codec == CODEC_JSON
                 assert (conn.caps or {}).get("batch")  # batching still on
 
@@ -146,7 +146,7 @@ class TestNegotiationMatrix:
             ) as client:
                 report = await client.lookup_many("round_robin", [6, 6])
                 assert report.all_success
-                conn = await client._conn(0)
+                conn = await client._connection()
                 assert conn.codec == CODEC_JSON
 
         run(with_service(scenario))

@@ -20,6 +20,7 @@ from repro.cluster.client import RetryPolicy
 from repro.cluster.messages import LookupRequest
 from repro.net.client import AsyncLookupClient
 from repro.net.codec import read_frame, write_frame
+from repro.net.router import ShardRouter
 from repro.net.service import LookupService, ServiceConfig
 from repro.protocol.events import ContactFailed, ReplyReceived
 
@@ -153,6 +154,50 @@ class TestTimeoutScope:
             finally:
                 await client.close()
                 await service.stop()
+
+        run(scenario())
+
+    def test_routed_lookups_create_no_tasks(self):
+        # The router has no pump of its own: a routed lookup is the
+        # same Task-free contact, through a routing table.
+        async def scenario():
+            shards = [
+                LookupService(
+                    ServiceConfig(
+                        server_count=12, entry_count=30, seed=7,
+                        shard_index=i, shard_count=2, replicas=2,
+                    )
+                )
+                for i in range(2)
+            ]
+            addresses = {s.shard_name: await s.start(port=0) for s in shards}
+            router = ShardRouter(
+                addresses, replicas=2, rng=random.Random(7), timeout=5.0
+            )
+            loop = asyncio.get_running_loop()
+            created = []
+
+            def counting_factory(loop, coro, **kwargs):
+                created.append(coro)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            keys = sorted(shards[0].strategies)
+            try:
+                # Dial every shard first: a service's per-connection
+                # task is the one Task a connection legitimately owns.
+                for client in router._clients.values():
+                    await client.connect()
+                await router.lookup("hash", 3)  # info + membership view
+                loop.set_task_factory(counting_factory)
+                for n in range(100):
+                    result = await router.lookup(keys[n % len(keys)], 30)
+                    assert result.messages >= 1
+                loop.set_task_factory(None)
+                assert created == []
+            finally:
+                await router.close()
+                for shard in shards:
+                    await shard.stop()
 
         run(scenario())
 

@@ -97,13 +97,16 @@ class TestAttribution:
 
 class TestRemovedShims:
     def test_dict_indexing_raises_with_hint(self):
+        # the tombstone is gone: a frozen dataclass is simply not
+        # subscriptable; as_row() is the row-dict shape
         full = result(8, 8)
-        with pytest.raises(TypeError, match="as_row"):
+        with pytest.raises(TypeError, match="not subscriptable"):
             full["found"]
+        assert full.as_row()["found"] == 8
 
     def test_result_attribute_raises_with_hint(self):
         full = result(8, 8)
-        with pytest.raises(AttributeError, match="core\\(\\)"):
+        with pytest.raises(AttributeError, match="no attribute 'result'"):
             full.result
         # core() is the supported replacement
         inner = full.core()

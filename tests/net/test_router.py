@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.net.client import ServiceError
+from repro.net.client import AsyncLookupClient, ServiceError
 from repro.net.membership import MembershipPump
 from repro.net.router import ShardRouter
 from repro.net.service import DEFAULT_SCHEMES, LookupService, ServiceConfig
@@ -310,5 +310,218 @@ class TestFailover:
             finally:
                 await router.close()
                 await fleet.stop()
+
+        run(scenario())
+
+
+# --------------------------------------------------------------------------
+# lookup_many: the client's round driver, keyed by shard connection
+# --------------------------------------------------------------------------
+
+KEYS = sorted(DEFAULT_SCHEMES)
+
+
+def mixed_requests(count=60, seed=13):
+    rng = random.Random(seed)
+    return [
+        (rng.choice(KEYS), rng.choice([1, 4, TARGET, ENTRIES])) for _ in range(count)
+    ]
+
+
+def count_envelopes(service):
+    """Wrap ``handle_envelope``; returns the list it logs ``(op, size)`` to."""
+    seen = []
+    handle = service.handle_envelope
+
+    def counting(envelope, *, raw=False):
+        seen.append((envelope.get("op"), len(envelope.get("requests") or ())))
+        return handle(envelope, raw=raw)
+
+    service.handle_envelope = counting
+    return seen
+
+
+class TestLookupMany:
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    def test_mixed_batch_answers_in_request_order_with_attribution(self, codec):
+        requests = mixed_requests()
+
+        async def scenario():
+            fleet = Fleet()
+            await fleet.start(with_pumps=False)
+            router = fleet.router(codec=codec)
+            try:
+                report = await router.lookup_many(requests)
+                shard_map = ShardMap(list(fleet.addresses))
+                assert len(report) == len(requests)
+                for (key, target), result in zip(requests, report):
+                    assert (result.key, result.target) == (key, target)
+                    assert result.codec == codec
+                    if target <= TARGET:  # every scheme covers 10 of 30
+                        assert result.status == "ok", (key, target, result)
+                    else:
+                        assert result.status in ("ok", "degraded")
+                    ids = [entry.entry_id for entry in result.entries]
+                    assert len(set(ids)) == len(ids) == min(len(ids), target)
+                    assert list(result.home) == shard_map.home(key, REPLICAS)
+                    assert result.routed == result.home
+                    assert len(result.contacts) == result.messages >= 1
+                    assert result.contacts[0][0] == result.home[0]
+                    assert not result.failover
+            finally:
+                await router.close()
+                await fleet.stop()
+
+        run(scenario())
+
+    def test_same_seed_batches_replay_identical_walks(self):
+        # Every contact order is drawn before anything is sent, so the
+        # walks cannot depend on which shard's frame comes back first.
+        requests = mixed_requests()
+
+        async def replay():
+            fleet = Fleet()
+            await fleet.start(with_pumps=False)
+            router = fleet.router()
+            try:
+                report = await router.lookup_many(requests)
+                return [
+                    (r.entries, r.servers_contacted, r.contacts) for r in report
+                ]
+            finally:
+                await router.close()
+                await fleet.stop()
+
+        async def scenario():
+            reference = await replay()
+            differing = [n for n in range(10) if await replay() != reference]
+            assert differing == []
+
+        run(scenario())
+
+    def test_stopped_primary_degrades_its_keys_only(self):
+        async def scenario():
+            fleet = Fleet()
+            await fleet.start(with_pumps=False)
+            router = fleet.router(timeout=0.5)
+            try:
+                shard_map = ShardMap(list(fleet.addresses))
+                victim = shard_map.home("full_replication", REPLICAS)[0]
+                await router.lookup("hash", 1)  # cache fleet info
+                await fleet.stop_shard(victim)
+                requests = [(key, t) for key in KEYS for t in (1, 4, TARGET)] * 2
+                report = await router.lookup_many(requests)
+                hit = 0
+                for (key, target), result in zip(requests, report):
+                    if shard_map.home(key, REPLICAS)[0] == victim:
+                        hit += 1
+                        assert result.status in ("ok", "degraded"), (key, result)
+                        assert result.failover
+                        assert victim not in {s for s, _ in result.contacts}
+                    else:
+                        assert result.status == "ok", (key, target, result)
+                        assert not result.failover
+                assert 0 < hit < len(requests)
+            finally:
+                await router.close()
+                await fleet.stop()
+
+        run(scenario())
+
+    def test_a_round_is_one_batch_frame_per_shard(self):
+        requests = mixed_requests()
+
+        async def scenario():
+            fleet = Fleet()
+            await fleet.start(with_pumps=False)
+            seen = {n: count_envelopes(s) for n, s in fleet.services.items()}
+            router = fleet.router(codec="binary")
+            try:
+                report = await router.lookup_many(requests)
+                rounds = max(result.messages for result in report)
+                carried = 0
+                for name, envelopes in seen.items():
+                    frames = [size for op, size in envelopes if op == "batch"]
+                    assert len(frames) <= rounds, (name, frames)
+                    assert not [op for op, _ in envelopes if op == "send"]
+                    carried += sum(frames)
+                assert carried == sum(result.messages for result in report)
+            finally:
+                await router.close()
+                await fleet.stop()
+
+        run(scenario())
+
+    def test_a_chunk_longer_than_max_batch_is_windowed(self):
+        async def scenario():
+            fleet = Fleet()
+            await fleet.start(with_pumps=False)
+            for service in fleet.services.values():
+                caps = dict(service.capabilities(), max_batch=4)
+                service.capabilities = lambda caps=caps: dict(caps)
+            seen = {n: count_envelopes(s) for n, s in fleet.services.items()}
+            router = fleet.router()
+            try:
+                # one key, one contact each: a single 10-send round
+                report = await router.lookup_many([("full_replication", 3)] * 10)
+                assert report.all_success
+                primary = report[0].home[0]
+                frames = [size for op, size in seen[primary] if op == "batch"]
+                assert frames == [4, 4, 2]
+            finally:
+                await router.close()
+                await fleet.stop()
+
+        run(scenario())
+
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    def test_one_shard_router_matches_plain_client(self, codec):
+        # The floor the unification rests on: a router over one shard
+        # *is* a client.  Server-side sampling advances the cluster
+        # RNG, so each side gets its own freshly built service.
+        script_rng = random.Random(17)
+        script = [
+            (script_rng.choice(KEYS), script_rng.choice([1, 4, TARGET, ENTRIES]))
+            for _ in range(100)
+        ]
+        many = [6, 1, 8, 3, 6, 8, 2, 5]
+
+        async def drive(make, lookup_many):
+            service = LookupService(
+                ServiceConfig(server_count=SERVERS, entry_count=ENTRIES, seed=5)
+            )
+            host, port = await service.start(port=0)
+            client = make(host, port)
+            try:
+                results = [await client.lookup(key, t) for key, t in script]
+                results.extend(await lookup_many(client))
+                return results
+            finally:
+                await client.close()
+                await service.stop()
+
+        async def scenario():
+            routed = await drive(
+                lambda host, port: ShardRouter(
+                    {"s0": (host, port)}, replicas=1, rng=random.Random(7), codec=codec
+                ),
+                lambda router: router.lookup_many(
+                    [("full_replication", t) for t in many]
+                ),
+            )
+            plain = await drive(
+                lambda host, port: AsyncLookupClient(
+                    host, port, rng=random.Random(7), codec=codec
+                ),
+                lambda client: client.lookup_many("full_replication", many),
+            )
+            assert len(routed) == len(plain) == len(script) + len(many)
+            for via_router, direct in zip(routed, plain):
+                assert via_router.entries == direct.entries
+                assert via_router.messages == direct.messages
+                assert via_router.codec == direct.codec == codec
+                assert direct.servers_contacted == tuple(
+                    server for _shard, server in via_router.contacts
+                )
 
         run(scenario())

@@ -7,7 +7,13 @@ import pytest
 
 from repro.cluster.client import RetryPolicy
 from repro.net.client import AsyncLookupClient, ServiceError
-from repro.net.codec import encode_message
+from repro.net.codec import (
+    CODEC_BINARY,
+    CODEC_JSON,
+    decode_frame_body,
+    encode_envelope_as,
+    encode_message,
+)
 from repro.net.service import DEFAULT_SCHEMES, LookupService, ServiceConfig
 from repro.cluster.messages import AddRequest, LookupRequest
 from repro.core.entry import Entry
@@ -139,6 +145,60 @@ class TestEnvelopeDispatch:
         if store == "log":
             assert service.journal.log_records == records
             service.journal.close()
+
+
+def _send_as(service, codec, server, key, message):
+    """One ``send`` through ``codec``'s real frame encode/decode."""
+    binary = codec == CODEC_BINARY
+    envelope = {
+        "op": "send",
+        "server": server,
+        "key": key,
+        "message": message if binary else encode_message(message),
+    }
+    wire = decode_frame_body(encode_envelope_as(envelope, codec)[4:])
+    return service.handle_envelope(wire, raw=binary)
+
+
+@pytest.mark.parametrize("codec", [CODEC_JSON, CODEC_BINARY])
+class TestSendTypeChecks:
+    """Wire values of the wrong *type* are refused, not coerced."""
+
+    def test_boolean_is_not_a_server_id(self, codec):
+        # `true` is an int to isinstance(); it used to be served as
+        # server 1.
+        service = LookupService(CONFIG)
+        before = service.cluster.network.stats.total
+        for server in (True, False):
+            reply = _send_as(service, codec, server, "fixed", LookupRequest(3))
+            assert not reply["ok"]
+            assert reply["error"] == "bad-request"
+            assert "server id out of range" in reply["detail"]
+        assert service.cluster.network.stats.total == before
+        assert _send_as(service, codec, 1, "fixed", LookupRequest(3))["ok"]
+
+    @pytest.mark.parametrize(
+        "target", [2.0, -0.5, 0.25, 1e9, True, "3", None, [1]], ids=repr
+    )
+    def test_non_integer_lookup_target_is_refused_before_cache_and_store(
+        self, codec, target
+    ):
+        # -0.5 and 1e9 used to be *served*, each filling its own
+        # reply-cache row; 2.0 died inside sample() and leaked the
+        # TypeError text as the detail.
+        service = LookupService(CONFIG)
+        cached = service.reply_cache.snapshot()["size"]
+        rng_state = service.cluster.rng.getstate()
+        served = service.cluster.network.stats.total
+        reply = _send_as(service, codec, 1, "round_robin", LookupRequest(target))
+        assert not reply["ok"]
+        assert reply["error"] == "bad-request"
+        assert "lookup target must be an integer" in reply["detail"]
+        assert service.reply_cache.snapshot()["size"] == cached
+        assert service.cluster.rng.getstate() == rng_state
+        assert service.cluster.network.stats.total == served
+        assert _send_as(service, codec, 1, "round_robin", LookupRequest(0))["ok"]
+        assert service.reply_cache.snapshot()["size"] == cached + 1
 
 
 class TestOverSockets:
