@@ -401,101 +401,6 @@ def test_bench_net_workers_throughput(bench_json_record):
     assert lookups_per_sec > 500
 
 # --------------------------------------------------------------------------
-# Zero-copy reply path: cached batch sub-replies spliced through writelines
-# --------------------------------------------------------------------------
-
-ZC_SERVERS = 16
-ZC_ENTRIES = 160
-ZC_BATCH = 64
-ZC_BATCHES = 60
-ZC_SCHEME = "full_replication"
-
-
-def _zerocopy_frames():
-    """Pre-encoded batch request frames, all RNG-free (target 0).
-
-    Every sub-request addresses (scheme, server, target=0) — cacheable
-    — so after one warmup sweep the server's reply path is: local
-    cache hit -> Prepacked body -> fragment splice -> one writelines.
-    That chain IS the zero-copy tentpole; the client never decodes, so
-    the number isolates the server-side reply path.
-    """
-    from repro.net.codec import pack_send_envelope
-
-    rng = random.Random(77)
-    message = LookupRequest(0)
-
-    def batch(base):
-        requests = [
-            pack_send_envelope(
-                base + offset, rng.randrange(ZC_SERVERS), ZC_SCHEME, message
-            )
-            for offset in range(ZC_BATCH)
-        ]
-        return encode_envelope_as(
-            {"op": "batch", "requests": requests}, CODEC_BINARY
-        )
-
-    warmup = [
-        encode_envelope_as(
-            {
-                "op": "batch",
-                "requests": [
-                    pack_send_envelope(sid, sid, ZC_SCHEME, message)
-                    for sid in range(ZC_SERVERS)
-                ],
-            },
-            CODEC_BINARY,
-        )
-    ]
-    return warmup, [batch(index * ZC_BATCH) for index in range(ZC_BATCHES)]
-
-
-async def _zerocopy_throughput():
-    warmup, frames = _zerocopy_frames()
-    service = LookupService(
-        ServiceConfig(server_count=ZC_SERVERS, entry_count=ZC_ENTRIES, seed=3)
-    )
-    host, port = await service.start(port=0)
-    try:
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            await write_frame(writer, hello_envelope((CODEC_BINARY,)))
-            hello = await read_frame(reader)
-            assert hello and hello.get("ok")
-            await _pipeline_raw(reader, writer, warmup)
-            started = time.perf_counter()
-            await _pipeline_raw(reader, writer, frames)
-            elapsed = time.perf_counter() - started
-        finally:
-            writer.close()
-            await writer.wait_closed()
-        stats = service.reply_cache.snapshot()
-    finally:
-        await service.stop()
-    return (ZC_BATCH * ZC_BATCHES) / elapsed, stats
-
-
-def test_bench_net_zerocopy_batched_throughput(bench_json_record):
-    lookups_per_sec, stats = asyncio.run(
-        asyncio.wait_for(_zerocopy_throughput(), timeout=120)
-    )
-    print(
-        f"\nnet service zero-copy batched: {ZC_BATCHES} batches x {ZC_BATCH} "
-        f"cached sub-lookups (target 0, {ZC_SCHEME}, {ZC_ENTRIES} entries, "
-        f"binary codec) -> {lookups_per_sec:,.0f} lookups/s, "
-        f"hit rate {stats['hit_rate']:.3f}"
-    )
-    # The warmup swept every (server, target=0) slot: the timed stream
-    # must be pure hits, or the metric is measuring the wrong path.
-    assert stats["hits"] >= ZC_BATCH * ZC_BATCHES
-    bench_json_record(
-        "net_zerocopy_batched_lookups_per_sec", round(lookups_per_sec, 1)
-    )
-    assert lookups_per_sec > 500
-
-
-# --------------------------------------------------------------------------
 # Warm respawn: hit rate of a SIGKILLed-and-respawned reader's first lookups
 # --------------------------------------------------------------------------
 

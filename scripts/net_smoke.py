@@ -306,17 +306,15 @@ def collect_cache_stats(host: str, port: int) -> dict:
     return caps
 
 
-def check_zerocopy_identity(host: str, port: int) -> None:
-    """The zero-copy reply path changes chunking, never bytes.
+def check_cached_frame_identity(host: str, port: int) -> None:
+    """A prepacked or cached reply body never changes a frame's bytes.
 
-    Two assertions: (1) locally, a frame whose prepacked sub-reply is
-    spliced in by reference joins to the bytes of the same frame
-    packed from the plain reply dict; (2) on the wire, a cacheable
-    lookup asked twice on one binary connection answers with
-    identical raw reply frames — the first
-    reply was packed cold through the fragment path, the second spliced
-    straight out of the reply cache, and neither may differ from the
-    other by even one byte.
+    Two assertions: (1) locally, a frame carrying a prepacked
+    sub-reply is the bytes of the same frame packed from the plain
+    reply dict; (2) on the wire, a cacheable lookup asked twice on one
+    binary connection answers with identical raw reply frames — the
+    first reply was packed cold, the second copied out of the reply
+    cache, and neither may differ from the other by even one byte.
     """
     import asyncio
     import struct
@@ -335,11 +333,11 @@ def check_zerocopy_identity(host: str, port: int) -> None:
     from repro.core.entry import Entry
 
     entries = tuple(Entry(f"v{i}") for i in range(1, 200))
-    spliced = {"op": "batch", "value": [pack_send_reply(7, entries)]}
+    prepacked = {"op": "batch", "value": [pack_send_reply(7, entries)]}
     plain = {"op": "batch", "value": [{"ok": True, "value": entries, "id": 7}]}
-    joined = b"".join(bytes(b) for b in encode_envelope_fragments(spliced))
+    joined = b"".join(bytes(b) for b in encode_envelope_fragments(prepacked))
     if joined != encode_envelope_as(plain, CODEC_BINARY):
-        fail("spliced reply frame diverged from the plainly packed one")
+        fail("prepacked reply frame diverged from the plainly packed one")
 
     async def probe() -> tuple[bytes, bytes]:
         reader, writer = await asyncio.open_connection(host, port)
@@ -347,7 +345,7 @@ def check_zerocopy_identity(host: str, port: int) -> None:
             await write_frame(writer, hello_envelope((CODEC_BINARY,)))
             hello = await read_frame(reader)
             if not (hello and hello.get("ok")):
-                fail(f"zero-copy probe hello failed: {hello}")
+                fail(f"cached-frame probe hello failed: {hello}")
             lookup = {
                 "op": "send",
                 "server": 0,
@@ -366,8 +364,8 @@ def check_zerocopy_identity(host: str, port: int) -> None:
 
     cold, cached = asyncio.run(asyncio.wait_for(probe(), timeout=30))
     if cold != cached:
-        fail("cached zero-copy reply differs from the cold reply bytes")
-    print(f"ok zero-copy: cold and cached replies byte-identical ({len(cold)}B)")
+        fail("cached reply differs from the cold reply bytes")
+    print(f"ok cached frame: cold and cached replies byte-identical ({len(cold)}B)")
 
 
 def check_log_store_recovery(ready_dir: str, deadline: float) -> None:
@@ -727,7 +725,7 @@ def main() -> int:
             check_degraded_exit(host, port, deadline)
             check_degraded_exit(host, port, deadline, codec="binary", batch=LOOKUPS)
             check_failed_exit(tmpdir, deadline)
-            check_zerocopy_identity(host, port)
+            check_cached_frame_identity(host, port)
             single_caps = collect_cache_stats(host, port)
         finally:
             if server.poll() is None:

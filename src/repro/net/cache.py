@@ -6,7 +6,7 @@ per-server answer — and re-encodes the same reply bytes — for every
 one of them.  :class:`ReplyCache` short-circuits that path: it is an
 LRU keyed by ``(codec, opcode, scheme key, server id, options
 fingerprint)`` whose values are the *fully materialised* reply
-payloads — a :class:`~repro.net.codec.Prepacked` splice value on the
+payloads — a :class:`~repro.net.codec.Prepacked` body on the
 binary path (so a hit costs one memcpy when the frame is packed) or
 the already-JSON-encoded value object on the JSON path (so a hit skips
 ``encode_value`` entirely).

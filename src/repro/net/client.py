@@ -63,11 +63,10 @@ from repro.net.codec import (
     CODEC_JSON,
     SUPPORTED_CODECS,
     decode_value,
-    encode_frame_fragments,
     encode_message,
     pack_send_envelope,
     read_frame,
-    write_frames,
+    write_frame,
 )
 from repro.cluster.messages import Message
 from repro.core.result import LookupResult as CoreLookupResult
@@ -340,12 +339,7 @@ class AsyncLookupClient:
     async def _request_on(self, conn: _Conn, envelope: dict[str, Any]) -> dict[str, Any]:
         try:
             async with conn.lock:
-                # Vectorized sender: the binary codec emits a fragment
-                # list (prepacked sub-envelopes spliced by reference)
-                # through one writelines(); JSON stays byte-identical.
-                await write_frames(
-                    conn.writer, (encode_frame_fragments(envelope, conn.codec),)
-                )
+                await write_frame(conn.writer, envelope, codec=conn.codec)
                 reply = await read_frame(conn.reader)
         except (ConnectionError, OSError):
             # A cached connection may be stale (peer restarted); drop

@@ -73,7 +73,7 @@ import struct
 from typing import Any
 
 from repro.core.entry import Entry
-from repro.cluster.messages import Heartbeat, Message
+from repro.cluster.messages import Heartbeat, LookupRequest, Message
 
 #: Frames above this size are rejected (corrupt length prefix guard).
 MAX_FRAME = 16 * 1024 * 1024
@@ -319,57 +319,31 @@ _ENTRY_JSON_CACHE: dict[str, Entry] = {}
 _KEY_ENC_CACHE: dict[str, bytes] = {}
 _TEXT_DEC_CACHE: dict[bytes, str] = {}
 #: Request-path message memo (see :func:`pack_send_envelope`): packed
-#: bytes per Message value.  Deliberately fed only by the send fast
-#: path, where the same request message recurs thousands of times —
-#: reply messages are all distinct and would only thrash it.
-_MSG_ENC_CACHE: dict[Any, bytes] = {}
+#: bytes per ``LookupRequest``, the one message a batch round repeats
+#: thousands of times.  Nothing else is memoized: update messages
+#: compare equal across different entry payloads, and reply messages
+#: are all distinct and would only thrash it.
+_MSG_ENC_CACHE: dict[Message, bytes] = {}
 
 
 class Prepacked:
-    """Already-encoded binary value bytes, spliced verbatim by the packer.
+    """Already-encoded binary value bytes, copied verbatim by the packer.
 
     Lets a caller that emits the same subtree many times (the client's
-    batched sends) pay the generic encoding walk once.  Only valid
-    inside binary envelopes — the JSON encoder rejects it.
-
-    The payload is a tuple of buffer *fragments* (``bytes`` or
-    ``memoryview``) rather than one flat byte string: producers hand
-    over views of their encode buffers without a trailing ``bytes()``
-    copy, and the scatter-gather frame encoder
-    (:func:`encode_envelope_fragments`) splices the views straight into
-    the outgoing frame's buffer list.  Fragments are frozen by
-    convention — nothing may mutate a buffer after wrapping it here (a
-    ``memoryview`` over a ``bytearray`` at least pins it against
-    resizing, so an accidental producer-side append fails fast).
+    batched sends, the reply cache's bodies) pay the generic encoding
+    walk once.  Only valid inside binary envelopes — the JSON encoder
+    rejects it.  ``data`` is one producer-owned ``bytes`` or
+    ``bytearray`` that nothing touches after wrapping it here.
     """
 
-    __slots__ = ("fragments",)
+    __slots__ = ("data",)
 
-    def __init__(
-        self,
-        data: "bytes | bytearray | memoryview | None" = None,
-        *,
-        fragments: "tuple | list | None" = None,
-    ) -> None:
-        if fragments is not None:
-            self.fragments: tuple = tuple(fragments)
-        else:
-            self.fragments = (data,)
-
-    @property
-    def data(self) -> bytes:
-        """The flat encoded bytes (joins the fragments; at most one copy)."""
-        frags = self.fragments
-        if len(frags) == 1 and type(frags[0]) is bytes:
-            return frags[0]
-        return b"".join(frags)
-
-    def __len__(self) -> int:
-        return sum(len(frag) for frag in self.fragments)
+    def __init__(self, data: "bytes | bytearray") -> None:
+        self.data = data
 
 
 def pack_value_bytes(value: Any) -> bytes:
-    """One value's binary encoding, for :class:`Prepacked` splicing."""
+    """One value's binary encoding, for wrapping in :class:`Prepacked`."""
     out = bytearray()
     _pack_value(value, out)
     return bytes(out)
@@ -509,8 +483,7 @@ def _pack_value(value: Any, out: bytearray) -> None:
         for item in value:
             _pack_value(item, out)
     elif type(value) is Prepacked:
-        for frag in value.fragments:
-            out += frag
+        out += value.data
     elif isinstance(value, list):
         if value and _pack_dense_entries(value, out, _T_ENTRIES_LIST):
             return
@@ -584,9 +557,9 @@ def _pack_tagged(tag: Any, value: dict, out: bytearray) -> None:
         raise WireError(f"unknown wire tag: {tag!r}")
 
 
-#: Prepacked fragments of the batched ``send`` sub-envelope: the
+#: Constant pieces of the batched ``send`` sub-envelope: the
 #: ``_T_DICT`` header, the ``"op": "send"`` pair, and the other four
-#: key strings, so :func:`pack_send_envelope` splices constants
+#: key strings, so :func:`pack_send_envelope` appends constants
 #: instead of re-encoding the same five keys per request.
 _SEND_PREFIX = (
     bytes((_T_DICT, 5))
@@ -605,21 +578,22 @@ def pack_send_envelope(
 ) -> Prepacked:
     """One batched ``send`` sub-envelope, packed once into binary bytes.
 
-    The request message is memoized (request path only): a batch round
-    repeats the same few request messages across hundreds of
-    sub-envelopes, so each distinct message pays the generic packing
-    walk once.  Only valid on a binary connection — the result is a
-    :class:`Prepacked` and the JSON encoder rejects it.
+    A :class:`LookupRequest` is memoized — a batch round repeats the
+    same few across hundreds of sub-envelopes — and nothing else is:
+    message equality ignores entry payloads, so a memo keyed by it
+    would ship one add's payload with the next.  Only valid on a
+    binary connection — the result is a :class:`Prepacked` and the
+    JSON encoder rejects it.
     """
-    try:
-        packed = _MSG_ENC_CACHE.get(message)
-    except TypeError:  # unhashable field somewhere inside the message
+    # An exact int target: 1 == True == 1.0 would share a memo row too.
+    memo = type(message) is LookupRequest and type(message.target) is int
+    packed = _MSG_ENC_CACHE.get(message) if memo else None
+    if packed is None:
         packed = pack_value_bytes(message)
-    else:
-        if packed is None:
+        if memo:
             if len(_MSG_ENC_CACHE) >= _CACHE_CAP:
                 _MSG_ENC_CACHE.clear()
-            packed = _MSG_ENC_CACHE[message] = pack_value_bytes(message)
+            _MSG_ENC_CACHE[message] = packed
     out = bytearray(_SEND_PREFIX)
     out += _SEND_KEY_ID
     out.append(_T_INT)
@@ -641,12 +615,10 @@ def pack_send_envelope(
         _pack_value(key, out)
     out += _SEND_KEY_MESSAGE
     out += packed
-    # A memoryview, not bytes(out): the buffer is complete and never
-    # touched again, so the wrap costs nothing and pins it frozen.
-    return Prepacked(memoryview(out))
+    return Prepacked(out)
 
 
-#: Prepacked fragments of the ok ``send`` sub-reply the batch handler
+#: Constant pieces of the ok ``send`` sub-reply the batch handler
 #: emits per lookup: ``{"ok": True, "value": <message>, "id": <int>}``.
 _REPLY_PREFIX = (
     bytes((_T_DICT, 3))
@@ -670,7 +642,7 @@ def pack_send_reply(request_id: int, value: Any) -> Prepacked:
     out += _REPLY_KEY_ID
     out.append(_T_INT)
     _pack_varint(_zigzag_big(request_id), out)
-    return Prepacked(memoryview(out))
+    return Prepacked(out)
 
 
 #: Exact byte prefixes of the canonical send sub-envelope and ok
@@ -886,52 +858,12 @@ class _Unpacker:
                 fast = self._fast_reply(pos + len(_REPLY_FAST))
                 if fast is not None:
                     return fast
-            out = {}
-            cache = _TEXT_DEC_CACHE
-            for _ in range(first):
-                # Inline key read: dict keys are the most recurrent
-                # strings on the wire, so the cache almost always hits.
-                if pos >= end:
-                    raise FrameError("binary frame truncated")
-                byte = data[pos]
-                pos += 1
-                if byte < 0x80:
-                    length = byte
-                else:
-                    length = byte & 0x7F
-                    shift = 7
-                    while True:
-                        if pos >= end:
-                            raise FrameError("binary frame truncated")
-                        byte = data[pos]
-                        pos += 1
-                        length |= (byte & 0x7F) << shift
-                        if byte < 0x80:
-                            break
-                        shift += 7
-                        if shift > 1024 * 7:
-                            raise FrameError("malformed varint")
-                key_end = pos + length
-                if key_end > end:
-                    raise FrameError("binary frame truncated")
-                raw = data[pos:key_end]
-                pos = key_end
-                key = cache.get(raw)
-                if key is None:
-                    try:
-                        key = raw.decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        raise FrameError(
-                            f"malformed utf-8 in binary frame: {exc}"
-                        ) from exc
-                    if length <= 24:
-                        if len(cache) >= _CACHE_CAP:
-                            cache.clear()
-                        cache[raw] = key
-                self.pos = pos
-                out[key] = self.value()
-                pos = self.pos
             self.pos = pos
+            out = {}
+            for _ in range(first):
+                # Two statements: the key is read before its value.
+                key = self.text()
+                out[key] = self.value()
             return out
         if tag == _T_ENTRIES or tag == _T_ENTRIES_LIST:
             cache = _ENTRY_DEC_CACHE
@@ -1004,143 +936,37 @@ class _Unpacker:
         raise FrameError(f"unknown binary value tag: {tag:#x}")
 
 
-#: Prepacked splices shorter than this are copied into the current
-#: scratch buffer instead of earning their own buffer slot: below a
-#: couple hundred bytes the memcpy is cheaper than the extra list
-#: element the transport later joins.
-_SPLICE_MIN = 256
-
-
-class _FragmentWriter:
-    """Accumulates one frame as an ordered list of buffer fragments.
-
-    Generic packing appends to ``scratch`` (a growing bytearray);
-    :meth:`splice` seals the current scratch into the fragment list and
-    appends a :class:`Prepacked` value's buffers by reference — no
-    copy.  The closed list is what :func:`write_frames` hands to
-    ``StreamWriter.writelines``.  Callers must re-read ``scratch``
-    after any :meth:`splice` or recursion that may splice: sealing
-    replaces the scratch object.
-    """
-
-    __slots__ = ("fragments", "scratch")
-
-    def __init__(self) -> None:
-        self.fragments: list = []
-        self.scratch = bytearray()
-
-    def splice(self, value: Prepacked) -> None:
-        frags = value.fragments
-        total = 0
-        for frag in frags:
-            total += len(frag)
-        if total < _SPLICE_MIN:
-            scratch = self.scratch
-            for frag in frags:
-                scratch += frag
-            return
-        if self.scratch:
-            self.fragments.append(self.scratch)
-            self.scratch = bytearray()
-        self.fragments.extend(frags)
-
-    def close(self) -> list:
-        if self.scratch:
-            self.fragments.append(self.scratch)
-            self.scratch = bytearray()
-        return self.fragments
-
-
-def _pack_value_frags(value: Any, out: _FragmentWriter) -> None:
-    """Pack ``value`` into ``out``, splicing Prepacked subtrees by reference.
-
-    Untagged dicts and any list/tuple carrying a top-level
-    :class:`Prepacked` decompose here so the splice values they hold
-    are reached without copying; every other value delegates wholesale
-    to :func:`_pack_value`, which keeps the dense-entries and memoized
-    fast paths (and their exact output bytes) untouched.  The emitted
-    byte stream is identical to :func:`_pack_value`'s for every input —
-    only the chunking differs.
-    """
-    if type(value) is Prepacked:
-        out.splice(value)
-    elif isinstance(value, dict) and "!" not in value:
-        scratch = out.scratch
-        scratch.append(_T_DICT)
-        _pack_varint(len(value), scratch)
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise WireError(f"unencodable dict key: {key!r}")
-            out.scratch += _packed_str(key)
-            _pack_value_frags(item, out)
-    elif type(value) in (list, tuple) and any(
-        type(item) is Prepacked for item in value
-    ):
-        # A sequence holding a Prepacked can never take the dense
-        # entries encoding, so this header matches _pack_value's.
-        scratch = out.scratch
-        scratch.append(_T_LIST if type(value) is list else _T_TUPLE)
-        _pack_varint(len(value), scratch)
-        for item in value:
-            _pack_value_frags(item, out)
-    else:
-        _pack_value(value, out.scratch)
-
-
 def encode_envelope_fragments(obj: dict[str, Any]) -> list:
-    """Serialize one envelope as a framed binary *fragment list*.
+    """Serialize one envelope as a framed binary buffer, in a list of one.
 
-    The one binary frame encoder: the concatenation of the returned
-    buffers (``bytes`` / ``bytearray`` / ``memoryview``) is the flat
-    frame, with :class:`Prepacked` payloads spliced by reference
-    instead of re-copied — a reply built from cached bodies costs zero
-    body copies here.  Hand the list to :func:`write_frames` (or
-    ``b"".join`` it, as :func:`encode_envelope_as` does).
-
-    Fragment lifetime: the buffers may alias producer-owned storage
-    (the memoryviews :func:`pack_send_reply` wraps), so the list must
-    be handed to the transport — which copies during ``writelines`` —
-    or joined before anything could mutate the producers.  Nothing in
-    this codebase mutates a wrapped buffer, so in practice the views
-    are released when the frame list is garbage collected.
+    The one binary frame encoder: four reserved length bytes, the
+    magic/version/opcode header, then the body through the one value
+    packer — :class:`Prepacked` items are copied in verbatim.  The
+    buffer is fresh per frame and never pooled: 3.12+ transports keep
+    a view of what ``write`` is given, so it must not be reused.
+    Raises :class:`WireError` before anything could be written.
     """
-    out = _FragmentWriter()
-    scratch = out.scratch
-    scratch.append(BINARY_MAGIC)
-    scratch.append(BINARY_VERSION)
+    out = bytearray(_LENGTH.size)
+    out.append(BINARY_MAGIC)
+    out.append(BINARY_VERSION)
     body = dict(obj)
     opcode = _OPCODE_BY_OP.get(body.get("op"), 0)
     if opcode:
         del body["op"]
-    scratch.append(opcode)
-    _pack_value_frags(body, out)
-    fragments = out.close()
-    total = 0
-    for frag in fragments:
-        total += len(frag)
+    out.append(opcode)
+    _pack_value(body, out)
+    total = len(out) - _LENGTH.size
     if total > MAX_FRAME:
         raise WireError(f"frame too large: {total} bytes")
-    fragments.insert(0, _LENGTH.pack(total))
-    return fragments
-
-
-def encode_frame_fragments(obj: dict[str, Any], codec: str) -> list:
-    """One envelope's framed wire buffers under ``codec``.
-
-    The JSON codec has no splice values, so its "fragment list" is the
-    one flat framed byte string — callers treat both codecs uniformly
-    and the JSON wire bytes stay byte-identical to the legacy
-    :func:`encode_envelope` path.
-    """
-    if codec == CODEC_BINARY:
-        return encode_envelope_fragments(obj)
-    return [encode_envelope_as(obj, codec)]
+    _LENGTH.pack_into(out, 0, total)
+    return [out]
 
 
 def decode_envelope_binary(body: bytes) -> dict[str, Any]:
     """Parse one binary frame body into an envelope dict.
 
-    Structural garbage (truncation, bad tags, trailing bytes) raises
+    Structural garbage (truncation, bad tags, trailing bytes, nesting
+    past the interpreter's recursion limit) raises
     :class:`FrameError`; a well-formed frame naming an unknown message
     raises :class:`WireError` so the service can answer ``bad-request``
     instead of dropping the connection.
@@ -1154,7 +980,10 @@ def decode_envelope_binary(body: bytes) -> dict[str, Any]:
     opcode = unpacker.byte()
     if opcode >= len(BINARY_OPS):
         raise FrameError(f"unknown binary opcode: {opcode}")
-    envelope = unpacker.value()
+    try:
+        envelope = unpacker.value()
+    except RecursionError as exc:
+        raise FrameError("frame nested too deeply") from exc
     if not isinstance(envelope, dict):
         raise FrameError(
             f"binary frame body must be an object, got {type(envelope).__name__}"
@@ -1211,6 +1040,8 @@ def decode_envelope(body: bytes) -> dict[str, Any]:
         obj = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FrameError(f"malformed frame body: {exc}") from exc
+    except RecursionError as exc:
+        raise FrameError("frame nested too deeply") from exc
     if not isinstance(obj, dict):
         raise FrameError(f"frame body must be an object, got {type(obj).__name__}")
     return obj
@@ -1231,7 +1062,7 @@ def decode_frame_body(body: bytes) -> dict[str, Any]:
 def encode_envelope_as(obj: dict[str, Any], codec: str) -> bytes:
     """Serialize one envelope under the named codec."""
     if codec == CODEC_BINARY:
-        return b"".join(encode_envelope_fragments(obj))
+        return bytes(encode_envelope_fragments(obj)[0])
     if codec == CODEC_JSON:
         return encode_envelope(obj)
     raise WireError(f"unknown codec: {codec!r}")
@@ -1265,50 +1096,16 @@ async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
 
 
 async def write_frame(
-    writer: asyncio.StreamWriter,
-    obj: dict[str, Any],
-    *,
-    codec: str = CODEC_JSON,
-    flush: bool = True,
+    writer: asyncio.StreamWriter, obj: dict[str, Any], *, codec: str = CODEC_JSON
 ) -> None:
-    """Write one framed envelope (in ``codec``) to the transport.
+    """Write one framed envelope (in ``codec``) and wait for flow control.
 
-    ``flush=False`` skips the ``drain()`` so a batch/pipeline sender
-    can queue many frames and pay one flow-control wait at the end
-    (its own final ``flush=True`` write, or :func:`write_frames`)
-    instead of one await per envelope.
+    The one sender: one ``write``, one ``drain``.  An unencodable or
+    oversized envelope raises :class:`WireError` before a byte is
+    written, so the stream stays in sync.
     """
     writer.write(encode_envelope_as(obj, codec))
-    if flush:
-        await writer.drain()
-
-
-async def write_frames(
-    writer: asyncio.StreamWriter,
-    frames: "list | tuple",
-    *,
-    flush: bool = True,
-) -> None:
-    """Scatter-gather write: many frames, one ``writelines``, one drain.
-
-    ``frames`` is a sequence of per-frame buffer lists (from
-    :func:`encode_frame_fragments` / :func:`encode_envelope_fragments`)
-    or flat framed byte strings.  Every buffer goes to the transport in
-    a single ``writelines`` call — one C-level join + socket write on
-    CPython's asyncio — followed by at most one ``drain()``, so a
-    pipeline flush of N frames costs one flow-control wait instead
-    of N.
-    """
-    buffers: list = []
-    for frame in frames:
-        if isinstance(frame, (bytes, bytearray, memoryview)):
-            buffers.append(frame)
-        else:
-            buffers.extend(frame)
-    if buffers:
-        writer.writelines(buffers)
-    if flush:
-        await writer.drain()
+    await writer.drain()
 
 
 __all__ = [
@@ -1332,7 +1129,6 @@ __all__ = [
     "encode_envelope",
     "encode_envelope_as",
     "encode_envelope_fragments",
-    "encode_frame_fragments",
     "encode_message",
     "encode_value",
     "heartbeat_envelope",
@@ -1343,5 +1139,4 @@ __all__ = [
     "pack_value_bytes",
     "read_frame",
     "write_frame",
-    "write_frames",
 ]

@@ -61,14 +61,13 @@ from repro.net.codec import (
     WireError,
     decode_heartbeat,
     decode_message,
-    encode_frame_fragments,
     encode_message,
     encode_value,
     negotiate_codec,
     pack_send_reply,
     pack_value_bytes,
     read_frame,
-    write_frames,
+    write_frame,
 )
 from repro.net.sharding import ShardMap, partial_replica
 from repro.obs.metrics import MetricsRegistry
@@ -504,7 +503,7 @@ class LookupService:
         if raw and sub.get("op") == "send":
             # The binary-connection hot path: an ok send reply is
             # packed to its final wire bytes right here, so the
-            # frame encoder later splices it instead of walking
+            # frame encoder later copies it in instead of walking
             # the reply dict again.
             request_id = sub.get("id")
             if type(request_id) is int and request_id >= 0 and reply.get("ok"):
@@ -705,12 +704,7 @@ class LookupService:
                 continue
             body: Any
             if key[0] == CODEC_BINARY:
-                raw_body = (
-                    payload.data
-                    if isinstance(payload, Prepacked)
-                    else bytes(payload)
-                )
-                body = base64.b64encode(raw_body).decode("ascii")
+                body = base64.b64encode(payload.data).decode("ascii")
             else:
                 body = payload  # already JSON-shaped
             rows.append({"slot": list(key), "body": body})
@@ -837,7 +831,7 @@ class LookupService:
             }
         if slot is not None:
             # Pack once, serve many: the cached payload is already in
-            # its wire form, so later hits are splice/memcpy-only.
+            # its wire form, so a later hit costs one memcpy.
             payload = Prepacked(pack_value_bytes(reply)) if raw else encode_value(reply)
             cache.put(slot, payload)
             return {"ok": True, "value": payload}
@@ -902,9 +896,7 @@ class LookupService:
                         "error": "bad-request",
                         "detail": "undecodable frame body",
                     }
-                    await write_frames(
-                        writer, (encode_frame_fragments(reply, codec),)
-                    )
+                    await write_frame(writer, reply, codec=codec)
                     continue
                 except FrameError:
                     break
@@ -918,13 +910,21 @@ class LookupService:
                     reply = self.handle_envelope(envelope, raw=raw)
                 else:
                     reply = await self._serve(envelope, raw, self.forwarder)
-                # Zero-copy on binary: cached/prepacked bodies are
-                # spliced into the frame's buffer list and the whole
-                # reply goes out in one writelines+drain.  A JSON frame
-                # is a one-buffer list through the same writer.
-                await write_frames(
-                    writer, (encode_frame_fragments(reply, codec),)
-                )
+                try:
+                    await write_frame(writer, reply, codec=codec)
+                except WireError as exc:
+                    # The encoder raises before a byte is written, so
+                    # the stream is in sync: refuse this request, keep
+                    # serving the connection.
+                    reply = self._echo_id(
+                        envelope,
+                        {
+                            "ok": False,
+                            "error": "bad-request",
+                            "detail": f"reply {exc}",
+                        },
+                    )
+                    await write_frame(writer, reply, codec=codec)
                 if envelope.get("op") == "hello" and reply.get("ok"):
                     codec = reply["value"]["codec"]
         except (ConnectionError, OSError):

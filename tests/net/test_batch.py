@@ -410,3 +410,48 @@ class TestOneRequestPath:
         assert len(ids(subs[0])) == 3
         assert "zz-mixed" in ids(subs[2]) and "v1" in ids(subs[2])
         assert "zz-mixed" in ids(subs[4]) and "v1" not in ids(subs[4])
+
+
+#: Whole-store reply bodies of 10, 100 and 320 entries per server.
+BODY_CONFIG = ServiceConfig(
+    server_count=4,
+    entry_count=320,
+    seed=7,
+    schemes={"fixed": {"x": 10}, "random_server": {"x": 100}, "full_replication": {}},
+)
+
+
+class TestCachedFrames:
+    @pytest.mark.parametrize("codec", [CODEC_JSON, CODEC_BINARY])
+    def test_cached_bodies_are_the_plain_frames(self, codec):
+        """A reply served from the cache is the cold reply byte for
+        byte, and a batch reply carrying cached bodies is the frame a
+        plainly rebuilt reply encodes to — whatever the body size."""
+        message = LookupRequest(0)
+        sends = [
+            {
+                "op": "send",
+                "id": index,
+                "server": 1,
+                "key": key,
+                "message": message if codec == CODEC_BINARY else encode_message(message),
+            }
+            for index, key in enumerate(BODY_CONFIG.schemes)
+        ]
+
+        async def scenario(service, host, port):
+            singles = []
+            for envelope in sends:
+                cold = await _raw_exchange(host, port, codec, envelope)
+                assert await _raw_exchange(host, port, codec, envelope) == cold
+                singles.append(decode_frame_body(cold[4:]))
+            assert service.reply_cache.snapshot()["hits"] == len(sends)
+            batch = await _raw_exchange(
+                host, port, codec, {"op": "batch", "id": 9, "requests": sends}
+            )
+            assert service.reply_cache.snapshot()["hits"] == 2 * len(sends)
+            return singles, batch
+
+        singles, batch = run(with_service(scenario, BODY_CONFIG))
+        assert [len(decode_value(sub["value"])) for sub in singles] == [10, 100, 320]
+        assert batch == encode_envelope_as({"ok": True, "value": singles, "id": 9}, codec)

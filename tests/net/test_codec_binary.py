@@ -9,6 +9,7 @@ hypothesis; deterministic regressions (the empty-dict write-back, the
 fast-path prefixes) are pinned explicitly.
 """
 
+import asyncio
 import dataclasses
 import json
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.messages import LookupRequest
+from repro.cluster.messages import AddRequest, LookupRequest
 from repro.core.entry import Entry, make_entries
 from repro.net.codec import (
     BINARY_MAGIC,
@@ -37,7 +38,6 @@ from repro.net.codec import (
     encode_envelope,
     encode_envelope_as,
     encode_envelope_fragments,
-    encode_frame_fragments,
     encode_message,
     encode_value,
     hello_envelope,
@@ -45,6 +45,7 @@ from repro.net.codec import (
     pack_send_envelope,
     pack_send_reply,
     pack_value_bytes,
+    write_frame,
 )
 
 # --------------------------------------------------------------------------
@@ -259,17 +260,38 @@ class TestBinaryEnvelopes:
             with pytest.raises((FrameError, WireError)):
                 decode_envelope_binary(body[:cut])
 
-    @given(junk=st.binary(max_size=120))
-    def test_garbage_never_escapes(self, junk):
-        # Arbitrary bytes after a valid header must decode to a dict
-        # or raise the codec's own errors — nothing else.
+    @given(
+        opener=st.sampled_from(
+            [b"\x06\x01", b"\x07\x01", b"\x08\x01\x01k", b"\x09\x01e", b"\x0b\x00"]
+        ),
+        depth=st.one_of(st.integers(0, 8), st.integers(300, 6000)),
+        junk=st.binary(max_size=120),
+    )
+    @settings(deadline=None)
+    def test_garbage_never_escapes(self, opener, depth, junk):
+        # Arbitrary bytes after a valid header — behind any depth of
+        # one-item lists, tuples, dicts, entry payloads or messages,
+        # past the interpreter's recursion limit included — must decode
+        # to a dict or raise the codec's own errors, nothing else.
         try:
             got = decode_envelope_binary(
-                bytes((BINARY_MAGIC, BINARY_VERSION, 0)) + junk
+                bytes((BINARY_MAGIC, BINARY_VERSION, 0)) + opener * depth + junk
             )
         except (FrameError, WireError):
             return
         assert isinstance(got, dict)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            bytes((BINARY_MAGIC, BINARY_VERSION, 0)) + b"\x06\x01" * 5000 + b"\x00",
+            b'{"op":"ping","x":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        ],
+        ids=["binary", "json"],
+    )
+    def test_nesting_past_the_recursion_limit_is_a_frame_error(self, body):
+        with pytest.raises(FrameError, match="nested too deeply"):
+            decode_frame_body(body)
 
     def test_bad_header_rejected(self):
         good = encode_envelope_as({"op": "ping"}, CODEC_BINARY)[4:]
@@ -334,6 +356,24 @@ class TestFastPathEquivalence:
         framed = encode_envelope_as({"replies": [packed]}, CODEC_BINARY)
         assert decode_envelope_binary(framed[4:])["replies"][0] == plain
 
+    def test_send_envelope_ships_its_own_payload(self):
+        # Message equality ignores entry payloads (and 1 == True), so
+        # a memo keyed by it used to ship the first call's bytes for
+        # every later equal-looking message.
+        def shipped(message):
+            packed = pack_send_envelope(1, 0, "fixed", message)
+            framed = encode_envelope_as(
+                {"op": "batch", "requests": [packed]}, CODEC_BINARY
+            )
+            return decode_frame_body(framed[4:])["requests"][0]["message"]
+
+        for n in (1, 2):
+            got = shipped(AddRequest(Entry("x", {"n": n})))
+            assert got.entry.payload == {"n": n}
+        for target in (1, True, 1):
+            got = shipped(LookupRequest(target)).target
+            assert got == target and type(got) is type(target)
+
 
 # --------------------------------------------------------------------------
 # Negotiation
@@ -388,7 +428,7 @@ def test_lookup_request_binary_is_compact():
 
 
 # --------------------------------------------------------------------------
-# The zero-copy fragment encoder
+# The one-buffer frame encoder and the one sender
 # --------------------------------------------------------------------------
 
 
@@ -396,10 +436,25 @@ def _joined(fragments):
     return b"".join(bytes(buffer) for buffer in fragments)
 
 
+class _StubWriter:
+    """A ``StreamWriter`` stand-in with ``write`` and ``drain`` only —
+    a sender that reached for ``writelines`` would fail on it."""
+
+    def __init__(self):
+        self.written = []
+        self.drains = 0
+
+    def write(self, data):
+        self.written.append(data)
+
+    async def drain(self):
+        self.drains += 1
+
+
 class TestFragmentEncoder:
     """`encode_envelope_fragments` is the one binary frame encoder:
-    how a frame is chunked (spliced by reference or copied into
-    scratch) must never change its bytes."""
+    a prepacked item is a copy of the bytes the plain value packs to,
+    whatever its size."""
 
     @given(
         request_ids=st.lists(
@@ -421,39 +476,40 @@ class TestFragmentEncoder:
             "extra": value,
         }
         flat = _joined(encode_envelope_fragments(envelope))
-        # Splicing by reference emits what the flat value packer's
-        # memcpy of the same Prepacked bodies does, after the 4-byte
-        # length and the magic/version/opcode header.
+        # The frame is the flat value packer's bytes for the body,
+        # after the 4-byte length and the magic/version/opcode header.
         body = {name: item for name, item in envelope.items() if name != "op"}
         assert flat[7:] == pack_value_bytes(body)
         assert int.from_bytes(flat[:4], "big") == len(flat) - 4
         assert decode_envelope_binary(flat[4:])["op"] == "batch"
 
-    def test_large_splices_earn_their_own_fragments(self):
+    def test_large_prepacked_body_is_the_plain_frame(self):
         entries = tuple(Entry(f"v{i}") for i in range(1, 400))
         reply = pack_send_reply(1, entries)
         plain = {"ok": True, "value": entries, "id": 1}
         fragments = encode_envelope_fragments(
             {"op": "batch", "replies": [reply, reply]}
         )
-        # length prefix + scratch + two by-reference splices at least
-        assert len(fragments) >= 4
-        assert any(isinstance(buffer, memoryview) for buffer in fragments)
         assert _joined(fragments) == encode_envelope_as(
             {"op": "batch", "replies": [plain, plain]}, CODEC_BINARY
         )
 
-    def test_small_splices_fold_into_scratch(self):
+    def test_small_prepacked_body_is_the_plain_frame(self):
         tiny = pack_send_reply(2, ())
         plain = {"ok": True, "value": (), "id": 2}
         fragments = encode_envelope_fragments({"op": "batch", "replies": [tiny] * 8})
-        assert len(fragments) == 2  # length prefix + one sealed scratch
         assert _joined(fragments) == encode_envelope_as(
             {"op": "batch", "replies": [plain] * 8}, CODEC_BINARY
         )
 
-    def test_json_frame_fragments_are_the_legacy_bytes(self):
-        envelope = {"op": "ping"}
-        assert encode_frame_fragments(envelope, CODEC_JSON) == [
-            encode_envelope_as(envelope, CODEC_JSON)
-        ]
+    def test_write_frame_is_one_write_and_one_drain(self):
+        envelope = {"op": "ping", "id": 3}
+        for codec in (CODEC_JSON, CODEC_BINARY):
+            writer = _StubWriter()
+            asyncio.run(write_frame(writer, envelope, codec=codec))
+            assert writer.drains == 1
+            assert [bytes(buffer) for buffer in writer.written] == [
+                encode_envelope_as(envelope, codec)
+            ]
+        # ... and the JSON frame is the legacy encoder's bytes
+        assert encode_envelope_as(envelope, CODEC_JSON) == encode_envelope(envelope)

@@ -2,6 +2,7 @@
 
 import asyncio
 import random
+import struct
 
 import pytest
 
@@ -13,6 +14,8 @@ from repro.net.codec import (
     decode_frame_body,
     encode_envelope_as,
     encode_message,
+    hello_envelope,
+    read_frame,
 )
 from repro.net.service import DEFAULT_SCHEMES, LookupService, ServiceConfig
 from repro.cluster.messages import AddRequest, LookupRequest
@@ -199,6 +202,88 @@ class TestSendTypeChecks:
         assert service.cluster.network.stats.total == served
         assert _send_as(service, codec, 1, "round_robin", LookupRequest(0))["ok"]
         assert service.reply_cache.snapshot()["size"] == cached + 1
+
+
+#: One frame body per codec nested far past the recursion limit: a
+#: list in a list 5,000 deep, and a JSON array 100,000 deep.
+DEEP_BODIES = {
+    CODEC_BINARY: b"\xb1\x01\x00" + b"\x06\x01" * 5000 + b"\x00",
+    CODEC_JSON: b'{"op":"ping","x":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+}
+
+
+async def _open_as(host, port, codec):
+    """A raw connection whose replies arrive in ``codec``."""
+    reader, writer = await asyncio.open_connection(host, port)
+    if codec == CODEC_BINARY:
+        writer.write(encode_envelope_as(hello_envelope((CODEC_BINARY,)), CODEC_JSON))
+        assert (await read_frame(reader))["value"]["codec"] == CODEC_BINARY
+    return reader, writer
+
+
+def _collect_unhandled():
+    """Everything asyncio would log as an unhandled exception, from now on."""
+    seen = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda loop, context: seen.append(context)
+    )
+    return seen
+
+
+@pytest.mark.parametrize("codec", [CODEC_JSON, CODEC_BINARY])
+class TestHostileFrames:
+    """Nothing a peer sends, and nothing the service cannot frame,
+    escapes the connection handler's error boundary."""
+
+    def test_deeply_nested_frame_drops_the_connection(self, codec):
+        body = DEEP_BODIES[codec]
+
+        async def scenario(service, host, port):
+            unhandled = _collect_unhandled()
+            reader, writer = await _open_as(host, port, codec)
+            writer.write(struct.pack(">I", len(body)) + body)
+            assert await reader.read() == b""  # dropped, no reply
+            writer.close()
+            await writer.wait_closed()
+            async with AsyncLookupClient(host, port) as client:
+                assert await client.ping()
+            return unhandled
+
+        assert run(with_service(scenario)) == []
+
+    def test_unframeable_reply_is_refused_and_the_connection_lives(
+        self, codec, monkeypatch
+    ):
+        # A whole-store reply of 1,500 entries against a 1 KiB frame
+        # bound: the request frame fits, its reply does not.
+        config = ServiceConfig(server_count=4, entry_count=1500, seed=7)
+        message = LookupRequest(0)
+        envelope = {
+            "op": "send",
+            "id": "big",
+            "server": 0,
+            "key": "full_replication",
+            "message": message if codec == CODEC_BINARY else encode_message(message),
+        }
+
+        async def scenario(service, host, port):
+            unhandled = _collect_unhandled()
+            reader, writer = await _open_as(host, port, codec)
+            monkeypatch.setattr("repro.net.codec.MAX_FRAME", 1024)
+            writer.write(encode_envelope_as(envelope, codec))
+            refused = await read_frame(reader)
+            writer.write(encode_envelope_as({"op": "ping"}, codec))
+            pong = await read_frame(reader)
+            writer.close()
+            await writer.wait_closed()
+            return refused, pong, unhandled
+
+        refused, pong, unhandled = run(with_service(scenario, config))
+        assert refused["ok"] is False and refused["error"] == "bad-request"
+        assert refused["detail"].startswith("reply frame too large: ")
+        assert refused["id"] == "big"
+        assert pong == {"ok": True, "value": "pong"}
+        assert unhandled == []
 
 
 class TestOverSockets:
