@@ -20,7 +20,7 @@ everywhere.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.core.entry import Entry
 
@@ -34,11 +34,14 @@ class EntryInterner:
     (payloads do not participate in identity, so replicas collapse).
     """
 
-    __slots__ = ("_index_by_id", "_entries")
+    __slots__ = ("_index_by_id", "_entries", "_fragments")
 
     def __init__(self) -> None:
         self._index_by_id: Dict[str, int] = {}
         self._entries: List[Entry] = []
+        #: One table per output format, keyed by its encoder; see
+        #: :meth:`fragments`.
+        self._fragments: Dict[Callable[[str], Any], List[Any]] = {}
 
     def intern(self, entry: Entry) -> int:
         """Return the dense index for ``entry``, assigning one if new."""
@@ -56,6 +59,26 @@ class EntryInterner:
     def entry_at(self, index: int) -> Entry:
         """The canonical entry at ``index``."""
         return self._entries[index]
+
+    def fragments(self, encode: Callable[[str], Any]) -> List[Any]:
+        """The table ``index -> encode(entry_id)``, grown to every index.
+
+        A memo of one encoder's output per entry: a store serialises
+        itself as ``map(table.__getitem__, indices)`` instead of
+        walking :class:`Entry` objects.  ``encode`` sees the id alone,
+        so the table says nothing about payloads or subclasses — the
+        caller must know its entries carry neither (a store counts the
+        ones that do).  Built on first use and extended when the
+        interner has grown since; indices are stable, so rows never
+        change.
+        """
+        table = self._fragments.get(encode)
+        if table is None:
+            table = self._fragments[encode] = []
+        known = len(table)
+        if known < len(self._entries):
+            table.extend(encode(e.entry_id) for e in self._entries[known:])
+        return table
 
     def mask_of(self, entries: Iterable[Entry]) -> int:
         """Bitmask with the bit of each (already interned) entry set.

@@ -44,7 +44,8 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from bisect import bisect_left
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 from repro.core.entry import Entry
 from repro.core.interning import EntryInterner
@@ -88,6 +89,18 @@ class StorageBackend(ABC):
     @abstractmethod
     def indices(self) -> list[int]:
         """Dense indices of the held entries, in insertion order."""
+
+    @abstractmethod
+    def fragments(self, encode: Callable[[str], Any]) -> Optional[list]:
+        """``encode(entry_id)`` per held entry, in insertion order.
+
+        Read from the interner's memo table for ``encode`` (see
+        :meth:`~repro.core.interning.EntryInterner.fragments`), so
+        serialising a store is one C-level ``map`` over ``indices()``.
+        ``None`` when the store holds a *rider* — an entry that is not
+        an exact-type, payload-free :class:`Entry`, whose encoding an
+        id alone cannot give; the caller then walks ``as_list()``.
+        """
 
     @abstractmethod
     def add(self, entry: Entry) -> bool:
@@ -141,6 +154,11 @@ class StorageBackend(ABC):
             self.add(entry)
 
 
+def _is_rider(entry: Entry) -> bool:
+    """Whether serialising ``entry`` takes more than its id."""
+    return entry.__class__ is not Entry or entry.payload is not None
+
+
 class MemoryBackend(StorageBackend):
     """An insertion-ordered set of entries with O(1) membership.
 
@@ -159,9 +177,17 @@ class MemoryBackend(StorageBackend):
     ``int.__or__`` + ``bit_count()`` (see ``Cluster.coverage``).
     Sampling still draws from the ordered list, so seeded RNG streams
     are identical to the pre-bitset representation.
+
+    The index list is also what the store is serialised and searched
+    by.  Two facts about it are kept current by every mutator so both
+    stay O(1) to ask: how many held entries are *riders* (see
+    :meth:`fragments`), and whether the list is still ascending — new
+    entries get new indices and removal keeps order, so it is until an
+    entry is re-added below the tail or replaced — in which case a
+    removal finds its position by ``bisect`` instead of a scan.
     """
 
-    __slots__ = ("_entries", "_indices", "_mask", "_interner")
+    __slots__ = ("_entries", "_indices", "_mask", "_interner", "_riders", "_ascending")
 
     def __init__(
         self,
@@ -172,6 +198,8 @@ class MemoryBackend(StorageBackend):
         self._entries: list[Entry] = []
         self._indices: list[int] = []
         self._mask: int = 0
+        self._riders: int = 0
+        self._ascending: bool = True
         for entry in entries:
             self.add(entry)
 
@@ -188,13 +216,47 @@ class MemoryBackend(StorageBackend):
         """Dense indices of the held entries, in insertion order."""
         return list(self._indices)
 
+    @property
+    def riders(self) -> int:
+        """How many held entries carry a payload or subclass ``Entry``."""
+        return self._riders
+
+    @property
+    def ascending(self) -> bool:
+        """Whether ``indices()`` is known to be in increasing order."""
+        return self._ascending
+
+    def fragments(self, encode: Callable[[str], Any]) -> Optional[list]:
+        if self._riders:
+            return None
+        return list(map(self._interner.fragments(encode).__getitem__, self._indices))
+
+    def _position(self, index: int) -> int:
+        """Where the held ``index`` sits in the index list."""
+        if self._ascending:
+            return bisect_left(self._indices, index)
+        return self._indices.index(index)
+
+    def _removed(self, position: int) -> Entry:
+        """Pop ``position`` from both lists; the mask is the caller's."""
+        self._indices.pop(position)
+        entry = self._entries.pop(position)
+        if self._riders and _is_rider(entry):
+            self._riders -= 1
+        return entry
+
     def add(self, entry: Entry) -> bool:
         """Insert ``entry``; return True if it was not already present."""
         index = self._interner.intern(entry)
-        bit = 1 << index
-        if self._mask & bit:
-            return False
-        self._mask |= bit
+        above = self._mask >> index
+        if above:
+            if above & 1:
+                return False
+            # A held index above this one: appending ends the order.
+            self._ascending = False
+        if entry.__class__ is not Entry or entry.payload is not None:
+            self._riders += 1  # _is_rider, inlined: the placement loop
+        self._mask |= 1 << index
         self._entries.append(entry)
         self._indices.append(index)
         return True
@@ -204,9 +266,7 @@ class MemoryBackend(StorageBackend):
         index = self._interner.index_of(entry.entry_id)
         if index is None or not (self._mask >> index) & 1:
             return False
-        position = self._indices.index(index)
-        self._entries.pop(position)
-        self._indices.pop(position)
+        self._removed(self._position(index))
         self._mask ^= 1 << index
         return True
 
@@ -218,7 +278,9 @@ class MemoryBackend(StorageBackend):
         new_index = self._interner.intern(new)
         if (self._mask >> new_index) & 1:
             return False
-        position = self._indices.index(old_index)
+        position = self._position(old_index)
+        self._riders += _is_rider(new) - _is_rider(self._entries[position])
+        self._ascending = False
         self._entries[position] = new
         self._indices[position] = new_index
         self._mask ^= (1 << old_index) | (1 << new_index)
@@ -241,14 +303,15 @@ class MemoryBackend(StorageBackend):
         if not self._entries:
             raise KeyError("pop_random from an empty store")
         position = rng.randrange(len(self._entries))
-        entry = self._entries.pop(position)
-        self._mask ^= 1 << self._indices.pop(position)
-        return entry
+        self._mask ^= 1 << self._indices[position]
+        return self._removed(position)
 
     def clear(self) -> None:
         self._entries.clear()
         self._indices.clear()
         self._mask = 0
+        self._riders = 0
+        self._ascending = True
 
     def __contains__(self, entry: Entry) -> bool:
         index = self._interner.index_of(entry.entry_id)

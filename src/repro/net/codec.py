@@ -70,10 +70,13 @@ import dataclasses
 import json
 import re
 import struct
-from typing import Any
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.entry import Entry
 from repro.cluster.messages import Heartbeat, LookupRequest, Message
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.storage import StorageBackend
 
 #: Frames above this size are rejected (corrupt length prefix guard).
 MAX_FRAME = 16 * 1024 * 1024
@@ -349,16 +352,50 @@ def pack_value_bytes(value: Any) -> bytes:
     return bytes(out)
 
 
+def _dense_fragment(entry_id: str) -> Optional[bytes]:
+    """A dense id's varint as :func:`_pack_dense_entries` emits it, else None.
+
+    The binary wire's fragment encoder (see
+    :meth:`~repro.core.interning.EntryInterner.fragments`).
+    """
+    index = _dense_index(entry_id)
+    if index < 0:
+        return None
+    out = bytearray()
+    _pack_varint(index, out)
+    return bytes(out)
+
+
+def pack_store_bytes(store: "StorageBackend") -> Optional[bytes]:
+    """``pack_value_bytes(store.as_list())`` from the store's indices.
+
+    One ``join`` over the interner's fragment table instead of a walk
+    over the entries.  ``None`` — use the generic packer — unless the
+    list would take the dense-entries encoding: a non-empty store of
+    exact-type, payload-free entries with dense ids.
+    """
+    parts = store.fragments(_dense_fragment)
+    if not parts or None in parts:
+        return None
+    out = bytearray((_T_ENTRIES_LIST,))
+    _pack_varint(len(parts), out)
+    out += b"".join(parts)
+    return bytes(out)
+
+
 def _dense_index(entry_id: str) -> int:
-    """The ``v<i>`` dense index for an id, or -1; memoized."""
+    """The ``v<i>`` dense index for an id, or -1; memoized.
+
+    A full memo stops growing rather than emptying itself: this runs
+    inside the walk of a reply, and clearing there made every list
+    longer than the cap re-match all of its ids on every pack.
+    """
     index = _DENSE_IDX_CACHE.get(entry_id)
     if index is None:
         match = _DENSE_ID.match(entry_id)
-        if len(_DENSE_IDX_CACHE) >= _CACHE_CAP:
-            _DENSE_IDX_CACHE.clear()
-        index = _DENSE_IDX_CACHE[entry_id] = (
-            -1 if match is None else int(match.group(1))
-        )
+        index = -1 if match is None else int(match.group(1))
+        if len(_DENSE_IDX_CACHE) < _CACHE_CAP:
+            _DENSE_IDX_CACHE[entry_id] = index
     return index
 
 
@@ -467,9 +504,9 @@ def _pack_value(value: Any, out: bytearray) -> None:
                     buf.append(_T_ENTRY)
                     _pack_str(value.entry_id, buf)
                     buf.append(_T_NONE)
-                if len(_ENTRY_ENC_CACHE) >= _CACHE_CAP:
-                    _ENTRY_ENC_CACHE.clear()
-                packed = _ENTRY_ENC_CACHE[value.entry_id] = bytes(buf)
+                packed = bytes(buf)
+                if len(_ENTRY_ENC_CACHE) < _CACHE_CAP:  # as _dense_index
+                    _ENTRY_ENC_CACHE[value.entry_id] = packed
             out += packed
         else:
             out.append(_T_ENTRY)
@@ -1136,6 +1173,7 @@ __all__ = [
     "negotiate_codec",
     "pack_send_envelope",
     "pack_send_reply",
+    "pack_store_bytes",
     "pack_value_bytes",
     "read_frame",
     "write_frame",

@@ -65,6 +65,7 @@ from repro.net.codec import (
     encode_value,
     negotiate_codec,
     pack_send_reply,
+    pack_store_bytes,
     pack_value_bytes,
     read_frame,
     write_frame,
@@ -832,7 +833,14 @@ class LookupService:
         if slot is not None:
             # Pack once, serve many: the cached payload is already in
             # its wire form, so a later hit costs one memcpy.
-            payload = Prepacked(pack_value_bytes(reply)) if raw else encode_value(reply)
+            if raw:
+                # The one shape ``_cache_slot`` admits is answered with
+                # the addressed store, whole and in order, so the bytes
+                # can come from its index list.
+                body = pack_store_bytes(self.cluster.servers[server_id].store(key))
+                payload = Prepacked(pack_value_bytes(reply) if body is None else body)
+            else:
+                payload = encode_value(reply)
             cache.put(slot, payload)
             return {"ok": True, "value": payload}
         return {"ok": True, "value": reply if raw else encode_value(reply)}

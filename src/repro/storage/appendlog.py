@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Union
 
 from repro.core.entry import Entry
 from repro.core.exceptions import ReproError
-from repro.core.storage import MemoryBackend
+from repro.core.storage import MemoryBackend, StorageBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
@@ -84,6 +84,20 @@ _LOG_NAME_RE = re.compile(r"^journal\.(\d{6})\.log$")
 MAX_PENDING_RECORDS = 4096
 
 _SCALARS = (int, str, float, bool, type(None))
+
+
+def _dumps(value: Any) -> str:
+    """The one JSON spelling journal lines and snapshots are written in."""
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _pair_json(entry_id: str) -> str:
+    """A payload-free entry's ``[id, payload]`` snapshot pair, as text.
+
+    The snapshot's fragment encoder (see
+    :meth:`~repro.core.interning.EntryInterner.fragments`).
+    """
+    return _dumps([entry_id, None])
 
 
 class RecoveryError(ReproError):
@@ -149,6 +163,8 @@ class RecoveredImage:
     """
 
     interners: Dict[str, List[List[Any]]] = field(default_factory=dict)
+    #: Pair lists — or, fresh from :func:`build_image` and good only
+    #: for :meth:`snapshot_text`, each list's JSON text (a ``str``).
     stores: Dict[str, Dict[int, List[List[Any]]]] = field(default_factory=dict)
     states: Dict[str, Dict[int, Dict[str, Any]]] = field(default_factory=dict)
     rng_state: Optional[list] = None
@@ -229,21 +245,38 @@ class RecoveredImage:
 
     # -- snapshot round-trip ------------------------------------------------
 
-    def to_snapshot(self) -> Dict[str, Any]:
-        return {
-            "interners": self.interners,
-            "stores": {
-                key: {str(sid): pairs for sid, pairs in by_server.items()}
-                for key, by_server in self.stores.items()
-            },
-            "states": {
-                key: {str(sid): state for sid, state in by_server.items()}
-                for key, by_server in self.states.items()
-            },
-            "rng": self.rng_state,
-            "epochs": self.epochs,
-            "params": self.params,
+    def snapshot_text(self) -> str:
+        """The snapshot's ``image`` object as JSON text.
+
+        Spelled section by section so the stores — most of the bytes —
+        can arrive already serialised; every other value goes through
+        :func:`_dumps`, and the result is what one ``_dumps`` of the
+        whole nested dict would give.
+        """
+        stores = ",".join(
+            _dumps(key)
+            + ":{"
+            + ",".join(
+                f'"{sid}":' + (pairs if isinstance(pairs, str) else _dumps(pairs))
+                for sid, pairs in by_server.items()
+            )
+            + "}"
+            for key, by_server in self.stores.items()
+        )
+        sections = {
+            "interners": _dumps(self.interners),
+            "stores": "{" + stores + "}",
+            "states": _dumps(
+                {
+                    key: {str(sid): state for sid, state in by_server.items()}
+                    for key, by_server in self.states.items()
+                }
+            ),
+            "rng": _dumps(self.rng_state),
+            "epochs": _dumps(self.epochs),
+            "params": _dumps(self.params),
         }
+        return "{" + ",".join(f'"{name}":{text}' for name, text in sections.items()) + "}"
 
     @classmethod
     def from_snapshot(cls, image: Dict[str, Any]) -> "RecoveredImage":
@@ -368,11 +401,20 @@ class AppendLogJournal:
         finally:
             self.replaying = previous
 
+    @property
+    def listening(self) -> bool:
+        """Whether ``append`` would write: neither read-only nor replaying.
+
+        The store-record builders ask first, so a reader applying a
+        delta and a recovery boot build no record just to drop it.
+        """
+        return not (self.read_only or self.replaying)
+
     def append(self, record: Dict[str, Any]) -> bool:
         """Queue one record for the next barrier; False when suppressed."""
-        if self.read_only or self.replaying:
+        if not self.listening:
             return False
-        self._pending.append(json.dumps(record, separators=(",", ":")) + "\n")
+        self._pending.append(_dumps(record) + "\n")
         self.log_records += 1
         self._records_since_compact += 1
         if len(self._pending) >= MAX_PENDING_RECORDS:
@@ -392,6 +434,8 @@ class AppendLogJournal:
             os.fsync(self._fh.fileno())
 
     def record_add(self, key: str, server_id: int, index: int, entry: Entry) -> None:
+        if not self.listening:
+            return
         self.append(
             {
                 "op": "add",
@@ -403,11 +447,15 @@ class AppendLogJournal:
         )
 
     def record_drop(self, key: str, server_id: int, entry_id: str) -> None:
+        if not self.listening:
+            return
         self.append({"op": "drop", "k": key, "s": server_id, "id": entry_id})
 
     def record_replace(
         self, key: str, server_id: int, old_id: str, index: int, entry: Entry
     ) -> None:
+        if not self.listening:
+            return
         self.append(
             {
                 "op": "swap",
@@ -422,6 +470,8 @@ class AppendLogJournal:
     def record_reset(
         self, key: str, server_id: int, entries: Iterable[Entry]
     ) -> None:
+        if not self.listening:
+            return
         self.append(
             {
                 "op": "reset",
@@ -432,6 +482,8 @@ class AppendLogJournal:
         )
 
     def record_clear(self, key: str, server_id: int) -> None:
+        if not self.listening:
+            return
         self.append({"op": "clear", "k": key, "s": server_id})
 
     def record_state(self, key: str, server_id: int, state: Dict[str, Any]) -> None:
@@ -549,16 +601,16 @@ class AppendLogJournal:
         self._serial += 1
         self._fh = open(self._log_path(self._serial), "a", encoding="utf-8")
         # (2) ...then publish the snapshot atomically...
-        payload = {
+        header = {
             "schema": SNAPSHOT_SCHEMA,
             "serial": self._serial,
             "compactions": self.compactions + 1,
             "last_compaction_epoch": epoch,
-            "image": image.to_snapshot(),
         }
         tmp = self.snapshot_path.with_name(self.snapshot_path.name + ".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
+            # The image is the header dict's last member.
+            fh.write(f'{_dumps(header)[:-1]},"image":{image.snapshot_text()}}}\n')
             fh.flush()
             if self.fsync:
                 os.fsync(fh.fileno())
@@ -671,12 +723,26 @@ class LogBackend(MemoryBackend):
         self._journal.record_reset(self._key, self._server_id, entries)
 
 
+def _store_json(store: StorageBackend) -> str:
+    """A store's snapshot pair list as text, joined from fragments."""
+    parts = store.fragments(_pair_json)
+    if parts is None:
+        # A rider: payloads belong to held entries, not to indices.
+        return _dumps([[e.entry_id, e.payload] for e in store])
+    return "[" + ",".join(parts) + "]"
+
+
 def build_image(
     cluster: "Cluster",
     epochs: Optional[Dict[str, int]] = None,
     params: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> RecoveredImage:
-    """Capture a cluster's full durable state as a snapshot image."""
+    """Capture a cluster's full durable state as a snapshot image.
+
+    For :meth:`AppendLogJournal.compact`: the stores are captured as
+    JSON text (see :func:`_store_json`), so the image can be written,
+    not applied.
+    """
     image = RecoveredImage()
     keys: List[str] = []
     for server in cluster.servers:
@@ -687,13 +753,11 @@ def build_image(
         interner = cluster.interner(key)
         order = [interner.entry_at(i) for i in range(len(interner))]
         image.interners[key] = [[e.entry_id, e.payload] for e in order]
-        image._index_by_id[key] = {e.entry_id: i for i, e in enumerate(order)}
     for server in cluster.servers:
         for key in server.keys():
-            store = server.store(key)
-            image.stores.setdefault(key, {})[server.server_id] = [
-                [e.entry_id, e.payload] for e in store.as_list()
-            ]
+            image.stores.setdefault(key, {})[server.server_id] = _store_json(
+                server.store(key)
+            )
             state = _persistable_state(server.state(key))
             if state:
                 image.states.setdefault(key, {})[server.server_id] = dict(state)
@@ -714,8 +778,10 @@ def apply_image(
 
     Interners are replayed first, in recorded dense-index order, so
     every store rebuild re-derives identical bit positions regardless
-    of which server's entries are applied first.  Journaling is
-    suspended while applying so recovery does not re-journal itself.
+    of which server's entries are applied first; a store then takes
+    the interner's own entry object wherever its pair is payload-free.
+    Journaling is suspended while applying so recovery does not
+    re-journal itself.
     """
     suspend = journal.suspended() if journal is not None else contextlib.nullcontext()
     with suspend:
@@ -724,10 +790,19 @@ def apply_image(
             for entry_id, payload in order:
                 interner.intern(Entry(entry_id, payload))
         for key, by_server in image.stores.items():
+            # Every store that holds an entry payload-free shares the
+            # interner's one object for it.
+            interner = cluster.interner(key)
+            shared = {
+                entry.entry_id: entry
+                for entry in map(interner.entry_at, range(len(interner)))
+                if entry.payload is None
+            }
             for server_id, pairs in by_server.items():
                 store = cluster.server(server_id).store(key)
                 for entry_id, payload in pairs:
-                    store.add(Entry(entry_id, payload))
+                    entry = shared.get(entry_id) if payload is None else None
+                    store.add(Entry(entry_id, payload) if entry is None else entry)
         for key, by_server in image.states.items():
             for server_id, state in by_server.items():
                 cluster.server(server_id).state(key).update(state)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.cluster.cluster import Cluster
 from repro.core.entry import make_entries
@@ -42,3 +43,11 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: long-running statistical test (deselect with -m 'not slow')"
     )
+    # Tier-1 is a deterministic gate: every run draws the same examples.
+    # A run given ``--hypothesis-seed`` explores instead (one CI leg
+    # does, on a fresh seed) — ``derandomize`` would outrank the seed.
+    seeded = config.getoption("--hypothesis-seed", default=None) is not None
+    settings.register_profile(
+        "tier1", derandomize=not seeded, deadline=None, print_blob=True
+    )
+    settings.load_profile("tier1")

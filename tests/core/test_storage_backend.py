@@ -59,6 +59,71 @@ class TestInterface:
         assert b.sample(3, random.Random(7)) == a.sample(3, random.Random(7))
 
 
+class TestIndexList:
+    """What the store keeps about its index list: order and riders."""
+
+    def test_removal_bisects_while_ascending_and_scans_after(self):
+        store = MemoryBackend(make_entries(8))
+        assert store.ascending
+        store.discard(Entry("v3"))
+        assert store.ascending  # removal keeps order
+        store.add(Entry("v3"))  # re-added below the tail
+        assert not store.ascending
+        assert store.indices() == [0, 1, 3, 4, 5, 6, 7, 2]
+        # the scan arm: positions a bisect over this list would miss
+        for victim in ("v3", "v8", "v1"):
+            assert store.discard(Entry(victim))
+        assert store.indices() == [1, 3, 4, 5, 6]
+        assert [e.entry_id for e in store] == ["v2", "v4", "v5", "v6", "v7"]
+
+    def test_replace_ends_the_order_and_clear_restores_it(self):
+        store = MemoryBackend(make_entries(4))
+        assert store.replace(Entry("v2"), Entry("w2"))
+        assert not store.ascending and store.indices() == [0, 4, 2, 3]
+        assert store.discard(Entry("w2")) and store.indices() == [0, 2, 3]
+        store.clear()
+        assert store.ascending
+        store.restore([Entry("v4"), Entry("v1")])
+        assert not store.ascending  # restore is clear-then-add
+
+    def test_riders_are_counted_per_store_not_per_index(self):
+        interner = EntryInterner()
+        plain = MemoryBackend(make_entries(3), interner=interner)
+        mixed = MemoryBackend(interner=interner)
+        mixed.add(Entry("v1", payload="p"))
+        mixed.add(type("Tagged", (Entry,), {})("v2"))
+        mixed.add(Entry("v3"))
+        assert (plain.riders, mixed.riders) == (0, 2)
+        assert plain.fragments(str.upper) == ["V1", "V2", "V3"]
+        assert mixed.fragments(str.upper) is None
+        mixed.replace(Entry("v1"), Entry("v4"))
+        mixed.discard(Entry("v2"))
+        assert mixed.riders == 0
+        assert mixed.fragments(str.upper) == ["V4", "V3"]
+        mixed.add(Entry("v9", payload=0))
+        assert mixed.pop_random(random.Random(3)) is not None
+        mixed.clear()
+        assert mixed.riders == 0
+
+    def test_fragment_tables_are_per_encoder_and_grow_with_the_interner(self):
+        interner = EntryInterner()
+        calls = []
+
+        def encode(entry_id):
+            calls.append(entry_id)
+            return entry_id.encode()
+
+        store = MemoryBackend(make_entries(3), interner=interner)
+        assert store.fragments(encode) == [b"v1", b"v2", b"v3"]
+        assert store.fragments(encode) == [b"v1", b"v2", b"v3"]
+        assert calls == ["v1", "v2", "v3"]  # each id is encoded once
+        store.add(Entry("v4"))
+        store.discard(Entry("v2"))
+        assert store.fragments(encode) == [b"v1", b"v3", b"v4"]
+        assert calls == ["v1", "v2", "v3", "v4"]
+        assert store.fragments(len) == [2, 2, 2]
+
+
 class _RecordingBackend(MemoryBackend):
     """A backend that records construction, to observe factory calls."""
 

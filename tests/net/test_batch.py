@@ -18,6 +18,7 @@ from repro.net.codec import (
     decode_value,
     encode_envelope_as,
     encode_message,
+    encode_value,
     hello_envelope,
 )
 from repro.net.service import MAX_BATCH, LookupService, ServiceConfig
@@ -455,3 +456,59 @@ class TestCachedFrames:
         singles, batch = run(with_service(scenario, BODY_CONFIG))
         assert [len(decode_value(sub["value"])) for sub in singles] == [10, 100, 320]
         assert batch == encode_envelope_as({"ok": True, "value": singles, "id": 9}, codec)
+
+    @pytest.mark.parametrize("codec", [CODEC_JSON, CODEC_BINARY])
+    def test_store_built_bodies_follow_an_add_and_a_delete(self, codec):
+        """Bodies of 10 / 320 / 2,000 entries: the cold frame, the
+        cached frame and the frame the generic encoder gives for the
+        store's entry list are one and the same — at boot, after a
+        dense add and a delete (the bodies built from the store's index
+        list), and after a payload add (the builder declines)."""
+        config = ServiceConfig(
+            server_count=4,
+            entry_count=2000,
+            seed=7,
+            schemes={"fixed": {"x": 10}, "random_server": {"x": 320}, "full_replication": {}},
+        )
+        binary = codec == CODEC_BINARY
+
+        def wire(message):
+            return message if binary else encode_message(message)
+
+        async def check(service, host, port, sizes):
+            for index, (key, size) in enumerate(zip(config.schemes, sizes)):
+                envelope = {
+                    "op": "send", "id": index, "server": 1, "key": key,
+                    "message": wire(LookupRequest(0)),
+                }
+                held = service.cluster.servers[1].store(key).as_list()
+                assert len(held) == size
+                plain = encode_envelope_as(
+                    {"ok": True, "value": held if binary else encode_value(held), "id": index},
+                    codec,
+                )
+                hits = service.reply_cache.snapshot()["hits"]
+                assert await _raw_exchange(host, port, codec, envelope) == plain
+                assert await _raw_exchange(host, port, codec, envelope) == plain
+                assert service.reply_cache.snapshot()["hits"] == hits + 1
+
+        async def mutate(host, port, message):
+            for key in config.schemes:
+                envelope = {"op": "send", "server": 1, "key": key, "message": wire(message)}
+                reply = decode_frame_body((await _raw_exchange(host, port, codec, envelope))[4:])
+                assert reply["ok"], reply
+
+        async def scenario(service, host, port):
+            await check(service, host, port, (10, 320, 2000))
+            await mutate(host, port, AddRequest(Entry("v2001")))
+            victim = service.cluster.servers[1].store("fixed").as_list()[4]
+            await mutate(host, port, DeleteRequest(victim))
+            sizes = [len(service.cluster.servers[1].store(key)) for key in config.schemes]
+            assert sizes[2] == 2000 and victim not in service.cluster.servers[1].store("fixed")
+            await check(service, host, port, sizes)
+            await mutate(host, port, AddRequest(Entry("v2002", payload={"host": "h"})))
+            sizes = [len(service.cluster.servers[1].store(key)) for key in config.schemes]
+            assert service.cluster.servers[1].store("full_replication").riders == 1
+            await check(service, host, port, sizes)
+
+        run(with_service(scenario, config))

@@ -19,6 +19,9 @@ from hypothesis import strategies as st
 
 from repro.cluster.messages import AddRequest, LookupRequest
 from repro.core.entry import Entry, make_entries
+from repro.core.interning import EntryInterner
+from repro.core.storage import MemoryBackend
+from repro.net import codec
 from repro.net.codec import (
     BINARY_MAGIC,
     BINARY_OPS,
@@ -44,6 +47,7 @@ from repro.net.codec import (
     negotiate_codec,
     pack_send_envelope,
     pack_send_reply,
+    pack_store_bytes,
     pack_value_bytes,
     write_frame,
 )
@@ -373,6 +377,88 @@ class TestFastPathEquivalence:
         for target in (1, True, 1):
             got = shipped(LookupRequest(target)).target
             assert got == target and type(got) is type(target)
+
+
+class TestMemoBounds:
+    """The encode memos are capped; a list longer than the cap must not
+    pay for every id again on every pack."""
+
+    def test_dense_id_memo_is_not_emptied_under_the_walk(self, monkeypatch):
+        matched = []
+
+        class CountingPattern:
+            def match(self, text, _match=codec._DENSE_ID.match):
+                matched.append(text)
+                return _match(text)
+
+        monkeypatch.setattr(codec, "_DENSE_ID", CountingPattern())
+        monkeypatch.setattr(codec, "_DENSE_IDX_CACHE", {})
+        entries = make_entries(5000)
+        first = pack_value_bytes(entries)
+        assert len(matched) == 5000
+        del matched[:]
+        assert pack_value_bytes(entries) == first
+        assert len(matched) <= 5000 - codec._CACHE_CAP
+        assert len(codec._DENSE_IDX_CACHE) == codec._CACHE_CAP
+
+    def test_entry_memo_is_not_emptied_under_the_walk(self, monkeypatch):
+        asked = []
+
+        def counting(entry_id, _dense_index=codec._dense_index):
+            asked.append(entry_id)
+            return _dense_index(entry_id)
+
+        monkeypatch.setattr(codec, "_dense_index", counting)
+        monkeypatch.setattr(codec, "_DENSE_IDX_CACHE", {})
+        monkeypatch.setattr(codec, "_ENTRY_ENC_CACHE", {})
+        # One id outside the dense universe sends the whole list down
+        # the generic per-entry path and its memo.
+        entries = [Entry("x")] + make_entries(5000)
+        first = pack_value_bytes(entries)
+        del asked[:]
+        assert pack_value_bytes(entries) == first
+        assert len(asked) <= 5001 - codec._CACHE_CAP
+        assert len(codec._ENTRY_ENC_CACHE) == codec._CACHE_CAP
+
+
+class TestStoreBytes:
+    """``pack_store_bytes`` is a memo of the generic packer's output for
+    one shape, and declines every other."""
+
+    def test_a_dense_store_is_the_generic_bytes(self):
+        interner = EntryInterner()
+        store = MemoryBackend(make_entries(300), interner=interner)
+        other = MemoryBackend(make_entries(300)[::-7], interner=interner)
+        for held in (store, other):
+            assert pack_store_bytes(held) == pack_value_bytes(held.as_list())
+        # the table follows the interner as it grows and the store as it shrinks
+        store.add(Entry("v4097"))
+        store.discard(Entry("v2"))
+        assert pack_store_bytes(store) == pack_value_bytes(store.as_list())
+        frame = encode_envelope_as(
+            {"ok": True, "value": Prepacked(pack_store_bytes(store))}, CODEC_BINARY
+        )
+        assert decode_frame_body(frame[4:])["value"] == store.as_list()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            Entry("v7", payload={"host": "h"}),  # a payload rider
+            type("Tagged", (Entry,), {})("v7"),  # a subclassed entry
+            Entry("v07"),  # not a dense id
+            Entry("node-7"),
+        ],
+    )
+    def test_anything_else_is_declined(self, extra):
+        store = MemoryBackend(make_entries(5))
+        assert pack_store_bytes(store) is not None
+        store.add(extra)
+        assert pack_store_bytes(store) is None
+        store.discard(extra)
+        assert pack_store_bytes(store) == pack_value_bytes(store.as_list())
+
+    def test_an_empty_store_is_declined(self):
+        assert pack_store_bytes(MemoryBackend()) is None
 
 
 # --------------------------------------------------------------------------

@@ -45,15 +45,19 @@ def test_single_entry_monopoly_maximizes_unfairness(h, target):
     )
 
 
+@st.composite
+def _covered_subsets(draw):
+    """``target <= covered <= h``, drawn so that no example is rejected."""
+    h = draw(st.integers(min_value=1, max_value=100))
+    covered = draw(st.integers(min_value=1, max_value=h))
+    target = draw(st.integers(min_value=1, max_value=min(covered, 50)))
+    return covered, h, target
+
+
 @settings(deadline=None)
-@given(
-    st.integers(min_value=1, max_value=100),
-    st.integers(min_value=1, max_value=100),
-    st.integers(min_value=1, max_value=50),
-)
-def test_subset_closed_form_matches_equation_one(covered, h, target):
-    assume(covered <= h)
-    assume(target <= covered)
+@given(_covered_subsets())
+def test_subset_closed_form_matches_equation_one(subset):
+    covered, h, target = subset
     # A uniform lookup over `covered` of `h` entries: p = t/covered.
     probabilities = [target / covered] * covered + [0.0] * (h - covered)
     direct = instance_unfairness(probabilities, target)

@@ -1,5 +1,6 @@
 """The append-log journal and LogBackend: journaling, replay, compaction."""
 
+import contextlib
 import json
 import random
 
@@ -211,6 +212,37 @@ class TestJournalRecords:
         image.states["k"][0]["positions"]["b"] = 1
         reborn.record_state("k", 0, image.states["k"][0])
         assert reborn.log_records == before + 1
+
+
+class TestSuppressedRecords:
+    """A journal that is not listening is asked before a record is built."""
+
+    @pytest.mark.parametrize("mode", ["read_only", "suspended"])
+    def test_no_store_record_is_built_for_a_deaf_journal(self, tmp_path, mode):
+        journal = AppendLogJournal(tmp_path, read_only=mode == "read_only")
+        offered = []
+        real_append = journal.append
+
+        def append(record):
+            offered.append(record)
+            return real_append(record)
+
+        journal.append = append
+        store = _backend(journal)
+        with journal.suspended() if mode == "suspended" else contextlib.nullcontext():
+            for entry in make_entries(4):
+                store.add(entry)
+            store.discard(Entry("v2"))
+            store.replace(Entry("v3"), Entry("w3"))
+            store.pop_random(random.Random(1))
+            store.restore(make_entries(3))
+            store.clear()
+        assert offered == []
+        assert journal.log_records == 0
+        if mode == "suspended":
+            store.add(Entry("heard"))
+            assert [record["op"] for record in offered] == ["add"]
+            assert journal.log_records == 1
 
 
 class TestFlushBarriers:
