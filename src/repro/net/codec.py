@@ -32,20 +32,11 @@ Envelopes
 ---------
 A request frame is ``{"op": ..., ...}`` and a reply frame is
 ``{"ok": true, "value": ...}`` or ``{"ok": false, "error": <code>,
-"detail": <human text>}``.  Error codes are part of the protocol:
-``"unavailable"`` (the addressed server is failed), ``"dropped"``
-(the transport lost the request), ``"bad-request"`` (malformed or
-unknown op), and ``"internal"`` (handler raised).  See
-``docs/protocols.md`` for the full schema catalogue.
-
-The sharded deployment adds the membership plane on the same wire:
-``{"op": "heartbeat", "message": <Heartbeat>}`` carries the tagged
-:class:`~repro.cluster.messages.Heartbeat` message (incarnation plus
-the sender's gossiped peer view) and is answered with the receiver's
-own ``Heartbeat``, so one round-trip refreshes the failure detectors
-on both ends; ``{"op": "membership"}`` reads a shard's current view.
-:func:`heartbeat_envelope` / :func:`decode_heartbeat` are the typed
-faces for that op.
+"detail": <human text>}``.  This module only encodes and decodes them:
+which ops and fields a request may carry is the service's request
+schema (:data:`repro.net.service.OP_SCHEMA`, ``docs/protocols.md`` §5,
+with the error codes).  :func:`heartbeat_envelope` /
+:func:`decode_heartbeat` are the typed faces of the ``heartbeat`` op.
 
 Binary codec
 ------------
@@ -186,12 +177,7 @@ def encode_message(message: Message) -> dict[str, Any]:
 
 
 def decode_message(wire: Any) -> Message:
-    """Decode a tagged wire object back into its message dataclass.
-
-    A :class:`Message` instance (from a binary frame) passes through.
-    """
-    if isinstance(wire, Message):
-        return wire
+    """Decode a tagged wire object back into its message dataclass."""
     if not isinstance(wire, dict):
         raise WireError(f"undecodable wire message: {wire!r}")
     name = wire.get("type")
@@ -311,6 +297,17 @@ _MESSAGE_WIRE_INDEX = {
 #: packed/decoded forms turns the per-value recursion into one dict
 #: hit.  All are size-capped so adversarial streams cannot grow them
 #: without bound.
+#:
+#: The rule for every memo keyed by a value — these, the service's
+#: ``ReplyCache`` slots, ``ShardMap._ranked`` — is that two keys may be
+#: equal only if the values mean the same thing.  Two equalities in
+#: this code do not: ``Entry.__eq__`` ignores ``payload``, and
+#: ``1 == True == 1.0`` (which also hash alike).  So an entry is a key
+#: only while it is payload-free, or by its id, which is a key only as
+#: a ``str``; a number is a key only once its type is exact (the
+#: service's request schema checks server ids and lookup targets,
+#: :func:`pack_send_envelope` memoizes only an ``int`` target).
+#: ``tests/net/test_memo_rule.py`` holds every memo to it.
 _CACHE_CAP = 4096
 _ENTRY_ENC_CACHE: dict[str, bytes] = {}
 #: entry_id -> dense index, or -1 when the id is not dense (memoizes
@@ -622,7 +619,7 @@ def pack_send_envelope(
     binary connection — the result is a :class:`Prepacked` and the
     JSON encoder rejects it.
     """
-    # An exact int target: 1 == True == 1.0 would share a memo row too.
+    # An exact int target, by the memo rule above.
     memo = type(message) is LookupRequest and type(message.target) is int
     packed = _MSG_ENC_CACHE.get(message) if memo else None
     if packed is None:

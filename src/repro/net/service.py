@@ -37,30 +37,46 @@ current peer view, consumed by :class:`~repro.net.router.ShardRouter`).
 Both delegate to the attached :class:`~repro.net.membership
 .MembershipPump`, keeping :meth:`LookupService.handle_envelope` pure
 dispatch over injected state.
+
+What a valid request *is* lives in one place: :data:`OP_SCHEMA` (each
+op's handler and fields) and :data:`MESSAGE_SCHEMA` (the fields of the
+messages an envelope may carry).  Every envelope, and every batch item,
+is checked against them once, right after the frame is decoded and
+before it is classified, forwarded or handled; handlers, the reply
+cache and :func:`envelope_mutates` only ever see checked requests.
 """
 
 from __future__ import annotations
 
 import asyncio
 import base64
+import json
+import reprlib
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.messages import LookupRequest, Message, MessageCategory
+from repro.cluster.messages import (
+    AddRequest,
+    DeleteRequest,
+    Heartbeat,
+    LookupRequest,
+    Message,
+    PlaceRequest,
+)
 from repro.cluster.network import DROPPED, is_undelivered
-from repro.core.entry import make_entries
+from repro.core.entry import Entry, make_entries
 from repro.core.exceptions import InvalidParameterError
 from repro.net.cache import DEFAULT_CAPACITY, ReplyCache
 from repro.net.codec import (
     CODEC_BINARY,
     CODEC_JSON,
+    MESSAGE_TYPES,
     SUPPORTED_CODECS,
     FrameError,
     Prepacked,
     WireError,
-    decode_heartbeat,
-    decode_message,
+    decode_value,
     encode_message,
     encode_value,
     negotiate_codec,
@@ -89,6 +105,151 @@ DEFAULT_SCHEMES: dict[str, dict[str, int]] = {
 #: that a client never needs more than one frame per scheduling round,
 #: small enough that one malicious frame cannot monopolize the loop.
 MAX_BATCH = 1024
+
+
+# --------------------------------------------------------------------------
+# The request schema
+# --------------------------------------------------------------------------
+
+
+def schema_field(name, types, refusal, *, within=None, valid=None, optional=False):
+    """One envelope or message field as the check loops unpack it.
+
+    ``types`` are exact (``True`` is not an ``int``); ``within`` names
+    the service's own set of valid values (``"servers"``: its server
+    ids, ``"schemes"``: its hosted keys); ``valid`` is a predicate for
+    what a type cannot say, which may raise :class:`_Refused` to say
+    more than ``refusal``.  A plain tuple: a named one unpacks slower.
+    """
+    return name, types, refusal, within, valid, optional
+
+
+class Op(NamedTuple):
+    """A request op: the :class:`LookupService` method that answers it,
+    ``(envelope, raw) -> reply``, and the envelope fields it reads."""
+
+    handler: str
+    fields: tuple = ()
+
+
+class _Refused(Exception):
+    """A request the schema refuses; ``str(self)`` is the reply detail.
+    ``echo=False``: a batch item refused unread, answered without ``id``."""
+
+    def __init__(self, detail: str, echo: bool = True) -> None:
+        super().__init__(detail)
+        self.echo = echo
+
+
+def _refusal(detail: str) -> dict[str, Any]:
+    """The one ``bad-request`` reply."""
+    return {"ok": False, "error": "bad-request", "detail": detail}
+
+
+def _json_value(value: Any) -> bool:
+    """Whether a payload comes back unchanged from the journal's JSON
+    and the writer bus's tagged encoding — a tuple, an entry, a dict
+    keyed ``"!"`` or by non-strings would not."""
+    try:
+        return json.loads(json.dumps(value)) == value == encode_value(value)
+    except (TypeError, ValueError, RecursionError):
+        return False
+
+
+def _valid_entry(entry: Entry) -> bool:
+    return type(entry.entry_id) is str and (
+        entry.payload is None or _json_value(entry.payload)
+    )
+
+
+def _valid_message(message: Message) -> bool:
+    """A message's own fields against :data:`MESSAGE_SCHEMA`."""
+    for name, types, refusal, _, valid, _ in MESSAGE_SCHEMA[type(message)]:
+        value = getattr(message, name)
+        if type(value) not in types or (valid is not None and not valid(value)):
+            raise _Refused(f"{refusal}: {reprlib.repr(value)}")
+    return True
+
+
+def _decoded(value: Any, types: tuple, refusal: str) -> Any:
+    """A JSON tagged value (a dict) decoded to one of ``types``, so both
+    codecs give the check the same Python value; else :class:`_Refused`."""
+    if type(value) is dict:
+        try:
+            value = decode_value(value)
+        except (ValueError, LookupError, TypeError, RecursionError) as exc:
+            raise _Refused(f"{refusal}: {exc}") from None
+        if type(value) in types:
+            return value
+    raise _Refused(f"{refusal}: {reprlib.repr(value)}")
+
+
+#: The paper's four client requests (§2), the only messages a ``send``
+#: carries; every other registered message type is server-internal.
+CLIENT_REQUESTS = (LookupRequest, AddRequest, DeleteRequest, PlaceRequest)
+_UPDATES = (AddRequest, DeleteRequest, PlaceRequest)
+
+_ENTRY = schema_field(
+    "entry", (Entry,), "entry must be an Entry with a string id and a JSON payload",
+    valid=_valid_entry,
+)
+_KEY = schema_field("key", (str,), "unknown scheme key", within="schemes")
+
+#: The fields of every message an envelope may carry.
+MESSAGE_SCHEMA: dict[type, tuple] = {
+    LookupRequest: (schema_field("target", (int,), "lookup target must be an integer"),),
+    AddRequest: (_ENTRY,),
+    DeleteRequest: (_ENTRY,),
+    PlaceRequest: (schema_field(
+        "entries", (tuple,), "entries must be a tuple of valid entries",
+        valid=lambda entries: all(type(e) is Entry and _valid_entry(e) for e in entries),
+    ),),
+    Heartbeat: (
+        schema_field("sender", (str,), "heartbeat sender must be a string"),
+        schema_field("incarnation", (int,), "heartbeat incarnation must be an integer"),
+        schema_field(
+            "view", (tuple, list), "heartbeat view must hold (peer, state, incarnation)",
+            valid=lambda view: all(
+                type(row) in (tuple, list) and tuple(map(type, row)) == (str, str, int)
+                for row in view
+            ),
+        ),
+    ),
+}
+
+#: Every request op by its ``"op"`` value.  Any envelope may also carry
+#: an ``id`` (an int or a string, echoed on the reply); a field no op
+#: reads is ignored.
+OP_SCHEMA: dict[str, Op] = {
+    "ping": Op("_handle_ping"),
+    "info": Op("_handle_info"),
+    "membership": Op("_handle_membership"),
+    "send": Op("_handle_send", (
+        schema_field("server", (int,), "server id out of range", within="servers"),
+        _KEY,
+        schema_field(
+            "message", CLIENT_REQUESTS, "message must be a PlaceRequest, AddRequest, "
+            "DeleteRequest or LookupRequest; server-internal messages never cross "
+            "the wire", valid=_valid_message,
+        ),
+    )),
+    "verify": Op("_handle_verify", (_KEY,)),
+    "heartbeat": Op("_handle_heartbeat", (schema_field(
+        "message", (Heartbeat,), "heartbeat message must be a Heartbeat",
+        valid=_valid_message,
+    ),)),
+    "hello": Op("_handle_hello", (schema_field(
+        "codecs", (list,), "codecs must be a list of codec names",
+        valid=lambda codecs: all(type(codec) is str for codec in codecs), optional=True,
+    ),)),
+    # Answered by ``_handle_batch``, whose items may not be batches.
+    "batch": Op("_handle_batch", (schema_field(
+        "requests", (list,), f"batch requests must be a list of at most {MAX_BATCH} "
+        "envelopes", valid=lambda requests: len(requests) <= MAX_BATCH,
+    ),)),
+}
+_SEND = OP_SCHEMA["send"]
+_BATCH = OP_SCHEMA["batch"]
 
 
 @dataclass(frozen=True)
@@ -169,21 +330,17 @@ def shard_names(count: int) -> list[str]:
 def envelope_mutates(envelope: dict[str, Any]) -> bool:
     """Whether this request envelope can change cluster state.
 
-    Only ``send`` envelopes carrying a non-lookup message mutate (all
-    other ops are reads or control plane).  Works on both wire forms
-    of the message — the JSON tagged dict and the live
-    :class:`~repro.cluster.messages.Message` a binary frame decodes
-    to — without paying for a full decode.  Malformed envelopes are
-    classified as non-mutating so local dispatch produces the error.
+    Only a ``send`` of a client update — place, add or delete — does;
+    every other op is a read or control plane.  The service asks only
+    of checked envelopes, whose message is live; a JSON envelope that
+    has not been checked yet is classified by the type its tagged
+    message names.
     """
     if envelope.get("op") != "send":
         return False
     message = envelope.get("message")
-    if isinstance(message, Message):
-        return message.category is not MessageCategory.LOOKUP
-    if isinstance(message, dict):
-        return message.get("type") != "LookupRequest"
-    return False
+    kind = MESSAGE_TYPES.get(message.get("type")) if type(message) is dict else type(message)
+    return kind in _UPDATES
 
 
 def _profile_wire(profile: Optional[LookupProfile]) -> dict[str, Any]:
@@ -240,6 +397,8 @@ class LookupService:
             store_factory=store_factory,
         )
         self.strategies: dict[str, PlacementStrategy] = {}
+        #: The sets a :func:`schema_field`'s ``within`` names.
+        self._ranges = {"servers": range(self.cluster.size), "schemes": self.strategies}
         self.shard_name = f"s{self.config.shard_index}"
         self.roles: dict[str, Optional[int]] = {}
         #: Attached by :class:`~repro.net.membership.MembershipPump`
@@ -359,33 +518,74 @@ class LookupService:
     async def _serve(
         self, envelope: dict[str, Any], raw: bool, forwarder: Optional[Any]
     ) -> dict[str, Any]:
-        """The one request path: classify, then answer here or via the writer.
+        """The one request path: check, classify, then answer here or via
+        the writer.
 
         In a worker fleet every worker answers reads locally but ships
         mutating ops to the single writer; :func:`envelope_mutates` is
         the classify point that splits the two, and the only await on
         the path is that hand-off.  ``forwarder=None`` (a single
         process, or the writer applying a forwarded op) answers
-        everything locally without ever suspending.
+        everything locally without ever suspending.  A request the
+        schema refuses goes no further: it is never forwarded, never
+        touches the cache and never journals anything.
         """
-        if envelope.get("op") == "batch":
-            reply = await self._handle_batch(envelope, raw, forwarder)
-        elif forwarder is not None and envelope_mutates(envelope):
-            reply = await self._forward(forwarder, envelope)
+        try:
+            op, checked = self._checked(envelope)
+        except _Refused as refused:
+            return self._echo_id(envelope, _refusal(str(refused)))
+        if op is _BATCH:
+            reply = await self._handle_batch(checked, raw, forwarder)
+        elif forwarder is not None and envelope_mutates(checked):
+            reply = await self._forward(forwarder, checked)
         else:
-            reply = self._dispatch(envelope, raw)
+            reply = self._dispatch(op, checked, raw)
         return self._echo_id(envelope, reply)
+
+    def _checked(self, envelope: Any, item: bool = False) -> tuple[Op, dict]:
+        """``envelope``'s op and the envelope its handler may trust — itself,
+        or a copy with JSON tagged fields decoded; raises :class:`_Refused`.
+
+        The one validity check, against :data:`OP_SCHEMA`.  A batch
+        ``item`` must be an envelope dict of any op but ``batch``.
+        """
+        if item and type(envelope) is not dict:
+            raise _Refused("batch item must be an envelope dict", echo=False)
+        name = envelope.get("op")
+        op = OP_SCHEMA.get(name) if type(name) is str else None
+        if op is None:
+            raise _Refused(f"unknown op: {reprlib.repr(name)}")
+        if item and op is _BATCH:
+            raise _Refused("batch envelopes do not nest", echo=False)
+        checked = envelope
+        ranges = self._ranges
+        for field_name, types, refusal, within, valid, optional in op.fields:
+            value = envelope.get(field_name)
+            if type(value) not in types:
+                if value is None:
+                    if optional:
+                        continue
+                    raise _Refused(f"{name}: missing field {field_name!r}")
+                value = _decoded(value, types, refusal)
+                if checked is envelope:
+                    checked = dict(envelope)
+                checked[field_name] = value
+            if (within is not None and value not in ranges[within]) or (
+                valid is not None and not valid(value)
+            ):
+                raise _Refused(f"{refusal}: {reprlib.repr(value)}")
+        return op, checked
 
     @staticmethod
     def _echo_id(envelope: dict[str, Any], reply: dict[str, Any]) -> dict[str, Any]:
         request_id = envelope.get("id")
-        if isinstance(request_id, (int, str)) and not isinstance(request_id, bool):
+        if type(request_id) in (int, str):
             reply["id"] = request_id
         return reply
 
     @staticmethod
     async def _forward(forwarder: Any, envelope: dict[str, Any]) -> dict[str, Any]:
-        """Ship one mutating envelope to the writer; returns its reply.
+        """Ship one checked mutating envelope to the writer; returns its reply.
 
         The reply (and its value) is JSON-shaped regardless of the
         connection codec — the writer pipe speaks JSON — which is fine
@@ -400,32 +600,23 @@ class LookupService:
                 "detail": f"writer worker unreachable: {exc}",
             }
 
-    def _dispatch(self, envelope: dict[str, Any], raw: bool = False) -> dict[str, Any]:
-        op = envelope.get("op")
+    def _dispatch(self, op: Op, envelope: dict[str, Any], raw: bool) -> dict[str, Any]:
+        """Answer one checked envelope; the handlers' exception boundary."""
         try:
-            if op == "ping":
-                return {"ok": True, "value": "pong"}
-            if op == "info":
-                return {"ok": True, "value": self.info()}
-            if op == "send":
-                return self._handle_send(envelope, raw)
-            if op == "verify":
-                return self._handle_verify(envelope)
-            if op == "heartbeat":
-                return self._handle_heartbeat(envelope)
-            if op == "membership":
-                return {"ok": True, "value": self.membership_view()}
-            if op == "hello":
-                return self._handle_hello(envelope)
-            return {
-                "ok": False,
-                "error": "bad-request",
-                "detail": f"unknown op: {op!r}",
-            }
+            return getattr(self, op.handler)(envelope, raw)
         except (WireError, KeyError, TypeError, ValueError) as exc:
-            return {"ok": False, "error": "bad-request", "detail": str(exc)}
+            return _refusal(str(exc))
         except Exception as exc:  # noqa: BLE001 - protocol error boundary
             return {"ok": False, "error": "internal", "detail": str(exc)}
+
+    def _handle_ping(self, envelope: dict[str, Any], raw: bool) -> dict[str, Any]:
+        return {"ok": True, "value": "pong"}
+
+    def _handle_info(self, envelope: dict[str, Any], raw: bool) -> dict[str, Any]:
+        return {"ok": True, "value": self.info()}
+
+    def _handle_membership(self, envelope: dict, raw: bool) -> dict[str, Any]:
+        return {"ok": True, "value": self.membership_view()}
 
     def capabilities(self) -> dict[str, Any]:
         """What this service speaks, as advertised by ``hello``/``info``.
@@ -471,82 +662,51 @@ class LookupService:
         )
         self.metrics.gauge("storage_recovered").set(1 if self.recovered else 0)
 
-    def _handle_hello(self, envelope: dict[str, Any]) -> dict[str, Any]:
-        offered = envelope.get("codecs")
-        if offered is not None and (
-            not isinstance(offered, list)
-            or not all(isinstance(c, str) for c in offered)
-        ):
-            return {
-                "ok": False,
-                "error": "bad-request",
-                "detail": "codecs must be a list of codec names",
-            }
+    def _handle_hello(self, envelope: dict[str, Any], raw: bool) -> dict[str, Any]:
         value = self.capabilities()
-        value["codec"] = negotiate_codec(offered)
+        value["codec"] = negotiate_codec(envelope.get("codecs"))
         return {"ok": True, "value": value}
-
-    def _batch_sub(self, sub: Any, raw: bool) -> Any:
-        """One batch item's local reply (or prepacked bytes on the raw path)."""
-        if not isinstance(sub, dict):
-            return {
-                "ok": False,
-                "error": "bad-request",
-                "detail": "batch item must be an envelope dict",
-            }
-        if sub.get("op") == "batch":
-            return {
-                "ok": False,
-                "error": "bad-request",
-                "detail": "batch envelopes do not nest",
-            }
-        reply = self._dispatch(sub, raw)
-        if raw and sub.get("op") == "send":
-            # The binary-connection hot path: an ok send reply is
-            # packed to its final wire bytes right here, so the
-            # frame encoder later copies it in instead of walking
-            # the reply dict again.
-            request_id = sub.get("id")
-            if type(request_id) is int and request_id >= 0 and reply.get("ok"):
-                return pack_send_reply(request_id, reply["value"])
-        # Each sub-reply echoes its own request id for correlation.
-        return self._echo_id(sub, reply)
 
     async def _handle_batch(
         self, envelope: dict[str, Any], raw: bool, forwarder: Optional[Any]
     ) -> dict[str, Any]:
         """The batch op: items answered in order, one loop for every deployment.
 
-        Reads are answered locally; with a forwarder attached, a
-        mutating item awaits the writer round-trip, which also applies
-        the resulting delta here before the sub-reply is emitted — a
-        client that mutates and reads in one batch sees its own write.
+        Each item is checked as a request of its own — a refused item
+        is one refused sub-reply.  Reads are answered locally; with a
+        forwarder attached, a mutating item awaits the writer
+        round-trip, which also applies the resulting delta here before
+        the sub-reply is emitted — a client that mutates and reads in
+        one batch sees its own write.  Each sub-reply echoes its own
+        request id for correlation.
         """
-        requests = envelope.get("requests")
-        if not isinstance(requests, list):
-            return {
-                "ok": False,
-                "error": "bad-request",
-                "detail": "batch requests must be a list of envelopes",
-            }
-        if len(requests) > MAX_BATCH:
-            return {
-                "ok": False,
-                "error": "bad-request",
-                "detail": f"batch of {len(requests)} exceeds max_batch {MAX_BATCH}",
-            }
         replies: list[Any] = []
-        for sub in requests:
-            if (
-                forwarder is not None
-                and isinstance(sub, dict)
-                and envelope_mutates(sub)
-            ):
-                replies.append(
-                    self._echo_id(sub, await self._forward(forwarder, sub))
-                )
+        for sub in envelope["requests"]:
+            try:
+                op, checked = self._checked(sub, item=True)
+            except _Refused as refused:
+                reply = _refusal(str(refused))
+                replies.append(self._echo_id(sub, reply) if refused.echo else reply)
+                continue
+            if forwarder is not None and envelope_mutates(checked):
+                reply = await self._forward(forwarder, checked)
             else:
-                replies.append(self._batch_sub(sub, raw))
+                reply = self._dispatch(op, checked, raw)
+                request_id = sub.get("id")
+                if (
+                    raw
+                    and op is _SEND
+                    and type(request_id) is int
+                    and request_id >= 0
+                    and reply["ok"]
+                ):
+                    # The binary-connection hot path: an ok send reply
+                    # is packed to its final wire bytes right here, so
+                    # the frame encoder later copies it in instead of
+                    # walking the reply dict again.
+                    replies.append(pack_send_reply(request_id, reply["value"]))
+                    continue
+            replies.append(self._echo_id(sub, reply))
         return {"ok": True, "value": replies}
 
     def info(self) -> dict[str, Any]:
@@ -589,15 +749,10 @@ class LookupService:
             }
         return self.membership.view_wire()
 
-    def _handle_heartbeat(self, envelope: dict[str, Any]) -> dict[str, Any]:
+    def _handle_heartbeat(self, envelope: dict, raw: bool) -> dict[str, Any]:
         if self.membership is None:
-            return {
-                "ok": False,
-                "error": "bad-request",
-                "detail": "service has no membership plane (not sharded)",
-            }
-        heartbeat = decode_heartbeat(envelope["message"])
-        reply = self.membership.on_wire_heartbeat(heartbeat)
+            return _refusal("service has no membership plane (not sharded)")
+        reply = self.membership.on_wire_heartbeat(envelope["message"])
         return {"ok": True, "value": encode_message(reply)}
 
     # -- reply-cache invalidation --------------------------------------------
@@ -701,8 +856,6 @@ class LookupService:
             return []
         rows: list[dict[str, Any]] = []
         for key, payload in self.reply_cache.export_hot(limit):
-            if not (isinstance(key, tuple) and len(key) == 5):
-                continue
             body: Any
             if key[0] == CODEC_BINARY:
                 body = base64.b64encode(payload.data).decode("ascii")
@@ -721,46 +874,47 @@ class LookupService:
         best-effort.
         """
         cache = self.reply_cache
-        if cache is None or not isinstance(rows, list):
+        if cache is None or type(rows) is not list:
             return 0
         imported = 0
         for row in reversed(rows):  # hottest rows land most-recent
-            if not isinstance(row, dict):
+            try:
+                codec, op, scheme, server, target = row["slot"]
+                body = row["body"]
+            except (LookupError, TypeError, ValueError):
                 continue
-            slot = row.get("slot")
-            if not (isinstance(slot, list) and len(slot) == 5):
+            # Only what ``_cache_slot`` builds: a row keyed by ``True``
+            # or ``1.0`` would be the row of ``1``.
+            if not (
+                op == "send"
+                and codec in SUPPORTED_CODECS
+                and type(scheme) is str
+                and scheme in self.strategies
+                and type(server) is int
+                and type(target) is int
+            ):
                 continue
-            codec, op, scheme, server, target = slot
-            if scheme not in self.strategies:
-                continue
-            body = row.get("body")
-            payload: Any
+            payload: Any = body
             if codec == CODEC_BINARY:
-                if not isinstance(body, str):
-                    continue
                 try:
                     payload = Prepacked(base64.b64decode(body.encode("ascii")))
-                except ValueError:
+                except (AttributeError, ValueError):
                     continue
-            else:
-                payload = body
             cache.put((codec, op, scheme, server, target), payload)
             imported += 1
         return imported
 
     def _cache_slot(
-        self, server_id: int, key: str, message: Message, raw: bool
+        self, server_id: int, key: str, message: LookupRequest, raw: bool
     ) -> Optional[tuple]:
-        """The cache key for this lookup, or None when not cacheable.
+        """The cache key for this checked lookup, or None when not cacheable.
 
         Only the RNG-free lookup shape is cacheable (see
-        :mod:`repro.net.cache`): a plain :class:`LookupRequest` whose
-        target is zero/negative or covers the server's whole store, on
-        a live server, with no fault plan installed (fault injection
-        consumes RNG and may drop/duplicate — never short-circuit it).
+        :mod:`repro.net.cache`): a lookup whose target is zero/negative
+        or covers the server's whole store, on a live server, with no
+        fault plan installed (fault injection consumes RNG and may
+        drop/duplicate — never short-circuit it).
         """
-        if type(message) is not LookupRequest:
-            return None
         if self.cluster.network.fault_injector is not None:
             return None
         server = self.cluster.servers[server_id]
@@ -771,36 +925,15 @@ class LookupService:
         codec = CODEC_BINARY if raw else CODEC_JSON
         return (codec, "send", key, server_id, message.target)
 
-    def _handle_send(
-        self, envelope: dict[str, Any], raw: bool = False
-    ) -> dict[str, Any]:
+    def _handle_send(self, envelope: dict[str, Any], raw: bool) -> dict[str, Any]:
         server_id = envelope["server"]
         key = envelope["key"]
-        if type(server_id) is not int or not 0 <= server_id < self.cluster.size:
-            return {
-                "ok": False,
-                "error": "bad-request",
-                "detail": f"server id out of range: {server_id!r}",
-            }
-        if key not in self.strategies:
-            return {
-                "ok": False,
-                "error": "bad-request",
-                "detail": f"unknown scheme key: {key!r}",
-            }
-        message = decode_message(envelope["message"])
-        if type(message) is LookupRequest and type(message.target) is not int:
-            # Before the cache probe: a float or bool target would key
-            # its own cache row, and the store cannot sample by one.
-            return {
-                "ok": False,
-                "error": "bad-request",
-                "detail": f"lookup target must be an integer: {message.target!r}",
-            }
+        message = envelope["message"]
         network = self.cluster.network
         cache = self.reply_cache
         slot = None
-        mutates = message.category is not MessageCategory.LOOKUP
+        # A checked message is a client request: a lookup, or an update.
+        mutates = type(message) is not LookupRequest
         if mutates:
             # Invalidate-before-apply: no post-mutation request may
             # ever see a pre-mutation cached reply, even if the
@@ -855,15 +988,8 @@ class LookupService:
         if network._message_log is not None:
             network._message_log.append((server_id, type(message).__name__))
 
-    def _handle_verify(self, envelope: dict[str, Any]) -> dict[str, Any]:
-        key = envelope["key"]
-        strategy = self.strategies.get(key)
-        if strategy is None:
-            return {
-                "ok": False,
-                "error": "bad-request",
-                "detail": f"unknown scheme key: {key!r}",
-            }
+    def _handle_verify(self, envelope: dict[str, Any], raw: bool) -> dict[str, Any]:
+        strategy = self.strategies[envelope["key"]]
         return {
             "ok": True,
             "value": {
@@ -899,12 +1025,9 @@ class LookupService:
                     # not decodable (unknown message type, bad tag
                     # payload): the stream is still in sync, so answer
                     # and keep serving.
-                    reply = {
-                        "ok": False,
-                        "error": "bad-request",
-                        "detail": "undecodable frame body",
-                    }
-                    await write_frame(writer, reply, codec=codec)
+                    await write_frame(
+                        writer, _refusal("undecodable frame body"), codec=codec
+                    )
                     continue
                 except FrameError:
                     break
@@ -924,14 +1047,7 @@ class LookupService:
                     # The encoder raises before a byte is written, so
                     # the stream is in sync: refuse this request, keep
                     # serving the connection.
-                    reply = self._echo_id(
-                        envelope,
-                        {
-                            "ok": False,
-                            "error": "bad-request",
-                            "detail": f"reply {exc}",
-                        },
-                    )
+                    reply = self._echo_id(envelope, _refusal(f"reply {exc}"))
                     await write_frame(writer, reply, codec=codec)
                 if envelope.get("op") == "hello" and reply.get("ok"):
                     codec = reply["value"]["codec"]
@@ -999,9 +1115,14 @@ class LookupService:
 
 
 __all__ = [
+    "CLIENT_REQUESTS",
     "DEFAULT_SCHEMES",
     "MAX_BATCH",
+    "MESSAGE_SCHEMA",
+    "OP_SCHEMA",
+    "schema_field",
     "LookupService",
+    "Op",
     "ServiceConfig",
     "envelope_mutates",
     "shard_names",

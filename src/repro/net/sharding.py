@@ -107,7 +107,10 @@ class ShardMap:
         """
         if replicas < 1:
             raise InvalidParameterError(f"replicas must be >= 1, got {replicas}")
-        ranked = self._ranked.get(key)
+        # Memoized by string keys only (the rule in repro.net.codec):
+        # 1, True and 1.0 are one dict key but three ring positions.
+        memo = type(key) is str
+        ranked = self._ranked.get(key) if memo else None
         if ranked is None:
             probe_points = [
                 ring_position(f"key|{key}|{i}") for i in range(self.probes)
@@ -119,9 +122,11 @@ class ShardMap:
                     item[0],
                 ),
             )
-            if len(self._ranked) >= RANK_TABLE_CAP:
-                self._ranked.clear()
-            ranked = self._ranked[key] = tuple(name for name, _ in by_distance)
+            ranked = tuple(name for name, _ in by_distance)
+            if memo:
+                if len(self._ranked) >= RANK_TABLE_CAP:
+                    self._ranked.clear()
+                self._ranked[key] = ranked
         return list(ranked[:replicas])
 
     def role(self, key: str, shard: str, replicas: int) -> Optional[int]:

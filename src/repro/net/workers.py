@@ -97,7 +97,7 @@ from repro.net.codec import (
     encode_value,
     read_frame,
 )
-from repro.net.service import LookupService, ServiceConfig, envelope_mutates
+from repro.net.service import LookupService, ServiceConfig
 
 #: How many times the supervisor revives one reader index before it
 #: concludes the failure is systemic and fails the fleet loudly.
@@ -119,18 +119,19 @@ def reuseport_available() -> bool:
 
 
 def wire_envelope(envelope: Dict[str, Any]) -> Dict[str, Any]:
-    """An envelope made JSON-safe for the writer pipe.
+    """A checked mutating ``send`` as the writer pipe carries it.
 
-    A binary connection decodes ``message`` to a live
-    :class:`~repro.cluster.messages.Message`; the pipe speaks JSON, so
-    re-encode it to the tagged wire dict.  Everything else in a
-    request envelope is already JSON-shaped.
+    Just the fields the writer applies — the client's ``id`` and any
+    field no op reads stay behind — with the message re-encoded to its
+    tagged JSON form, because the pipe speaks JSON.
     """
-    message = envelope.get("message")
-    if isinstance(message, Message):
-        envelope = dict(envelope)
-        envelope["message"] = encode_message(message)
-    return envelope
+    message = envelope["message"]
+    return {
+        "op": "send",
+        "server": envelope["server"],
+        "key": envelope["key"],
+        "message": encode_message(message) if isinstance(message, Message) else message,
+    }
 
 
 def compute_apply_delta(
@@ -173,7 +174,9 @@ def apply_delta(service: LookupService, delta: Dict[str, Any]) -> None:
 
     Pure store-membership surgery — no strategy logic runs, no RNG is
     drawn — followed by the same invalidate-the-cache bookkeeping a
-    local mutation performs.
+    local mutation performs.  A malformed delta raises (the reader's
+    pump then fails loudly): a server id outside the cluster is refused
+    here, since as a list index ``-1`` would name the last server.
     """
     key = delta["key"]
     if key not in service.strategies:
@@ -181,7 +184,10 @@ def apply_delta(service: LookupService, delta: Dict[str, Any]) -> None:
     service.note_mutation(key)
     servers = service.cluster.servers
     for sid_text, change in delta["servers"].items():
-        store = servers[int(sid_text)].store(key)
+        sid = int(sid_text)
+        if not 0 <= sid < len(servers):
+            raise ValueError(f"delta names no server of this cluster: {sid_text!r}")
+        store = servers[sid].store(key)
         for wire in change.get("add", ()):
             store.add(decode_value(wire))
         for entry_id in change.get("drop", ()):
@@ -237,10 +243,15 @@ class DeltaApplier:
         self.service = service
         self.applied = applied
 
-    def offer(self, delta: Dict[str, Any]) -> str:
-        """Feed one delta; returns ``applied|duplicate|resync``."""
-        epoch = delta.get("epoch")
-        if not isinstance(epoch, int):
+    def offer(self, delta: Any) -> str:
+        """Feed one delta; returns ``applied|duplicate|resync``.
+
+        A delta whose epoch is not an exact int (``True`` is not epoch
+        1) is a gap.  One that is due but malformed raises from
+        :func:`apply_delta`, and the watermark stays put.
+        """
+        epoch = delta.get("epoch") if type(delta) is dict else None
+        if type(epoch) is not int:
             return "resync"
         if epoch <= self.applied:
             return "duplicate"
@@ -252,6 +263,8 @@ class DeltaApplier:
 
     def resync(self, epoch: int, snapshot: Dict[str, Any]) -> None:
         """Adopt a full snapshot taken at ``epoch``."""
+        if type(epoch) is not int:
+            raise ValueError(f"snapshot epoch is not an integer: {epoch!r}")
         load_snapshot(self.service, snapshot)
         self.service.flush_cache()
         self.applied = epoch
@@ -377,14 +390,16 @@ class WriterBus:
         op = frame.get("op")
         if op == "fwd":
             envelope = frame.get("envelope")
-            if isinstance(envelope, dict):
+            if type(envelope) is dict and envelope.get("op") == "send":
+                # Applied through the service's own request check; a
+                # batch would mutate without a delta, so none is taken.
                 response = self._apply(envelope, writer)
             else:
                 response = {
                     "reply": {
                         "ok": False,
                         "error": "bad-request",
-                        "detail": "fwd wants an envelope dict",
+                        "detail": "fwd wants one send envelope",
                     }
                 }
             response["op"] = "fwd_reply"
