@@ -14,24 +14,23 @@ entries live:
   crashed process rebuilds its stores bit-identically on restart.
 
 The interface is exactly the store surface the rest of the codebase
-already depends on, made explicit.  Four layers are load-bearing and
+already depends on, made explicit.  Three layers are load-bearing and
 pin the contract:
 
 - **Seeded RNG sampling order** — :meth:`StorageBackend.sample` and
-  :meth:`StorageBackend.pop_random` must draw from the *insertion
-  ordered* entry list, so seeded runs replay identically whichever
-  backend holds the entries.
+  :meth:`StorageBackend.pop_random` draw from the entry list, which is
+  in ascending dense index: the order is a function of the store's
+  *set* of entries, never of the order they arrived in, so seeded runs
+  replay identically whichever backend holds the entries and however
+  the same set was built.
 - **The bitset kernel** — :meth:`StorageBackend.mask` and the parallel
   dense-index list must stay consistent with the shared per-key
   :class:`~repro.core.interning.EntryInterner`; coverage questions
   reduce to ``int.__or__`` + ``bit_count()``.
 - **Writer-bus delta fan-out** — deltas are bitmask diffs, so two
-  backends that report equal masks after the same mutation sequence
-  are interchangeable mid-fleet.
-- **Reply-cache epoch stamps** — a cached reply is valid exactly when
-  the store state it was computed from is current; backends must make
-  every mutation observable through the public mutators (no
-  out-of-band state changes).
+  stores over equal interners that report equal masks hold equal
+  lists: a reader that applied the writer's deltas answers with the
+  writer's bytes.
 
 Backends are constructed per ``(key, server)`` by a *store factory*
 (see :data:`StoreFactory`) threaded through
@@ -57,21 +56,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class StorageBackend(ABC):
     """The per-(key, server) entry store contract.
 
-    An insertion-ordered set of entries with O(1) membership, dense
-    interned indices, and a bitmask mirror.  Implementations must keep
-    three views in lock-step after every mutation:
+    A set of entries with O(1) membership, dense interned indices, and
+    a bitmask mirror, iterated in ascending dense index.
+    Implementations must keep three views in lock-step after every
+    mutation:
 
-    - the ordered entry list (``as_list``/``__iter__`` order == the
-      order entries were added; removal preserves the relative order
-      of survivors),
-    - the parallel dense-index list (``indices()``),
+    - the entry list (``as_list``/``__iter__``), in ascending dense
+      index whatever order the entries were added in,
+    - the parallel dense-index list (``indices()``), strictly
+      increasing,
     - the bitmask over the interner's index space (``mask``).
 
     Recovery invariant (what "bit-identical" means for a durable
-    backend): after a crash and replay, ``as_list()``, ``indices()``
-    and ``mask`` must equal the never-crashed store's, entry for entry
-    and bit for bit — so sampling the recovered store with an equal
-    RNG state yields the same answer bytes.
+    backend): equal masks over equal interners.  The other two views
+    follow from the mask, so sampling the recovered store with an
+    equal RNG state yields the never-crashed store's answer bytes.
     """
 
     __slots__ = ()
@@ -88,11 +87,11 @@ class StorageBackend(ABC):
 
     @abstractmethod
     def indices(self) -> list[int]:
-        """Dense indices of the held entries, in insertion order."""
+        """Dense indices of the held entries, ascending."""
 
     @abstractmethod
     def fragments(self, encode: Callable[[str], Any]) -> Optional[list]:
-        """``encode(entry_id)`` per held entry, in insertion order.
+        """``encode(entry_id)`` per held entry, in store order.
 
         Read from the interner's memo table for ``encode`` (see
         :meth:`~repro.core.interning.EntryInterner.fragments`), so
@@ -109,10 +108,6 @@ class StorageBackend(ABC):
     @abstractmethod
     def discard(self, entry: Entry) -> bool:
         """Remove ``entry`` if present; return True if it was removed."""
-
-    @abstractmethod
-    def replace(self, old: Entry, new: Entry) -> bool:
-        """Swap ``old`` for ``new`` in place, preserving position."""
 
     @abstractmethod
     def sample(self, count: int, rng: random.Random) -> list[Entry]:
@@ -137,13 +132,13 @@ class StorageBackend(ABC):
 
     @abstractmethod
     def as_list(self) -> list[Entry]:
-        """The held entries in insertion order."""
+        """The held entries in ascending dense index."""
 
     @abstractmethod
     def as_set(self) -> set[Entry]: ...
 
     def restore(self, entries: Iterable[Entry]) -> None:
-        """Replace the whole contents with ``entries``, in order.
+        """Replace the whole contents with ``entries``.
 
         The snapshot/resync surface: one logical operation, so a
         durable backend can journal it as a single record instead of a
@@ -160,7 +155,7 @@ def _is_rider(entry: Entry) -> bool:
 
 
 class MemoryBackend(StorageBackend):
-    """An insertion-ordered set of entries with O(1) membership.
+    """A set of entries with O(1) membership, iterated in index order.
 
     Servers need three things from their local store: membership tests
     (Fixed-x's "do I already hold v?"), uniform random sampling (every
@@ -171,23 +166,22 @@ class MemoryBackend(StorageBackend):
     representation: entries are interned into a dense, stable index
     space (shared cluster-wide per key via an
     :class:`~repro.core.interning.EntryInterner`) and the store keeps,
-    alongside the ordered entry list, a parallel list of dense indices
-    plus an integer bitmask with one bit per held entry.  Membership is
-    a bit test, and coverage/union questions over many stores reduce to
+    alongside the entry list, a parallel list of dense indices plus an
+    integer bitmask with one bit per held entry.  Membership is a bit
+    test, and coverage/union questions over many stores reduce to
     ``int.__or__`` + ``bit_count()`` (see ``Cluster.coverage``).
-    Sampling still draws from the ordered list, so seeded RNG streams
-    are identical to the pre-bitset representation.
 
-    The index list is also what the store is serialised and searched
-    by.  Two facts about it are kept current by every mutator so both
-    stay O(1) to ask: how many held entries are *riders* (see
-    :meth:`fragments`), and whether the list is still ascending — new
-    entries get new indices and removal keeps order, so it is until an
-    entry is re-added below the tail or replaced — in which case a
-    removal finds its position by ``bisect`` instead of a scan.
+    Both lists are in ascending dense index.  A newly interned entry
+    gets the highest index, so its add appends; an add below a held
+    index (a re-add, or a placement that visits entries out of index
+    order) is inserted at its ``bisect`` position, and a removal finds
+    its position the same way.  The index list is also what the
+    store is serialised by, so every mutator keeps one more fact about
+    it current: how many held entries are *riders* (see
+    :meth:`fragments`).
     """
 
-    __slots__ = ("_entries", "_indices", "_mask", "_interner", "_riders", "_ascending")
+    __slots__ = ("_entries", "_indices", "_mask", "_interner", "_riders")
 
     def __init__(
         self,
@@ -199,7 +193,6 @@ class MemoryBackend(StorageBackend):
         self._indices: list[int] = []
         self._mask: int = 0
         self._riders: int = 0
-        self._ascending: bool = True
         for entry in entries:
             self.add(entry)
 
@@ -213,7 +206,7 @@ class MemoryBackend(StorageBackend):
         return self._interner
 
     def indices(self) -> list[int]:
-        """Dense indices of the held entries, in insertion order."""
+        """Dense indices of the held entries, ascending."""
         return list(self._indices)
 
     @property
@@ -221,21 +214,10 @@ class MemoryBackend(StorageBackend):
         """How many held entries carry a payload or subclass ``Entry``."""
         return self._riders
 
-    @property
-    def ascending(self) -> bool:
-        """Whether ``indices()`` is known to be in increasing order."""
-        return self._ascending
-
     def fragments(self, encode: Callable[[str], Any]) -> Optional[list]:
         if self._riders:
             return None
         return list(map(self._interner.fragments(encode).__getitem__, self._indices))
-
-    def _position(self, index: int) -> int:
-        """Where the held ``index`` sits in the index list."""
-        if self._ascending:
-            return bisect_left(self._indices, index)
-        return self._indices.index(index)
 
     def _removed(self, position: int) -> Entry:
         """Pop ``position`` from both lists; the mask is the caller's."""
@@ -249,16 +231,19 @@ class MemoryBackend(StorageBackend):
         """Insert ``entry``; return True if it was not already present."""
         index = self._interner.intern(entry)
         above = self._mask >> index
-        if above:
-            if above & 1:
-                return False
-            # A held index above this one: appending ends the order.
-            self._ascending = False
+        if above & 1:
+            return False
         if entry.__class__ is not Entry or entry.payload is not None:
             self._riders += 1  # _is_rider, inlined: the placement loop
         self._mask |= 1 << index
-        self._entries.append(entry)
-        self._indices.append(index)
+        if above:
+            # A held index above this one: insert in place.
+            position = bisect_left(self._indices, index)
+            self._entries.insert(position, entry)
+            self._indices.insert(position, index)
+        else:
+            self._entries.append(entry)
+            self._indices.append(index)
         return True
 
     def discard(self, entry: Entry) -> bool:
@@ -266,24 +251,8 @@ class MemoryBackend(StorageBackend):
         index = self._interner.index_of(entry.entry_id)
         if index is None or not (self._mask >> index) & 1:
             return False
-        self._removed(self._position(index))
+        self._removed(bisect_left(self._indices, index))
         self._mask ^= 1 << index
-        return True
-
-    def replace(self, old: Entry, new: Entry) -> bool:
-        """Swap ``old`` for ``new`` in place, preserving position."""
-        old_index = self._interner.index_of(old.entry_id)
-        if old_index is None or not (self._mask >> old_index) & 1:
-            return False
-        new_index = self._interner.intern(new)
-        if (self._mask >> new_index) & 1:
-            return False
-        position = self._position(old_index)
-        self._riders += _is_rider(new) - _is_rider(self._entries[position])
-        self._ascending = False
-        self._entries[position] = new
-        self._indices[position] = new_index
-        self._mask ^= (1 << old_index) | (1 << new_index)
         return True
 
     def sample(self, count: int, rng: random.Random) -> list[Entry]:
@@ -311,7 +280,6 @@ class MemoryBackend(StorageBackend):
         self._indices.clear()
         self._mask = 0
         self._riders = 0
-        self._ascending = True
 
     def __contains__(self, entry: Entry) -> bool:
         index = self._interner.index_of(entry.entry_id)

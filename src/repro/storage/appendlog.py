@@ -6,9 +6,9 @@ the live log file *before* the caller observes the mutation's effects
 downstream (the writer fans out deltas only after the journal write
 returns).  On cold start the journal replays snapshot + surviving log
 files into a :class:`RecoveredImage` which callers apply back onto a
-fresh cluster — rebuilding ordered entry lists, dense interner index
-assignments, and coverage bitmasks bit-identically to a never-crashed
-process.
+fresh cluster — rebuilding dense interner index assignments and
+coverage bitmasks, and with them the index-ordered entry lists,
+bit-identically to a never-crashed process.
 
 Durability model
 ----------------
@@ -157,9 +157,9 @@ class RecoveredImage:
 
     ``interners`` lists ``[entry_id, payload]`` pairs in *dense index
     order* — replaying them first guarantees every store rebuild
-    re-derives identical bitmask bit positions.  ``stores`` lists each
-    server's entries in insertion order, which is what makes sampling
-    with a restored RNG byte-identical.
+    re-derives identical bitmask bit positions, and so the never-crashed
+    store's index-ordered list.  ``stores`` lists each server's entries;
+    their order there does not matter.
     """
 
     interners: Dict[str, List[List[Any]]] = field(default_factory=dict)
@@ -210,18 +210,6 @@ class RecoveredImage:
             for position, pair in enumerate(store):
                 if pair[0] == record["id"]:
                     store.pop(position)
-                    break
-        elif op == "swap":
-            index = self._intern(record["k"], record["e"][0], record["e"][1])
-            if "i" in record and record["i"] != index:
-                raise RecoveryError(
-                    f"journal swap for {record['e'][0]!r} recorded dense index "
-                    f"{record['i']} but replay assigned {index}"
-                )
-            store = self._store(record["k"], record["s"])
-            for position, pair in enumerate(store):
-                if pair[0] == record["old"]:
-                    store[position] = list(record["e"])
                     break
         elif op == "reset":
             for entry_id, payload in record["entries"]:
@@ -451,22 +439,6 @@ class AppendLogJournal:
             return
         self.append({"op": "drop", "k": key, "s": server_id, "id": entry_id})
 
-    def record_replace(
-        self, key: str, server_id: int, old_id: str, index: int, entry: Entry
-    ) -> None:
-        if not self.listening:
-            return
-        self.append(
-            {
-                "op": "swap",
-                "k": key,
-                "s": server_id,
-                "old": old_id,
-                "i": index,
-                "e": [entry.entry_id, entry.payload],
-            }
-        )
-
     def record_reset(
         self, key: str, server_id: int, entries: Iterable[Entry]
     ) -> None:
@@ -656,7 +628,7 @@ class LogBackend(MemoryBackend):
     """The in-memory backend with every mutation journaled.
 
     Representation-identical to :class:`MemoryBackend` — same slots,
-    same ordered lists, same bitmask — so the read path (sampling,
+    same index-ordered lists, same bitmask — so the read path (sampling,
     membership, the bitset kernel's ``_indices`` access) costs exactly
     the same.  Each mutator delegates to ``super()`` first and journals
     only mutations that actually happened, recording *outcomes* (the
@@ -682,7 +654,10 @@ class LogBackend(MemoryBackend):
         added = super().add(entry)
         if added:
             self._journal.record_add(
-                self._key, self._server_id, self._indices[-1], entry
+                self._key,
+                self._server_id,
+                self._interner.index_of(entry.entry_id),
+                entry,
             )
         return added
 
@@ -691,18 +666,6 @@ class LogBackend(MemoryBackend):
         if removed:
             self._journal.record_drop(self._key, self._server_id, entry.entry_id)
         return removed
-
-    def replace(self, old: Entry, new: Entry) -> bool:
-        swapped = super().replace(old, new)
-        if swapped:
-            self._journal.record_replace(
-                self._key,
-                self._server_id,
-                old.entry_id,
-                self._interner.index_of(new.entry_id),
-                new,
-            )
-        return swapped
 
     def pop_random(self, rng: random.Random) -> Entry:
         entry = super().pop_random(rng)

@@ -73,20 +73,6 @@ class TestEntryStore:
         with pytest.raises(KeyError):
             EntryStore().pop_random(random.Random(1))
 
-    def test_replace_swaps_in_place(self):
-        store = EntryStore(make_entries(3))
-        assert store.replace(Entry("v2"), Entry("new"))
-        assert list(store)[1] == Entry("new")
-        assert Entry("v2") not in store
-
-    def test_replace_missing_old_fails(self):
-        store = EntryStore(make_entries(2))
-        assert not store.replace(Entry("zz"), Entry("new"))
-
-    def test_replace_existing_new_fails(self):
-        store = EntryStore(make_entries(2))
-        assert not store.replace(Entry("v1"), Entry("v2"))
-
     def test_clear(self):
         store = EntryStore(make_entries(3))
         store.clear()

@@ -60,31 +60,21 @@ class TestInterface:
 
 
 class TestIndexList:
-    """What the store keeps about its index list: order and riders."""
+    """What the store keeps about its index list: ascending, and riders."""
 
-    def test_removal_bisects_while_ascending_and_scans_after(self):
+    def test_a_re_add_below_a_held_index_lands_in_place(self):
         store = MemoryBackend(make_entries(8))
-        assert store.ascending
-        store.discard(Entry("v3"))
-        assert store.ascending  # removal keeps order
-        store.add(Entry("v3"))  # re-added below the tail
-        assert not store.ascending
-        assert store.indices() == [0, 1, 3, 4, 5, 6, 7, 2]
-        # the scan arm: positions a bisect over this list would miss
+        assert store.discard(Entry("v3"))
+        assert store.add(Entry("v3"))  # index 2, below the tail
+        assert store.indices() == list(range(8))
+        assert store.as_list() == make_entries(8)
         for victim in ("v3", "v8", "v1"):
             assert store.discard(Entry(victim))
         assert store.indices() == [1, 3, 4, 5, 6]
         assert [e.entry_id for e in store] == ["v2", "v4", "v5", "v6", "v7"]
-
-    def test_replace_ends_the_order_and_clear_restores_it(self):
-        store = MemoryBackend(make_entries(4))
-        assert store.replace(Entry("v2"), Entry("w2"))
-        assert not store.ascending and store.indices() == [0, 4, 2, 3]
-        assert store.discard(Entry("w2")) and store.indices() == [0, 2, 3]
-        store.clear()
-        assert store.ascending
+        # the order is the set's, not the arrival order's
         store.restore([Entry("v4"), Entry("v1")])
-        assert not store.ascending  # restore is clear-then-add
+        assert store.indices() == [0, 3]
 
     def test_riders_are_counted_per_store_not_per_index(self):
         interner = EntryInterner()
@@ -96,10 +86,11 @@ class TestIndexList:
         assert (plain.riders, mixed.riders) == (0, 2)
         assert plain.fragments(str.upper) == ["V1", "V2", "V3"]
         assert mixed.fragments(str.upper) is None
-        mixed.replace(Entry("v1"), Entry("v4"))
+        mixed.discard(Entry("v1"))
+        mixed.add(Entry("v4"))
         mixed.discard(Entry("v2"))
         assert mixed.riders == 0
-        assert mixed.fragments(str.upper) == ["V4", "V3"]
+        assert mixed.fragments(str.upper) == ["V3", "V4"]
         mixed.add(Entry("v9", payload=0))
         assert mixed.pop_random(random.Random(3)) is not None
         mixed.clear()

@@ -53,7 +53,8 @@ class TestPlacementGoldens:
         strategy = create_strategy("round_robin", cluster, y=2)
         strategy.place(make_entries(10))
         result = strategy.partial_lookup(4)
-        assert [e.entry_id for e in result.entries] == ["v4", "v9", "v3", "v8"]
+        # the server's whole store, in ascending dense index
+        assert [e.entry_id for e in result.entries] == ["v3", "v4", "v8", "v9"]
         assert result.servers_contacted == (3,)
 
 

@@ -8,7 +8,9 @@ CLI supervisor (skipped where ``SO_REUSEPORT`` is unavailable).
 """
 
 import asyncio
+import dataclasses
 import os
+import random
 import signal
 import struct
 import subprocess
@@ -25,6 +27,7 @@ from repro.net.codec import (
     decode_envelope_binary,
     decode_frame_body,
     encode_envelope,
+    encode_envelope_as,
     encode_message,
     read_frame,
     write_frame,
@@ -155,6 +158,73 @@ class TestDeltaRoundTrip:
         apply_delta(reader, delta)
         after = reader.handle_envelope(dict(lookup))
         assert "zz-inv" in {e["id"] for e in after["value"]}
+
+
+def _write_script(seed, steps=300):
+    """A seeded add/delete script: fresh adds, deletes, and re-adds of
+    deleted entries, which land below the tail of every store."""
+    rng = random.Random(seed)
+    live = [f"v{i}" for i in range(1, CONFIG.entry_count + 1)]
+    gone = []
+    fresh = CONFIG.entry_count
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.4 and live:
+            entry_id = live.pop(rng.randrange(len(live)))
+            gone.append(entry_id)
+            message = DeleteRequest(entry=Entry(entry_id))
+        else:
+            if roll < 0.7 and gone:
+                entry_id = gone.pop(rng.randrange(len(gone)))
+            else:
+                fresh += 1
+                entry_id = f"v{fresh}"
+            live.append(entry_id)
+            message = AddRequest(entry=Entry(entry_id))
+        yield message, rng.randrange(CONFIG.server_count)
+
+
+def _lookup_all_bytes(service, key, sid):
+    reply = service.handle_envelope(_send(key, LookupRequest(0), sid), raw=True)
+    return encode_envelope_as(reply, CODEC_BINARY)
+
+
+def _assert_same_stores(reader, writer, key, where):
+    for sid, (mine, theirs) in enumerate(
+        zip(reader.cluster.servers, writer.cluster.servers)
+    ):
+        assert mine.store(key).indices() == theirs.store(key).indices(), (where, sid)
+        assert _lookup_all_bytes(reader, key, sid) == _lookup_all_bytes(
+            writer, key, sid
+        ), (where, sid)
+
+
+class TestReaderMatchesWriter:
+    """A store is its set, in ascending dense index, so a reader that
+    took the writer's deltas — or its snapshot, or its journal — answers
+    a whole-store lookup with the writer's bytes."""
+
+    @pytest.mark.parametrize(
+        "key", ["full_replication", "fixed", "random_server", "round_robin", "hash"]
+    )
+    def test_deltas_resync_and_recovery_keep_reader_equal_to_writer(
+        self, key, tmp_path
+    ):
+        durable = dataclasses.replace(CONFIG, store="log", data_dir=str(tmp_path))
+        writer = LookupService(durable)
+        reader = LookupService(CONFIG)
+        for step, (message, sid) in enumerate(_write_script(seed=27)):
+            reply, delta = compute_apply_delta(writer, _send(key, message, sid))
+            assert reply["ok"], reply
+            if delta is not None:
+                apply_delta(reader, delta)
+            _assert_same_stores(reader, writer, key, ("delta", step))
+            if step % 100 == 99:
+                load_snapshot(reader, snapshot_stores(writer))
+                _assert_same_stores(reader, writer, key, ("resync", step))
+        recovered = LookupService(dataclasses.replace(durable, store_read_only=True))
+        assert recovered.recovered
+        _assert_same_stores(recovered, writer, key, "recovery")
 
 
 class TestDeltaApplierOrdering:

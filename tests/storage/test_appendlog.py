@@ -42,14 +42,33 @@ class TestLogBackendJournaling:
         for entry in make_entries(8):
             store.add(entry)
         store.discard(Entry("v3"))
-        store.replace(Entry("v5"), Entry("w5"))
-        store.add(Entry("v3"))  # re-add after drop: new list position
+        store.discard(Entry("v5"))
+        store.add(Entry("w5"))
+        store.add(Entry("v3"))  # re-add after drop: below the tail
         journal.close()
 
         _, recovered, _ = _rebuild(tmp_path)
         assert recovered.as_list() == store.as_list()
         assert recovered.indices() == store.indices()
         assert recovered.mask == store.mask
+
+    def test_an_add_below_a_held_index_journals_its_own_index(self, tmp_path):
+        journal = AppendLogJournal(tmp_path)
+        store = _backend(journal)
+        for entry in make_entries(4):
+            store.add(entry)
+        store.discard(Entry("v2"))
+        store.add(Entry("v2"))  # index 1, inserted below v3 and v4
+        journal.close()
+
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "journal.000001.log").read_text().splitlines()
+        ]
+        assert [r["i"] for r in records if r["op"] == "add"] == [0, 1, 2, 3, 1]
+        _, recovered, _ = _rebuild(tmp_path)
+        assert recovered.indices() == store.indices() == [0, 1, 2, 3]
+        assert recovered.as_list() == store.as_list()
 
     def test_pop_random_journals_the_outcome(self, tmp_path):
         # Replay must be RNG-free: the popped entry's id is recorded as
@@ -77,7 +96,6 @@ class TestLogBackendJournaling:
         before = journal.log_records
         store.add(Entry("a"))  # duplicate
         store.discard(Entry("absent"))
-        store.replace(Entry("absent"), Entry("b"))
         store.clear()
         store.clear()  # already empty: nothing to journal
         assert journal.log_records == before + 1  # only the first clear
@@ -233,7 +251,8 @@ class TestSuppressedRecords:
             for entry in make_entries(4):
                 store.add(entry)
             store.discard(Entry("v2"))
-            store.replace(Entry("v3"), Entry("w3"))
+            store.discard(Entry("v3"))
+            store.add(Entry("w3"))
             store.pop_random(random.Random(1))
             store.restore(make_entries(3))
             store.clear()

@@ -288,7 +288,7 @@ class _DedupeOracle:
         return lines + self.line(("rng",), {"op": "rng", "state": jsonable}, jsonable)
 
 
-_STORE_OPS = {"add", "drop", "swap", "reset", "clear"}
+_STORE_OPS = {"add", "drop", "reset", "clear"}
 
 
 def _split_store_prefix(lines):

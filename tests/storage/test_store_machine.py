@@ -2,11 +2,12 @@
 
 Two clusters take the same operations: one of plain
 :class:`MemoryBackend` stores, one of journaled :class:`LogBackend`
-stores.  After every step each store must agree with a list-of-entries
-oracle on contents, indices, mask, rider count and the ascending flag,
-and the three serialisations that read the index list instead of the
-entries must spell what the entry walk spells: the binary wire body,
-the snapshot text, and the store a recovery boot rebuilds.
+stores.  After every step each store must hold the oracle's entries in
+ascending interner index, whatever order they were added in, and
+agree with it on indices, mask and rider count.  The three
+serialisations that read the index list instead of the entries must
+spell what the entry walk spells: the binary wire body, the snapshot
+text, and the store a recovery boot rebuilds.
 """
 
 import json
@@ -103,11 +104,10 @@ class StoreMachine(RuleBasedStateMachine):
                 server.store(KEY)
         self.pop_rngs = [random.Random(11) for _ in self.clusters]
         self.oracle_rng = random.Random(11)
-        # The oracle: per server the held entries in order, one id ->
-        # index map, and the ascending flag as the rules define it.
+        # The oracle: per server the held entries in arrival order, and
+        # one id -> index map.
         self.held = {sid: [] for sid in SERVERS}
         self.index_by_id = {}
-        self.ascending = {sid: True for sid in SERVERS}
 
     @staticmethod
     def _log_store(journal):
@@ -129,12 +129,14 @@ class StoreMachine(RuleBasedStateMachine):
         ids = [e.entry_id for e in self.held[sid]]
         return ids.index(entry_id) if entry_id in ids else None
 
+    def _ordered(self, sid):
+        """The held entries as a store must list them."""
+        return sorted(self.held[sid], key=lambda e: self.index_by_id[e.entry_id])
+
     def _oracle_add(self, sid, entry):
-        index = self._index(entry.entry_id)
+        self._index(entry.entry_id)
         if self._position(sid, entry.entry_id) is not None:
             return False
-        if any(self.index_by_id[e.entry_id] > index for e in self.held[sid]):
-            self.ascending[sid] = False  # a re-add below a held index
         self.held[sid].append(entry)
         return True
 
@@ -154,42 +156,27 @@ class StoreMachine(RuleBasedStateMachine):
         for store in self._stores(sid):
             assert store.discard(Entry(entry_id)) is (position is not None)
 
-    @rule(sid=servers, old_id=st.sampled_from(IDS), new=entries)
-    def replace(self, sid, old_id, new):
-        position = self._position(sid, old_id)
-        swapped = False
-        if position is not None:
-            # the store interns ``new`` before it looks for a clash
-            self._index(new.entry_id)
-            if self._position(sid, new.entry_id) is None:
-                self.held[sid][position] = new
-                self.ascending[sid] = False
-                swapped = True
-        for store in self._stores(sid):
-            assert store.replace(Entry(old_id), new) is swapped
-
     @precondition(lambda self: any(self.held.values()))
     @rule(sid=servers)
     def pop_random(self, sid):
-        held = self.held[sid]
-        if not held:
+        ordered = self._ordered(sid)
+        if not ordered:
             return
         # one seed, one call sequence: all three streams stay in step
-        expected = held.pop(self.oracle_rng.randrange(len(held)))
+        expected = ordered[self.oracle_rng.randrange(len(ordered))]
+        self.held[sid].pop(self._position(sid, expected.entry_id))
         for store, rng in zip(self._stores(sid), self.pop_rngs):
             assert _shape([store.pop_random(rng)]) == _shape([expected])
 
     @rule(sid=servers)
     def clear(self, sid):
         self.held[sid] = []
-        self.ascending[sid] = True
         for store in self._stores(sid):
             store.clear()
 
     @rule(sid=servers, items=st.lists(entries, max_size=8, unique_by=lambda e: e.entry_id))
     def restore(self, sid, items):
         self.held[sid] = []
-        self.ascending[sid] = True
         for entry in items:
             self._oracle_add(sid, entry)
         for store in self._stores(sid):
@@ -226,18 +213,17 @@ class StoreMachine(RuleBasedStateMachine):
     @invariant()
     def stores_agree_with_the_oracle(self):
         for sid in SERVERS:
-            held = self.held[sid]
-            indices = [self.index_by_id[e.entry_id] for e in held]
+            ordered = self._ordered(sid)
+            indices = [self.index_by_id[e.entry_id] for e in ordered]
             for store in self._stores(sid):
-                assert _shape(store.as_list()) == _shape(held)
-                assert _shape(store) == _shape(held)
-                assert store.indices() == indices
+                listed = store.indices()
+                assert all(a < b for a, b in zip(listed, listed[1:]))
+                assert listed == indices
+                assert _shape(store.as_list()) == _shape(ordered)
+                assert _shape(store) == _shape(ordered)
                 assert store.mask == sum(1 << i for i in indices)
-                assert len(store) == len(held)
-                assert store.riders == sum(map(_is_rider, held))
-                assert store.ascending is self.ascending[sid]
-                if store.ascending:
-                    assert indices == sorted(indices)
+                assert len(store) == len(ordered)
+                assert store.riders == sum(map(_is_rider, ordered))
 
     @invariant()
     def wire_body_is_the_generic_encoding_or_declined(self):
