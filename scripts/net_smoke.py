@@ -31,11 +31,12 @@ counters show real hot-key hits — written out as a JSON artifact
 with ``--cache-stats PATH`` for CI to upload.
 
 Finally the durability contract: a ``serve --store log`` service is
-populated, SIGKILLed mid-workload (no shutdown path runs), and
-restarted on the same data directory — the recovered process must
-report ``storage.recovered`` and serve raw binary reply frames that
-are byte-for-byte identical to the pre-crash control's, mutation
-included.
+populated, SIGKILLed mid-workload (no shutdown path runs), left with a
+torn journal tail, and restarted on the same data directory — the
+recovered process must report ``storage.recovered`` and serve raw
+binary reply frames that are byte-for-byte identical to the pre-crash
+control's, mutation included; a mutation it makes itself must survive
+a second SIGKILL and restart.
 
 The server is terminated with SIGTERM and must exit cleanly within
 the grace period; any leftover process is killed and reported as a
@@ -374,20 +375,26 @@ def check_log_store_recovery(ready_dir: str, deadline: float) -> None:
     The control replies are captured from the *uncrashed* service right
     after a post-boot mutation, as raw binary reply frames.  The server
     is then SIGKILLed — no shutdown hook, no final flush beyond the
-    journal's per-mutation write barrier — and restarted on the same data
-    directory.  The recovered service must report
-    ``storage.recovered`` in its capabilities and answer every
-    (scheme, server) full-store lookup with frames byte-for-byte equal
-    to the control's (``LookupRequest(target=0)`` consumes no RNG, so
-    the replies are a pure function of durable state).
+    journal's per-mutation write barrier — and a torn fragment is
+    appended to the newest log, as if the kill had cut a write short.
+    The restarted service must report ``storage.recovered`` in its
+    capabilities and answer every (scheme, server) full-store lookup
+    with frames byte-for-byte equal to the control's
+    (``LookupRequest(target=0)`` consumes no RNG, so the replies are a
+    pure function of durable state).  It then makes one mutation of its
+    own and is SIGKILLed again: the second restart must still hold that
+    mutation — the first restart may not have appended it to the
+    fragment — and answer byte-for-byte as before the second kill.
     """
     import asyncio
+    import glob
     import struct
 
     from repro.cluster.messages import AddRequest, LookupRequest
     from repro.core.entry import Entry
     from repro.net.codec import (
         CODEC_BINARY,
+        decode_frame_body,
         encode_message,
         hello_envelope,
         read_frame,
@@ -427,7 +434,7 @@ def check_log_store_recovery(ready_dir: str, deadline: float) -> None:
             text=True,
         )
 
-    async def mutate(host: str, port: int) -> None:
+    async def mutate(host: str, port: int, entry_id: str) -> None:
         reader, writer = await asyncio.open_connection(host, port)
         try:
             await write_frame(
@@ -436,7 +443,7 @@ def check_log_store_recovery(ready_dir: str, deadline: float) -> None:
                     "op": "send",
                     "server": 0,
                     "key": "full_replication",
-                    "message": encode_message(AddRequest(Entry("w1"))),
+                    "message": encode_message(AddRequest(Entry(entry_id))),
                 },
             )
             reply = await read_frame(reader)
@@ -484,27 +491,54 @@ def check_log_store_recovery(ready_dir: str, deadline: float) -> None:
         caps = ((info or {}).get("value") or {}).get("capabilities") or {}
         return dict(caps.get("storage") or {})
 
+    def run(coro):
+        return asyncio.run(asyncio.wait_for(coro, timeout=30))
+
+    def restart(label: str) -> tuple[subprocess.Popen, str, int, dict]:
+        process = spawn()
+        host, port = wait_for_ready(ready, process, deadline)
+        caps = run(storage_caps(host, port))
+        if caps.get("kind") != "log" or not caps.get("recovered"):
+            fail(f"{label} log-store service did not recover: {caps}")
+        return process, host, port, caps
+
+    def same_frames(control: list[bytes], recovered: list[bytes], label: str) -> None:
+        if recovered != control:
+            diff = sum(1 for a, b in zip(control, recovered) if a != b)
+            fail(
+                f"log-store {label} replies differ from the uncrashed "
+                f"control ({diff}/{len(control)} frames)"
+            )
+
+    def full_replication_ids(frames: list[bytes]) -> set:
+        first = sorted(EXPECTED).index("full_replication") * SERVERS
+        reply = decode_frame_body(frames[first])
+        return {entry.entry_id for entry in reply["value"]}
+
     server = spawn()
     caps: dict = {}
     control: list[bytes] = []
     try:
         host, port = wait_for_ready(ready, server, deadline)
-        asyncio.run(asyncio.wait_for(mutate(host, port), timeout=30))
-        control = asyncio.run(asyncio.wait_for(capture(host, port), timeout=30))
+        run(mutate(host, port, "w1"))
+        control = run(capture(host, port))
         server.kill()
         server.wait()
-        server = spawn()
-        host, port = wait_for_ready(ready, server, deadline)
-        caps = asyncio.run(asyncio.wait_for(storage_caps(host, port), timeout=30))
-        if caps.get("kind") != "log" or not caps.get("recovered"):
-            fail(f"restarted log-store service did not recover: {caps}")
-        recovered = asyncio.run(asyncio.wait_for(capture(host, port), timeout=30))
-        if recovered != control:
-            diff = sum(1 for a, b in zip(control, recovered) if a != b)
-            fail(
-                f"log-store recovery replies differ from the uncrashed "
-                f"control ({diff}/{len(control)} frames)"
-            )
+        # The kill cut the next write short: a fragment with no newline.
+        newest = sorted(glob.glob(os.path.join(data_dir, "journal.*.log")))[-1]
+        with open(newest, "a", encoding="utf-8") as handle:
+            handle.write('[{"op":"add","k":"full_replication","s":0,"i":99,"e":["w9"')
+        server, host, port, caps = restart("restarted")
+        same_frames(control, run(capture(host, port)), "recovery")
+        run(mutate(host, port, "w2"))
+        control = run(capture(host, port))
+        server.kill()
+        server.wait()
+        server, host, port, caps = restart("twice restarted")
+        recovered = run(capture(host, port))
+        if "w2" not in full_replication_ids(recovered):
+            fail("the mutation made after a torn-tail restart was lost")
+        same_frames(control, recovered, "second recovery")
     finally:
         if server.poll() is None:
             server.send_signal(signal.SIGTERM)
@@ -515,9 +549,9 @@ def check_log_store_recovery(ready_dir: str, deadline: float) -> None:
                 server.wait()
                 fail("log-store server did not exit within 10s of SIGTERM")
     print(
-        f"ok log-store recovery: SIGKILL + restart replayed "
-        f"{caps.get('log_records')} journal records and served "
-        f"{len(control)} byte-identical reply frames"
+        f"ok log-store recovery: SIGKILL + torn tail + restart, a mutation, "
+        f"SIGKILL + restart replayed {caps.get('log_records')} journal records "
+        f"and served {len(control)} byte-identical reply frames"
     )
 
 

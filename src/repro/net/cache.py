@@ -21,13 +21,17 @@ Soundness comes from two rules enforced by the service, not here:
    the same RNG stream as a cache-disabled one and every reply —
    cached or not — is byte-identical between the two.
 2. **Invalidate before apply; a resident row is current.**  Whatever
-   is about to change a scheme's stores — a local add/delete/place, a
-   writer delta, a snapshot adoption — first drops that scheme's rows
-   here (:meth:`invalidate`, or :meth:`clear` on a resync), *before*
-   the stores move and before any reply is sent.  A row is only ever
-   filled from the stores as they stand, so presence alone means
-   validity: there is no stamp to compare, and a reader can never
-   observe a pre-mutation answer after the mutation's reply.
+   is about to change a scheme's stores first drops the rows it may
+   make stale here, *before* the stores move and before any reply is
+   sent: a local add/delete/place every row of the scheme (it cannot
+   know in advance which servers its messages reach), a writer delta
+   only the rows of the servers it names (a row is answered from its
+   own server's store alone, so the others stay current), a snapshot
+   adoption everything (:meth:`invalidate`, or :meth:`clear` on a
+   resync).  A row is only ever filled from the stores as they stand,
+   so presence alone means validity: there is no stamp to compare, and
+   a reader can never observe a pre-mutation answer after the
+   mutation's reply.
 
 The counters (hits / misses / evictions / invalidations) are plain
 ints so the hot path stays cheap; :meth:`publish` mirrors them into a
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Container, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.exceptions import InvalidParameterError
 
@@ -101,18 +105,24 @@ class ReplyCache:
             entries.popitem(last=False)
             self.evictions += 1
 
-    def invalidate(self, scheme_key: str) -> int:
-        """Drop every cached reply for ``scheme_key``; returns the count.
+    def invalidate(
+        self, scheme_key: str, servers: Optional[Container[int]] = None
+    ) -> int:
+        """Drop the cached replies for ``scheme_key`` — all of them, or
+        only those of ``servers``; returns the count.
 
-        Cache keys carry the scheme key at index 2 (see the service's
-        ``_cache_slot``); anything else shaped differently is left
-        alone.  Called by the service on every mutation, *before* the
-        mutating reply is sent.
+        Cache keys carry the scheme key at index 2 and the server id at
+        index 3 (see the service's ``_cache_slot``); anything else
+        shaped differently is left alone.  Called by the service on
+        every mutation, *before* the mutating reply is sent.
         """
         doomed = [
             key
             for key in self._entries
-            if isinstance(key, tuple) and len(key) > 2 and key[2] == scheme_key
+            if isinstance(key, tuple)
+            and len(key) > 3
+            and key[2] == scheme_key
+            and (servers is None or key[3] in servers)
         ]
         for key in doomed:
             del self._entries[key]

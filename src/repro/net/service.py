@@ -53,7 +53,7 @@ import base64
 import json
 import reprlib
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Optional
+from typing import Any, Collection, NamedTuple, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.messages import (
@@ -757,16 +757,20 @@ class LookupService:
 
     # -- reply-cache invalidation --------------------------------------------
 
-    def note_mutation(self, key: str) -> None:
+    def note_mutation(
+        self, key: str, servers: Optional[Collection[int]] = None
+    ) -> None:
         """Record that ``key``'s stores are (about to be) changed.
 
-        Drops the scheme's cached replies.  Called *before* a mutating
-        message is applied, so even a mutation that dies half-way can
-        never leave a pre-mutation reply reachable; and called by the
-        worker delta/resync path when an external mutation lands.
+        Drops the scheme's cached replies: only those of ``servers``
+        when the caller knows which stores will change (a writer delta
+        names them), else all of them (a local mutation cannot know in
+        advance which servers its messages reach).  Called *before*
+        the change is applied, so even a mutation that dies half-way
+        can never leave a pre-mutation reply reachable.
         """
         if self.reply_cache is not None:
-            self.reply_cache.invalidate(key)
+            self.reply_cache.invalidate(key, servers)
 
     def flush_cache(self) -> None:
         """Drop every cached reply (e.g. after out-of-band store edits)."""
@@ -794,24 +798,28 @@ class LookupService:
         journal.record_rng(self.cluster.rng)
         journal.flush()
 
-    def _journal_sync_point(self, key: str) -> None:
+    def _journal_sync_point(self, key: str, delivered: dict[int, int]) -> None:
         """Re-journal ``key``'s volatile state after a mutation landed.
 
-        The store delta itself was already appended synchronously by
-        the backend; this adds what replay cannot re-derive — strategy
-        scratch state (Round-Robin counters, reservoir estimates) and
-        the cluster RNG position — then compacts if the log is due.
-        Both record kinds dedupe by comparison, so an unchanged state
-        costs an ``==``.  The flush at the end is the write barrier:
-        the mutation's records reach the log file in one ``write``,
-        before the reply is built.
+        The store delta itself was already queued by the backend; this
+        adds what replay cannot re-derive — strategy scratch state
+        (Round-Robin counters, reservoir estimates) and the cluster RNG
+        position — then compacts if the log is due.  Only a server
+        whose handler ran can have changed its state, and the §6.4
+        ledger books every delivery before its handler runs (under a
+        fault plan too): the servers whose ``per_server`` count moved
+        since ``delivered`` are the ones to look at.  The flush at the
+        end is the write barrier: the mutation's records reach the log
+        file as one line, before the reply is built.
         """
         journal = self.journal
         if journal is None or journal.read_only:
             return
-        for server in self.cluster.servers:
-            if server.has_store(key):
-                journal.record_state(key, server.server_id, server.state(key))
+        servers = self.cluster.servers
+        per_server = self.cluster.network.stats.per_server
+        for sid in sorted(s for s, n in per_server.items() if delivered.get(s) != n):
+            if servers[sid].has_store(key):
+                journal.record_state(key, sid, servers[sid].state(key))
         journal.record_rng(self.cluster.rng)
         if journal.should_compact():
             self.compact_journal()
@@ -939,6 +947,7 @@ class LookupService:
             # ever see a pre-mutation cached reply, even if the
             # handler raises half-way through.
             self.note_mutation(key)
+            delivered = dict(network.stats.per_server)
         elif cache is not None:
             slot = self._cache_slot(server_id, key, message, raw)
             if slot is not None:
@@ -955,7 +964,7 @@ class LookupService:
                 # advanced to, and flush.  In a ``finally`` because a
                 # handler that raises half-way has still mutated, and
                 # the writer ships that partial diff to the readers.
-                self._journal_sync_point(key)
+                self._journal_sync_point(key, delivered)
         if is_undelivered(reply):
             code = "dropped" if reply is DROPPED else "unavailable"
             return {

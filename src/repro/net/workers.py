@@ -173,20 +173,25 @@ def apply_delta(service: LookupService, delta: Dict[str, Any]) -> None:
     """Apply one writer delta to a reader's stores.
 
     Pure store-membership surgery — no strategy logic runs, no RNG is
-    drawn — followed by the same invalidate-the-cache bookkeeping a
-    local mutation performs.  A malformed delta raises (the reader's
-    pump then fails loudly): a server id outside the cluster is refused
-    here, since as a list index ``-1`` would name the last server.
+    drawn — preceded by dropping the cached replies of the servers the
+    delta names, and only theirs: the stores of every other server do
+    not move.  A malformed delta raises (the reader's pump then fails
+    loudly): a server id outside the cluster is refused before
+    anything is touched, since as a list index ``-1`` would name the
+    last server.
     """
     key = delta["key"]
     if key not in service.strategies:
         return
-    service.note_mutation(key)
     servers = service.cluster.servers
+    changes = []
     for sid_text, change in delta["servers"].items():
         sid = int(sid_text)
         if not 0 <= sid < len(servers):
             raise ValueError(f"delta names no server of this cluster: {sid_text!r}")
+        changes.append((sid, change))
+    service.note_mutation(key, {sid for sid, _ in changes})
+    for sid, change in changes:
         store = servers[sid].store(key)
         for wire in change.get("add", ()):
             store.add(decode_value(wire))

@@ -1,34 +1,49 @@
 """Append-log storage backend: journaled mutations + snapshot-and-compact.
 
 One :class:`AppendLogJournal` serves a whole process (all keys, all
-hosted servers).  Every store mutation is appended as one JSON line to
-the live log file *before* the caller observes the mutation's effects
-downstream (the writer fans out deltas only after the journal write
-returns).  On cold start the journal replays snapshot + surviving log
-files into a :class:`RecoveredImage` which callers apply back onto a
-fresh cluster — rebuilding dense interner index assignments and
-coverage bitmasks, and with them the index-ordered entry lists,
-bit-identically to a never-crashed process.
+hosted servers).  Every store mutation is queued as a record *before*
+the caller observes the mutation's effects downstream (the writer fans
+out deltas only after the journal write returns).  On cold start the
+journal replays snapshot + surviving log files into a
+:class:`RecoveredImage` which callers apply back onto a fresh cluster —
+rebuilding dense interner index assignments and coverage bitmasks, and
+with them the index-ordered entry lists, bit-identically to a
+never-crashed process.
 
 Durability model
 ----------------
-``append`` serialises a record into a pending list; :meth:`flush` hands
-the pending lines to the OS page cache in one ``write``, which survives
-the *process* dying (SIGKILL) — the crash mode the chaos harness and
-smoke tests exercise.  The barriers that flush are the end of the
-service's mutation sync point (before the reply is built),
+``append`` queues a record; :meth:`flush` is the barrier: everything
+queued since the last one becomes **one line**, a JSON array of the
+records, written with one ``dumps`` and one ``write`` to the OS page
+cache, which survives the *process* dying (SIGKILL) — the crash mode
+the chaos harness and smoke tests exercise.  The barriers are the end
+of the service's mutation sync point (before the reply is built),
 ``record_epoch`` (before any reader sees the delta), the end of the
 boot records, ``compact()``, ``close()`` and the ``log_bytes`` getter.
-A mutation therefore reaches the file together with the ``state`` and
-``rng`` it advanced to, or not at all: SIGKILL at any instant loses at
-most the mutation that was never acknowledged.  (As far as one
-``write(2)`` is atomic — the kernel may cut a multi-page write short on
-a fatal signal — and up to :data:`MAX_PENDING_RECORDS` records: a
-bulk placement is written in several chunks so the pending list stays
-bounded.)  Surviving power loss additionally needs ``fsync=True`` (one
+A client mutation is therefore one line — its store records and the
+``state`` and ``rng`` it advanced to — and the fleet's ``epoch``
+marker a line of its own.  Replay applies a line whole or not at all:
+a line the crash cut short is dropped with every record in it, so
+SIGKILL at any instant loses at most the mutation that was never
+acknowledged.  (A bulk placement is written in lines of at most
+:data:`MAX_PENDING_RECORDS` records, so the queue stays bounded.)
+Only a file's last line can be torn.  Replay drops it, and a writable
+journal truncates the file back to its last whole line before it
+appends, so a restarted writer's first line never fuses with the
+fragment; a damaged line anywhere else is a :class:`RecoveryError`.
+Surviving power loss additionally needs ``fsync=True`` (one
 ``os.fsync`` per barrier), which the service deliberately does not
 default to; the paper's replication schemes already tolerate losing a
 whole server.
+
+A record is sized by what the write touched.  A server's strategy
+scratch state is journaled in full the first time its slot is, and
+after that as a ``patch``: the top-level keys that changed, and the
+keys set or deleted one level down (Round-Robin's ``positions``).  The
+``rng`` record packs the Mersenne-Twister words as base64 of
+little-endian ``uint32``.  Replay reads the journal's earlier spelling
+too — one record per line, the RNG as a JSON list of ints, snapshot
+schema 1.
 
 Compaction
 ----------
@@ -47,18 +62,23 @@ Randomized mutations journal their *outcome*, not their inputs:
 ``pop_random`` appends the popped entry's id as a plain ``drop``
 record, so replay never consumes RNG.  The cluster RNG's state is
 journaled separately (``rng`` records, deduped) so a recovered process
-resumes the exact random stream of the crashed one.
+resumes the exact random stream of the crashed one.  Every record
+replays in O(1): the image holds each store as an ``id → payload``
+dict.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import copy
+import errno
 import json
 import os
 import pathlib
 import random
 import re
+import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Union
 
@@ -71,7 +91,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 PathLike = Union[str, pathlib.Path]
 
-SNAPSHOT_SCHEMA = 1
+SNAPSHOT_SCHEMA = 2
+
+#: Snapshot schemas :meth:`AppendLogJournal.load` reads; schema 1
+#: spelled the RNG words as a JSON list of ints.
+_READABLE_SCHEMAS = (1, SNAPSHOT_SCHEMA)
 
 #: Strategy scratch-state keys that are transient between operations
 #: and must not be persisted (mirrors ``repro.cluster.snapshots``).
@@ -79,16 +103,22 @@ _TRANSIENT_STATE_KEYS = ("migrations",)
 
 _LOG_NAME_RE = re.compile(r"^journal\.(\d{6})\.log$")
 
-#: ``append`` flushes on its own once this many lines are pending, so a
-#: bulk placement cannot hold its whole journal in memory.
+#: ``append`` flushes on its own once this many records are pending, so
+#: a bulk placement cannot hold its whole journal in memory.
 MAX_PENDING_RECORDS = 4096
 
 _SCALARS = (int, str, float, bool, type(None))
 
+#: Replay errors that mean a record is not one this journal writes.
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
 
-def _dumps(value: Any) -> str:
-    """The one JSON spelling journal lines and snapshots are written in."""
-    return json.dumps(value, separators=(",", ":"))
+_ABSENT = object()
+
+
+#: The one JSON spelling journal lines and snapshots are written in:
+#: what ``json.dumps(value, separators=(",", ":"))`` gives, without
+#: building the encoder per call.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _pair_json(entry_id: str) -> str:
@@ -103,21 +133,34 @@ def _pair_json(entry_id: str) -> str:
 class RecoveryError(ReproError):
     """The journal's contents contradict themselves during replay.
 
-    A *torn tail* (a final line cut short by the crash) is expected and
-    silently dropped; an interner index recorded for an ``add`` that
-    disagrees with replay order is not — it means the journal and the
-    recovery procedure no longer describe the same history.
+    A *torn tail* (a file's last line cut short by the crash) is
+    expected and silently dropped; a damaged line before it, a record
+    this journal does not write, or an interner index recorded for an
+    ``add`` that disagrees with replay order is not — it means the
+    journal and the recovery procedure no longer describe the same
+    history.
     """
 
 
-def _rng_to_jsonable(state: Any) -> list:
-    """``random.Random.getstate()`` → JSON-safe nested lists."""
-    return [state[0], list(state[1]), state[2]]
+def _pack_rng(state: Any) -> list:
+    """``random.Random.getstate()`` → ``[version, words, gauss]``.
+
+    ``words`` is the 625-word state (624 Mersenne-Twister words and the
+    position) as base64 of fixed-width little-endian ``uint32`` — 3.3 KB
+    where a JSON list of ints is 6.7 KB.
+    """
+    version, words, gauss = state
+    packed = struct.pack(f"<{len(words)}I", *words)
+    return [version, base64.b64encode(packed).decode("ascii"), gauss]
 
 
-def _rng_from_jsonable(state: Any) -> tuple:
-    """Inverse of :func:`_rng_to_jsonable`."""
-    return (state[0], tuple(state[1]), state[2])
+def _unpack_rng(state: Any) -> tuple:
+    """Inverse of :func:`_pack_rng`; also reads the JSON list of ints."""
+    words = state[1]
+    if words.__class__ is str:
+        raw = base64.b64decode(words)
+        words = struct.unpack(f"<{len(raw) // 4}I", raw)
+    return (state[0], tuple(words), state[2])
 
 
 def _persistable_state(state: Dict[str, Any]) -> Dict[str, Any]:
@@ -151,6 +194,79 @@ def _detached(value: Any) -> Any:
     return copy.deepcopy(value)
 
 
+def _copy(value: Any) -> Any:
+    return value if value.__class__ in _SCALARS else _detached(value)
+
+
+def _dict_catch_up(kept: Dict[Any, Any], new: Dict[Any, Any]) -> Dict[str, Any]:
+    """Bring dict ``kept`` up to ``new`` in place; returns the ``set`` /
+    ``del`` fields that did it, each in key order.
+    """
+    was = kept.get
+    put = sorted((k, v) for k, v in new.items() if was(k, _ABSENT) != v)
+    gone = sorted(k for k in kept if k not in new)
+    fields: Dict[str, Any] = {}
+    if put:
+        fields["set"] = {k: _copy(v) for k, v in put}
+        kept.update((k, _copy(v)) for k, v in put)
+    if gone:
+        fields["del"] = gone
+        for k in gone:
+            del kept[k]
+    return fields
+
+
+def _catch_up(kept: Dict[str, Any], new: Dict[str, Any]) -> Dict[str, Any]:
+    """Bring the kept copy of a state up to ``new`` (transient keys
+    aside) and return the ``patch`` record fields that did it; empty
+    when nothing changed.
+
+    ``set`` carries the top-level keys whose values changed, ``del``
+    the ones that are gone, and ``sub`` — for a key that holds a dict
+    on both sides — the same two fields one level down.  The fields
+    and ``kept`` share no container.
+    """
+    put: Dict[str, Any] = {}
+    nested: Dict[str, Any] = {}
+    for name, value in new.items():
+        if name in _TRANSIENT_STATE_KEYS:
+            continue
+        was = kept.get(name, _ABSENT)
+        if was == value:
+            continue
+        if was.__class__ is dict and value.__class__ is dict:
+            inner = _dict_catch_up(was, value)
+            if inner:
+                nested[name] = inner
+        else:
+            put[name] = _copy(value)
+            kept[name] = _copy(value)
+    gone = sorted(name for name in kept if name not in new)
+    for name in gone:
+        del kept[name]
+    fields: Dict[str, Any] = {}
+    if put:
+        fields["set"] = put
+    if gone:
+        fields["del"] = gone
+    if nested:
+        fields["sub"] = nested
+    return fields
+
+
+def _merge(target: Dict[Any, Any], change: Dict[str, Any]) -> None:
+    target.update(change.get("set", ()))
+    for name in change.get("del", ()):
+        target.pop(name, None)
+
+
+def _apply_patch(state: Dict[str, Any], patch: Dict[str, Any]) -> None:
+    """Fold a ``patch`` record into ``state``."""
+    for name, inner in patch.get("sub", {}).items():
+        _merge(state.setdefault(name, {}), inner)
+    _merge(state, patch)
+
+
 @dataclass
 class RecoveredImage:
     """Everything a crashed process needs to become its former self.
@@ -158,15 +274,19 @@ class RecoveredImage:
     ``interners`` lists ``[entry_id, payload]`` pairs in *dense index
     order* — replaying them first guarantees every store rebuild
     re-derives identical bitmask bit positions, and so the never-crashed
-    store's index-ordered list.  ``stores`` lists each server's entries;
-    their order there does not matter.
+    store's index-ordered list.  ``stores`` holds each server's entries
+    as an ``id → payload`` dict, so every store record replays in one
+    dict operation; :meth:`snapshot_text` lists them in dense index
+    order, as the store :func:`apply_image` rebuilds does.
     """
 
     interners: Dict[str, List[List[Any]]] = field(default_factory=dict)
-    #: Pair lists — or, fresh from :func:`build_image` and good only
-    #: for :meth:`snapshot_text`, each list's JSON text (a ``str``).
-    stores: Dict[str, Dict[int, List[List[Any]]]] = field(default_factory=dict)
+    #: ``id → payload`` dicts — or, fresh from :func:`build_image` and
+    #: good only for :meth:`snapshot_text`, each store's pair-list JSON
+    #: text (a ``str``).
+    stores: Dict[str, Dict[int, Any]] = field(default_factory=dict)
     states: Dict[str, Dict[int, Dict[str, Any]]] = field(default_factory=dict)
+    #: As journaled: :func:`_pack_rng`'s form, or a schema-1 JSON list.
     rng_state: Optional[list] = None
     epochs: Dict[str, int] = field(default_factory=dict)
     params: Dict[str, Dict[str, Any]] = field(default_factory=dict)
@@ -189,38 +309,37 @@ class RecoveredImage:
             order.append([entry_id, payload])
         return index
 
-    def _store(self, key: str, server_id: int) -> List[List[Any]]:
-        return self.stores.setdefault(key, {}).setdefault(server_id, [])
+    def _store(self, key: str, server_id: int) -> Dict[str, Any]:
+        return self.stores.setdefault(key, {}).setdefault(server_id, {})
 
     def apply(self, record: Dict[str, Any]) -> None:
-        """Fold one journal record into the image."""
+        """Fold one journal record into the image: one dict operation for
+        a store record, whatever the store's size."""
         op = record["op"]
         if op == "add":
-            index = self._intern(record["k"], record["e"][0], record["e"][1])
+            entry_id, payload = record["e"]
+            index = self._intern(record["k"], entry_id, payload)
             if "i" in record and record["i"] != index:
                 raise RecoveryError(
-                    f"journal add for {record['e'][0]!r} recorded dense index "
+                    f"journal add for {entry_id!r} recorded dense index "
                     f"{record['i']} but replay assigned {index}"
                 )
-            store = self._store(record["k"], record["s"])
-            if all(pair[0] != record["e"][0] for pair in store):
-                store.append(list(record["e"]))
+            self._store(record["k"], record["s"]).setdefault(entry_id, payload)
         elif op == "drop":
-            store = self._store(record["k"], record["s"])
-            for position, pair in enumerate(store):
-                if pair[0] == record["id"]:
-                    store.pop(position)
-                    break
+            self._store(record["k"], record["s"]).pop(record["id"], None)
         elif op == "reset":
+            store: Dict[str, Any] = {}
             for entry_id, payload in record["entries"]:
                 self._intern(record["k"], entry_id, payload)
-            self.stores.setdefault(record["k"], {})[record["s"]] = [
-                list(pair) for pair in record["entries"]
-            ]
+                store.setdefault(entry_id, payload)
+            self.stores.setdefault(record["k"], {})[record["s"]] = store
         elif op == "clear":
-            self.stores.setdefault(record["k"], {})[record["s"]] = []
+            self.stores.setdefault(record["k"], {})[record["s"]] = {}
         elif op == "state":
             self.states.setdefault(record["k"], {})[record["s"]] = record["state"]
+        elif op == "patch":
+            by_server = self.states.setdefault(record["k"], {})
+            _apply_patch(by_server.setdefault(record["s"], {}), record)
         elif op == "rng":
             self.rng_state = record["state"]
         elif op == "epoch":
@@ -239,14 +358,23 @@ class RecoveredImage:
         Spelled section by section so the stores — most of the bytes —
         can arrive already serialised; every other value goes through
         :func:`_dumps`, and the result is what one ``_dumps`` of the
-        whole nested dict would give.
+        whole nested dict would give, with each store as a pair list
+        in dense index order.
         """
+
+        def store_text(key: str, pairs: Any) -> str:
+            if pairs.__class__ is str:
+                return pairs
+            if pairs.__class__ is dict:
+                index = self._index_by_id.get(key, {}).__getitem__
+                pairs = [[i, pairs[i]] for i in sorted(pairs, key=index)]
+            return _dumps(pairs)
+
         stores = ",".join(
             _dumps(key)
             + ":{"
             + ",".join(
-                f'"{sid}":' + (pairs if isinstance(pairs, str) else _dumps(pairs))
-                for sid, pairs in by_server.items()
+                f'"{sid}":' + store_text(key, pairs) for sid, pairs in by_server.items()
             )
             + "}"
             for key, by_server in self.stores.items()
@@ -271,10 +399,7 @@ class RecoveredImage:
         out = cls(
             interners={k: [list(p) for p in v] for k, v in image["interners"].items()},
             stores={
-                key: {
-                    int(sid): [list(p) for p in pairs]
-                    for sid, pairs in by_server.items()
-                }
+                key: {int(sid): dict(pairs) for sid, pairs in by_server.items()}
                 for key, by_server in image["stores"].items()
             },
             states={
@@ -291,7 +416,8 @@ class RecoveredImage:
 
 
 class AppendLogJournal:
-    """JSON-lines mutation journal with serial-rotated compaction.
+    """Mutation journal of one JSON-array line per barrier, with
+    serial-rotated compaction.
 
     Parameters
     ----------
@@ -324,14 +450,15 @@ class AppendLogJournal:
         #: While True, ``append`` is suppressed — set during replay so
         #: rebuilding stores does not re-journal its own history.
         self.replaying = False
+        #: Records (not lines) since the last compaction.
         self.log_records = 0
         self.compactions = 0
         self.last_compaction_epoch = 0
         self._serial = 1
         self._fh: Optional[Any] = None
         self._records_since_compact = 0
-        #: Serialised lines not yet handed to the OS; see :meth:`flush`.
-        self._pending: List[str] = []
+        #: Records queued for the next barrier; see :meth:`flush`.
+        self._pending: List[Dict[str, Any]] = []
         #: Dedupe: the last *journaled* payload per slot — ``("state",
         #: key, server)``, ``"rng"``, ``"params"`` — as a private copy.
         self._journaled: Dict[Any, Any] = {}
@@ -393,31 +520,54 @@ class AppendLogJournal:
     def listening(self) -> bool:
         """Whether ``append`` would write: neither read-only nor replaying.
 
-        The store-record builders ask first, so a reader applying a
-        delta and a recovery boot build no record just to drop it.
+        The record builders ask first, so a reader applying a delta and
+        a recovery boot build no record just to drop it.
         """
         return not (self.read_only or self.replaying)
 
     def append(self, record: Dict[str, Any]) -> bool:
-        """Queue one record for the next barrier; False when suppressed."""
+        """Queue one record for the next barrier; False when suppressed.
+
+        The record is serialised at the barrier, so it must not share a
+        container that changes before then: the builders below hand in
+        fresh values.
+        """
         if not self.listening:
             return False
-        self._pending.append(_dumps(record) + "\n")
+        self._pending.append(record)
         self.log_records += 1
         self._records_since_compact += 1
         if len(self._pending) >= MAX_PENDING_RECORDS:
             self.flush()
         return True
 
+    def _open_log(self) -> Any:
+        # Unbuffered: a failed write leaves no bytes behind in a buffer
+        # for a later one to emit.
+        return open(self._log_path(self._serial), "ab", buffering=0)
+
     def flush(self) -> None:
-        """Barrier: hand every pending line to the OS in one ``write``."""
+        """Barrier: every record queued since the last one, as one line
+        in one ``write``.
+
+        The records stay queued until the line is written whole: if the
+        write fails (say ``ENOSPC``), whatever part of it landed is cut
+        off again and the next barrier writes them all.
+        """
         if not self._pending:
             return
+        line = (_dumps(self._pending) + "\n").encode()
         if self._fh is None:
-            self._fh = open(self._log_path(self._serial), "a", encoding="utf-8")
-        self._fh.write("".join(self._pending))
-        self._pending.clear()
-        self._fh.flush()
+            self._fh = self._open_log()
+        end = self._fh.tell()
+        try:
+            if self._fh.write(line) != len(line):
+                raise OSError(errno.EIO, "short write to the journal")
+        except BaseException:
+            with contextlib.suppress(OSError):
+                self._fh.truncate(end)
+            raise
+        self._pending = []
         if self.fsync:
             os.fsync(self._fh.fileno())
 
@@ -459,26 +609,44 @@ class AppendLogJournal:
         self.append({"op": "clear", "k": key, "s": server_id})
 
     def record_state(self, key: str, server_id: int, state: Dict[str, Any]) -> None:
-        """Journal a strategy scratch state, skipping no-op rewrites."""
+        """Journal a strategy scratch state: in full the first time its
+        slot is journaled, then as a patch of what changed, if anything.
+
+        The kept copy takes the same patch, so an unchanged state costs
+        an ``==`` per top-level key and a changed one what changed.
+        """
+        if not self.listening:
+            return
         slot = ("state", key, server_id)
-        # A never-journaled slot reads as empty, so a state that was
-        # always empty is never journaled.
-        last = self._journaled.get(slot) or {}
-        if not state and not last:
+        last = self._journaled.get(slot)
+        if last is None:
+            # A never-journaled slot reads as empty, so a state that was
+            # always empty is never journaled.
+            if not state:
+                return
+            payload = _persistable_state(state)
+            if payload:
+                self.append(
+                    {"op": "state", "k": key, "s": server_id, "state": _detached(payload)}
+                )
+                self._journaled[slot] = _detached(payload)
             return
-        payload = _persistable_state(state)
-        if payload == last:
-            return
-        if self.append({"op": "state", "k": key, "s": server_id, "state": payload}):
-            self._journaled[slot] = _detached(payload)
+        patch = _catch_up(last, state)
+        if patch:
+            self.append({"op": "patch", "k": key, "s": server_id, **patch})
 
     def record_rng(self, rng: random.Random) -> None:
         """Journal the cluster RNG state, skipping no-op rewrites."""
-        state = rng.getstate()
-        if state == self._journaled.get("rng"):
+        if not self.listening:
             return
-        if self.append({"op": "rng", "state": _rng_to_jsonable(state)}):
-            self._journaled["rng"] = state  # nested tuples: nothing to detach
+        state = rng.getstate()
+        last = self._journaled.get("rng")
+        # Every draw moves the position (the last word); the 624 before
+        # it change only when the generator refills, so test it first.
+        if last is not None and state[1][-1] == last[1][-1] and state == last:
+            return
+        self.append({"op": "rng", "state": _pack_rng(state)})
+        self._journaled["rng"] = state  # nested tuples: nothing to detach
 
     def record_epoch(self, key: str, epoch: int) -> None:
         """Journal a delta's epoch marker and flush: the fleet's barrier."""
@@ -487,10 +655,11 @@ class AppendLogJournal:
 
     def record_params(self, schemes: Dict[str, Dict[str, Any]]) -> None:
         """Journal effective strategy params, skipping no-op rewrites."""
-        if schemes == self._journaled.get("params"):
+        if not self.listening or schemes == self._journaled.get("params"):
             return
-        if self.append({"op": "params", "schemes": schemes}):
-            self._journaled["params"] = _detached(schemes)
+        # Never edited in place, so the record and the kept copy share it.
+        kept = self._journaled["params"] = _detached(schemes)
+        self.append({"op": "params", "schemes": kept})
 
     # -- reading -------------------------------------------------------------
 
@@ -504,10 +673,10 @@ class AppendLogJournal:
         snapshot_serial = 0
         if self.snapshot_path.exists():
             snapshot = json.loads(self.snapshot_path.read_text())
-            if snapshot.get("schema") != SNAPSHOT_SCHEMA:
+            if snapshot.get("schema") not in _READABLE_SCHEMAS:
                 raise RecoveryError(
-                    f"snapshot schema {snapshot.get('schema')!r} is not "
-                    f"{SNAPSHOT_SCHEMA}"
+                    f"snapshot schema {snapshot.get('schema')!r} is not one of "
+                    f"{_READABLE_SCHEMAS}"
                 )
             snapshot_serial = snapshot.get("serial", 0)
             self.compactions = snapshot.get("compactions", 0)
@@ -526,28 +695,58 @@ class AppendLogJournal:
             for sid, state in by_server.items():
                 self._journaled[("state", key, sid)] = _detached(state)
         if image.rng_state is not None:
-            self._journaled["rng"] = _rng_from_jsonable(image.rng_state)
+            self._journaled["rng"] = _unpack_rng(image.rng_state)
         if image.params:
             self._journaled["params"] = _detached(image.params)
         return image
 
     def _replay_file(self, path: pathlib.Path, image: RecoveredImage) -> int:
-        records = 0
+        """Fold one log file into ``image``; returns its record count.
+
+        A line is one barrier: a JSON array of records, or one record as
+        the journal wrote it before.  Only the last line can be torn: an
+        unterminated one is ignored unread, and a terminated one that
+        does not parse is dropped.  A writable journal then truncates
+        the file back to its last whole line, where its next barrier
+        starts.  A line that does not parse anywhere else, or holds a
+        record this journal does not write, is a :class:`RecoveryError`.
+        """
         try:
-            text = path.read_text(encoding="utf-8", errors="replace")
+            data = path.read_bytes()
         except OSError:
             return 0
-        for line in text.split("\n"):
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                # Torn tail: the crash cut a record short.  Everything
-                # before it is intact; nothing after it can exist.
-                break
-            image.apply(record)
-            records += 1
+        lines = data.split(b"\n")
+        last = len(lines) - 2  # the last terminated line
+        records = intact = 0
+        apply = image.apply
+        for number, line in enumerate(lines[:-1]):
+            if line:
+                try:
+                    barrier = json.loads(line)
+                except ValueError:
+                    if number < last:
+                        raise RecoveryError(
+                            f"{path.name} line {number + 1} of {last + 1} is damaged;"
+                            " only a file's last line may be torn.  In a journal"
+                            " written one record per line it may be a torn record"
+                            " fused with the first one a restarted writer appended:"
+                            ' delete the line up to its last {"op": (see'
+                            " docs/protocols.md §8)"
+                        ) from None
+                    break
+                if barrier.__class__ is dict:
+                    barrier = (barrier,)
+                try:
+                    for record in barrier:
+                        apply(record)
+                except _MALFORMED as exc:
+                    raise RecoveryError(
+                        f"{path.name} line {number + 1} holds a malformed record: {exc!r}"
+                    ) from exc
+                records += len(barrier)
+            intact += len(line) + 1
+        if intact < len(data) and not self.read_only:
+            os.truncate(path, intact)
         return records
 
     # -- compaction ----------------------------------------------------------
@@ -561,8 +760,8 @@ class AppendLogJournal:
         """
         if self.read_only:
             return
-        # Pending lines belong to the history being folded: they land in
-        # the old serial before it rotates away.
+        # Pending records belong to the history being folded: they land
+        # in the old serial before it rotates away.
         self.flush()
         folded = [s for s in self._log_serials() if s <= self._serial]
         # (1) open the next serial's log so new records land past the
@@ -571,7 +770,7 @@ class AppendLogJournal:
             self._fh.close()
             self._fh = None
         self._serial += 1
-        self._fh = open(self._log_path(self._serial), "a", encoding="utf-8")
+        self._fh = self._open_log()
         # (2) ...then publish the snapshot atomically...
         header = {
             "schema": SNAPSHOT_SCHEMA,
@@ -652,7 +851,7 @@ class LogBackend(MemoryBackend):
 
     def add(self, entry: Entry) -> bool:
         added = super().add(entry)
-        if added:
+        if added and self._journal.listening:
             self._journal.record_add(
                 self._key,
                 self._server_id,
@@ -724,7 +923,7 @@ def build_image(
             state = _persistable_state(server.state(key))
             if state:
                 image.states.setdefault(key, {})[server.server_id] = dict(state)
-    image.rng_state = _rng_to_jsonable(cluster.rng.getstate())
+    image.rng_state = _pack_rng(cluster.rng.getstate())
     if epochs:
         image.epochs = dict(epochs)
     if params:
@@ -763,14 +962,14 @@ def apply_image(
             }
             for server_id, pairs in by_server.items():
                 store = cluster.server(server_id).store(key)
-                for entry_id, payload in pairs:
+                for entry_id, payload in pairs.items():
                     entry = shared.get(entry_id) if payload is None else None
                     store.add(Entry(entry_id, payload) if entry is None else entry)
         for key, by_server in image.states.items():
             for server_id, state in by_server.items():
                 cluster.server(server_id).state(key).update(state)
         if image.rng_state is not None:
-            cluster.rng.setstate(_rng_from_jsonable(image.rng_state))
+            cluster.rng.setstate(_unpack_rng(image.rng_state))
 
 
 __all__ = [

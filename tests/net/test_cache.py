@@ -10,6 +10,8 @@ apply): if either broke, some interleaving would surface a
 divergent frame or a diverged RNG stream.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -321,3 +323,73 @@ def test_capabilities_cache_block_is_the_one_tier():
         "size",
         "capacity",
     }
+
+
+def _writer_script(seed, steps):
+    """Seeded writes over every scheme: adds, deletes, re-adds."""
+    rng = random.Random(seed)
+    live = [f"v{i}" for i in range(1, 9)]
+    gone = []
+    for step in range(steps):
+        if rng.random() < 0.45 and live:
+            entry_id = live.pop(rng.randrange(len(live)))
+            gone.append(entry_id)
+            message = DeleteRequest(entry=Entry(entry_id))
+        else:
+            readd = gone and rng.random() < 0.5
+            entry_id = gone.pop(rng.randrange(len(gone))) if readd else f"zz{step}"
+            live.append(entry_id)
+            message = AddRequest(entry=Entry(entry_id))
+        yield {
+            "op": "send",
+            "server": rng.randrange(6),
+            "key": SCHEMES[step % len(SCHEMES)],
+            "message": encode_message(message),
+        }
+
+
+def test_a_delta_drops_only_the_rows_of_the_servers_it_names():
+    """Readers of one writer's deltas, with and without a cache, answer
+    whole-store lookups byte-identically; a delta naming servers S
+    leaves every other server's rows resident, so they answer as hits."""
+    config = ServiceConfig(server_count=6, entry_count=8, seed=13)
+    writer = LookupService(config)
+    cached = LookupService(config)
+    plain = LookupService(ServiceConfig(server_count=6, entry_count=8, seed=13, cache_size=0))
+    slots = [
+        (key, server, target, codec)
+        for key in SCHEMES
+        for server in range(config.server_count)
+        for target in (0, 400)
+        for codec in (CODEC_JSON, CODEC_BINARY)
+    ]
+    cache = cached.reply_cache
+    warm = partial = False
+    for envelope in _writer_script(seed=29, steps=60):
+        _, delta = compute_apply_delta(writer, envelope)
+        named = set()
+        if delta is not None:
+            named = {int(sid) for sid in delta["servers"]}
+            partial |= len(named) < config.server_count
+            for reader in (cached, plain):
+                apply_delta(reader, delta)
+        # Each server has four rows: two targets, two codecs.
+        refilled = 4 * len(named)
+        if warm:
+            assert len(cache) == len(slots) - refilled
+        hits = cache.hits
+        for key, server, target, codec in slots:
+            lookup = {
+                "op": "send",
+                "server": server,
+                "key": key,
+                "message": encode_message(LookupRequest(target=target)),
+            }
+            raw = codec == CODEC_BINARY
+            a = cached.handle_envelope(dict(lookup), raw=raw)
+            b = plain.handle_envelope(dict(lookup), raw=raw)
+            assert encode_envelope_as(a, codec) == encode_envelope_as(b, codec)
+        if warm:
+            assert cache.hits - hits == len(slots) - refilled
+        warm = True
+    assert partial and cache.evictions == 0

@@ -1,5 +1,6 @@
 """The append-log journal and LogBackend: journaling, replay, compaction."""
 
+import base64
 import contextlib
 import json
 import random
@@ -30,9 +31,19 @@ def _rebuild(tmp_path, key="k", server_id=0):
         interner.intern(Entry(entry_id, payload))
     store = _backend(journal, key, server_id, interner)
     with journal.suspended():
-        for entry_id, payload in image.stores.get(key, {}).get(server_id, []):
+        for entry_id, payload in image.stores.get(key, {}).get(server_id, {}).items():
             store.add(Entry(entry_id, payload))
     return journal, store, image
+
+
+def _lines(tmp_path, serial=1):
+    """A log file's lines, each the JSON array of one barrier's records."""
+    path = tmp_path / f"journal.{serial:06d}.log"
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _records(tmp_path, serial=1):
+    return [record for line in _lines(tmp_path, serial) for record in line]
 
 
 class TestLogBackendJournaling:
@@ -61,10 +72,7 @@ class TestLogBackendJournaling:
         store.add(Entry("v2"))  # index 1, inserted below v3 and v4
         journal.close()
 
-        records = [
-            json.loads(line)
-            for line in (tmp_path / "journal.000001.log").read_text().splitlines()
-        ]
+        records = _records(tmp_path)
         assert [r["i"] for r in records if r["op"] == "add"] == [0, 1, 2, 3, 1]
         _, recovered, _ = _rebuild(tmp_path)
         assert recovered.indices() == store.indices() == [0, 1, 2, 3]
@@ -80,11 +88,7 @@ class TestLogBackendJournaling:
         popped = store.pop_random(random.Random(42))
         journal.close()
 
-        records = [
-            json.loads(line)
-            for line in (tmp_path / "journal.000001.log").read_text().splitlines()
-        ]
-        drops = [r for r in records if r["op"] == "drop"]
+        drops = [r for r in _records(tmp_path) if r["op"] == "drop"]
         assert drops == [{"op": "drop", "k": "k", "s": 0, "id": popped.entry_id}]
         _, recovered, _ = _rebuild(tmp_path)
         assert recovered.as_list() == store.as_list()
@@ -160,9 +164,13 @@ class TestJournalRecords:
         journal.record_rng(rng)  # unchanged: deduped
         assert journal.log_records == 1
         journal.close()
+        (record,) = _records(tmp_path)
+        # 625 words as base64 of little-endian uint32, not a JSON list
+        assert len(base64.b64decode(record["state"][1])) == 625 * 4
         image = AppendLogJournal(tmp_path).load()
+        assert image.rng_state == record["state"]
         twin = random.Random()
-        twin.setstate((image.rng_state[0], tuple(image.rng_state[1]), image.rng_state[2]))
+        twin.setstate(appendlog._unpack_rng(image.rng_state))
         assert twin.random() == rng.random()
 
     def test_epoch_records_keep_the_max(self, tmp_path):
@@ -198,6 +206,23 @@ class TestJournalRecords:
         journal.record_state("k", 0, state)  # unchanged: skipped
         assert journal.log_records == 3
         journal.close()
+        assert AppendLogJournal(tmp_path).load().states["k"][0] == state
+
+    def test_a_nested_dict_of_unhashable_values_is_patched_too(self, tmp_path):
+        journal = AppendLogJournal(tmp_path)
+        state = {"tail": 1, "m": {"a": [1], "b": [2]}}
+        journal.record_state("k", 0, state)
+        state["m"]["a"].append(3)
+        del state["m"]["b"]
+        state["m"]["c"] = [4]
+        journal.record_state("k", 0, state)
+        journal.close()
+        first, patch = _records(tmp_path)
+        assert first["op"] == "state" and first["state"] == {"tail": 1, "m": {"a": [1], "b": [2]}}
+        assert patch == {
+            "op": "patch", "k": "k", "s": 0,
+            "sub": {"m": {"set": {"a": [1, 3], "c": [4]}, "del": ["b"]}},
+        }
         assert AppendLogJournal(tmp_path).load().states["k"][0] == state
 
     def test_key_order_does_not_defeat_the_dedupe(self, tmp_path):
@@ -284,7 +309,9 @@ class TestFlushBarriers:
         assert self._log_text(tmp_path).count("\n") == 1  # nothing torn, nothing early
         journal.flush()
         assert counting.writes == 1
-        assert self._log_text(tmp_path).count("\n") == 7
+        # one barrier, one line: the array of its six records
+        assert self._log_text(tmp_path).count("\n") == 2
+        assert [len(line) for line in _lines(tmp_path)] == [1, 6]
         journal.flush()  # nothing pending: no write
         assert counting.writes == 1
 
@@ -292,8 +319,7 @@ class TestFlushBarriers:
         journal = AppendLogJournal(tmp_path)
         _backend(journal).add(Entry("a"))
         journal.record_epoch("k", 1)
-        lines = self._log_text(tmp_path).splitlines()
-        assert [json.loads(line)["op"] for line in lines] == ["add", "epoch"]
+        assert [[r["op"] for r in line] for line in _lines(tmp_path)] == [["add", "epoch"]]
 
     def test_log_bytes_counts_pending_records(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
@@ -314,7 +340,7 @@ class TestFlushBarriers:
         monkeypatch.setattr(appendlog.pathlib.Path, "unlink", keep_text)
         journal.compact(TestCompaction()._image_for(store))
         assert [name for name, _ in folded] == ["journal.000001.log"]
-        assert json.loads(folded[0][1])["op"] == "add"
+        assert [r["op"] for r in json.loads(folded[0][1])] == ["add"]
         assert self._log_text(tmp_path, serial=2) == ""
 
     def test_fsync_runs_once_per_barrier_not_per_record(self, tmp_path, monkeypatch):
@@ -336,7 +362,7 @@ class TestFlushBarriers:
         store = _backend(journal)
         for entry in make_entries(9):
             store.add(entry)
-        assert self._log_text(tmp_path).count("\n") == 8
+        assert [len(line) for line in _lines(tmp_path)] == [4, 4]
         assert len(journal._pending) == 1
 
     def test_suppressed_appends_leave_nothing_pending(self, tmp_path):
@@ -360,6 +386,100 @@ class TestReplayRobustness:
         _, recovered, _ = _rebuild(tmp_path)
         assert recovered.as_list() == make_entries(5)
 
+    def test_a_restart_after_a_torn_tail_keeps_its_own_writes(self, tmp_path):
+        # The restarted writer appends where the fragment was cut off:
+        # unless the fragment goes first, its first line fuses with it
+        # and the next recovery drops everything written after it.
+        journal = AppendLogJournal(tmp_path)
+        store = _backend(journal)
+        for entry in make_entries(2):
+            store.add(entry)
+        journal.close()
+        path = tmp_path / "journal.000001.log"
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"op":"add","k":"k","s":0,"i":2,"e":["v2')  # SIGKILL here
+        restarted, store, _ = _rebuild(tmp_path)
+        assert path.read_text().endswith("]\n")  # back to the last whole line
+        store.add(Entry("v3"))
+        store.add(Entry("v4"))
+        restarted.close()
+        _, recovered, _ = _rebuild(tmp_path)
+        assert [e.entry_id for e in recovered] == ["v1", "v2", "v3", "v4"]
+
+    def test_a_read_only_journal_ignores_a_torn_tail_and_leaves_it(self, tmp_path):
+        journal = AppendLogJournal(tmp_path)
+        store = _backend(journal)
+        for entry in make_entries(2):
+            store.add(entry)
+        journal.close()
+        path = tmp_path / "journal.000001.log"
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('[{"op":"add","k":"k","s":0,"i":2,"e":["v9",null]}]')
+        torn = path.read_bytes()
+        image = AppendLogJournal(tmp_path, read_only=True).load()
+        assert image.stores["k"][0] == {"v1": None, "v2": None}
+        assert path.read_bytes() == torn
+
+    def test_damage_before_the_last_line_is_a_recovery_error(self, tmp_path):
+        journal = AppendLogJournal(tmp_path)
+        store = _backend(journal)
+        for entry in make_entries(3):
+            store.add(entry)
+            journal.flush()
+        journal.close()
+        path = tmp_path / "journal.000001.log"
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == 3
+        lines[1] = lines[1][:20] + "\n"  # cut short, then written past
+        path.write_text("".join(lines))
+        with pytest.raises(RecoveryError, match="line 2 of 3"):
+            AppendLogJournal(tmp_path).load()
+        with pytest.raises(RecoveryError):
+            AppendLogJournal(tmp_path, read_only=True).load()
+
+    def test_a_fused_line_of_the_earlier_spelling_is_refused_until_cut(self, tmp_path):
+        # One record per line, and a writer that restarted after a torn
+        # tail without truncating it: its first record fused with the
+        # fragment.  The fix the error names recovers every later write.
+        def add(index, entry_id):
+            return json.dumps(
+                {"op": "add", "k": "k", "s": 0, "i": index, "e": [entry_id, None]},
+                separators=(",", ":"),
+            )
+
+        fragment = add(2, "v9")[: -len('",null]}')]
+        path = tmp_path / "journal.000001.log"
+        path.write_text(
+            f"{add(0, 'v1')}\n{add(1, 'v2')}\n{fragment}{add(2, 'v3')}\n{add(3, 'v4')}\n"
+        )
+        with pytest.raises(RecoveryError, match="line 3 of 4 is damaged"):
+            AppendLogJournal(tmp_path).load()
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2][lines[2].rindex('{"op":'):]
+        path.write_text("".join(lines))
+        _, recovered, _ = _rebuild(tmp_path)
+        assert [e.entry_id for e in recovered] == ["v1", "v2", "v3", "v4"]
+
+    def test_a_torn_barrier_is_dropped_whole(self, tmp_path):
+        journal = AppendLogJournal(tmp_path)
+        store = _backend(journal)
+        store.add(Entry("a"))
+        journal.flush()
+        for entry in make_entries(3):
+            store.add(entry)
+        journal.close()
+        path = tmp_path / "journal.000001.log"
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) - 20])  # the last write, cut short
+        _, recovered, _ = _rebuild(tmp_path)
+        assert [e.entry_id for e in recovered] == ["a"]
+
+    def test_a_record_this_journal_does_not_write_is_a_recovery_error(self, tmp_path):
+        path = tmp_path / "journal.000001.log"
+        path.write_text('[{"op":"add","k":"k","s":0}]\n[]\n')
+        with pytest.raises(RecoveryError, match="line 1"):
+            AppendLogJournal(tmp_path).load()
+
     def test_index_mismatch_is_a_recovery_error(self, tmp_path):
         image = RecoveredImage()
         image.apply({"op": "add", "k": "k", "s": 0, "i": 0, "e": ["a", None]})
@@ -377,7 +497,7 @@ class TestReplayRobustness:
         record = {"op": "add", "k": "k", "s": 0, "i": 0, "e": ["a", None]}
         image.apply(record)
         image.apply(record)
-        assert image.stores["k"][0] == [["a", None]]
+        assert image.stores["k"][0] == {"a": None}
 
     def test_has_data_ignores_an_empty_directory(self, tmp_path):
         assert not AppendLogJournal(tmp_path).has_data()
@@ -437,6 +557,20 @@ class TestCompaction:
             fh.write('{"op": "clear", "k": "k", "s": 0}\n')
         _, recovered, _ = _rebuild(tmp_path)
         assert recovered.as_list() == store.as_list()
+
+    def test_a_replayed_image_snapshots_its_stores_in_index_order(self, tmp_path):
+        journal = AppendLogJournal(tmp_path)
+        store = _backend(journal)
+        for entry in make_entries(4):
+            store.add(entry)
+        store.discard(Entry("v2"))
+        store.add(Entry("v2"))  # back at index 1, last in the replayed dict
+        journal.close()
+        image = AppendLogJournal(tmp_path, read_only=True).load()
+        assert list(image.stores["k"][0]) == ["v1", "v3", "v4", "v2"]
+        assert json.loads(image.snapshot_text())["stores"]["k"]["0"] == [
+            [e.entry_id, None] for e in store
+        ]
 
     def test_should_compact_honours_the_threshold(self, tmp_path):
         journal = AppendLogJournal(tmp_path, compact_every=3)

@@ -1,12 +1,17 @@
 """Service-level crash recovery: a --store log service becomes its former self."""
 
+import base64
 import copy
+import errno
 import json
+import pathlib
 import random
 import shutil
+import struct
 
 import pytest
 
+from repro.cluster.faults import FaultPlan
 from repro.cluster.messages import AddRequest, DeleteRequest, LookupRequest
 from repro.core.entry import Entry
 from repro.core.exceptions import InvalidParameterError
@@ -253,50 +258,117 @@ def _dumps(value, **kwargs):
 
 
 class _DedupeOracle:
-    """The rule the journal's dedupe must reproduce, stated the slow way:
-    a ``state``/``rng``/``params`` line is written iff the sorted-JSON
-    text of its payload differs from the last text written for its slot
-    (and a state that was always empty is never written)."""
+    """The records the journal must write, stated the slow way.
+
+    A ``state``/``rng``/``params`` payload is journaled iff the
+    sorted-JSON text of it differs from the last one journaled for its
+    slot, and a state that was always empty is never journaled.  A
+    slot's first ``state`` record carries the whole state; after that
+    a ``patch`` carries the top-level keys whose text changed (``set``,
+    in the state's order), the ones that are gone (``del``, sorted) and,
+    for a key holding a dict before and after, the same two fields one
+    level down (``sub``, keys sorted).  The RNG's 625 words travel as
+    base64 of little-endian uint32."""
 
     def __init__(self):
         self.last = {}
 
-    def line(self, slot, record, payload):
-        text = _dumps(payload, sort_keys=True)
-        if self.last.get(slot) == text:
-            return []
-        if slot[0] == "state" and not payload and slot not in self.last:
-            return []
-        self.last[slot] = text
-        return [_dumps(record)]
+    @staticmethod
+    def _text(value):
+        return _dumps(value, sort_keys=True)
 
-    def sync_lines(self, service, keys_of):
-        """The non-store lines one sync point over ``keys_of(server)`` owes."""
-        lines = []
+    def _flat(self, old, new):
+        fields = {}
+        put = {
+            k: new[k]
+            for k in sorted(new)
+            if k not in old or self._text(old[k]) != self._text(new[k])
+        }
+        gone = sorted(k for k in old if k not in new)
+        if put:
+            fields["set"] = put
+        if gone:
+            fields["del"] = gone
+        return fields
+
+    def _patch(self, old, new):
+        put, nested = {}, {}
+        for name, value in new.items():
+            if name in old and self._text(old[name]) == self._text(value):
+                continue
+            if isinstance(old.get(name), dict) and isinstance(value, dict):
+                nested[name] = self._flat(old[name], value)
+            else:
+                put[name] = value
+        fields = {}
+        if put:
+            fields["set"] = put
+        gone = sorted(k for k in old if k not in new)
+        if gone:
+            fields["del"] = gone
+        if nested:
+            fields["sub"] = nested
+        return fields
+
+    def _remember(self, slot, payload):
+        self.last[slot] = json.loads(_dumps(payload))
+
+    def params(self, params):
+        if self._text(self.last.get(("params",))) == self._text(params):
+            return []
+        self._remember(("params",), params)
+        return [{"op": "params", "schemes": params}]
+
+    def state(self, key, sid, payload):
+        slot = ("state", key, sid)
+        old = self.last.get(slot)
+        if old is None:
+            if not payload:
+                return []
+            self._remember(slot, payload)
+            return [{"op": "state", "k": key, "s": sid, "state": payload}]
+        if self._text(old) == self._text(payload):
+            return []
+        self._remember(slot, payload)
+        return [{"op": "patch", "k": key, "s": sid, **self._patch(old, payload)}]
+
+    def sync_records(self, service, keys_of):
+        """The non-store records one sync point over ``keys_of(server)`` owes."""
+        records = []
         for server in service.cluster.servers:
             for key in keys_of(server):
                 payload = {
                     k: v for k, v in server.state(key).items() if k != "migrations"
                 }
-                lines += self.line(
-                    ("state", key, server.server_id),
-                    {"op": "state", "k": key, "s": server.server_id, "state": payload},
-                    payload,
-                )
-        state = service.cluster.rng.getstate()
-        jsonable = [state[0], list(state[1]), state[2]]
-        return lines + self.line(("rng",), {"op": "rng", "state": jsonable}, jsonable)
+                records += self.state(key, server.server_id, payload)
+        version, words, gauss = service.cluster.rng.getstate()
+        packed = base64.b64encode(struct.pack("<625I", *words)).decode("ascii")
+        rng = [version, packed, gauss]
+        if self._text(self.last.get(("rng",))) == self._text(rng):
+            return records
+        self._remember(("rng",), rng)
+        return records + [{"op": "rng", "state": rng}]
 
 
 _STORE_OPS = {"add", "drop", "reset", "clear"}
 
 
-def _split_store_prefix(lines):
-    """Store records come first in every flush; returns (store, rest)."""
-    ops = [json.loads(line)["op"] for line in lines]
+def _lines(log):
+    return log.read_text().splitlines()
+
+
+def _split_store_prefix(line):
+    """Store records come first in every barrier; returns (store, rest)."""
+    records = json.loads(line)
+    ops = [record["op"] for record in records]
     cut = next((i for i, op in enumerate(ops) if op not in _STORE_OPS), len(ops))
     assert not _STORE_OPS.intersection(ops[cut:])
-    return lines[:cut], lines[cut:]
+    return records[:cut], records[cut:]
+
+
+def _expected_line(store, rest):
+    """One barrier's line: the array of its records, in the journal's spelling."""
+    return _dumps(store + rest)
 
 
 class TestJournalBytes:
@@ -305,25 +377,35 @@ class TestJournalBytes:
         oracle = _DedupeOracle()
         service = LookupService(_config(tmp_path))
         params = {name: s.params() for name, s in service.strategies.items()}
-        _, boot = _split_store_prefix(log.read_text().splitlines())
-        assert boot == oracle.line(
-            ("params",), {"op": "params", "schemes": params}, params
-        ) + oracle.sync_lines(service, lambda server: server.keys())
+        (boot_line,) = _lines(log)  # the boot is one barrier
+        store, _ = _split_store_prefix(boot_line)
+        assert boot_line == _expected_line(
+            store,
+            oracle.params(params)
+            + oracle.sync_records(service, lambda server: server.keys()),
+        )
 
-        seen = len(log.read_text().splitlines())
-        state_lines = rng_lines = 0
+        seen, records = 1, len(json.loads(boot_line))
+        counts = {"state": 0, "patch": 0, "rng": 0}
         for envelope in _write_sequence():
             assert service.handle_envelope(envelope)["ok"]
-            lines = log.read_text().splitlines()
-            _, rest = _split_store_prefix(lines[seen:])
-            seen = len(lines)
+            lines = _lines(log)
+            fresh, seen = lines[seen:], len(lines)
+            assert len(fresh) <= 1  # a write is one barrier, so one line
             key = envelope["key"]
-            assert rest == oracle.sync_lines(service, lambda server: [key])
-            state_lines += sum('"op":"state"' in line for line in rest)
-            rng_lines += sum('"op":"rng"' in line for line in rest)
-        # the sequence exercised both outcomes of both dedupes
-        assert 0 < state_lines and 0 < rng_lines < 30
-        assert seen == service.journal.log_records
+            expected = oracle.sync_records(service, lambda server: [key])
+            if not fresh:
+                assert expected == []
+                continue
+            store, rest = _split_store_prefix(fresh[0])
+            assert fresh[0] == _expected_line(store, expected)
+            records += len(store) + len(rest)
+            for record in rest:
+                counts[record["op"]] += 1
+        # the sequence exercised both outcomes of both dedupes, and the
+        # state slots were patched, not rewritten
+        assert counts["state"] == 0 and 0 < counts["patch"] and 0 < counts["rng"] < 30
+        assert records == service.journal.log_records
 
 
 class TestWriteBarriers:
@@ -424,6 +506,50 @@ class TestPartialMutation:
         assert _fingerprint(LookupService(_config(tmp_path))) == after
 
 
+class _FullDisk:
+    """A journal's log file whose next write lands half its bytes, then
+    fails as a full disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.armed = True
+
+    def write(self, data):
+        if self.armed:
+            self.armed = False
+            self._fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestAFailedWrite:
+    def test_its_records_land_with_the_next_barrier(self, tmp_path):
+        live, crashed = tmp_path / "live", tmp_path / "crashed"
+        service = LookupService(_config(live))
+        assert service.handle_envelope(_send("hash", AddRequest(entry=Entry("w0"))))["ok"]
+        journal = service.journal
+        log = live / "journal.000001.log"
+        size = log.stat().st_size
+        journal._fh = disk = _FullDisk(journal._fh)
+        reply = service.handle_envelope(
+            _send("round_robin", AddRequest(entry=Entry("w1")), server=2)
+        )
+        assert reply["error"] == "internal" and not disk.armed
+        assert log.stat().st_size == size  # the half line is cut off again
+        assert journal._pending  # and its records still queued
+        assert service.handle_envelope(
+            _send("round_robin", DeleteRequest(entry=Entry("v2")), server=5)
+        )["ok"]
+        shutil.copytree(live, crashed)
+        reborn = LookupService(_config(crashed))
+        assert _fingerprint(reborn) == _fingerprint(service)
+        for key in service.strategies:
+            assert _masks(reborn, key) == _masks(service, key)
+
+
 class TestRecoverySeedsTheDedupe:
     def test_a_noop_mutation_after_recovery_appends_nothing(self, tmp_path):
         crashed = LookupService(_config(tmp_path))
@@ -437,3 +563,102 @@ class TestRecoverySeedsTheDedupe:
         )["ok"]
         assert reborn.journal.log_records == records
         assert reborn.journal.log_bytes == size
+
+
+def _churn(seed, steps=40):
+    """A seeded add/delete script: fresh adds, deletes, and re-adds of
+    deleted entries."""
+    rng = random.Random(seed)
+    live = [f"v{i}" for i in range(1, 13)]
+    gone = []
+    fresh = 12
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.4 and live:
+            entry_id = live.pop(rng.randrange(len(live)))
+            gone.append(entry_id)
+            message = DeleteRequest(entry=Entry(entry_id))
+        else:
+            if roll < 0.7 and gone:
+                entry_id = gone.pop(rng.randrange(len(gone)))
+            else:
+                fresh += 1
+                entry_id = f"v{fresh}"
+            live.append(entry_id)
+            message = AddRequest(entry=Entry(entry_id))
+        yield message, rng.randrange(8)
+
+
+@pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
+@pytest.mark.parametrize("key", sorted(DEFAULT_SCHEMES))
+class TestTouchedServers:
+    """The sync point journals the state of only the servers a message
+    reached; no other server's state may have moved."""
+
+    def test_the_kept_states_and_a_recovery_track_every_server(
+        self, tmp_path, key, faults
+    ):
+        live = tmp_path / "live"
+        service = LookupService(_config(live))
+        if faults:
+            service.cluster.network.install_fault_plan(
+                FaultPlan(seed=5, drop_probability=0.2, duplicate_probability=0.2)
+            )
+        kept = service.journal._journaled
+        for step, (message, sid) in enumerate(_churn(seed=28)):
+            service.handle_envelope(_send(key, message, sid))
+            for name in service.strategies:
+                for server in service.cluster.servers:
+                    if server.has_store(name):
+                        assert kept.get(("state", name, server.server_id), {}) == (
+                            appendlog._persistable_state(server.state(name))
+                        ), (step, name, server.server_id)
+            crashed = tmp_path / f"crashed-{step}"
+            shutil.copytree(live, crashed)
+            reborn = LookupService(_config(crashed))
+            assert _fingerprint(reborn) == _fingerprint(service), step
+            assert _masks(reborn, key) == _masks(service, key), step
+            reborn.journal.close()
+            shutil.rmtree(crashed)
+
+
+#: A data dir in the journal's earlier spelling — one record per line,
+#: the RNG as a JSON list of ints, a schema-1 snapshot — made by running
+#: ``_first_format_script`` through ``compute_apply_delta`` on a
+#: ``store="log"`` service of ``_config``, journaling an epoch per
+#: delta and compacting after the ninth write.
+SCHEMA_1_DIR = pathlib.Path(__file__).parent / "data" / "schema1"
+
+
+def _first_format_script():
+    for key in sorted(DEFAULT_SCHEMES):
+        yield _send(key, AddRequest(entry=Entry("w1")), server=1)
+        yield _send(key, DeleteRequest(entry=Entry("v2")), server=2)
+        yield _send(key, AddRequest(entry=Entry("v2", {"port": 7})), server=3)
+
+
+class TestTheEarlierFormat:
+    def test_a_schema_1_data_dir_recovers_to_the_never_crashed_twin(self, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(SCHEMA_1_DIR, data)
+        twin = LookupService(ServiceConfig(server_count=8, entry_count=12, seed=3))
+        epoch = 0
+        for envelope in _first_format_script():
+            epoch += compute_apply_delta(twin, envelope)[1] is not None
+        reborn = LookupService(_config(data))
+        assert reborn.recovered and reborn.recovered_epoch == epoch
+        assert _fingerprint(reborn) == _fingerprint(twin)
+        for key in twin.strategies:
+            assert _masks(reborn, key) == _masks(twin, key)
+
+        # The recovered writer appends array lines after the old ones,
+        # then compacts to schema 2; both recover.
+        more = _send("round_robin", DeleteRequest(entry=Entry("w1")), server=4)
+        assert reborn.handle_envelope(dict(more)) == twin.handle_envelope(dict(more))
+        reborn.journal.close()
+        assert _fingerprint(LookupService(_config(data))) == _fingerprint(twin)
+        again = LookupService(_config(data))
+        again.compact_journal()
+        again.journal.close()
+        assert json.loads((data / "snapshot.json").read_text())["schema"] == 2
+        assert _fingerprint(LookupService(_config(data))) == _fingerprint(twin)

@@ -10,9 +10,11 @@ spell what the entry walk spells: the binary wire body, the snapshot
 text, and the store a recovery boot rebuilds.
 """
 
+import base64
 import json
 import random
 import shutil
+import struct
 import tempfile
 
 from hypothesis import settings
@@ -66,9 +68,11 @@ def _shape(items):
 def _walked_image(cluster):
     """The snapshot ``image`` dict as built by walking every entry —
     ``build_image`` + ``to_snapshot`` as they were before stores were
-    serialised from their indices."""
+    serialised from their indices — with the RNG's 625 words packed as
+    base64 of little-endian uint32 (snapshot schema 2)."""
     interner = cluster.interner(KEY)
     canon = [interner.entry_at(i) for i in range(len(interner))]
+    version, words, gauss = cluster.rng.getstate()
     return {
         "interners": {KEY: [[e.entry_id, e.payload] for e in canon]},
         "stores": {
@@ -81,9 +85,9 @@ def _walked_image(cluster):
         },
         "states": {},
         "rng": [
-            cluster.rng.getstate()[0],
-            list(cluster.rng.getstate()[1]),
-            cluster.rng.getstate()[2],
+            version,
+            base64.b64encode(struct.pack("<625I", *words)).decode("ascii"),
+            gauss,
         ],
         "epochs": {},
         "params": {},
