@@ -19,6 +19,7 @@ from repro.cluster.network import Network
 from repro.cluster.server import Server, StoreFactory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.storage import StorageBackend
     from repro.obs.tracer import Tracer
 
 
@@ -140,6 +141,10 @@ class Cluster:
         an availability property.
         """
         return sum(s.stored_entry_count(key) for s in self._servers)
+
+    def stores(self, key: str) -> List["StorageBackend"]:
+        """Every server's store for ``key``, indexed by server id."""
+        return [s.store(key) for s in self._servers]
 
     def store_sizes(self, key: str) -> List[int]:
         """Per-server store sizes, indexed by server id."""

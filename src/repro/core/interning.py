@@ -60,6 +60,29 @@ class EntryInterner:
         """The canonical entry at ``index``."""
         return self._entries[index]
 
+    def extend(self, entries: Iterable[Entry], base: int = 0) -> None:
+        """Intern ``entries`` as indices ``base``, ``base + 1``, and so on.
+
+        How two processes keep one index space: an update record names
+        the index each entry it interns got, and the side applying it
+        checks rather than assumes.  An entry that lands anywhere else —
+        already interned at another index, or new while this interner
+        is not exactly ``index`` long — raises :class:`ValueError`; one
+        already at its index is a no-op, so a prefix both sides hold
+        replays cleanly.
+        """
+        for index, entry in enumerate(entries, base):
+            got = self.intern(entry)
+            if got != index:
+                raise ValueError(
+                    f"entry {entry.entry_id!r} is interned at index {got}, "
+                    f"the record says {index}"
+                )
+
+    def pairs(self, start: int = 0) -> List[List[Any]]:
+        """``[entry_id, payload]`` of every index from ``start`` on, in order."""
+        return [[e.entry_id, e.payload] for e in self._entries[start:]]
+
     def fragments(self, encode: Callable[[str], Any]) -> List[Any]:
         """The table ``index -> encode(entry_id)``, grown to every index.
 

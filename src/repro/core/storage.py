@@ -7,11 +7,15 @@ used to be a single concrete class (``EntryStore`` in
 entries live:
 
 - :class:`MemoryBackend` — the original bitset-backed in-memory store,
-  still the default everywhere.  ``EntryStore`` remains as an alias so
-  existing imports and type references keep working.
-- ``repro.storage.appendlog.LogBackend`` — the same in-memory
-  representation with every mutation journaled to an append log, so a
-  crashed process rebuilds its stores bit-identically on restart.
+  the only one today.  ``EntryStore`` remains as an alias so existing
+  imports and type references keep working.
+
+Durability does not need a backend of its own: what a write did to a
+key's stores is one *update record* (:func:`update_record`), the diff
+of every server's mask around the write, by dense index.  The
+append-log journal (:mod:`repro.storage.appendlog`) appends it, the
+worker fleet's writer ships it to the readers as their delta, and a
+reader applies it with :func:`apply_record`.
 
 The interface is exactly the store surface the rest of the codebase
 already depends on, made explicit.  Three layers are load-bearing and
@@ -27,10 +31,11 @@ pin the contract:
   dense-index list must stay consistent with the shared per-key
   :class:`~repro.core.interning.EntryInterner`; coverage questions
   reduce to ``int.__or__`` + ``bit_count()``.
-- **Writer-bus delta fan-out** — deltas are bitmask diffs, so two
-  stores over equal interners that report equal masks hold equal
-  lists: a reader that applied the writer's deltas answers with the
-  writer's bytes.
+- **Update records** — a record is a bitmask diff, so two stores over
+  equal interners that report equal masks hold equal lists: a reader
+  that applied the writer's records answers with the writer's bytes.
+  A record names the index of every entry it interns, and the side
+  applying it checks that its interner agrees.
 
 Backends are constructed per ``(key, server)`` by a *store factory*
 (see :data:`StoreFactory`) threaded through
@@ -44,10 +49,11 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
+from itertools import starmap
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.entry import Entry
-from repro.core.interning import EntryInterner
+from repro.core.interning import EntryInterner, iter_mask_indices
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     StoreFactory = Callable[[str, int, EntryInterner], "StorageBackend"]
@@ -102,12 +108,26 @@ class StorageBackend(ABC):
         """
 
     @abstractmethod
+    def membership(self, mask: Optional[int] = None) -> list:
+        """The held indices — all, or those of ``mask`` — ascending, as
+        an update record lists them: a held entry that carries a payload
+        as ``[index, payload]``.  ``mask`` may name held indices only."""
+
+    @abstractmethod
     def add(self, entry: Entry) -> bool:
         """Insert ``entry``; return True if it was not already present."""
 
     @abstractmethod
+    def add_at(self, index: int, entry: Entry) -> bool:
+        """:meth:`add` for an ``entry`` the interner holds at ``index``."""
+
+    @abstractmethod
     def discard(self, entry: Entry) -> bool:
         """Remove ``entry`` if present; return True if it was removed."""
+
+    @abstractmethod
+    def discard_at(self, index: int) -> bool:
+        """:meth:`discard` of the entry at dense ``index``."""
 
     @abstractmethod
     def sample(self, count: int, rng: random.Random) -> list[Entry]:
@@ -136,17 +156,6 @@ class StorageBackend(ABC):
 
     @abstractmethod
     def as_set(self) -> set[Entry]: ...
-
-    def restore(self, entries: Iterable[Entry]) -> None:
-        """Replace the whole contents with ``entries``.
-
-        The snapshot/resync surface: one logical operation, so a
-        durable backend can journal it as a single record instead of a
-        clear plus N adds.  The default is exactly clear-then-add.
-        """
-        self.clear()
-        for entry in entries:
-            self.add(entry)
 
 
 def _is_rider(entry: Entry) -> bool:
@@ -227,9 +236,20 @@ class MemoryBackend(StorageBackend):
             self._riders -= 1
         return entry
 
+    def membership(self, mask: Optional[int] = None) -> list:
+        indices = self._indices if mask is None else list(iter_mask_indices(mask))
+        if not self._riders:
+            return list(indices)
+        held = dict(zip(self._indices, self._entries))
+        return [
+            i if held[i].payload is None else [i, held[i].payload] for i in indices
+        ]
+
     def add(self, entry: Entry) -> bool:
         """Insert ``entry``; return True if it was not already present."""
-        index = self._interner.intern(entry)
+        return self.add_at(self._interner.intern(entry), entry)
+
+    def add_at(self, index: int, entry: Entry) -> bool:
         above = self._mask >> index
         if above & 1:
             return False
@@ -249,7 +269,10 @@ class MemoryBackend(StorageBackend):
     def discard(self, entry: Entry) -> bool:
         """Remove ``entry`` if present; return True if it was removed."""
         index = self._interner.index_of(entry.entry_id)
-        if index is None or not (self._mask >> index) & 1:
+        return index is not None and self.discard_at(index)
+
+    def discard_at(self, index: int) -> bool:
+        if not (self._mask >> index) & 1:
             return False
         self._removed(bisect_left(self._indices, index))
         self._mask ^= 1 << index
@@ -298,10 +321,95 @@ class MemoryBackend(StorageBackend):
         return set(self._entries)
 
 
+def update_record(
+    key: str,
+    stores: Sequence[StorageBackend],
+    before: Optional[Sequence[int]] = None,
+    base: int = 0,
+) -> Optional[dict]:
+    """What a write did to ``key``'s ``stores`` (listed by server id), as
+    one update record; None when nothing moved.
+
+    ``before`` are the stores' masks and ``base`` the interner's length
+    from before the write; by default, empty stores and interner — the
+    record of everything the stores hold.  The record holds the entries
+    the write interned (``new``, as ``[entry_id, payload]`` in index
+    order, the first at ``base``) and, per server whose mask moved, the
+    indices it gained (``add``, :meth:`~StorageBackend.membership`'s
+    spelling) and lost (``drop``).  Diffing every mask, not the servers
+    a message reached, is what makes a record exact.
+    """
+    servers = {}
+    for sid, (store, old) in enumerate(zip(stores, before or [0] * len(stores))):
+        new = store.mask
+        if new != old:
+            change = {}
+            if new & ~old:
+                change["add"] = store.membership(new & ~old)
+            if old & ~new:
+                change["drop"] = list(iter_mask_indices(old & ~new))
+            servers[str(sid)] = change
+    interner = stores[0].interner
+    if not servers and len(interner) == base:
+        return None
+    record: dict = {"op": "delta", "key": key}
+    if len(interner) > base:
+        record["base"] = base
+        record["new"] = interner.pairs(base)
+    record["servers"] = servers
+    return record
+
+
+def held_entry(interner: EntryInterner, item: Any) -> tuple[int, Entry]:
+    """``(index, entry)`` for one item of a membership list.
+
+    A bare index holds the id payload-free: as the interner's own
+    entry object where that one is payload-free too.
+    """
+    if item.__class__ is int:
+        entry = interner.entry_at(item)
+        return item, entry if entry.payload is None else Entry(entry.entry_id)
+    index, payload = item
+    return index, Entry(interner.entry_at(index).entry_id, payload)
+
+
+def apply_record(
+    stores: Sequence[StorageBackend], record: dict, replace: bool = False
+) -> None:
+    """Apply an update record to its key's ``stores`` (by server id).
+
+    The interning step first: ``new`` must land at the indices the
+    record names (:meth:`~repro.core.interning.EntryInterner.extend`),
+    or nothing else is touched.  Then membership is set and cleared by
+    index, with no id resolved anywhere — after every store is emptied,
+    with ``replace``, for a record of everything from empty stores.
+    Server ids are the caller's to check: as a list index ``-1`` names
+    the last server.
+    """
+    interner = stores[0].interner
+    interner.extend(starmap(Entry, record.get("new", ())), record.get("base", 0))
+    if replace:
+        for store in stores:
+            store.clear()
+    for sid, change in record["servers"].items():
+        store = stores[int(sid)]
+        for item in change.get("add", ()):
+            store.add_at(*held_entry(interner, item))
+        for index in change.get("drop", ()):
+            store.discard_at(index)
+
+
 #: Backwards-compatible name: the store every server used before the
 #: backend split.  Kept as a real alias (not a subclass) so instance
 #: checks and constructed objects are indistinguishable from before.
 EntryStore = MemoryBackend
 
 
-__all__ = ["EntryStore", "MemoryBackend", "StorageBackend"]
+__all__ = [
+    "EntryStore",
+    "MemoryBackend",
+    "StorageBackend",
+    "apply_record",
+    "held_entry",
+    "update_record",
+]

@@ -67,6 +67,7 @@ from repro.cluster.messages import (
 from repro.cluster.network import DROPPED, is_undelivered
 from repro.core.entry import Entry, make_entries
 from repro.core.exceptions import InvalidParameterError
+from repro.core.storage import update_record
 from repro.net.cache import DEFAULT_CAPACITY, ReplyCache
 from repro.net.codec import (
     CODEC_BINARY,
@@ -377,25 +378,19 @@ class LookupService:
         #: reader's :class:`~repro.net.workers.DeltaApplier` starts
         #: here instead of zero, so it resyncs only the gap.
         self.recovered_epoch = 0
-        store_factory = None
+        #: The update record of the last write applied here (see
+        #: :func:`~repro.core.storage.update_record`), None if it moved
+        #: nothing: what the fleet's writer ships as the write's delta.
+        self.last_record: Optional[dict] = None
         if self.config.store == "log":
-            from repro.storage.appendlog import AppendLogJournal, LogBackend
+            from repro.storage.appendlog import AppendLogJournal
 
-            journal = AppendLogJournal(
+            self.journal = AppendLogJournal(
                 self.config.data_dir,
                 read_only=self.config.store_read_only,
                 compact_every=self.config.log_compact_records,
             )
-            self.journal = journal
-
-            def store_factory(key, server_id, interner):
-                return LogBackend(journal, key, server_id, interner)
-
-        self.cluster = Cluster(
-            self.config.server_count,
-            seed=self.config.seed,
-            store_factory=store_factory,
-        )
+        self.cluster = Cluster(self.config.server_count, seed=self.config.seed)
         self.strategies: dict[str, PlacementStrategy] = {}
         #: The sets a :func:`schema_field`'s ``within`` names.
         self._ranges = {"servers": range(self.cluster.size), "schemes": self.strategies}
@@ -440,11 +435,12 @@ class LookupService:
 
             loaded = self.journal.load()
             if not loaded.is_empty():
-                apply_image(loaded, self.cluster, journal=self.journal)
+                apply_image(loaded, self.cluster)
                 image = loaded
                 self.recovered = True
                 self.recovered_epoch = max(loaded.epochs.values(), default=0)
                 self._shared_epochs.update(loaded.epochs)
+        placed = []
         for name, params in self.config.schemes.items():
             # Every shard creates every strategy (so ``info`` reports a
             # homogeneous scheme catalogue fleet-wide) but places
@@ -467,10 +463,11 @@ class LookupService:
                 else shard_map.role(name, self.shard_name, self.config.replicas)
             )
             self.roles[name] = role
-            if not recovered_key:
+            if not recovered_key and role is not None:
+                placed.append(name)
                 if role == 0:
                     strategy.place(entries)
-                elif role is not None:
+                else:
                     strategy.place(
                         partial_replica(
                             name, entries, role, self.config.backup_fraction
@@ -478,7 +475,7 @@ class LookupService:
                     )
             self.strategies[name] = strategy
         if self.journal is not None and not self.config.store_read_only:
-            self._journal_boot_records()
+            self._journal_boot_records(placed)
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set[asyncio.Task] = set()
 
@@ -779,16 +776,19 @@ class LookupService:
 
     # -- durable storage -----------------------------------------------------
 
-    def _journal_boot_records(self) -> None:
-        """Journal the non-store boot state: params, scratch, RNG.
+    def _journal_boot_records(self, placed: list[str]) -> None:
+        """Journal the boot: each key placed fresh as one update record,
+        diffed from empty stores, then params, scratch and RNG.
 
-        Store contents were already journaled record-by-record by the
-        :class:`~repro.storage.appendlog.LogBackend` mutators as
-        placement ran (or were replayed, on a recovery boot, in which
-        case every record here dedupes to nothing).  The flush at the
-        end puts the whole boot on disk in one piece.
+        A recovery boot places nothing it recovered, and every other
+        record here dedupes to nothing.  The flush at the end puts the
+        whole boot on disk in one piece.
         """
         journal = self.journal
+        for key in placed:
+            record = update_record(key, self.cluster.stores(key))
+            if record is not None:
+                journal.append(record)
         journal.record_params(
             {name: strategy.params() for name, strategy in self.strategies.items()}
         )
@@ -799,12 +799,12 @@ class LookupService:
         journal.flush()
 
     def _journal_sync_point(self, key: str, delivered: dict[int, int]) -> None:
-        """Re-journal ``key``'s volatile state after a mutation landed.
+        """Journal a mutation that landed on ``key``'s stores.
 
-        The store delta itself was already queued by the backend; this
-        adds what replay cannot re-derive — strategy scratch state
-        (Round-Robin counters, reservoir estimates) and the cluster RNG
-        position — then compacts if the log is due.  Only a server
+        Its update record (:attr:`last_record`) first, then what replay
+        cannot re-derive — strategy scratch state (Round-Robin
+        counters, reservoir estimates) and the cluster RNG position —
+        then a compaction if the log is due.  Only a server
         whose handler ran can have changed its state, and the §6.4
         ledger books every delivery before its handler runs (under a
         fault plan too): the servers whose ``per_server`` count moved
@@ -815,6 +815,8 @@ class LookupService:
         journal = self.journal
         if journal is None or journal.read_only:
             return
+        if self.last_record is not None:
+            journal.append(self.last_record)
         servers = self.cluster.servers
         per_server = self.cluster.network.stats.per_server
         for sid in sorted(s for s, n in per_server.items() if delivered.get(s) != n):
@@ -948,6 +950,9 @@ class LookupService:
             # handler raises half-way through.
             self.note_mutation(key)
             delivered = dict(network.stats.per_server)
+            stores = self.cluster.stores(key)
+            masks = [store.mask for store in stores]
+            base = len(stores[0].interner)
         elif cache is not None:
             slot = self._cache_slot(server_id, key, message, raw)
             if slot is not None:
@@ -959,11 +964,13 @@ class LookupService:
             reply = network.send(server_id, key, message)
         finally:
             if mutates:
-                # The backend queued the store mutations as they ran;
-                # add the strategy counters and the RNG position they
-                # advanced to, and flush.  In a ``finally`` because a
-                # handler that raises half-way has still mutated, and
-                # the writer ships that partial diff to the readers.
+                # The sync point: every store's mask diffed into the
+                # write's update record, journaled with the strategy
+                # counters and RNG position it advanced to.  In a
+                # ``finally`` because a handler that raises half-way
+                # has still mutated, and the writer ships that partial
+                # diff to the readers.
+                self.last_record = update_record(key, stores, masks, base)
                 self._journal_sync_point(key, delivered)
         if is_undelivered(reply):
             code = "dropped" if reply is DROPPED else "unavailable"

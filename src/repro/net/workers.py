@@ -24,9 +24,13 @@ Why state deltas and not op replay: every worker's cluster owns an
 independently-advancing RNG stream (each lookup it serves draws from
 it), so replaying an op whose handler draws RNG (RandomServer's
 placement choice, Hash's collisions) would diverge across workers.
-The writer instead snapshots each server's store bitmask around the
-apply and ships the membership diff — entries added, entry ids
-dropped, per server — which readers apply verbatim.  Lookup answers
+The writer's service instead diffs every server's store bitmask around
+the apply into the write's *update record*
+(:func:`~repro.core.storage.update_record`): the dense indices each
+server gained and lost, and the entries the write interned with the
+indices they got.  Its journal appends that record, and the bus ships
+the same dict; readers apply it verbatim, by index, checking that
+their interner gives each new entry the writer's index.  Lookup answers
 depend only on store membership, so converged stores mean converged
 answers; strategy scratch state (round-robin heads, reservoirs) only
 matters for *future mutations*, which only the writer runs.
@@ -42,13 +46,18 @@ framing; see ``docs/protocols.md`` §7):
 - writer → every other reader ``{"op": "delta", "delta": {...}}``.
 - reader → writer ``{"op": "sync", "id": n, "since": E}`` answered by
   ``{"op": "sync_reply", "id": n, "epoch": E, "stores": {...} |
-  "deltas": [...], "hot": [...]}`` — a full store snapshot (or the
-  missed tail of the log), used on (re)connect and on gap recovery,
-  plus the writer's warm-handoff hot set.
+  "deltas": [...], "hot": [...]}`` — a full store snapshot (per
+  scheme, one update record from empty stores) or the missed tail of
+  the log, used on (re)connect and on gap recovery, plus the writer's
+  warm-handoff hot set.
 
-A delta is ``{"epoch": E, "key": scheme, "servers": {"<sid>":
-{"add": [entry...], "drop": [entry_id...]}}}`` with epochs assigned by
-the writer in one global monotonic sequence.
+A delta is an update record with its epoch stamped on: ``{"op":
+"delta", "key": scheme, "base": i, "new": [[entry_id, payload]...],
+"servers": {"<sid>": {"add": [index | [index, payload]...], "drop":
+[index...]}}, "epoch": E}`` — ``base``/``new`` only when the write
+interned entries, ``add``/``drop`` only when not empty, a payload only
+for a held entry that carries one.  Epochs are assigned by the writer
+in one global monotonic sequence.
 
 The pipe is a FIFO log, and ordering holds by construction rather
 than by repair.  The writer hands every frame an apply produces to the
@@ -90,13 +99,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.messages import Message
 from repro.core.exceptions import InvalidParameterError
-from repro.net.codec import (
-    decode_value,
-    encode_envelope,
-    encode_message,
-    encode_value,
-    read_frame,
-)
+from repro.core.storage import apply_record, update_record
+from repro.net.codec import encode_envelope, encode_message, read_frame
 from repro.net.service import LookupService, ServiceConfig
 
 #: How many times the supervisor revives one reader index before it
@@ -139,98 +143,77 @@ def compute_apply_delta(
 ) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
     """Apply ``envelope`` on the writer; returns ``(reply, delta|None)``.
 
-    The delta is the store-membership diff the apply produced for the
-    envelope's scheme key, computed from per-server bitmask snapshots
-    (an exception half-way through still yields the partial diff, so
-    readers converge to whatever state the writer actually reached).
+    The delta is the write's update record, built at the service's
+    mutation sync point (:attr:`LookupService.last_record`), so a
+    handler that raises half-way still yields the partial diff and
+    readers converge to whatever state the writer actually reached.
     ``None`` means nothing changed — no fan-out needed.  The epoch
     field is stamped by the caller (the bus owns the sequence).
     """
-    key = envelope.get("key")
-    stores = None
-    if isinstance(key, str) and key in service.strategies:
-        stores = [server.store(key) for server in service.cluster.servers]
-        before = [store.mask for store in stores]
+    service.last_record = None
     reply = service.handle_envelope(envelope)
-    if stores is None:
-        return reply, None
-    changed: Dict[str, Dict[str, list]] = {}
-    for sid, (store, old) in enumerate(zip(stores, before)):
-        new = store.mask
-        if new == old:
-            continue
-        interner = store.interner
-        changed[str(sid)] = {
-            "add": [encode_value(e) for e in interner.entries_for_mask(new & ~old)],
-            "drop": [e.entry_id for e in interner.entries_for_mask(old & ~new)],
-        }
-    if not changed:
-        return reply, None
-    return reply, {"key": key, "servers": changed}
+    return reply, service.last_record
+
+
+def _stores(service: LookupService, key: Any, servers: Any) -> List[Any]:
+    """``key``'s stores by server id, once ``key`` is a hosted scheme
+    and every id in ``servers`` a server of this cluster; else raises.
+
+    A reader that skipped what it cannot place would serve stale state
+    forever, so a record naming either fails the pump loudly.
+    """
+    if key not in service.strategies:
+        raise ValueError(f"names no scheme of this service: {key!r}")
+    for sid in servers:
+        if not 0 <= int(sid) < service.cluster.size:
+            raise ValueError(f"names no server of this cluster: {sid!r}")
+    return service.cluster.stores(key)
 
 
 def apply_delta(service: LookupService, delta: Dict[str, Any]) -> None:
     """Apply one writer delta to a reader's stores.
 
-    Pure store-membership surgery — no strategy logic runs, no RNG is
-    drawn — preceded by dropping the cached replies of the servers the
-    delta names, and only theirs: the stores of every other server do
-    not move.  A malformed delta raises (the reader's pump then fails
-    loudly): a server id outside the cluster is refused before
-    anything is touched, since as a list index ``-1`` would name the
-    last server.
+    Pure store-membership surgery by dense index
+    (:func:`~repro.core.storage.apply_record`) — no strategy logic
+    runs, no RNG is drawn, no entry id is resolved — preceded by
+    dropping the cached replies of the servers the delta names, and
+    only theirs: the stores of every other server do not move.  A delta
+    naming a scheme or server this reader lacks is refused before
+    anything is touched, and one whose new entries land at other
+    indices than the writer's before any store is: either raises, and
+    the reader's pump then fails loudly.
     """
     key = delta["key"]
-    if key not in service.strategies:
-        return
-    servers = service.cluster.servers
-    changes = []
-    for sid_text, change in delta["servers"].items():
-        sid = int(sid_text)
-        if not 0 <= sid < len(servers):
-            raise ValueError(f"delta names no server of this cluster: {sid_text!r}")
-        changes.append((sid, change))
-    service.note_mutation(key, {sid for sid, _ in changes})
-    for sid, change in changes:
-        store = servers[sid].store(key)
-        for wire in change.get("add", ()):
-            store.add(decode_value(wire))
-        for entry_id in change.get("drop", ()):
-            index = store.interner.index_of(entry_id)
-            if index is not None:
-                store.discard(store.interner.entry_at(index))
+    stores = _stores(service, key, delta["servers"])
+    service.note_mutation(key, {int(sid) for sid in delta["servers"]})
+    apply_record(stores, delta)
 
 
-def snapshot_stores(service: LookupService) -> Dict[str, List[List[Any]]]:
-    """Every scheme's per-server store contents, wire-encoded."""
+def snapshot_stores(service: LookupService) -> Dict[str, Dict[str, Any]]:
+    """A full resync: per scheme, one update record from empty stores —
+    the interner's whole order and every server's membership."""
     return {
-        key: [
-            [encode_value(e) for e in server.store(key).as_list()]
-            for server in service.cluster.servers
-        ]
+        key: update_record(key, service.cluster.stores(key)) or {"servers": {}}
         for key in service.strategies
     }
 
 
-def load_snapshot(
-    service: LookupService, snapshot: Dict[str, List[List[Any]]]
-) -> None:
-    """Replace store contents wholesale (reader resync).
+def load_snapshot(service: LookupService, snapshot: Dict[str, Dict[str, Any]]) -> None:
+    """Adopt a full snapshot (reader resync).
 
-    Goes through the backend interface's one-shot
-    :meth:`~repro.core.storage.StorageBackend.restore` rather than
-    poking store internals, so a durable backend journals the whole
-    adoption as a single ``reset`` record.
+    Each scheme's record is applied as a delta is, to stores emptied
+    first, so the reader's interner must agree with the writer's from
+    index 0.  Every scheme and server is checked before any store
+    moves.  A writable journal records the adoption as one compaction.
     """
-    for key, per_server in snapshot.items():
-        if key not in service.strategies:
-            continue
+    adopted = [
+        (key, _stores(service, key, record["servers"]), record)
+        for key, record in snapshot.items()
+    ]
+    for key, stores, record in adopted:
         service.note_mutation(key)
-        for sid, wires in enumerate(per_server):
-            if sid >= service.cluster.size:
-                break
-            store = service.cluster.servers[sid].store(key)
-            store.restore(decode_value(wire) for wire in wires)
+        apply_record(stores, record, replace=True)
+    service.compact_journal()
 
 
 class DeltaApplier:

@@ -1,9 +1,12 @@
 """Append-log storage backend: journaled mutations + snapshot-and-compact.
 
 One :class:`AppendLogJournal` serves a whole process (all keys, all
-hosted servers).  Every store mutation is queued as a record *before*
-the caller observes the mutation's effects downstream (the writer fans
-out deltas only after the journal write returns).  On cold start the
+hosted servers).  Every write is queued as records *before* the caller
+observes its effects downstream (the writer fans out deltas only after
+the journal write returns): its update record (see
+:func:`~repro.core.storage.update_record`) — the very dict the worker
+fleet's writer ships to its readers as the delta — then the strategy
+state and RNG position it advanced to.  On cold start the
 journal replays snapshot + surviving log files into a
 :class:`RecoveredImage` which callers apply back onto a fresh cluster —
 rebuilding dense interner index assignments and coverage bitmasks, and
@@ -20,7 +23,7 @@ the chaos harness and smoke tests exercise.  The barriers are the end
 of the service's mutation sync point (before the reply is built),
 ``record_epoch`` (before any reader sees the delta), the end of the
 boot records, ``compact()``, ``close()`` and the ``log_bytes`` getter.
-A client mutation is therefore one line — its store records and the
+A client mutation is therefore one line — its update record and the
 ``state`` and ``rng`` it advanced to — and the fleet's ``epoch``
 marker a line of its own.  Replay applies a line whole or not at all:
 a line the crash cut short is dropped with every record in it, so
@@ -36,14 +39,22 @@ Surviving power loss additionally needs ``fsync=True`` (one
 default to; the paper's replication schemes already tolerate losing a
 whole server.
 
-A record is sized by what the write touched.  A server's strategy
-scratch state is journaled in full the first time its slot is, and
-after that as a ``patch``: the top-level keys that changed, and the
-keys set or deleted one level down (Round-Robin's ``positions``).  The
-``rng`` record packs the Mersenne-Twister words as base64 of
-little-endian ``uint32``.  Replay reads the journal's earlier spelling
-too — one record per line, the RNG as a JSON list of ints, snapshot
-schema 1.
+A record is sized by what the write touched.  The update record (op
+``delta``) lists, per server whose mask moved, the dense indices it
+gained and lost, and the entries the write interned, with the index
+the first one got; replay checks that each lands there.  A server's
+strategy scratch state is journaled in full the first time its slot
+is, and after that as a ``patch``: the top-level keys that changed,
+and the keys set or deleted one level down (Round-Robin's
+``positions``).  The ``rng`` record packs the Mersenne-Twister words
+as base64 of little-endian ``uint32``.  A fresh boot journals its
+placement as one update record per key, diffed from empty stores.
+
+Replay reads the journal's earlier spellings too, though nothing
+writes them any more: per-entry ``add``/``drop``/``reset``/``clear``
+store records, one record per line, the RNG as a JSON list of ints,
+and snapshot schemas 1 and 2, whose stores are ``[id, payload]`` pair
+lists where schema 3's are membership lists of indices.
 
 Compaction
 ----------
@@ -58,13 +69,13 @@ on the next compaction.
 
 Replay determinism
 ------------------
-Randomized mutations journal their *outcome*, not their inputs:
-``pop_random`` appends the popped entry's id as a plain ``drop``
-record, so replay never consumes RNG.  The cluster RNG's state is
-journaled separately (``rng`` records, deduped) so a recovered process
-resumes the exact random stream of the crashed one.  Every record
-replays in O(1): the image holds each store as an ``id → payload``
-dict.
+Randomized mutations journal their *outcome*, not their inputs: an
+update record is a mask diff, so a ``pop_random`` is in it as a
+dropped index and replay never consumes RNG.  The cluster RNG's state
+is journaled separately (``rng`` records, deduped) so a recovered
+process resumes the exact random stream of the crashed one.  A record
+replays in O(1) per index it names: the image holds each store as an
+``index → payload`` dict.
 """
 
 from __future__ import annotations
@@ -80,22 +91,25 @@ import random
 import re
 import struct
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Union
 
 from repro.core.entry import Entry
 from repro.core.exceptions import ReproError
-from repro.core.storage import MemoryBackend, StorageBackend
+from repro.core.interning import EntryInterner
+from repro.core.storage import held_entry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
 
 PathLike = Union[str, pathlib.Path]
 
-SNAPSHOT_SCHEMA = 2
+SNAPSHOT_SCHEMA = 3
 
 #: Snapshot schemas :meth:`AppendLogJournal.load` reads; schema 1
-#: spelled the RNG words as a JSON list of ints.
-_READABLE_SCHEMAS = (1, SNAPSHOT_SCHEMA)
+#: spelled the RNG words as a JSON list of ints, and 1 and 2 each store
+#: as ``[id, payload]`` pairs.
+_READABLE_SCHEMAS = (1, 2, SNAPSHOT_SCHEMA)
 
 #: Strategy scratch-state keys that are transient between operations
 #: and must not be persisted (mirrors ``repro.cluster.snapshots``).
@@ -121,24 +135,14 @@ _ABSENT = object()
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _pair_json(entry_id: str) -> str:
-    """A payload-free entry's ``[id, payload]`` snapshot pair, as text.
-
-    The snapshot's fragment encoder (see
-    :meth:`~repro.core.interning.EntryInterner.fragments`).
-    """
-    return _dumps([entry_id, None])
-
-
 class RecoveryError(ReproError):
     """The journal's contents contradict themselves during replay.
 
     A *torn tail* (a file's last line cut short by the crash) is
     expected and silently dropped; a damaged line before it, a record
-    this journal does not write, or an interner index recorded for an
-    ``add`` that disagrees with replay order is not — it means the
-    journal and the recovery procedure no longer describe the same
-    history.
+    this journal does not write, or an entry interned at another index
+    than its record names is not — it means the journal and the
+    recovery procedure no longer describe the same history.
     """
 
 
@@ -267,23 +271,35 @@ def _apply_patch(state: Dict[str, Any], patch: Dict[str, Any]) -> None:
     _merge(state, patch)
 
 
+def _as_dict(items: Iterable[Any]) -> Dict[int, Any]:
+    """A membership list (see :meth:`~repro.core.storage.StorageBackend
+    .membership`) as an ``index → payload`` dict."""
+    return dict((item, None) if item.__class__ is int else item for item in items)
+
+
+def _membership(store: Any) -> list:
+    """An image store as a membership list, ascending."""
+    if store.__class__ is list:
+        return store
+    return [i if p is None else [i, p] for i, p in sorted(store.items())]
+
+
 @dataclass
 class RecoveredImage:
     """Everything a crashed process needs to become its former self.
 
-    ``interners`` lists ``[entry_id, payload]`` pairs in *dense index
-    order* — replaying them first guarantees every store rebuild
-    re-derives identical bitmask bit positions, and so the never-crashed
-    store's index-ordered list.  ``stores`` holds each server's entries
-    as an ``id → payload`` dict, so every store record replays in one
-    dict operation; :meth:`snapshot_text` lists them in dense index
-    order, as the store :func:`apply_image` rebuilds does.
+    ``interners`` holds each key's entries in *dense index order* —
+    interning them first guarantees every store rebuild re-derives
+    identical bitmask bit positions, and so the never-crashed store's
+    index-ordered list.  ``stores`` holds each server's entries as an
+    ``index → payload`` dict, so every store record replays in O(1) per
+    index it names; :meth:`snapshot_text` lists them ascending, as the
+    store :func:`apply_image` rebuilds does.
     """
 
-    interners: Dict[str, List[List[Any]]] = field(default_factory=dict)
-    #: ``id → payload`` dicts — or, fresh from :func:`build_image` and
-    #: good only for :meth:`snapshot_text`, each store's pair-list JSON
-    #: text (a ``str``).
+    interners: Dict[str, EntryInterner] = field(default_factory=dict)
+    #: ``index → payload`` dicts — or, fresh from :func:`build_image` and
+    #: good only for :meth:`snapshot_text`, membership lists.
     stores: Dict[str, Dict[int, Any]] = field(default_factory=dict)
     states: Dict[str, Dict[int, Dict[str, Any]]] = field(default_factory=dict)
     #: As journaled: :func:`_pack_rng`'s form, or a schema-1 JSON list.
@@ -291,47 +307,52 @@ class RecoveredImage:
     epochs: Dict[str, int] = field(default_factory=dict)
     params: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
-    # Per-key id → index maps, derived; not part of the snapshot.
-    _index_by_id: Dict[str, Dict[str, int]] = field(default_factory=dict, repr=False)
-
     def is_empty(self) -> bool:
         return not self.interners and not self.stores and self.rng_state is None
 
     # -- record application -------------------------------------------------
 
-    def _intern(self, key: str, entry_id: str, payload: Any) -> int:
-        by_id = self._index_by_id.setdefault(key, {})
-        index = by_id.get(entry_id)
-        if index is None:
-            order = self.interners.setdefault(key, [])
-            index = len(order)
-            by_id[entry_id] = index
-            order.append([entry_id, payload])
-        return index
+    def _interner(self, key: str) -> EntryInterner:
+        interner = self.interners.get(key)
+        if interner is None:
+            interner = self.interners[key] = EntryInterner()
+        return interner
 
-    def _store(self, key: str, server_id: int) -> Dict[str, Any]:
-        return self.stores.setdefault(key, {}).setdefault(server_id, {})
+    def _store(self, key: str, server_id: Any) -> Dict[int, Any]:
+        return self.stores.setdefault(key, {}).setdefault(int(server_id), {})
 
     def apply(self, record: Dict[str, Any]) -> None:
-        """Fold one journal record into the image: one dict operation for
-        a store record, whatever the store's size."""
+        """Fold one journal record into the image: O(1) per index it
+        names, whatever the store's size."""
         op = record["op"]
-        if op == "add":
+        if op == "delta":
+            key = record["key"]
+            # The interning step a reader applies the same record with.
+            self._interner(key).extend(
+                starmap(Entry, record.get("new", ())), record.get("base", 0)
+            )
+            for sid, change in record["servers"].items():
+                store = self._store(key, sid)
+                store.update(_as_dict(change.get("add", ())))
+                for index in change.get("drop", ()):
+                    store.pop(index, None)
+        elif op == "add":  # "add" to "clear": the earlier per-entry spelling
             entry_id, payload = record["e"]
-            index = self._intern(record["k"], entry_id, payload)
+            index = self._interner(record["k"]).intern(Entry(entry_id, payload))
             if "i" in record and record["i"] != index:
                 raise RecoveryError(
                     f"journal add for {entry_id!r} recorded dense index "
                     f"{record['i']} but replay assigned {index}"
                 )
-            self._store(record["k"], record["s"]).setdefault(entry_id, payload)
+            self._store(record["k"], record["s"]).setdefault(index, payload)
         elif op == "drop":
-            self._store(record["k"], record["s"]).pop(record["id"], None)
+            index = self._interner(record["k"]).index_of(record["id"])
+            self._store(record["k"], record["s"]).pop(index, None)
         elif op == "reset":
-            store: Dict[str, Any] = {}
+            intern = self._interner(record["k"]).intern
+            store: Dict[int, Any] = {}
             for entry_id, payload in record["entries"]:
-                self._intern(record["k"], entry_id, payload)
-                store.setdefault(entry_id, payload)
+                store.setdefault(intern(Entry(entry_id, payload)), payload)
             self.stores.setdefault(record["k"], {})[record["s"]] = store
         elif op == "clear":
             self.stores.setdefault(record["k"], {})[record["s"]] = {}
@@ -353,55 +374,28 @@ class RecoveredImage:
     # -- snapshot round-trip ------------------------------------------------
 
     def snapshot_text(self) -> str:
-        """The snapshot's ``image`` object as JSON text.
-
-        Spelled section by section so the stores — most of the bytes —
-        can arrive already serialised; every other value goes through
-        :func:`_dumps`, and the result is what one ``_dumps`` of the
-        whole nested dict would give, with each store as a pair list
-        in dense index order.
-        """
-
-        def store_text(key: str, pairs: Any) -> str:
-            if pairs.__class__ is str:
-                return pairs
-            if pairs.__class__ is dict:
-                index = self._index_by_id.get(key, {}).__getitem__
-                pairs = [[i, pairs[i]] for i in sorted(pairs, key=index)]
-            return _dumps(pairs)
-
-        stores = ",".join(
-            _dumps(key)
-            + ":{"
-            + ",".join(
-                f'"{sid}":' + store_text(key, pairs) for sid, pairs in by_server.items()
-            )
-            + "}"
-            for key, by_server in self.stores.items()
+        """The snapshot's ``image`` object as JSON text: each interner as
+        its ``[entry_id, payload]`` pairs, each store as its membership
+        list."""
+        return _dumps(
+            {
+                "interners": {key: i.pairs() for key, i in self.interners.items()},
+                "stores": {
+                    key: {sid: _membership(store) for sid, store in by_server.items()}
+                    for key, by_server in self.stores.items()
+                },
+                "states": self.states,
+                "rng": self.rng_state,
+                "epochs": self.epochs,
+                "params": self.params,
+            }
         )
-        sections = {
-            "interners": _dumps(self.interners),
-            "stores": "{" + stores + "}",
-            "states": _dumps(
-                {
-                    key: {str(sid): state for sid, state in by_server.items()}
-                    for key, by_server in self.states.items()
-                }
-            ),
-            "rng": _dumps(self.rng_state),
-            "epochs": _dumps(self.epochs),
-            "params": _dumps(self.params),
-        }
-        return "{" + ",".join(f'"{name}":{text}' for name, text in sections.items()) + "}"
 
     @classmethod
-    def from_snapshot(cls, image: Dict[str, Any]) -> "RecoveredImage":
+    def from_snapshot(
+        cls, image: Dict[str, Any], schema: int = SNAPSHOT_SCHEMA
+    ) -> "RecoveredImage":
         out = cls(
-            interners={k: [list(p) for p in v] for k, v in image["interners"].items()},
-            stores={
-                key: {int(sid): dict(pairs) for sid, pairs in by_server.items()}
-                for key, by_server in image["stores"].items()
-            },
             states={
                 key: {int(sid): dict(state) for sid, state in by_server.items()}
                 for key, by_server in image["states"].items()
@@ -410,8 +404,16 @@ class RecoveredImage:
             epochs=dict(image.get("epochs", {})),
             params={k: dict(v) for k, v in image.get("params", {}).items()},
         )
-        for key, order in out.interners.items():
-            out._index_by_id[key] = {pair[0]: i for i, pair in enumerate(order)}
+        for key, pairs in image["interners"].items():
+            out._interner(key).extend(starmap(Entry, pairs))
+        for key, by_server in image["stores"].items():
+            index_of = out._interner(key).index_of
+            out.stores[key] = {
+                int(sid): _as_dict(items)
+                if schema >= 3
+                else {index_of(entry_id): payload for entry_id, payload in items}
+                for sid, items in by_server.items()
+            }
         return out
 
 
@@ -447,9 +449,6 @@ class AppendLogJournal:
         self.read_only = read_only
         self.fsync = fsync
         self.compact_every = compact_every
-        #: While True, ``append`` is suppressed — set during replay so
-        #: rebuilding stores does not re-journal its own history.
-        self.replaying = False
         #: Records (not lines) since the last compaction.
         self.log_records = 0
         self.compactions = 0
@@ -506,33 +505,14 @@ class AppendLogJournal:
 
     # -- writing -------------------------------------------------------------
 
-    @contextlib.contextmanager
-    def suspended(self):
-        """Temporarily suppress journaling (used while applying replay)."""
-        previous = self.replaying
-        self.replaying = True
-        try:
-            yield
-        finally:
-            self.replaying = previous
-
-    @property
-    def listening(self) -> bool:
-        """Whether ``append`` would write: neither read-only nor replaying.
-
-        The record builders ask first, so a reader applying a delta and
-        a recovery boot build no record just to drop it.
-        """
-        return not (self.read_only or self.replaying)
-
     def append(self, record: Dict[str, Any]) -> bool:
-        """Queue one record for the next barrier; False when suppressed.
+        """Queue one record for the next barrier; False when read-only.
 
         The record is serialised at the barrier, so it must not share a
         container that changes before then: the builders below hand in
         fresh values.
         """
-        if not self.listening:
+        if self.read_only:
             return False
         self._pending.append(record)
         self.log_records += 1
@@ -571,43 +551,6 @@ class AppendLogJournal:
         if self.fsync:
             os.fsync(self._fh.fileno())
 
-    def record_add(self, key: str, server_id: int, index: int, entry: Entry) -> None:
-        if not self.listening:
-            return
-        self.append(
-            {
-                "op": "add",
-                "k": key,
-                "s": server_id,
-                "i": index,
-                "e": [entry.entry_id, entry.payload],
-            }
-        )
-
-    def record_drop(self, key: str, server_id: int, entry_id: str) -> None:
-        if not self.listening:
-            return
-        self.append({"op": "drop", "k": key, "s": server_id, "id": entry_id})
-
-    def record_reset(
-        self, key: str, server_id: int, entries: Iterable[Entry]
-    ) -> None:
-        if not self.listening:
-            return
-        self.append(
-            {
-                "op": "reset",
-                "k": key,
-                "s": server_id,
-                "entries": [[e.entry_id, e.payload] for e in entries],
-            }
-        )
-
-    def record_clear(self, key: str, server_id: int) -> None:
-        if not self.listening:
-            return
-        self.append({"op": "clear", "k": key, "s": server_id})
-
     def record_state(self, key: str, server_id: int, state: Dict[str, Any]) -> None:
         """Journal a strategy scratch state: in full the first time its
         slot is journaled, then as a patch of what changed, if anything.
@@ -615,7 +558,7 @@ class AppendLogJournal:
         The kept copy takes the same patch, so an unchanged state costs
         an ``==`` per top-level key and a changed one what changed.
         """
-        if not self.listening:
+        if self.read_only:
             return
         slot = ("state", key, server_id)
         last = self._journaled.get(slot)
@@ -637,7 +580,7 @@ class AppendLogJournal:
 
     def record_rng(self, rng: random.Random) -> None:
         """Journal the cluster RNG state, skipping no-op rewrites."""
-        if not self.listening:
+        if self.read_only:
             return
         state = rng.getstate()
         last = self._journaled.get("rng")
@@ -655,7 +598,7 @@ class AppendLogJournal:
 
     def record_params(self, schemes: Dict[str, Dict[str, Any]]) -> None:
         """Journal effective strategy params, skipping no-op rewrites."""
-        if not self.listening or schemes == self._journaled.get("params"):
+        if self.read_only or schemes == self._journaled.get("params"):
             return
         # Never edited in place, so the record and the kept copy share it.
         kept = self._journaled["params"] = _detached(schemes)
@@ -681,7 +624,7 @@ class AppendLogJournal:
             snapshot_serial = snapshot.get("serial", 0)
             self.compactions = snapshot.get("compactions", 0)
             self.last_compaction_epoch = snapshot.get("last_compaction_epoch", 0)
-            image = RecoveredImage.from_snapshot(snapshot["image"])
+            image = RecoveredImage.from_snapshot(snapshot["image"], snapshot["schema"])
         records = 0
         serials = [s for s in self._log_serials() if s >= snapshot_serial]
         for serial in serials:
@@ -823,77 +766,6 @@ class AppendLogJournal:
             self._fh = None
 
 
-class LogBackend(MemoryBackend):
-    """The in-memory backend with every mutation journaled.
-
-    Representation-identical to :class:`MemoryBackend` — same slots,
-    same index-ordered lists, same bitmask — so the read path (sampling,
-    membership, the bitset kernel's ``_indices`` access) costs exactly
-    the same.  Each mutator delegates to ``super()`` first and journals
-    only mutations that actually happened, recording *outcomes* (the
-    popped entry's id, the assigned dense index) so replay is
-    deterministic and RNG-free.
-    """
-
-    __slots__ = ("_journal", "_key", "_server_id")
-
-    def __init__(
-        self,
-        journal: AppendLogJournal,
-        key: str,
-        server_id: int,
-        interner=None,
-    ) -> None:
-        self._journal = journal
-        self._key = key
-        self._server_id = server_id
-        super().__init__(interner=interner)
-
-    def add(self, entry: Entry) -> bool:
-        added = super().add(entry)
-        if added and self._journal.listening:
-            self._journal.record_add(
-                self._key,
-                self._server_id,
-                self._interner.index_of(entry.entry_id),
-                entry,
-            )
-        return added
-
-    def discard(self, entry: Entry) -> bool:
-        removed = super().discard(entry)
-        if removed:
-            self._journal.record_drop(self._key, self._server_id, entry.entry_id)
-        return removed
-
-    def pop_random(self, rng: random.Random) -> Entry:
-        entry = super().pop_random(rng)
-        self._journal.record_drop(self._key, self._server_id, entry.entry_id)
-        return entry
-
-    def clear(self) -> None:
-        had_entries = len(self._entries) > 0
-        super().clear()
-        if had_entries:
-            self._journal.record_clear(self._key, self._server_id)
-
-    def restore(self, entries: Iterable[Entry]) -> None:
-        """Replace contents, journaled as one ``reset`` record."""
-        entries = list(entries)
-        with self._journal.suspended():
-            super().restore(entries)
-        self._journal.record_reset(self._key, self._server_id, entries)
-
-
-def _store_json(store: StorageBackend) -> str:
-    """A store's snapshot pair list as text, joined from fragments."""
-    parts = store.fragments(_pair_json)
-    if parts is None:
-        # A rider: payloads belong to held entries, not to indices.
-        return _dumps([[e.entry_id, e.payload] for e in store])
-    return "[" + ",".join(parts) + "]"
-
-
 def build_image(
     cluster: "Cluster",
     epochs: Optional[Dict[str, int]] = None,
@@ -901,25 +773,17 @@ def build_image(
 ) -> RecoveredImage:
     """Capture a cluster's full durable state as a snapshot image.
 
-    For :meth:`AppendLogJournal.compact`: the stores are captured as
-    JSON text (see :func:`_store_json`), so the image can be written,
-    not applied.
+    For :meth:`AppendLogJournal.compact`: the image shares the cluster's
+    interners and holds each store as its membership list, so it can be
+    written, not applied.
     """
     image = RecoveredImage()
-    keys: List[str] = []
     for server in cluster.servers:
         for key in server.keys():
-            if key not in keys:
-                keys.append(key)
-    for key in keys:
-        interner = cluster.interner(key)
-        order = [interner.entry_at(i) for i in range(len(interner))]
-        image.interners[key] = [[e.entry_id, e.payload] for e in order]
-    for server in cluster.servers:
-        for key in server.keys():
-            image.stores.setdefault(key, {})[server.server_id] = _store_json(
-                server.store(key)
-            )
+            image.interners[key] = cluster.interner(key)
+            image.stores.setdefault(key, {})[server.server_id] = server.store(
+                key
+            ).membership()
             state = _persistable_state(server.state(key))
             if state:
                 image.states.setdefault(key, {})[server.server_id] = dict(state)
@@ -931,50 +795,33 @@ def build_image(
     return image
 
 
-def apply_image(
-    image: RecoveredImage,
-    cluster: "Cluster",
-    journal: Optional[AppendLogJournal] = None,
-) -> None:
+def apply_image(image: RecoveredImage, cluster: "Cluster") -> None:
     """Rebuild a fresh cluster's stores/state/RNG from an image.
 
-    Interners are replayed first, in recorded dense-index order, so
-    every store rebuild re-derives identical bit positions regardless
-    of which server's entries are applied first; a store then takes
-    the interner's own entry object wherever its pair is payload-free.
-    Journaling is suspended while applying so recovery does not
-    re-journal itself.
+    Interners are replayed first, each entry checked onto the index the
+    image names (:meth:`~repro.core.interning.EntryInterner.extend`),
+    so every store rebuild re-derives identical bit positions whichever
+    server's entries are applied first.  A store is then rebuilt by
+    index, taking the interner's own entry object wherever it holds the
+    entry payload-free (:func:`~repro.core.storage.held_entry`).
     """
-    suspend = journal.suspended() if journal is not None else contextlib.nullcontext()
-    with suspend:
-        for key, order in image.interners.items():
-            interner = cluster.interner(key)
-            for entry_id, payload in order:
-                interner.intern(Entry(entry_id, payload))
-        for key, by_server in image.stores.items():
-            # Every store that holds an entry payload-free shares the
-            # interner's one object for it.
-            interner = cluster.interner(key)
-            shared = {
-                entry.entry_id: entry
-                for entry in map(interner.entry_at, range(len(interner)))
-                if entry.payload is None
-            }
-            for server_id, pairs in by_server.items():
-                store = cluster.server(server_id).store(key)
-                for entry_id, payload in pairs.items():
-                    entry = shared.get(entry_id) if payload is None else None
-                    store.add(Entry(entry_id, payload) if entry is None else entry)
-        for key, by_server in image.states.items():
-            for server_id, state in by_server.items():
-                cluster.server(server_id).state(key).update(state)
-        if image.rng_state is not None:
-            cluster.rng.setstate(_unpack_rng(image.rng_state))
+    for key, interner in image.interners.items():
+        cluster.interner(key).extend(map(interner.entry_at, range(len(interner))))
+    for key, by_server in image.stores.items():
+        interner = cluster.interner(key)
+        for server_id, store in by_server.items():
+            target = cluster.server(server_id).store(key)
+            for item in _membership(store):
+                target.add_at(*held_entry(interner, item))
+    for key, by_server in image.states.items():
+        for server_id, state in by_server.items():
+            cluster.server(server_id).state(key).update(state)
+    if image.rng_state is not None:
+        cluster.rng.setstate(_unpack_rng(image.rng_state))
 
 
 __all__ = [
     "AppendLogJournal",
-    "LogBackend",
     "RecoveredImage",
     "RecoveryError",
     "apply_image",

@@ -8,7 +8,14 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.server import Server
 from repro.core.entry import Entry, make_entries
 from repro.core.interning import EntryInterner
-from repro.core.storage import EntryStore, MemoryBackend, StorageBackend
+from repro.core.storage import (
+    EntryStore,
+    MemoryBackend,
+    StorageBackend,
+    apply_record,
+    held_entry,
+    update_record,
+)
 
 
 class TestInterface:
@@ -39,24 +46,23 @@ class TestInterface:
         assert store.as_list() == entries[:2] + entries[3:]
         assert store.mask == sum(1 << i for i in store.indices())
 
-    def test_default_restore_is_clear_then_add(self):
-        store = MemoryBackend(make_entries(4))
-        replacement = [Entry("x1"), Entry("x2")]
-        store.restore(replacement)
-        assert store.as_list() == replacement
-        assert len(store) == 2
-        assert store.mask.bit_count() == 2
-
-    def test_restore_preserves_insertion_order_and_indices(self):
+    def test_a_store_rebuilt_from_its_membership_is_identical(self):
         interner = EntryInterner()
         a = MemoryBackend(make_entries(6), interner=interner)
+        a.discard(Entry("v2"))
+        a.add(Entry("w1", payload="p"))
+        assert a.membership() == [0, 2, 3, 4, 5, [6, "p"]]
+        assert a.membership(1 << 6 | 1 << 3) == [3, [6, "p"]]
         b = MemoryBackend(interner=interner)
-        b.restore(a.as_list())
-        assert b.as_list() == a.as_list()
-        assert b.indices() == a.indices()
-        assert b.mask == a.mask
-        # and a restored store samples identically under an equal RNG
+        for item in a.membership():
+            assert b.add_at(*held_entry(interner, item))
+        assert [(e.entry_id, e.payload) for e in b] == [
+            (e.entry_id, e.payload) for e in a
+        ]
+        assert (b.indices(), b.mask, b.riders) == (a.indices(), a.mask, a.riders)
+        # and a rebuilt store samples identically under an equal RNG
         assert b.sample(3, random.Random(7)) == a.sample(3, random.Random(7))
+        assert b.discard_at(6) and not b.discard_at(6) and not b.discard_at(1)
 
 
 class TestIndexList:
@@ -73,7 +79,9 @@ class TestIndexList:
         assert store.indices() == [1, 3, 4, 5, 6]
         assert [e.entry_id for e in store] == ["v2", "v4", "v5", "v6", "v7"]
         # the order is the set's, not the arrival order's
-        store.restore([Entry("v4"), Entry("v1")])
+        store.clear()
+        for entry in (Entry("v4"), Entry("v1")):
+            store.add(entry)
         assert store.indices() == [0, 3]
 
     def test_riders_are_counted_per_store_not_per_index(self):
@@ -113,6 +121,53 @@ class TestIndexList:
         assert store.fragments(encode) == [b"v1", b"v3", b"v4"]
         assert calls == ["v1", "v2", "v3", "v4"]
         assert store.fragments(len) == [2, 2, 2]
+
+
+class TestUpdateRecord:
+    """A write's effect as one record, and that record applied elsewhere."""
+
+    def _twins(self):
+        return [
+            [MemoryBackend(make_entries(4), interner=interner) for _ in range(3)]
+            for interner in (EntryInterner(), EntryInterner())
+        ]
+
+    def test_a_record_carries_what_moved_by_index_and_applies_exactly(self):
+        writer, reader = self._twins()
+        before, base = [s.mask for s in writer], len(writer[0].interner)
+        writer[0].discard(Entry("v2"))
+        writer[2].add(Entry("w1"))
+        writer[2].add(Entry("v9", payload={"a": [1]}))
+        popped = writer[2].pop_random(random.Random(3))
+        record = update_record("k", writer, before, base)
+        assert record["base"] == 4 and record["new"] == [["w1", None], ["v9", {"a": [1]}]]
+        assert set(record["servers"]) == {"0", "2"}
+        assert record["servers"]["0"] == {"drop": [1]}
+        # the draw is in the record as its outcome: applying it takes no RNG
+        assert popped.entry_id in {e.entry_id for e in reader[2]}
+        apply_record(reader, record)
+        assert popped.entry_id not in {e.entry_id for e in reader[2]}
+        for mine, theirs in zip(reader, writer):
+            assert [(e.entry_id, e.payload) for e in mine] == [
+                (e.entry_id, e.payload) for e in theirs
+            ]
+            assert mine.indices() == theirs.indices()
+
+    def test_no_op_mutations_make_no_record(self):
+        (stores, _) = self._twins()
+        before, base = [s.mask for s in stores], len(stores[0].interner)
+        stores[0].add(Entry("v1"))  # present
+        stores[1].discard(Entry("absent"))
+        assert update_record("k", stores, before, base) is None
+
+    def test_an_interner_out_of_step_refuses_the_record(self):
+        writer, reader = self._twins()
+        before, base = [s.mask for s in writer], len(writer[0].interner)
+        writer[1].add(Entry("w1"))
+        record = update_record("k", writer, before, base)
+        reader[0].add(Entry("x"))  # takes index 4, the record's w1 index
+        with pytest.raises(ValueError, match="index 5"):
+            apply_record(reader, record)
 
 
 class _RecordingBackend(MemoryBackend):

@@ -172,19 +172,16 @@ def _reader_outcome(frame):
 
 
 ids = st.sampled_from(["0", "1", "3", "-1", "4", "01", " 1", "1.0", "x"])
-wire_entries = st.one_of(
-    st.integers(0, 9).map(lambda i: {"!": "entry", "id": f"zz{i}", "payload": None}),
-    st.just({"!": "entry", "id": 7}),
-    junk,
-)
+#: Dense indices: 0-7 are interned on every scheme's reader, 8 and 9 only
+#: by a delta's own ``new``.
+indices = st.integers(0, 9)
+members = st.one_of(indices, st.tuples(indices, st.just("p")).map(list), junk)
 changes = st.one_of(
     st.fixed_dictionaries(
         {},
         optional={
-            "add": st.lists(wire_entries, max_size=3),
-            "drop": st.lists(
-                st.one_of(st.sampled_from(["v1", "v2", "zz1"]), junk), max_size=3
-            ),
+            "add": st.lists(members, max_size=3),
+            "drop": st.lists(st.one_of(indices, junk), max_size=3),
         },
     ),
     junk,
@@ -195,7 +192,14 @@ deltas = st.one_of(
             "epoch": st.one_of(st.just(1), junk),
             "key": st.one_of(st.sampled_from(SCHEMES), junk),
             "servers": st.one_of(st.dictionaries(ids, changes, max_size=3), junk),
-        }
+        },
+        optional={
+            "base": st.one_of(st.integers(0, 9), junk),
+            "new": st.lists(
+                st.tuples(st.sampled_from(["zz1", "zz2", "v1"]), st.none()).map(list),
+                max_size=2,
+            ),
+        },
     ),
     junk,
 )
@@ -216,41 +220,64 @@ def test_reader_resyncs_or_fails_loudly_on_a_bad_delta(delta):
         if outcome != "fatal":  # a fatal reader exits with what it holds
             assert after == before
         return
-    # Applied means applied whole: drops land after adds, so every
-    # dropped id is gone and every other add is held.
+    # Applied means applied whole, to a scheme this reader hosts: drops
+    # land after adds, so every dropped index is gone and every other
+    # add is held.
     assert applied == 1
-    if delta["key"] not in service.strategies:
-        assert after == before
-        return
+    assert delta["key"] in service.strategies
     for sid, change in delta["servers"].items():
         store = service.cluster.servers[int(sid)].store(delta["key"])
-        held = {entry.entry_id for entry in store.as_list()}
+        held = set(store.indices())
         dropped = set(change.get("drop", ()))
+        added = {item if type(item) is int else item[0] for item in change.get("add", ())}
         assert not dropped & held
-        assert {wire["id"] for wire in change.get("add", ())} - dropped <= held
+        assert added - dropped <= held
 
 
 def test_reader_named_cases():
-    good = {"!": "entry", "id": "zz1", "payload": None}
     fatal = [
         # As list indices, -1 and -4 would name real servers.
-        {"epoch": 1, "key": "hash", "servers": {"-1": {"add": [good]}}},
-        {"epoch": 1, "key": "hash", "servers": {"-4": {"drop": ["v1"]}}},
+        {"epoch": 1, "key": "hash", "servers": {"-1": {"add": [5]}}},
+        {"epoch": 1, "key": "hash", "servers": {"-4": {"drop": [1]}}},
         {"epoch": 1, "key": "hash", "servers": {"9": {}}},
-        {"epoch": 1, "key": "hash", "servers": {"1": {"add": [5]}}},
+        # An index past the interner, and a drop that is not an index.
+        {"epoch": 1, "key": "hash", "servers": {"1": {"add": [99]}}},
         {"epoch": 1, "key": "hash", "servers": {"1": {"drop": [[5]]}}},
+        # A scheme this reader does not host.
+        {"epoch": 1, "key": "nope", "servers": {"1": {}}},
+        # Entries the reader's interner holds, or would put, elsewhere.
+        {"epoch": 1, "key": "hash", "base": 3, "new": [["zz1", None]], "servers": {}},
+        {"epoch": 1, "key": "hash", "base": 0, "new": [["v2", None]], "servers": {}},
     ]
     for delta in fatal:
         outcome, before, after, _, applied = _reader_outcome({"op": "delta", "delta": delta})
         assert (outcome, after, applied) == ("fatal", before, 0), delta
+    fresh = {"key": "hash", "base": 8, "new": [["zz1", None]], "servers": {"1": {"add": [8]}}}
     for epoch in (True, 1.0, "1", None):
-        delta = {"epoch": epoch, "key": "hash", "servers": {"1": {"add": [good]}}}
+        delta = dict(fresh, epoch=epoch)
         outcome, before, after, _, _ = _reader_outcome({"op": "delta", "delta": delta})
         assert (outcome, after) == ("resync", before), epoch
-    outcome, before, after, _, applied = _reader_outcome(
-        {"op": "delta", "delta": {"epoch": 1, "key": "nope", "servers": {"1": {}}}}
+    outcome, before, after, service, applied = _reader_outcome(
+        {"op": "delta", "delta": dict(fresh, epoch=1)}
     )
-    assert (outcome, after, applied) == ("applied", before, 1)
+    assert (outcome, applied) == ("applied", 1)
+    assert "zz1" in {e.entry_id for e in service.cluster.servers[1].store("hash")}
+
+
+def test_reader_named_sync_cases():
+    # A snapshot is checked as a delta is: every scheme and server it
+    # names must be the reader's, and its interner order the reader's
+    # own from index 0; anything else fails the reader, not skips.
+    fatal = [
+        {"nope": {"servers": {}}},
+        {"hash": {"servers": {"9": {"add": [0]}}}},
+        {"hash": {"servers": {"-1": {"add": [0]}}}},
+        {"hash": {"base": 0, "new": [["v2", None]], "servers": {}}},
+    ]
+    for stores in fatal:
+        frame = {"op": "sync_reply", "id": 1, "epoch": 3, "stores": stores}
+        outcome, before, after, _, applied = _reader_outcome(frame)
+        assert (outcome, after, applied) == ("fatal", before, 0), stores
 
 
 @settings(max_examples=60)

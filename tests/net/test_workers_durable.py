@@ -2,8 +2,8 @@
 DeltaApplier behaviour on a disk-recovered worker.
 
 The snapshot half is the ``snapshot_stores``/``load_snapshot`` contract
-(every scheme round-trips through ``StorageBackend.restore``, on both
-backends); the applier half is the recover-from-disk boot path — a
+(every scheme round-trips, and a durable reader keeps what it adopted);
+the applier half is the recover-from-disk boot path — a
 respawned worker replays the journal, seeds its watermark from the
 recovered epoch, and then catches up from the bus deltas that follow
 instead of a full network resync (with the gap fallback intact).
@@ -71,7 +71,7 @@ def _mutate(service):
 
 
 class TestSnapshotParity:
-    """Satellite: snapshot/load round-trip through the backend interface."""
+    """Snapshot/load round-trip, by dense index."""
 
     @pytest.mark.parametrize("key", sorted(DEFAULT_SCHEMES))
     def test_each_scheme_round_trips(self, key):
@@ -94,18 +94,20 @@ class TestSnapshotParity:
                 assert b.store(key).as_list() == a.store(key).as_list()
                 assert b.store(key).indices() == a.store(key).indices()
 
-    def test_load_into_a_durable_reader_journals_one_reset_per_store(
-        self, tmp_path
-    ):
+    def test_load_into_a_durable_reader_is_one_compaction(self, tmp_path):
         source = LookupService(CONFIG)
         _mutate(source)
         reader = LookupService(_log_config(tmp_path))
-        before = reader.journal.log_records
-        snapshot = snapshot_stores(source)
-        load_snapshot(reader, snapshot)
-        resets = reader.journal.log_records - before
-        expected = sum(len(per_server) for per_server in snapshot.values())
-        assert resets == expected  # one reset record per (key, server)
+        compactions = reader.journal.compactions
+        load_snapshot(reader, snapshot_stores(source))
+        assert reader.journal.compactions == compactions + 1
+        assert reader.journal.log_records == 0  # the adoption is the snapshot
+        # a read-only journal adopts in memory and writes nothing
+        replica = LookupService(_log_config(tmp_path, store_read_only=True))
+        files = sorted((p.name, p.stat().st_size) for p in tmp_path.iterdir())
+        load_snapshot(replica, snapshot_stores(source))
+        assert sorted((p.name, p.stat().st_size) for p in tmp_path.iterdir()) == files
+        assert _masks(replica, "hash") == _masks(source, "hash")
 
     def test_adopted_snapshot_survives_a_crash(self, tmp_path):
         source = LookupService(CONFIG)

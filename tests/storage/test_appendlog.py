@@ -1,39 +1,70 @@
-"""The append-log journal and LogBackend: journaling, replay, compaction."""
+"""The append-log journal: update records, replay, compaction."""
 
 import base64
-import contextlib
 import json
 import random
 
 import pytest
 
+from repro.cluster.cluster import Cluster
+from repro.cluster.messages import AddRequest
 from repro.core.entry import Entry, make_entries
-from repro.core.interning import EntryInterner
+from repro.core.storage import MemoryBackend, update_record
+from repro.net.codec import encode_message
+from repro.net.service import LookupService, ServiceConfig
 from repro.storage import appendlog
 from repro.storage.appendlog import (
     AppendLogJournal,
-    LogBackend,
     RecoveredImage,
     RecoveryError,
+    apply_image,
 )
 
 
-def _backend(journal, key="k", server_id=0, interner=None):
-    return LogBackend(journal, key, server_id, interner=interner)
+class _Journaled:
+    """Server 0's store of key ``k``, every mutation journaled as the
+    update record a service's sync point builds: the mask diffed around
+    it.  Reads go to the store itself."""
+
+    def __init__(self, journal, store=None):
+        self.journal = journal
+        self.store = store if store is not None else MemoryBackend()
+
+    def __getattr__(self, name):
+        return getattr(self.store, name)
+
+    def __iter__(self):
+        return iter(self.store)
+
+    def _journaled(self, mutate, *args):
+        before, base = [self.store.mask], len(self.store.interner)
+        result = mutate(*args)
+        record = update_record("k", [self.store], before, base)
+        if record is not None:
+            self.journal.append(record)
+        return result
+
+    def add(self, entry):
+        return self._journaled(self.store.add, entry)
+
+    def discard(self, entry):
+        return self._journaled(self.store.discard, entry)
+
+    def pop_random(self, rng):
+        return self._journaled(self.store.pop_random, rng)
+
+    def clear(self):
+        return self._journaled(self.store.clear)
 
 
-def _rebuild(tmp_path, key="k", server_id=0):
-    """Cold-start replay: a fresh journal + backend built from disk."""
+def _rebuild(tmp_path):
+    """Cold-start replay: a fresh journal, and server 0's store of key
+    ``k`` rebuilt from disk as a recovery boot rebuilds it."""
     journal = AppendLogJournal(tmp_path)
     image = journal.load()
-    interner = EntryInterner()
-    for entry_id, payload in image.interners.get(key, []):
-        interner.intern(Entry(entry_id, payload))
-    store = _backend(journal, key, server_id, interner)
-    with journal.suspended():
-        for entry_id, payload in image.stores.get(key, {}).get(server_id, {}).items():
-            store.add(Entry(entry_id, payload))
-    return journal, store, image
+    cluster = Cluster(1, seed=0)
+    apply_image(image, cluster)
+    return journal, _Journaled(journal, cluster.server(0).store("k")), image
 
 
 def _lines(tmp_path, serial=1):
@@ -46,26 +77,28 @@ def _records(tmp_path, serial=1):
     return [record for line in _lines(tmp_path, serial) for record in line]
 
 
-class TestLogBackendJournaling:
+class TestStoreRecords:
     def test_mutations_replay_bit_identically(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         for entry in make_entries(8):
             store.add(entry)
         store.discard(Entry("v3"))
         store.discard(Entry("v5"))
-        store.add(Entry("w5"))
+        store.add(Entry("w5", payload={"port": 7}))
         store.add(Entry("v3"))  # re-add after drop: below the tail
         journal.close()
 
         _, recovered, _ = _rebuild(tmp_path)
-        assert recovered.as_list() == store.as_list()
+        assert [(e.entry_id, e.payload) for e in recovered] == [
+            (e.entry_id, e.payload) for e in store
+        ]
         assert recovered.indices() == store.indices()
         assert recovered.mask == store.mask
 
     def test_an_add_below_a_held_index_journals_its_own_index(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         for entry in make_entries(4):
             store.add(entry)
         store.discard(Entry("v2"))
@@ -73,29 +106,36 @@ class TestLogBackendJournaling:
         journal.close()
 
         records = _records(tmp_path)
-        assert [r["i"] for r in records if r["op"] == "add"] == [0, 1, 2, 3, 1]
+        assert [r["servers"]["0"] for r in records] == [
+            {"add": [0]}, {"add": [1]}, {"add": [2]}, {"add": [3]},
+            {"drop": [1]}, {"add": [1]},
+        ]
+        # each interning names its index; the re-add interns nothing
+        assert [r.get("base") for r in records] == [0, 1, 2, 3, None, None]
         _, recovered, _ = _rebuild(tmp_path)
         assert recovered.indices() == store.indices() == [0, 1, 2, 3]
         assert recovered.as_list() == store.as_list()
 
     def test_pop_random_journals_the_outcome(self, tmp_path):
-        # Replay must be RNG-free: the popped entry's id is recorded as
-        # a plain drop, so recovery never consumes a random stream.
+        # Replay must be RNG-free: the popped entry is in the record as
+        # a dropped index, so recovery never consumes a random stream.
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         for entry in make_entries(6):
             store.add(entry)
         popped = store.pop_random(random.Random(42))
         journal.close()
 
-        drops = [r for r in _records(tmp_path) if r["op"] == "drop"]
-        assert drops == [{"op": "drop", "k": "k", "s": 0, "id": popped.entry_id}]
+        index = store.interner.index_of(popped.entry_id)
+        assert _records(tmp_path)[-1] == {
+            "op": "delta", "key": "k", "servers": {"0": {"drop": [index]}},
+        }
         _, recovered, _ = _rebuild(tmp_path)
         assert recovered.as_list() == store.as_list()
 
     def test_noop_mutations_are_not_journaled(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         store.add(Entry("a"))
         before = journal.log_records
         store.add(Entry("a"))  # duplicate
@@ -104,28 +144,29 @@ class TestLogBackendJournaling:
         store.clear()  # already empty: nothing to journal
         assert journal.log_records == before + 1  # only the first clear
 
-    def test_restore_is_one_reset_record(self, tmp_path):
+    def test_a_clear_is_one_record(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         for entry in make_entries(4):
             store.add(entry)
         before = journal.log_records
-        store.restore([Entry("x1"), Entry("x2"), Entry("x3")])
+        store.clear()
         assert journal.log_records == before + 1
         journal.close()
+        assert _records(tmp_path)[-1]["servers"] == {"0": {"drop": [0, 1, 2, 3]}}
         _, recovered, _ = _rebuild(tmp_path)
-        assert recovered.as_list() == [Entry("x1"), Entry("x2"), Entry("x3")]
+        assert recovered.as_list() == []
 
     def test_read_only_journal_never_writes(self, tmp_path):
         journal = AppendLogJournal(tmp_path, read_only=True)
-        store = _backend(journal)
+        store = _Journaled(journal)
         store.add(Entry("a"))
         assert journal.log_records == 0
         assert not (tmp_path / "journal.000001.log").exists()
 
     def test_recovered_store_samples_byte_identically(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         for entry in make_entries(10):
             store.add(entry)
         store.discard(Entry("v4"))
@@ -134,6 +175,20 @@ class TestLogBackendJournaling:
         assert recovered.sample(4, random.Random(9)) == store.sample(
             4, random.Random(9)
         )
+
+    def test_a_record_interning_off_its_index_is_a_recovery_error(self, tmp_path):
+        journal = AppendLogJournal(tmp_path)
+        store = _Journaled(journal)
+        for entry in make_entries(3):
+            store.add(entry)
+        journal.close()
+        path = tmp_path / "journal.000001.log"
+        record = {"op": "delta", "key": "k", "base": 5, "new": [["w1", None]],
+                  "servers": {"0": {"add": [5]}}}
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps([record]) + "\n" + json.dumps([]) + "\n")
+        with pytest.raises(RecoveryError, match="line 2 holds a malformed record.*index 3, the record says 5"):
+            AppendLogJournal(tmp_path).load()
 
 
 class TestJournalRecords:
@@ -258,35 +313,25 @@ class TestJournalRecords:
 
 
 class TestSuppressedRecords:
-    """A journal that is not listening is asked before a record is built."""
+    """A read-only journal is offered no record: the service builds a
+    write's update record for the bus, and keeps it from the journal."""
 
-    @pytest.mark.parametrize("mode", ["read_only", "suspended"])
-    def test_no_store_record_is_built_for_a_deaf_journal(self, tmp_path, mode):
-        journal = AppendLogJournal(tmp_path, read_only=mode == "read_only")
-        offered = []
-        real_append = journal.append
-
-        def append(record):
-            offered.append(record)
-            return real_append(record)
-
-        journal.append = append
-        store = _backend(journal)
-        with journal.suspended() if mode == "suspended" else contextlib.nullcontext():
-            for entry in make_entries(4):
-                store.add(entry)
-            store.discard(Entry("v2"))
-            store.discard(Entry("v3"))
-            store.add(Entry("w3"))
-            store.pop_random(random.Random(1))
-            store.restore(make_entries(3))
-            store.clear()
+    def test_no_store_record_is_built_for_a_deaf_journal(self, tmp_path):
+        config = ServiceConfig(
+            server_count=4, entry_count=6, store="log", data_dir=str(tmp_path)
+        )
+        LookupService(config).journal.close()
+        service = LookupService(ServiceConfig(**{**vars(config), "store_read_only": True}))
+        offered, recovered = [], service.journal.log_records
+        service.journal.append = offered.append
+        for entry_id in ("w1", "w2"):
+            reply = service.handle_envelope({
+                "op": "send", "server": 1, "key": "hash",
+                "message": encode_message(AddRequest(Entry(entry_id))),
+            })
+            assert reply["ok"] and service.last_record is not None
         assert offered == []
-        assert journal.log_records == 0
-        if mode == "suspended":
-            store.add(Entry("heard"))
-            assert [record["op"] for record in offered] == ["add"]
-            assert journal.log_records == 1
+        assert service.journal.log_records == recovered
 
 
 class TestFlushBarriers:
@@ -298,7 +343,7 @@ class TestFlushBarriers:
         self, tmp_path, count_writes
     ):
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         store.add(Entry("a"))
         journal.flush()
         counting = count_writes(journal)
@@ -317,18 +362,18 @@ class TestFlushBarriers:
 
     def test_record_epoch_is_a_barrier(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
-        _backend(journal).add(Entry("a"))
+        _Journaled(journal).add(Entry("a"))
         journal.record_epoch("k", 1)
-        assert [[r["op"] for r in line] for line in _lines(tmp_path)] == [["add", "epoch"]]
+        assert [[r["op"] for r in line] for line in _lines(tmp_path)] == [["delta", "epoch"]]
 
     def test_log_bytes_counts_pending_records(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
-        _backend(journal).add(Entry("a"))
+        _Journaled(journal).add(Entry("a"))
         assert journal.log_bytes == len(self._log_text(tmp_path)) > 0
 
     def test_compaction_lands_pending_lines_in_the_old_serial(self, tmp_path, monkeypatch):
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         store.add(Entry("a"))
         folded = []
         real_unlink = appendlog.pathlib.Path.unlink
@@ -340,14 +385,14 @@ class TestFlushBarriers:
         monkeypatch.setattr(appendlog.pathlib.Path, "unlink", keep_text)
         journal.compact(TestCompaction()._image_for(store))
         assert [name for name, _ in folded] == ["journal.000001.log"]
-        assert [r["op"] for r in json.loads(folded[0][1])] == ["add"]
+        assert [r["op"] for r in json.loads(folded[0][1])] == ["delta"]
         assert self._log_text(tmp_path, serial=2) == ""
 
     def test_fsync_runs_once_per_barrier_not_per_record(self, tmp_path, monkeypatch):
         synced = []
         monkeypatch.setattr(appendlog.os, "fsync", synced.append)
         journal = AppendLogJournal(tmp_path, fsync=True)
-        store = _backend(journal)
+        store = _Journaled(journal)
         for entry in make_entries(6):
             store.add(entry)
         assert synced == []
@@ -359,16 +404,16 @@ class TestFlushBarriers:
     def test_a_bulk_mutation_flushes_in_bounded_chunks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(appendlog, "MAX_PENDING_RECORDS", 4)
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         for entry in make_entries(9):
             store.add(entry)
         assert [len(line) for line in _lines(tmp_path)] == [4, 4]
         assert len(journal._pending) == 1
 
     def test_suppressed_appends_leave_nothing_pending(self, tmp_path):
-        journal = AppendLogJournal(tmp_path)
-        with journal.suspended():
-            assert journal.append({"op": "clear", "k": "k", "s": 0}) is False
+        journal = AppendLogJournal(tmp_path, read_only=True)
+        assert journal.append({"op": "delta", "key": "k", "servers": {}}) is False
+        assert journal._pending == []
         journal.close()
         assert not (tmp_path / "journal.000001.log").exists()
 
@@ -376,7 +421,7 @@ class TestFlushBarriers:
 class TestReplayRobustness:
     def test_torn_tail_is_dropped_silently(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         for entry in make_entries(5):
             store.add(entry)
         journal.close()
@@ -391,7 +436,7 @@ class TestReplayRobustness:
         # unless the fragment goes first, its first line fuses with it
         # and the next recovery drops everything written after it.
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         for entry in make_entries(2):
             store.add(entry)
         journal.close()
@@ -408,7 +453,7 @@ class TestReplayRobustness:
 
     def test_a_read_only_journal_ignores_a_torn_tail_and_leaves_it(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         for entry in make_entries(2):
             store.add(entry)
         journal.close()
@@ -417,12 +462,12 @@ class TestReplayRobustness:
             handle.write('[{"op":"add","k":"k","s":0,"i":2,"e":["v9",null]}]')
         torn = path.read_bytes()
         image = AppendLogJournal(tmp_path, read_only=True).load()
-        assert image.stores["k"][0] == {"v1": None, "v2": None}
+        assert image.stores["k"][0] == {0: None, 1: None}
         assert path.read_bytes() == torn
 
     def test_damage_before_the_last_line_is_a_recovery_error(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         for entry in make_entries(3):
             store.add(entry)
             journal.flush()
@@ -462,7 +507,7 @@ class TestReplayRobustness:
 
     def test_a_torn_barrier_is_dropped_whole(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         store.add(Entry("a"))
         journal.flush()
         for entry in make_entries(3):
@@ -497,7 +542,7 @@ class TestReplayRobustness:
         record = {"op": "add", "k": "k", "s": 0, "i": 0, "e": ["a", None]}
         image.apply(record)
         image.apply(record)
-        assert image.stores["k"][0] == {"a": None}
+        assert image.stores["k"][0] == {0: None}
 
     def test_has_data_ignores_an_empty_directory(self, tmp_path):
         assert not AppendLogJournal(tmp_path).has_data()
@@ -506,20 +551,13 @@ class TestReplayRobustness:
 class TestCompaction:
     def _image_for(self, store):
         image = RecoveredImage()
-        interner = store.interner
-        image.interners["k"] = [
-            [interner.entry_at(i).entry_id, interner.entry_at(i).payload]
-            for i in range(len(interner))
-        ]
-        image._index_by_id["k"] = {
-            pair[0]: i for i, pair in enumerate(image.interners["k"])
-        }
-        image.stores["k"] = {0: [[e.entry_id, e.payload] for e in store.as_list()]}
+        image.interners["k"] = store.interner
+        image.stores["k"] = {0: store.membership()}
         return image
 
     def test_compaction_folds_logs_into_the_snapshot(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         for entry in make_entries(6):
             store.add(entry)
         journal.compact(self._image_for(store), epoch=11)
@@ -532,7 +570,7 @@ class TestCompaction:
 
     def test_post_compaction_mutations_replay_on_top(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         for entry in make_entries(6):
             store.add(entry)
         journal.compact(self._image_for(store))
@@ -547,7 +585,7 @@ class TestCompaction:
         # A crash between snapshot publish and unlink leaves old logs
         # behind; replay must skip them (their serial < snapshot's).
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         for entry in make_entries(4):
             store.add(entry)
         journal.compact(self._image_for(store))
@@ -560,21 +598,19 @@ class TestCompaction:
 
     def test_a_replayed_image_snapshots_its_stores_in_index_order(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         for entry in make_entries(4):
             store.add(entry)
         store.discard(Entry("v2"))
         store.add(Entry("v2"))  # back at index 1, last in the replayed dict
         journal.close()
         image = AppendLogJournal(tmp_path, read_only=True).load()
-        assert list(image.stores["k"][0]) == ["v1", "v3", "v4", "v2"]
-        assert json.loads(image.snapshot_text())["stores"]["k"]["0"] == [
-            [e.entry_id, None] for e in store
-        ]
+        assert list(image.stores["k"][0]) == [0, 2, 3, 1]
+        assert json.loads(image.snapshot_text())["stores"]["k"]["0"] == [0, 1, 2, 3]
 
     def test_should_compact_honours_the_threshold(self, tmp_path):
         journal = AppendLogJournal(tmp_path, compact_every=3)
-        store = _backend(journal)
+        store = _Journaled(journal)
         store.add(Entry("a"))
         store.add(Entry("b"))
         assert not journal.should_compact()
@@ -585,7 +621,7 @@ class TestCompaction:
 
     def test_stats_reflect_the_journal(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
-        store = _backend(journal)
+        store = _Journaled(journal)
         store.add(Entry("a"))
         stats = journal.stats()
         assert stats["kind"] == "log"

@@ -15,11 +15,12 @@ from repro.cluster.faults import FaultPlan
 from repro.cluster.messages import AddRequest, DeleteRequest, LookupRequest
 from repro.core.entry import Entry
 from repro.core.exceptions import InvalidParameterError
+from repro.core.storage import MemoryBackend
 from repro.net.codec import encode_message
 from repro.net.service import DEFAULT_SCHEMES, LookupService, ServiceConfig
 from repro.net.workers import compute_apply_delta
 from repro.storage import appendlog
-from repro.storage.appendlog import AppendLogJournal, LogBackend
+from repro.storage.appendlog import AppendLogJournal
 from repro.strategies.round_robin import StorePositioned
 
 
@@ -350,7 +351,7 @@ class _DedupeOracle:
         return records + [{"op": "rng", "state": rng}]
 
 
-_STORE_OPS = {"add", "drop", "reset", "clear"}
+_STORE_OPS = {"delta"}
 
 
 def _lines(log):
@@ -445,17 +446,17 @@ class TestCrashBetweenBarriers:
         service = LookupService(_config(live_dir))
         assert service.handle_envelope(_send(key, AddRequest(entry=Entry("w0"))))["ok"]
         before = _fingerprint(service)
-        real_discard = LogBackend.discard
+        real_discard = MemoryBackend.discard
 
         def discard_then_crash(store, entry):
             removed = real_discard(store, entry)
             if removed and not mid_dir.exists():
-                # SIGKILL here: the store record is queued, the state
-                # and rng it advances to are not written yet.
+                # SIGKILL here: a store has moved, the update record,
+                # state and rng of the write are not written yet.
                 shutil.copytree(live_dir, mid_dir)
             return removed
 
-        monkeypatch.setattr(LogBackend, "discard", discard_then_crash)
+        monkeypatch.setattr(MemoryBackend, "discard", discard_then_crash)
         assert service.handle_envelope(
             _send(key, DeleteRequest(entry=Entry("v2")), server=2)
         )["ok"]
@@ -622,12 +623,15 @@ class TestTouchedServers:
             shutil.rmtree(crashed)
 
 
-#: A data dir in the journal's earlier spelling — one record per line,
-#: the RNG as a JSON list of ints, a schema-1 snapshot — made by running
+#: Data dirs in the journal's earlier spellings, each made by running
 #: ``_first_format_script`` through ``compute_apply_delta`` on a
-#: ``store="log"`` service of ``_config``, journaling an epoch per
-#: delta and compacting after the ninth write.
-SCHEMA_1_DIR = pathlib.Path(__file__).parent / "data" / "schema1"
+#: ``store="log"`` service of ``_config``, journaling an epoch per delta
+#: and compacting after the ninth write.  ``schema1``: one record per
+#: line, the RNG as a JSON list of ints, a schema-1 snapshot.
+#: ``schema2``: a JSON-array line per barrier of per-entry ``add`` /
+#: ``drop`` records with ``patch`` and base64 ``rng`` records, and a
+#: schema-2 snapshot (stores as ``[id, payload]`` pairs).
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _first_format_script():
@@ -637,28 +641,41 @@ def _first_format_script():
         yield _send(key, AddRequest(entry=Entry("v2", {"port": 7})), server=3)
 
 
+def _recovers_then_continues(fixture, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(DATA / fixture, data)
+    twin = LookupService(ServiceConfig(server_count=8, entry_count=12, seed=3))
+    epoch = 0
+    for envelope in _first_format_script():
+        epoch += compute_apply_delta(twin, envelope)[1] is not None
+    reborn = LookupService(_config(data))
+    assert reborn.recovered and reborn.recovered_epoch == epoch
+    assert _fingerprint(reborn) == _fingerprint(twin)
+    for key in twin.strategies:
+        assert _masks(reborn, key) == _masks(twin, key)
+
+    # The recovered writer appends update records after the old lines,
+    # then compacts to the current schema; each stage recovers.
+    for more in (
+        _send("round_robin", DeleteRequest(entry=Entry("w1")), server=4),
+        _send("round_robin", AddRequest(entry=Entry("w2", {"port": 9})), server=6),
+    ):
+        assert reborn.handle_envelope(dict(more)) == twin.handle_envelope(dict(more))
+    reborn.journal.close()
+    (log,) = data.glob("journal.*.log")
+    assert json.loads(log.read_text().splitlines()[-1])[0]["op"] == "delta"
+    assert _fingerprint(LookupService(_config(data))) == _fingerprint(twin)
+    again = LookupService(_config(data))
+    again.compact_journal()
+    again.journal.close()
+    snapshot = json.loads((data / "snapshot.json").read_text())
+    assert snapshot["schema"] == appendlog.SNAPSHOT_SCHEMA == 3
+    assert _fingerprint(LookupService(_config(data))) == _fingerprint(twin)
+
+
 class TestTheEarlierFormat:
     def test_a_schema_1_data_dir_recovers_to_the_never_crashed_twin(self, tmp_path):
-        data = tmp_path / "data"
-        shutil.copytree(SCHEMA_1_DIR, data)
-        twin = LookupService(ServiceConfig(server_count=8, entry_count=12, seed=3))
-        epoch = 0
-        for envelope in _first_format_script():
-            epoch += compute_apply_delta(twin, envelope)[1] is not None
-        reborn = LookupService(_config(data))
-        assert reborn.recovered and reborn.recovered_epoch == epoch
-        assert _fingerprint(reborn) == _fingerprint(twin)
-        for key in twin.strategies:
-            assert _masks(reborn, key) == _masks(twin, key)
+        _recovers_then_continues("schema1", tmp_path)
 
-        # The recovered writer appends array lines after the old ones,
-        # then compacts to schema 2; both recover.
-        more = _send("round_robin", DeleteRequest(entry=Entry("w1")), server=4)
-        assert reborn.handle_envelope(dict(more)) == twin.handle_envelope(dict(more))
-        reborn.journal.close()
-        assert _fingerprint(LookupService(_config(data))) == _fingerprint(twin)
-        again = LookupService(_config(data))
-        again.compact_journal()
-        again.journal.close()
-        assert json.loads((data / "snapshot.json").read_text())["schema"] == 2
-        assert _fingerprint(LookupService(_config(data))) == _fingerprint(twin)
+    def test_a_schema_2_data_dir_recovers_to_the_never_crashed_twin(self, tmp_path):
+        _recovers_then_continues("schema2", tmp_path)

@@ -1,16 +1,19 @@
 """Model-based test of the store: every mutator against a plain-list oracle.
 
-Two clusters take the same operations: one of plain
-:class:`MemoryBackend` stores, one of journaled :class:`LogBackend`
-stores.  After every step each store must hold the oracle's entries in
-ascending interner index, whatever order they were added in, and
-agree with it on indices, mask and rider count.  The three
+Two clusters take the same operations; the second's effect is journaled
+after every rule as the update record diffed from the masks around it,
+as a service's sync point does, and a third cluster — a reader — takes
+only those records.  After every step each store must hold the
+oracle's entries in ascending interner index, whatever order they were
+added in, and agree with it on indices, mask and rider count; the
+reader must hold the same ids, payloads and indices.  The three
 serialisations that read the index list instead of the entries must
 spell what the entry walk spells: the binary wire body, the snapshot
 text, and the store a recovery boot rebuilds.
 """
 
 import base64
+import contextlib
 import json
 import random
 import shutil
@@ -23,13 +26,9 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.cluster.cluster import Cluster
 from repro.core.entry import Entry
+from repro.core.storage import apply_record, update_record
 from repro.net.codec import _DENSE_ID, pack_store_bytes, pack_value_bytes
-from repro.storage.appendlog import (
-    AppendLogJournal,
-    LogBackend,
-    apply_image,
-    build_image,
-)
+from repro.storage.appendlog import AppendLogJournal, apply_image, build_image
 
 KEY = "k"
 SERVERS = (0, 1)
@@ -66,10 +65,10 @@ def _shape(items):
 
 
 def _walked_image(cluster):
-    """The snapshot ``image`` dict as built by walking every entry —
-    ``build_image`` + ``to_snapshot`` as they were before stores were
-    serialised from their indices — with the RNG's 625 words packed as
-    base64 of little-endian uint32 (snapshot schema 2)."""
+    """The snapshot ``image`` dict as built by walking every entry: each
+    store a list of its entries' indices, ``[index, payload]`` for one
+    that carries a payload, and the RNG's 625 words packed as base64 of
+    little-endian uint32 (snapshot schema 3)."""
     interner = cluster.interner(KEY)
     canon = [interner.entry_at(i) for i in range(len(interner))]
     version, words, gauss = cluster.rng.getstate()
@@ -78,7 +77,10 @@ def _walked_image(cluster):
         "stores": {
             KEY: {
                 str(server.server_id): [
-                    [e.entry_id, e.payload] for e in server.store(KEY).as_list()
+                    interner.index_of(e.entry_id)
+                    if e.payload is None
+                    else [interner.index_of(e.entry_id), e.payload]
+                    for e in server.store(KEY).as_list()
                 ]
                 for server in cluster.servers
             }
@@ -99,11 +101,9 @@ class StoreMachine(RuleBasedStateMachine):
         super().__init__()
         self.data_dir = tempfile.mkdtemp(prefix="store-machine-")
         self.journal = AppendLogJournal(self.data_dir)
-        self.clusters = [
-            Cluster(len(SERVERS), seed=5),
-            Cluster(len(SERVERS), seed=5, store_factory=self._log_store(self.journal)),
-        ]
-        for cluster in self.clusters:
+        self.clusters = [Cluster(len(SERVERS), seed=5), Cluster(len(SERVERS), seed=5)]
+        self.reader = Cluster(len(SERVERS), seed=7)
+        for cluster in (*self.clusters, self.reader):
             for server in cluster.servers:
                 server.store(KEY)
         self.pop_rngs = [random.Random(11) for _ in self.clusters]
@@ -113,11 +113,17 @@ class StoreMachine(RuleBasedStateMachine):
         self.held = {sid: [] for sid in SERVERS}
         self.index_by_id = {}
 
-    @staticmethod
-    def _log_store(journal):
-        return lambda key, server_id, interner: LogBackend(
-            journal, key, server_id, interner
-        )
+    @contextlib.contextmanager
+    def _journaled(self):
+        """The second cluster's effect, as one update record: journaled,
+        and applied to the reader."""
+        stores = [server.store(KEY) for server in self.clusters[1].servers]
+        before, base = [store.mask for store in stores], len(stores[0].interner)
+        yield
+        record = update_record(KEY, stores, before, base)
+        if record is not None:
+            self.journal.append(record)
+            apply_record([server.store(KEY) for server in self.reader.servers], record)
 
     def teardown(self):
         self.journal.close()
@@ -149,16 +155,18 @@ class StoreMachine(RuleBasedStateMachine):
     @rule(sid=servers, entry=entries)
     def add(self, sid, entry):
         expected = self._oracle_add(sid, entry)
-        for store in self._stores(sid):
-            assert store.add(entry) is expected
+        with self._journaled():
+            for store in self._stores(sid):
+                assert store.add(entry) is expected
 
     @rule(sid=servers, entry_id=st.sampled_from(IDS))
     def discard(self, sid, entry_id):
         position = self._position(sid, entry_id)
         if position is not None:
             self.held[sid].pop(position)
-        for store in self._stores(sid):
-            assert store.discard(Entry(entry_id)) is (position is not None)
+        with self._journaled():
+            for store in self._stores(sid):
+                assert store.discard(Entry(entry_id)) is (position is not None)
 
     @precondition(lambda self: any(self.held.values()))
     @rule(sid=servers)
@@ -169,22 +177,16 @@ class StoreMachine(RuleBasedStateMachine):
         # one seed, one call sequence: all three streams stay in step
         expected = ordered[self.oracle_rng.randrange(len(ordered))]
         self.held[sid].pop(self._position(sid, expected.entry_id))
-        for store, rng in zip(self._stores(sid), self.pop_rngs):
-            assert _shape([store.pop_random(rng)]) == _shape([expected])
+        with self._journaled():
+            for store, rng in zip(self._stores(sid), self.pop_rngs):
+                assert _shape([store.pop_random(rng)]) == _shape([expected])
 
     @rule(sid=servers)
     def clear(self, sid):
         self.held[sid] = []
-        for store in self._stores(sid):
-            store.clear()
-
-    @rule(sid=servers, items=st.lists(entries, max_size=8, unique_by=lambda e: e.entry_id))
-    def restore(self, sid, items):
-        self.held[sid] = []
-        for entry in items:
-            self._oracle_add(sid, entry)
-        for store in self._stores(sid):
-            store.restore(iter(items))
+        with self._journaled():
+            for store in self._stores(sid):
+                store.clear()
 
     @rule(compact=st.booleans())
     def recover(self, compact):
@@ -195,8 +197,8 @@ class StoreMachine(RuleBasedStateMachine):
             self.journal.compact(build_image(live))
         self.journal.flush()
         journal = AppendLogJournal(self.data_dir, read_only=True)
-        recovered = Cluster(len(SERVERS), seed=0, store_factory=self._log_store(journal))
-        apply_image(journal.load(), recovered, journal=journal)
+        recovered = Cluster(len(SERVERS), seed=0)
+        apply_image(journal.load(), recovered)
         interner = recovered.interner(KEY)
         for sid in SERVERS:
             store = recovered.servers[sid].store(KEY)
@@ -228,6 +230,16 @@ class StoreMachine(RuleBasedStateMachine):
                 assert store.mask == sum(1 << i for i in indices)
                 assert len(store) == len(ordered)
                 assert store.riders == sum(map(_is_rider, ordered))
+
+    @invariant()
+    def the_reader_holds_what_the_records_say(self):
+        for sid in SERVERS:
+            mine = self.reader.servers[sid].store(KEY)
+            theirs = self.clusters[1].servers[sid].store(KEY)
+            assert [(e.entry_id, e.payload) for e in mine] == [
+                (e.entry_id, e.payload) for e in theirs
+            ]
+            assert (mine.indices(), mine.mask) == (theirs.indices(), theirs.mask)
 
     @invariant()
     def wire_body_is_the_generic_encoding_or_declined(self):
