@@ -114,6 +114,13 @@ class StorageBackend(ABC):
         as ``[index, payload]``.  ``mask`` may name held indices only."""
 
     @abstractmethod
+    def take_touched(self) -> int:
+        """The indices a rider was added at or removed from since the
+        last call, as a mask; the tally then starts over.  A write that
+        drops a rider and adds its id back leaves the mask as it was,
+        so this is how its update record learns of the swap."""
+
+    @abstractmethod
     def add(self, entry: Entry) -> bool:
         """Insert ``entry``; return True if it was not already present."""
 
@@ -190,7 +197,7 @@ class MemoryBackend(StorageBackend):
     :meth:`fragments`).
     """
 
-    __slots__ = ("_entries", "_indices", "_mask", "_interner", "_riders")
+    __slots__ = ("_entries", "_indices", "_mask", "_interner", "_riders", "_touched")
 
     def __init__(
         self,
@@ -202,6 +209,7 @@ class MemoryBackend(StorageBackend):
         self._indices: list[int] = []
         self._mask: int = 0
         self._riders: int = 0
+        self._touched: int = 0
         for entry in entries:
             self.add(entry)
 
@@ -230,20 +238,27 @@ class MemoryBackend(StorageBackend):
 
     def _removed(self, position: int) -> Entry:
         """Pop ``position`` from both lists; the mask is the caller's."""
-        self._indices.pop(position)
+        index = self._indices.pop(position)
         entry = self._entries.pop(position)
         if self._riders and _is_rider(entry):
             self._riders -= 1
+            self._touched |= 1 << index
         return entry
 
     def membership(self, mask: Optional[int] = None) -> list:
         indices = self._indices if mask is None else list(iter_mask_indices(mask))
         if not self._riders:
             return list(indices)
-        held = dict(zip(self._indices, self._entries))
+        entries = self._entries
+        if mask is not None:
+            entries = [entries[bisect_left(self._indices, i)] for i in indices]
         return [
-            i if held[i].payload is None else [i, held[i].payload] for i in indices
+            i if e.payload is None else [i, e.payload] for i, e in zip(indices, entries)
         ]
+
+    def take_touched(self) -> int:
+        touched, self._touched = self._touched, 0
+        return touched
 
     def add(self, entry: Entry) -> bool:
         """Insert ``entry``; return True if it was not already present."""
@@ -255,6 +270,7 @@ class MemoryBackend(StorageBackend):
             return False
         if entry.__class__ is not Entry or entry.payload is not None:
             self._riders += 1  # _is_rider, inlined: the placement loop
+            self._touched |= 1 << index
         self._mask |= 1 << index
         if above:
             # A held index above this one: insert in place.
@@ -299,6 +315,10 @@ class MemoryBackend(StorageBackend):
         return self._removed(position)
 
     def clear(self) -> None:
+        if self._riders:
+            for index, entry in zip(self._indices, self._entries):
+                if _is_rider(entry):
+                    self._touched |= 1 << index
         self._entries.clear()
         self._indices.clear()
         self._mask = 0
@@ -321,6 +341,15 @@ class MemoryBackend(StorageBackend):
         return set(self._entries)
 
 
+def masks_before(stores: Sequence[StorageBackend]) -> list[int]:
+    """The stores' masks, as :func:`update_record` takes them for
+    ``before``.  Each store's :meth:`~StorageBackend.take_touched` tally
+    starts over here, so the record sees the riders this write touched."""
+    for store in stores:
+        store.take_touched()
+    return [store.mask for store in stores]
+
+
 def update_record(
     key: str,
     stores: Sequence[StorageBackend],
@@ -330,22 +359,25 @@ def update_record(
     """What a write did to ``key``'s ``stores`` (listed by server id), as
     one update record; None when nothing moved.
 
-    ``before`` are the stores' masks and ``base`` the interner's length
-    from before the write; by default, empty stores and interner — the
-    record of everything the stores hold.  The record holds the entries
-    the write interned (``new``, as ``[entry_id, payload]`` in index
-    order, the first at ``base``) and, per server whose mask moved, the
-    indices it gained (``add``, :meth:`~StorageBackend.membership`'s
-    spelling) and lost (``drop``).  Diffing every mask, not the servers
-    a message reached, is what makes a record exact.
+    ``before`` are the stores' masks (:func:`masks_before`) and
+    ``base`` the interner's length from before the write; by default,
+    empty stores and interner — the record of everything the stores
+    hold.  The record holds the entries the write interned (``new``, as
+    ``[entry_id, payload]`` in index order, the first at ``base``) and,
+    per server whose store moved, the indices it gained (``add``,
+    :meth:`~StorageBackend.membership`'s spelling) — a held index whose
+    rider was swapped counts as gained again — and lost (``drop``).
+    Diffing every mask, not the servers a message reached, is what
+    makes a record exact.
     """
     servers = {}
     for sid, (store, old) in enumerate(zip(stores, before or [0] * len(stores))):
         new = store.mask
-        if new != old:
+        gained = new & (~old | store.take_touched())
+        if gained or old & ~new:
             change = {}
-            if new & ~old:
-                change["add"] = store.membership(new & ~old)
+            if gained:
+                change["add"] = store.membership(gained)
             if old & ~new:
                 change["drop"] = list(iter_mask_indices(old & ~new))
             servers[str(sid)] = change
@@ -382,7 +414,8 @@ def apply_record(
     record names (:meth:`~repro.core.interning.EntryInterner.extend`),
     or nothing else is touched.  Then membership is set and cleared by
     index, with no id resolved anywhere — after every store is emptied,
-    with ``replace``, for a record of everything from empty stores.
+    with ``replace``, for a record of everything from empty stores.  An
+    ``add`` at a held index swaps the record's entry in.
     Server ids are the caller's to check: as a list index ``-1`` names
     the last server.
     """
@@ -394,7 +427,10 @@ def apply_record(
     for sid, change in record["servers"].items():
         store = stores[int(sid)]
         for item in change.get("add", ()):
-            store.add_at(*held_entry(interner, item))
+            held = held_entry(interner, item)
+            if not store.add_at(*held):
+                store.discard_at(held[0])
+                store.add_at(*held)
         for index in change.get("drop", ()):
             store.discard_at(index)
 
@@ -411,5 +447,6 @@ __all__ = [
     "StorageBackend",
     "apply_record",
     "held_entry",
+    "masks_before",
     "update_record",
 ]

@@ -67,7 +67,7 @@ from repro.cluster.messages import (
 from repro.cluster.network import DROPPED, is_undelivered
 from repro.core.entry import Entry, make_entries
 from repro.core.exceptions import InvalidParameterError
-from repro.core.storage import update_record
+from repro.core.storage import masks_before, update_record
 from repro.net.cache import DEFAULT_CAPACITY, ReplyCache
 from repro.net.codec import (
     CODEC_BINARY,
@@ -951,7 +951,7 @@ class LookupService:
             self.note_mutation(key)
             delivered = dict(network.stats.per_server)
             stores = self.cluster.stores(key)
-            masks = [store.mask for store in stores]
+            masks = masks_before(stores)
             base = len(stores[0].interner)
         elif cache is not None:
             slot = self._cache_slot(server_id, key, message, raw)

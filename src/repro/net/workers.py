@@ -27,13 +27,14 @@ placement choice, Hash's collisions) would diverge across workers.
 The writer's service instead diffs every server's store bitmask around
 the apply into the write's *update record*
 (:func:`~repro.core.storage.update_record`): the dense indices each
-server gained and lost, and the entries the write interned with the
-indices they got.  Its journal appends that record, and the bus ships
-the same dict; readers apply it verbatim, by index, checking that
-their interner gives each new entry the writer's index.  Lookup answers
-depend only on store membership, so converged stores mean converged
-answers; strategy scratch state (round-robin heads, reservoirs) only
-matters for *future mutations*, which only the writer runs.
+server gained (a swapped payload included) and lost, and the entries
+the write interned with the indices they got.  Its journal appends
+that record, and the bus ships the same dict; readers apply it
+verbatim, by index, checking that their interner gives each new entry
+the writer's index.  Lookup answers depend only on store membership,
+so converged stores mean converged answers; strategy scratch state
+(round-robin heads, reservoirs) only matters for *future mutations*,
+which only the writer runs.
 
 Writer-pipe wire schema (JSON frames over the codec's length-prefixed
 framing; see ``docs/protocols.md`` §7):

@@ -40,9 +40,10 @@ default to; the paper's replication schemes already tolerate losing a
 whole server.
 
 A record is sized by what the write touched.  The update record (op
-``delta``) lists, per server whose mask moved, the dense indices it
-gained and lost, and the entries the write interned, with the index
-the first one got; replay checks that each lands there.  A server's
+``delta``) lists, per server whose store moved, the dense indices it
+gained (a swapped payload included) and lost, and the entries the
+write interned, with the index the first one got; replay checks that
+each lands there.  A server's
 strategy scratch state is journaled in full the first time its slot
 is, and after that as a ``patch``: the top-level keys that changed,
 and the keys set or deleted one level down (Round-Robin's

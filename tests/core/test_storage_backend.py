@@ -14,6 +14,7 @@ from repro.core.storage import (
     StorageBackend,
     apply_record,
     held_entry,
+    masks_before,
     update_record,
 )
 
@@ -159,6 +160,28 @@ class TestUpdateRecord:
         stores[0].add(Entry("v1"))  # present
         stores[1].discard(Entry("absent"))
         assert update_record("k", stores, before, base) is None
+
+    @pytest.mark.parametrize(
+        "held, swapped", [("A", "B"), ("A", None), (None, "B")]
+    )
+    def test_a_rider_swapped_in_one_write_is_in_its_record(self, held, swapped):
+        # Dropping an entry and adding its id back with another payload
+        # leaves the mask as it was; the record still names the index.
+        writer, reader = self._twins()
+        for stores in (writer, reader):
+            stores[1].add(Entry("zz", held))
+        before, base = masks_before(writer), len(writer[0].interner)
+        writer[1].clear()
+        for entry in [Entry("zz", swapped)] + make_entries(4):
+            writer[1].add(entry)
+        record = update_record("k", writer, before, base)
+        assert writer[1].mask == before[1]
+        added = 4 if swapped is None else [4, swapped]
+        assert record["servers"] == {"1": {"add": [added]}}
+        apply_record(reader, record)
+        assert [(e.entry_id, e.payload) for e in reader[1]] == [
+            (e.entry_id, e.payload) for e in writer[1]
+        ]
 
     def test_an_interner_out_of_step_refuses_the_record(self):
         writer, reader = self._twins()

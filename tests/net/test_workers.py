@@ -274,6 +274,25 @@ class TestReaderMatchesWriter:
         assert held <= {"B"}  # Fixed-x may hold it nowhere
         assert held or key == "fixed"
 
+    @pytest.mark.parametrize("key", SCHEMES)
+    def test_a_place_that_swaps_a_held_payload_reaches_the_reader(
+        self, key, tmp_path
+    ):
+        # RandomServer-x's place clears each store and adds the chosen
+        # entries back: "zz" keeps its bit but changes its payload.
+        script = [
+            (AddRequest(entry=Entry("zz", "A")), 3),
+            (PlaceRequest((Entry("zz", "B"), Entry("v4"))), 2),
+        ]
+        writer, _ = self._follow(key, tmp_path, script)
+        if key == "random_server":
+            assert {
+                e.payload
+                for server in writer.cluster.servers
+                for e in server.store(key)
+                if e.entry_id == "zz"
+            } == {"B"}
+
 
 class TestDeltaApplierOrdering:
     def _delta(self, writer, epoch, entry_id):

@@ -26,7 +26,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.cluster.cluster import Cluster
 from repro.core.entry import Entry
-from repro.core.storage import apply_record, update_record
+from repro.core.storage import apply_record, masks_before, update_record
 from repro.net.codec import _DENSE_ID, pack_store_bytes, pack_value_bytes
 from repro.storage.appendlog import AppendLogJournal, apply_image, build_image
 
@@ -118,7 +118,7 @@ class StoreMachine(RuleBasedStateMachine):
         """The second cluster's effect, as one update record: journaled,
         and applied to the reader."""
         stores = [server.store(KEY) for server in self.clusters[1].servers]
-        before, base = [store.mask for store in stores], len(stores[0].interner)
+        before, base = masks_before(stores), len(stores[0].interner)
         yield
         record = update_record(KEY, stores, before, base)
         if record is not None:
@@ -167,6 +167,19 @@ class StoreMachine(RuleBasedStateMachine):
         with self._journaled():
             for store in self._stores(sid):
                 assert store.discard(Entry(entry_id)) is (position is not None)
+
+    @rule(sid=servers, entry=entries)
+    def swap(self, sid, entry):
+        """Drop an id and add it back as ``entry`` in one write, as
+        RandomServer-x's place does: the mask need not move at all."""
+        position = self._position(sid, entry.entry_id)
+        if position is not None:
+            self.held[sid].pop(position)
+        self._oracle_add(sid, entry)
+        with self._journaled():
+            for store in self._stores(sid):
+                store.discard(Entry(entry.entry_id))
+                assert store.add(entry)
 
     @precondition(lambda self: any(self.held.values()))
     @rule(sid=servers)
