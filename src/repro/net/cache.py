@@ -8,8 +8,9 @@ LRU keyed by ``(codec, opcode, scheme key, server id, options
 fingerprint)`` whose values are the *fully materialised* reply
 payloads — a :class:`~repro.net.codec.Prepacked` body on the
 binary path (so a hit costs one memcpy when the frame is packed) or
-the already-JSON-encoded value object on the JSON path (so a hit skips
-``encode_value`` entirely).
+the reply value as the JSON path carries it — a spliced
+:class:`~repro.net.codec.JsonText` for a plain entry list — so a hit
+skips the encoding walk there too.
 
 Soundness comes from two rules enforced by the service, not here:
 

@@ -102,6 +102,11 @@ def _message_registry() -> dict[str, type]:
 #: Wire name -> message class, from the live hierarchy.  Built once at
 #: import; all concrete message types live in ``cluster.messages``.
 MESSAGE_TYPES: dict[str, type] = _message_registry()
+#: Wire name -> the field names a tagged message must carry, exactly.
+_MESSAGE_FIELDS: dict[str, frozenset] = {
+    name: frozenset(f.name for f in dataclasses.fields(cls))
+    for name, cls in MESSAGE_TYPES.items()
+}
 
 
 def encode_value(value: Any) -> Any:
@@ -144,12 +149,13 @@ def decode_value(wire: Any) -> Any:
             payload = wire.get("payload")
             if payload is not None:
                 return Entry(entry_id, decode_value(payload))
-            # Payload-free entries are shared by id, as on the binary side.
+            # Payload-free entries are shared by id, as on the binary side;
+            # a full memo stops growing (see :func:`_dense_index`).
             entry = _ENTRY_JSON_CACHE.get(entry_id)
             if entry is None:
-                if len(_ENTRY_JSON_CACHE) >= _CACHE_CAP:
-                    _ENTRY_JSON_CACHE.clear()
-                entry = _ENTRY_JSON_CACHE[entry_id] = Entry(entry_id)
+                entry = Entry(entry_id)
+                if len(_ENTRY_JSON_CACHE) < _CACHE_CAP:
+                    _ENTRY_JSON_CACHE[entry_id] = entry
             return entry
         if tag == "tuple":
             return tuple(decode_value(v) for v in wire["items"])
@@ -163,7 +169,19 @@ def decode_value(wire: Any) -> Any:
     if isinstance(wire, tuple):
         return tuple(decode_value(v) for v in wire)
     if isinstance(wire, list):
-        return [decode_value(v) for v in wire]
+        # One pass: a tagged payload-free entry with a ``str`` id — each
+        # item of a lookup reply — is its shared entry, off the memo.
+        out = []
+        shared = _ENTRY_JSON_CACHE.get
+        for item in wire:
+            entry = None
+            if type(item) is dict and item.get("!") == "entry" and item.get("payload") is None:
+                entry_id = item.get("id")
+                entry = shared(entry_id) if type(entry_id) is str else None
+            out.append(decode_value(item) if entry is None else entry)
+        return out
+    if type(wire) is JsonText:
+        return decode_value(json.loads(wire.text))
     raise WireError(f"undecodable wire value: {wire!r}")
 
 
@@ -187,8 +205,8 @@ def decode_message(wire: Any) -> Message:
     raw = wire.get("fields", {})
     if not isinstance(raw, dict):
         raise WireError(f"malformed fields for {name}: {raw!r}")
-    declared = {f.name for f in dataclasses.fields(cls)}
-    if set(raw) != declared:
+    declared = _MESSAGE_FIELDS[name]
+    if raw.keys() != declared:
         raise WireError(
             f"{name} fields mismatch: got {sorted(raw)}, want {sorted(declared)}"
         )
@@ -316,6 +334,8 @@ _DENSE_IDX_CACHE: dict[str, int] = {}
 _ENTRY_DEC_CACHE: dict[int, Entry] = {}
 #: entry_id -> the shared payload-free Entry :func:`decode_value` answers.
 _ENTRY_JSON_CACHE: dict[str, Entry] = {}
+#: entry_id -> a payload-free entry's JSON text, as :func:`json_value` joins it.
+_ENTRY_TEXT_CACHE: dict[str, str] = {}
 _KEY_ENC_CACHE: dict[str, bytes] = {}
 _TEXT_DEC_CACHE: dict[bytes, str] = {}
 #: Request-path message memo (see :func:`pack_send_envelope`): packed
@@ -1057,10 +1077,73 @@ def hello_envelope(
 # --------------------------------------------------------------------------
 
 
+#: ``json.dumps(value, separators=(",", ":"))``, minus an encoder per call.
+_JSON_TEXT = json.JSONEncoder(separators=(",", ":")).encode
+
+
+class JsonText:
+    """A reply value already encoded as JSON text: the JSON twin of
+    :class:`Prepacked`.  :func:`encode_envelope` splices it in as the
+    ``value`` of a reply or of a batch sub-reply, so the frame is the
+    tagged value's, byte for byte; :func:`decode_value` parses it."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is JsonText and self.text == other.text
+
+
+def json_value(value: Any) -> Any:
+    """A reply value as a JSON connection carries it: a list of plain
+    entries (exact-type :class:`Entry`, no payload, ``str`` id) as one
+    :class:`JsonText` joined from memoized per-entry text, anything else
+    in :func:`encode_value`'s tagged form."""
+    if type(value) is not list:
+        return encode_value(value)
+    parts = []
+    append = parts.append
+    get = _ENTRY_TEXT_CACHE.get
+    for item in value:
+        if type(item) is not Entry or item.payload is not None:
+            return encode_value(value)
+        text = get(item.entry_id)
+        if text is None:
+            if type(item.entry_id) is not str:
+                return encode_value(value)
+            text = _JSON_TEXT(encode_value(item))
+            if len(_ENTRY_TEXT_CACHE) < _CACHE_CAP:  # as _dense_index
+                _ENTRY_TEXT_CACHE[item.entry_id] = text
+        append(text)
+    return JsonText(f"[{','.join(parts)}]")
+
+
+def _envelope_text(obj: dict[str, Any]) -> str:
+    """One envelope's JSON text, each :class:`JsonText` spliced in: its
+    ``value``, or the ``value`` of a batch sub-reply in it."""
+    value = obj.get("value")
+    if type(value) is JsonText:
+        text = value.text
+    elif type(value) is list and any(
+        type(sub) is dict and type(sub.get("value")) is JsonText for sub in value
+    ):
+        text = "[%s]" % ",".join(
+            _envelope_text(sub) if type(sub) is dict else _JSON_TEXT(sub) for sub in value
+        )
+    else:
+        return _JSON_TEXT(obj)
+    return "{%s}" % ",".join(
+        f"{_JSON_TEXT(key)}:{text if key == 'value' else _JSON_TEXT(item)}"
+        for key, item in obj.items()
+    )
+
+
 def encode_envelope(obj: dict[str, Any]) -> bytes:
     """Serialize one request/reply envelope into a framed byte string."""
     try:
-        body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+        body = _envelope_text(obj).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise WireError(f"unencodable envelope: {exc}") from exc
     if len(body) > MAX_FRAME:
@@ -1134,7 +1217,8 @@ async def write_frame(
 ) -> None:
     """Write one framed envelope (in ``codec``) and wait for flow control.
 
-    The one sender: one ``write``, one ``drain``.  An unencodable or
+    One ``write``, one ``drain`` (the service's connections write
+    replies without the ``drain``).  An unencodable or
     oversized envelope raises :class:`WireError` before a byte is
     written, so the stream stays in sync.
     """
@@ -1152,6 +1236,7 @@ __all__ = [
     "MESSAGE_TYPES",
     "SUPPORTED_CODECS",
     "FrameError",
+    "JsonText",
     "Prepacked",
     "WireError",
     "decode_envelope",
@@ -1167,6 +1252,7 @@ __all__ = [
     "encode_value",
     "heartbeat_envelope",
     "hello_envelope",
+    "json_value",
     "negotiate_codec",
     "pack_send_envelope",
     "pack_send_reply",

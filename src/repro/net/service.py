@@ -20,12 +20,13 @@ wire carries only client↔service traffic.  This mirrors the paper's
 deployment picture, where the lookup servers are one administrative
 system and clients reach it over the network.
 
-Concurrency: handlers run on the event loop and the cluster is touched
-only between awaits, so envelope processing is effectively serialized
-per event-loop step; no locks are needed.  All local state mutation
-happens synchronously inside :meth:`LookupService.handle_envelope`;
-the one await on the request path is a worker-fleet reader handing a
-mutating envelope to the writer.
+Concurrency: each connection is one :class:`_Connection` protocol
+that answers a frame synchronously as soon as it is in, so envelope
+processing is serialized per event-loop step; no locks are needed.
+All local state mutation happens inside
+:meth:`LookupService.handle_envelope`; the one suspension on the
+request path is a worker-fleet reader handing a mutating envelope to
+the writer, which parks that connection until the reply is written.
 
 Sharding: with ``shard_count > 1`` the process is one shard of a
 fleet.  Key→shard placement comes from :mod:`repro.net.sharding`
@@ -52,6 +53,7 @@ import asyncio
 import base64
 import json
 import reprlib
+import types
 from dataclasses import dataclass, field
 from typing import Any, Collection, NamedTuple, Optional
 
@@ -72,20 +74,23 @@ from repro.net.cache import DEFAULT_CAPACITY, ReplyCache
 from repro.net.codec import (
     CODEC_BINARY,
     CODEC_JSON,
+    MAX_FRAME,
     MESSAGE_TYPES,
     SUPPORTED_CODECS,
     FrameError,
+    JsonText,
     Prepacked,
     WireError,
+    decode_frame_body,
     decode_value,
+    encode_envelope_as,
     encode_message,
     encode_value,
+    json_value,
     negotiate_codec,
     pack_send_reply,
     pack_store_bytes,
     pack_value_bytes,
-    read_frame,
-    write_frame,
 )
 from repro.net.sharding import ShardMap, partial_replica
 from repro.obs.metrics import MetricsRegistry
@@ -101,6 +106,10 @@ DEFAULT_SCHEMES: dict[str, dict[str, int]] = {
     "round_robin": {"y": 2},
     "hash": {"y": 2},
 }
+
+#: Bytes a parked connection buffers (frames pipelined behind a
+#: forwarded write) before it stops reading from its socket.
+PARKED_BUFFER = 1 << 17
 
 #: Upper bound on sub-requests per ``batch`` envelope.  Large enough
 #: that a client never needs more than one frame per scheduling round,
@@ -477,7 +486,7 @@ class LookupService:
         if self.journal is not None and not self.config.store_read_only:
             self._journal_boot_records(placed)
         self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: set[asyncio.Task] = set()
+        self._connections: set[_Connection] = set()
 
     # -- envelope dispatch ---------------------------------------------------
 
@@ -487,7 +496,7 @@ class LookupService:
         """Process one request envelope locally; returns the reply envelope.
 
         Pure dispatch — no I/O — so tests can drive the service
-        without sockets exactly as the connection loop does.  A
+        without sockets exactly as a connection does.  A
         request ``id`` (int or str) is echoed verbatim on the reply —
         pipelining clients correlate out-of-order responses by it.
 
@@ -860,17 +869,17 @@ class LookupService:
         """The local cache's hot rows, wire-shaped for the writer bus.
 
         MRU-first.  Binary bodies travel base64-wrapped — the bus
-        speaks JSON.
+        speaks JSON — and spliced JSON bodies as their text.
         """
         if self.reply_cache is None:
             return []
         rows: list[dict[str, Any]] = []
         for key, payload in self.reply_cache.export_hot(limit):
-            body: Any
+            body: Any = payload  # a tagged JSON value
             if key[0] == CODEC_BINARY:
                 body = base64.b64encode(payload.data).decode("ascii")
-            else:
-                body = payload  # already JSON-shaped
+            elif type(payload) is JsonText:
+                body = payload.text
             rows.append({"slot": list(key), "body": body})
         return rows
 
@@ -910,6 +919,8 @@ class LookupService:
                     payload = Prepacked(base64.b64decode(body.encode("ascii")))
                 except (AttributeError, ValueError):
                     continue
+            elif type(body) is str:
+                payload = JsonText(body)
             cache.put((codec, op, scheme, server, target), payload)
             imported += 1
         return imported
@@ -979,6 +990,13 @@ class LookupService:
                 "error": code,
                 "detail": f"server {server_id} did not process the message",
             }
+        if raw:
+            value = reply
+        elif mutates:
+            # An update's ack stays JSON-shaped: the writer pipe carries it.
+            value = encode_value(reply)
+        else:
+            value = json_value(reply)
         if slot is not None:
             # Pack once, serve many: the cached payload is already in
             # its wire form, so a later hit costs one memcpy.
@@ -987,12 +1005,9 @@ class LookupService:
                 # the addressed store, whole and in order, so the bytes
                 # can come from its index list.
                 body = pack_store_bytes(self.cluster.servers[server_id].store(key))
-                payload = Prepacked(pack_value_bytes(reply) if body is None else body)
-            else:
-                payload = encode_value(reply)
-            cache.put(slot, payload)
-            return {"ok": True, "value": payload}
-        return {"ok": True, "value": reply if raw else encode_value(reply)}
+                value = Prepacked(pack_value_bytes(reply) if body is None else body)
+            cache.put(slot, value)
+        return {"ok": True, "value": value}
 
     @staticmethod
     def _book_cached_send(
@@ -1018,71 +1033,6 @@ class LookupService:
 
     # -- the socket face -----------------------------------------------------
 
-    async def handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one client connection: a frame in, a frame out, repeat.
-
-        Replies start out JSON-framed; after a successful ``hello``
-        negotiation this connection's replies switch to the agreed
-        codec (the hello reply itself is still sent in the codec the
-        connection was using, so the client knows the switch point).
-        """
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        codec = CODEC_JSON
-        try:
-            while True:
-                try:
-                    envelope = await read_frame(reader)
-                except WireError:
-                    # The frame was well-formed but its content was
-                    # not decodable (unknown message type, bad tag
-                    # payload): the stream is still in sync, so answer
-                    # and keep serving.
-                    await write_frame(
-                        writer, _refusal("undecodable frame body"), codec=codec
-                    )
-                    continue
-                except FrameError:
-                    break
-                if envelope is None:
-                    break
-                raw = codec == CODEC_BINARY
-                if self.forwarder is None:
-                    # Through the public entry, so anything wrapping
-                    # handle_envelope (tracing, test doubles) sees
-                    # socket traffic too.
-                    reply = self.handle_envelope(envelope, raw=raw)
-                else:
-                    reply = await self._serve(envelope, raw, self.forwarder)
-                try:
-                    await write_frame(writer, reply, codec=codec)
-                except WireError as exc:
-                    # The encoder raises before a byte is written, so
-                    # the stream is in sync: refuse this request, keep
-                    # serving the connection.
-                    reply = self._echo_id(envelope, _refusal(f"reply {exc}"))
-                    await write_frame(writer, reply, codec=codec)
-                if envelope.get("op") == "hello" and reply.get("ok"):
-                    codec = reply["value"]["codec"]
-        except (ConnectionError, OSError):
-            pass
-        except asyncio.CancelledError:
-            # Absorb the stop()-issued cancel and finish normally:
-            # 3.11's stream done-callback calls task.exception() on a
-            # cancelled handler and logs spurious noise otherwise.
-            pass
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
     async def start(
         self, host: str = "127.0.0.1", port: int = 0, *, sock: Any = None
     ) -> tuple[str, int]:
@@ -1094,17 +1044,13 @@ class LookupService:
         ``sock`` serves an already-bound listening socket instead —
         the worker fleet uses this to put every worker's acceptor on
         one ``SO_REUSEPORT`` port (see :mod:`repro.net.workers`).
+        Each connection is one :class:`_Connection`.
         """
         if self._server is not None:
             raise RuntimeError("service already started")
-        if sock is not None:
-            self._server = await asyncio.start_server(
-                self.handle_connection, sock=sock
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self.handle_connection, host=host, port=port
-            )
+        loop = asyncio.get_running_loop()
+        where = {"sock": sock} if sock is not None else {"host": host, "port": port}
+        self._server = await loop.create_server(lambda: _Connection(self), **where)
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
@@ -1114,20 +1060,162 @@ class LookupService:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop listening and tear down any live connections."""
+        """Stop listening; close every connection, cancel a parked
+        forward, and return once all of them are gone."""
         if self._server is None:
             return
         self._server.close()
+        connections = list(self._connections)
+        parked = [conn.parked for conn in connections if conn.parked is not None]
+        for conn in connections:
+            if conn.parked is not None:
+                conn.parked.cancel()
+            conn.transport.close()
         await self._server.wait_closed()
         self._server = None
-        # start_server's handler tasks are not awaited by wait_closed
-        # (until 3.12's close_clients); cancel and reap them here so a
-        # stopped service leaves no dangling tasks behind.
-        connections = list(self._connections)
-        self._connections.clear()
-        for task in connections:
-            task.cancel()
-        await asyncio.gather(*connections, return_exceptions=True)
+        await asyncio.gather(
+            *parked, *(conn.closed for conn in connections), return_exceptions=True
+        )
+
+
+@types.coroutine
+def _resumed(steps: Any, pending: Any) -> Any:
+    """The rest of a coroutine stepped once by hand: what it waits on
+    passes up to the awaiting task, and what comes back, down to it."""
+    while True:
+        try:
+            try:
+                sent = yield pending
+            except BaseException as exc:  # noqa: BLE001 - handed down as-is
+                pending = steps.throw(exc)
+            else:
+                pending = steps.send(sent)
+        except StopIteration as done:
+            return done.value
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames in, replies out, in request order.
+
+    Each whole frame is answered as soon as it is in, in the codec the
+    last ``hello`` agreed (JSON before one).  A body that frames well
+    but does not decode is refused; a malformed body, an oversize
+    prefix, or end-of-stream once the frames before it are answered
+    closes the connection.  A full write buffer pauses reading and
+    answering, in place of ``drain``.  A frame whose
+    :meth:`LookupService._serve` suspends — a fleet reader's forwarded
+    write — parks the connection until its reply is written; the
+    frames behind it wait in the buffer, which stops reading once it
+    holds :data:`PARKED_BUFFER` bytes.
+    """
+
+    def __init__(self, service: LookupService) -> None:
+        self.service = service
+        self.codec = CODEC_JSON
+        self.buffer = bytearray()
+        self.transport: Any = None
+        self.parked: Optional[asyncio.Task] = None
+        self.paused = self.eof = False
+        self.closed = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self.service._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.service._connections.discard(self)
+        self.closed.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        if self.parked is not None and len(self.buffer) > PARKED_BUFFER:
+            self.transport.pause_reading()
+        self._answer_buffered()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._answer_buffered()
+        return True  # half-open until the frames before it are answered
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self._answer_buffered()
+
+    def _answer_buffered(self) -> None:
+        buffer, transport, service = self.buffer, self.transport, self.service
+        while self.parked is None and not self.paused:
+            if transport.is_closing():
+                return
+            if len(buffer) < 4:
+                break
+            end = 4 + int.from_bytes(buffer[:4], "big")
+            if end - 4 > MAX_FRAME:
+                transport.close()
+                return
+            if len(buffer) < end:
+                break
+            body = bytes(buffer[4:end])
+            del buffer[:end]
+            try:
+                envelope = decode_frame_body(body)
+            except WireError:
+                # Framed well, but its content (a message type, a tag
+                # payload) is not decodable: answer and keep serving.
+                self._reply({}, _refusal("undecodable frame body"))
+                continue
+            except FrameError:
+                transport.close()
+                return
+            raw = self.codec == CODEC_BINARY
+            if service.forwarder is None:
+                # Through the public entry, so anything wrapping
+                # handle_envelope (tracing, test doubles) sees socket
+                # traffic too.
+                self._reply(envelope, service.handle_envelope(envelope, raw=raw))
+                continue
+            steps = service._serve(envelope, raw, service.forwarder)
+            try:
+                pending = steps.send(None)
+            except StopIteration as done:
+                self._reply(envelope, done.value)
+                continue
+            self.parked = asyncio.ensure_future(
+                self._unpark(envelope, _resumed(steps, pending))
+            )
+        else:
+            return
+        if self.eof:
+            transport.close()
+        else:
+            transport.resume_reading()
+
+    async def _unpark(self, envelope: dict[str, Any], rest: Any) -> None:
+        try:
+            reply = await rest
+        except BaseException:
+            self.transport.close()
+            raise
+        finally:
+            self.parked = None
+        if not self.transport.is_closing():
+            self._reply(envelope, reply)
+            self._answer_buffered()
+
+    def _reply(self, envelope: dict[str, Any], reply: dict[str, Any]) -> None:
+        try:
+            data = encode_envelope_as(reply, self.codec)
+        except WireError as exc:
+            # The encoder raises before a byte is written, so the
+            # stream is in sync: refuse this request, keep serving.
+            refusal = LookupService._echo_id(envelope, _refusal(f"reply {exc}"))
+            data = encode_envelope_as(refusal, self.codec)
+        self.transport.write(data)
+        if envelope.get("op") == "hello" and reply.get("ok"):
+            self.codec = reply["value"]["codec"]
 
 
 __all__ = [

@@ -102,7 +102,7 @@ from repro.cluster.messages import Message
 from repro.core.exceptions import InvalidParameterError
 from repro.core.storage import apply_record, update_record
 from repro.net.codec import encode_envelope, encode_message, read_frame
-from repro.net.service import LookupService, ServiceConfig
+from repro.net.service import LookupService, ServiceConfig, envelope_mutates
 
 #: How many times the supervisor revives one reader index before it
 #: concludes the failure is systemic and fails the fleet loudly.
@@ -379,16 +379,18 @@ class WriterBus:
         op = frame.get("op")
         if op == "fwd":
             envelope = frame.get("envelope")
-            if type(envelope) is dict and envelope.get("op") == "send":
-                # Applied through the service's own request check; a
-                # batch would mutate without a delta, so none is taken.
+            if type(envelope) is dict and envelope_mutates(envelope):
+                # Applied through the service's own request check.  A
+                # batch would mutate without a delta, and a read has no
+                # business here (its JSON reply may be spliced text the
+                # pipe does not carry), so neither is taken.
                 response = self._apply(envelope, writer)
             else:
                 response = {
                     "reply": {
                         "ok": False,
                         "error": "bad-request",
-                        "detail": "fwd wants one send envelope",
+                        "detail": "fwd wants one mutating send envelope",
                     }
                 }
             response["op"] = "fwd_reply"

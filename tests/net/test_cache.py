@@ -20,7 +20,13 @@ from repro.cluster.messages import AddRequest, DeleteRequest, LookupRequest
 from repro.core.entry import Entry
 from repro.core.exceptions import InvalidParameterError
 from repro.net.cache import DEFAULT_CAPACITY, ReplyCache
-from repro.net.codec import CODEC_BINARY, CODEC_JSON, encode_envelope_as, encode_message
+from repro.net.codec import (
+    CODEC_BINARY,
+    CODEC_JSON,
+    decode_value,
+    encode_envelope_as,
+    encode_message,
+)
 from repro.net.service import DEFAULT_SCHEMES, LookupService, ServiceConfig
 from repro.net.workers import (
     apply_delta,
@@ -194,7 +200,7 @@ def test_mutation_invalidates_before_the_reply_is_sent():
     }
     assert service.handle_envelope(add)["ok"]
     after = service.handle_envelope(dict(lookup))
-    ids = {e["id"] for e in after["value"]}
+    ids = {e.entry_id for e in decode_value(after["value"])}
     assert "zz-hot" in ids
     assert service.reply_cache.invalidations >= 1
 
@@ -233,7 +239,7 @@ def test_reply_cached_before_a_mutation_is_never_served_after_it(route):
     assert len(service.reply_cache) == 0
     after = service.handle_envelope(dict(lookup))
     assert service.reply_cache.hits == 1  # a miss, answered from the stores
-    assert "zz-hot" in {e["id"] for e in after["value"]}
+    assert "zz-hot" in {e.entry_id for e in decode_value(after["value"])}
     # the refilled row is the post-mutation answer
     assert service.handle_envelope(dict(lookup)) == after
     assert service.reply_cache.hits == 2
@@ -255,7 +261,9 @@ def test_sampled_targets_are_never_cached():
     # across many draws the sample must actually vary: a frozen reply
     # here would mean the RNG was bypassed
     seen = {
-        tuple(sorted(e["id"] for e in service.handle_envelope(dict(envelope))["value"]))
+        tuple(sorted(
+            e.entry_id for e in decode_value(service.handle_envelope(dict(envelope))["value"])
+        ))
         for _ in range(30)
     }
     assert len(seen) > 1

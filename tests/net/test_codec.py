@@ -154,10 +154,14 @@ class TestMessageRoundtrip:
     def test_field_mismatch_rejected(self):
         wire = encode_message(LookupRequest(5))
         wire["fields"]["extra"] = 1
-        with pytest.raises(WireError):
+        with pytest.raises(WireError) as raised:
             decode_message(wire)
-        with pytest.raises(WireError):
+        assert str(raised.value) == (
+            "LookupRequest fields mismatch: got ['extra', 'target'], want ['target']"
+        )
+        with pytest.raises(WireError) as raised:
             decode_message({"!": "msg", "type": "LookupRequest", "fields": {}})
+        assert str(raised.value) == "LookupRequest fields mismatch: got [], want ['target']"
 
     def test_messages_encode_as_values_too(self):
         assert decode_value(encode_value(LookupRequest(3))) == LookupRequest(3)

@@ -22,6 +22,7 @@ from repro.net.codec import (
     decode_value,
     encode_envelope_as,
     encode_message,
+    json_value,
     pack_send_envelope,
     pack_value_bytes,
 )
@@ -31,6 +32,7 @@ from repro.net.sharding import ShardMap
 NUMBERS = (1, True, 1.0)
 CODEC_MEMOS = (
     "_ENTRY_JSON_CACHE",
+    "_ENTRY_TEXT_CACHE",
     "_ENTRY_ENC_CACHE",
     "_DENSE_IDX_CACHE",
     "_ENTRY_DEC_CACHE",
@@ -87,6 +89,17 @@ def case_entry_json_cache():
         with pytest.raises(WireError):
             decode_value({"!": "entry", "id": number, "payload": None})
     assert all(type(key) is str for key in codec._ENTRY_JSON_CACHE)
+
+
+def case_entry_text_cache():
+    # json_value joins a payload-free entry's memoized text; a rider of
+    # the same id, or an id that is not a str, takes the generic walk.
+    def frame(entry):
+        return encode_envelope_as({"ok": True, "value": json_value([entry])}, CODEC_JSON)
+
+    _every_order(_entries_by_id(), frame)
+    _every_order([Entry(number) for number in NUMBERS] + [Entry("1")], frame)
+    assert all(type(key) is str for key in codec._ENTRY_TEXT_CACHE)
 
 
 def _roundtrip(value):
@@ -185,6 +198,7 @@ def case_shard_map_ranked():
     "case",
     [
         case_entry_json_cache,
+        case_entry_text_cache,
         case_entry_enc_cache,
         case_dense_idx_cache,
         case_msg_enc_cache,

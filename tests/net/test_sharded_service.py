@@ -11,7 +11,7 @@ import pytest
 from repro.cluster.messages import Heartbeat, LookupRequest
 from repro.core.entry import make_entries
 from repro.core.exceptions import InvalidParameterError
-from repro.net.codec import decode_heartbeat, encode_message, heartbeat_envelope
+from repro.net.codec import decode_heartbeat, decode_value, encode_message, heartbeat_envelope
 from repro.net.membership import MembershipPump
 from repro.net.service import LookupService, ServiceConfig, shard_names
 from repro.net.sharding import ShardMap, partial_replica
@@ -131,7 +131,7 @@ class TestShardedPlacement:
             }
         )
         assert reply["ok"]
-        assert reply["value"] == []
+        assert decode_value(reply["value"]) == []
 
 
 class TestMembershipOps:

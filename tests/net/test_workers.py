@@ -12,6 +12,7 @@ import dataclasses
 import os
 import random
 import signal
+import socket
 import struct
 import subprocess
 import sys
@@ -24,8 +25,10 @@ from repro.cluster.messages import AddRequest, DeleteRequest, LookupRequest, Pla
 from repro.core.entry import Entry
 from repro.net.codec import (
     CODEC_BINARY,
+    CODEC_JSON,
     decode_envelope_binary,
     decode_frame_body,
+    decode_value,
     encode_envelope,
     encode_envelope_as,
     encode_message,
@@ -157,7 +160,7 @@ class TestDeltaRoundTrip:
         )
         apply_delta(reader, delta)
         after = reader.handle_envelope(dict(lookup))
-        assert "zz-inv" in {e["id"] for e in after["value"]}
+        assert "zz-inv" in {e.entry_id for e in decode_value(after["value"])}
 
 
 def _write_script(seed, steps=300):
@@ -621,6 +624,16 @@ class TestWriterBusOrdering:
             assert seen == 18
             assert replies == [0, 1, 2, 100, 3, 4, 5]
 
+    def test_a_forwarded_read_is_refused_and_the_pipe_stays_framed(self):
+        # A lookup's JSON reply is spliced text; the bus frame that would
+        # carry it cannot be encoded, so the writer refuses the read.
+        bus = WriterBus(LookupService(CONFIG), "unused.sock")
+        origin = _PipeWriter()
+        for envelope in (_send("fixed", LookupRequest(0)), {"op": "ping"}):
+            bus._handle({"op": "fwd", "id": 3, "envelope": envelope}, origin)
+        assert [f["reply"]["error"] for f in origin.frames] == ["bad-request"] * 2
+        assert bus.epoch == 0
+
     def test_delta_skips_only_the_originating_connection(self):
         bus = WriterBus(LookupService(CONFIG), "unused.sock")
         origin, other = _PipeWriter(), _PipeWriter()
@@ -629,6 +642,36 @@ class TestWriterBusOrdering:
         assert [f["op"] for f in origin.frames] == ["fwd_reply"]
         assert [f["op"] for f in other.frames] == ["delta"]
         assert origin.frames[0]["delta"] == other.frames[0]["delta"]
+
+
+def _pipelined_write_between_reads(host, port):
+    """On a fleet reader: a lookup, a forwarded add and a lookup sent in
+    one chunk come back in request order, the second lookup seeing the add."""
+    frames = [
+        encode_envelope_as(dict(_send("full_replication", message), id=n), CODEC_JSON)
+        for n, message in enumerate(
+            (LookupRequest(0), AddRequest(entry=Entry("zz-pipe")), LookupRequest(0))
+        )
+    ]
+    for _ in range(64):  # SO_REUSEPORT picks the worker; find a reader
+        with socket.create_connection((host, port), timeout=10) as sock:
+            stream = sock.makefile("rb")
+            sock.sendall(encode_envelope_as({"op": "info"}, CODEC_JSON))
+            if _read_body(stream)["value"]["capabilities"]["workers"]["role"] != "reader":
+                continue
+            sock.sendall(b"".join(frames))
+            replies = [_read_body(stream) for _ in frames]
+            break
+    else:
+        pytest.fail("no connection reached the reader")
+    assert [reply["id"] for reply in replies] == [0, 1, 2]
+    seen = [{e.entry_id for e in decode_value(replies[i]["value"])} for i in (0, 2)]
+    assert "zz-pipe" not in seen[0] and "zz-pipe" in seen[1]
+
+
+def _read_body(stream):
+    (length,) = struct.unpack(">I", stream.read(4))
+    return decode_frame_body(stream.read(length))
 
 
 def _pumped_forwarder(service=None):
@@ -869,6 +912,7 @@ class TestFleetEndToEnd:
                     timeout=30,
                 )
                 assert call.returncode == 0, call.stdout + call.stderr
+                _pipelined_write_between_reads(host, int(port))
             finally:
                 proc.send_signal(signal.SIGTERM)
                 out, _ = proc.communicate(timeout=30)
