@@ -377,7 +377,8 @@ def update_record(
         if gained or old & ~new:
             change = {}
             if gained:
-                change["add"] = store.membership(gained)
+                # From empty, the whole store: listed without a mask walk.
+                change["add"] = store.membership(None if gained == new else gained)
             if old & ~new:
                 change["drop"] = list(iter_mask_indices(old & ~new))
             servers[str(sid)] = change
@@ -392,19 +393,6 @@ def update_record(
     return record
 
 
-def held_entry(interner: EntryInterner, item: Any) -> tuple[int, Entry]:
-    """``(index, entry)`` for one item of a membership list.
-
-    A bare index holds the id payload-free: as the interner's own
-    entry object where that one is payload-free too.
-    """
-    if item.__class__ is int:
-        entry = interner.entry_at(item)
-        return item, entry if entry.payload is None else Entry(entry.entry_id)
-    index, payload = item
-    return index, Entry(interner.entry_at(index).entry_id, payload)
-
-
 def apply_record(
     stores: Sequence[StorageBackend], record: dict, replace: bool = False
 ) -> None:
@@ -414,8 +402,10 @@ def apply_record(
     record names (:meth:`~repro.core.interning.EntryInterner.extend`),
     or nothing else is touched.  Then membership is set and cleared by
     index, with no id resolved anywhere — after every store is emptied,
-    with ``replace``, for a record of everything from empty stores.  An
-    ``add`` at a held index swaps the record's entry in.
+    with ``replace``, for a record of everything from empty stores.  A
+    bare index in ``add`` holds the id payload-free, as the interner's
+    own entry object where that one is payload-free too; an ``add`` at
+    a held index swaps the record's entry in.
     Server ids are the caller's to check: as a list index ``-1`` names
     the last server.
     """
@@ -424,13 +414,22 @@ def apply_record(
     if replace:
         for store in stores:
             store.clear()
+    entry_at = interner.entry_at
     for sid, change in record["servers"].items():
         store = stores[int(sid)]
+        add_at = store.add_at
+        # The whole of a store, from a resync or a recovery: kept tight.
         for item in change.get("add", ()):
-            held = held_entry(interner, item)
-            if not store.add_at(*held):
-                store.discard_at(held[0])
-                store.add_at(*held)
+            if item.__class__ is int:
+                index, entry = item, entry_at(item)
+                if entry.payload is not None:
+                    entry = Entry(entry.entry_id)
+            else:
+                index, payload = item
+                entry = Entry(entry_at(index).entry_id, payload)
+            if not add_at(index, entry):
+                store.discard_at(index)
+                add_at(index, entry)
         for index in change.get("drop", ()):
             store.discard_at(index)
 
@@ -446,7 +445,6 @@ __all__ = [
     "MemoryBackend",
     "StorageBackend",
     "apply_record",
-    "held_entry",
     "masks_before",
     "update_record",
 ]

@@ -67,6 +67,7 @@ from repro.cluster.messages import (
     PlaceRequest,
 )
 from repro.cluster.network import DROPPED, is_undelivered
+from repro.cluster.snapshots import apply_image, capture_image
 from repro.core.entry import Entry, make_entries
 from repro.core.exceptions import InvalidParameterError
 from repro.core.storage import masks_before, update_record
@@ -440,10 +441,8 @@ class LookupService:
         # process's values first.
         image = None
         if self.journal is not None and self.journal.has_data():
-            from repro.storage.appendlog import apply_image
-
             loaded = self.journal.load()
-            if not loaded.is_empty():
+            if loaded.records or loaded.rng_state is not None:
                 apply_image(loaded, self.cluster)
                 image = loaded
                 self.recovered = True
@@ -458,7 +457,7 @@ class LookupService:
             # shards nothing (their servers truthfully answer empty).
             effective = dict(params)
             recovered_key = image is not None and (
-                name in image.stores or name in image.params
+                name in image.records or name in image.params
             )
             if image is not None and name in image.params:
                 # The journaled *effective* params (e.g. Hash-y's drawn
@@ -840,9 +839,7 @@ class LookupService:
         """Fold the journal's live logs into one snapshot, now."""
         if self.journal is None or self.journal.read_only:
             return
-        from repro.storage.appendlog import build_image
-
-        image = build_image(
+        image = capture_image(
             self.cluster,
             epochs=dict(self._shared_epochs),
             params={

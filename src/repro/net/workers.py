@@ -100,7 +100,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.messages import Message
 from repro.core.exceptions import InvalidParameterError
-from repro.core.storage import apply_record, update_record
+from repro.cluster.snapshots import store_records
+from repro.core.storage import apply_record
 from repro.net.codec import encode_envelope, encode_message, read_frame
 from repro.net.service import LookupService, ServiceConfig, envelope_mutates
 
@@ -193,10 +194,8 @@ def apply_delta(service: LookupService, delta: Dict[str, Any]) -> None:
 def snapshot_stores(service: LookupService) -> Dict[str, Dict[str, Any]]:
     """A full resync: per scheme, one update record from empty stores —
     the interner's whole order and every server's membership."""
-    return {
-        key: update_record(key, service.cluster.stores(key)) or {"servers": {}}
-        for key in service.strategies
-    }
+    cluster = service.cluster
+    return store_records({key: cluster.stores(key) for key in service.strategies})
 
 
 def load_snapshot(service: LookupService, snapshot: Dict[str, Dict[str, Any]]) -> None:

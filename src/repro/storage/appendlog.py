@@ -8,10 +8,10 @@ the journal write returns): its update record (see
 fleet's writer ships to its readers as the delta — then the strategy
 state and RNG position it advanced to.  On cold start the
 journal replays snapshot + surviving log files into a
-:class:`RecoveredImage` which callers apply back onto a fresh cluster —
-rebuilding dense interner index assignments and coverage bitmasks, and
-with them the index-ordered entry lists, bit-identically to a
-never-crashed process.
+:class:`RecoveredImage` — a :class:`~repro.cluster.snapshots.ClusterImage`
+— which callers apply back onto a fresh cluster, rebuilding dense
+interner index assignments and coverage bitmasks, and with them the
+index-ordered entry lists, bit-identically to a never-crashed process.
 
 Durability model
 ----------------
@@ -55,7 +55,8 @@ Replay reads the journal's earlier spellings too, though nothing
 writes them any more: per-entry ``add``/``drop``/``reset``/``clear``
 store records, one record per line, the RNG as a JSON list of ints,
 and snapshot schemas 1 and 2, whose stores are ``[id, payload]`` pair
-lists where schema 3's are membership lists of indices.
+lists where schema 3's are the update records' ``add`` lists
+(:meth:`~repro.cluster.snapshots.ClusterImage.to_json`).
 
 Compaction
 ----------
@@ -75,33 +76,36 @@ update record is a mask diff, so a ``pop_random`` is in it as a
 dropped index and replay never consumes RNG.  The cluster RNG's state
 is journaled separately (``rng`` records, deduped) so a recovered
 process resumes the exact random stream of the crashed one.  A record
-replays in O(1) per index it names: the image holds each store as an
-``index → payload`` dict.
+replays as :func:`~repro.core.storage.apply_record` applies it, by
+dense index, with no id resolved.
 """
 
 from __future__ import annotations
 
-import base64
 import contextlib
-import copy
 import errno
 import json
 import os
 import pathlib
 import random
 import re
-import struct
 from dataclasses import dataclass, field
-from itertools import starmap
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core.entry import Entry
 from repro.core.exceptions import ReproError
 from repro.core.interning import EntryInterner
-from repro.core.storage import held_entry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.cluster import Cluster
+from repro.core.storage import MemoryBackend, apply_record
+from repro.cluster.snapshots import (
+    _TRANSIENT_STATE_KEYS,
+    ClusterImage,
+    _detached,
+    _pack_rng,
+    _persistable_state,
+    _unpack_rng,
+    indexed_stores,
+    store_records,
+)
 
 PathLike = Union[str, pathlib.Path]
 
@@ -112,17 +116,11 @@ SNAPSHOT_SCHEMA = 3
 #: as ``[id, payload]`` pairs.
 _READABLE_SCHEMAS = (1, 2, SNAPSHOT_SCHEMA)
 
-#: Strategy scratch-state keys that are transient between operations
-#: and must not be persisted (mirrors ``repro.cluster.snapshots``).
-_TRANSIENT_STATE_KEYS = ("migrations",)
-
 _LOG_NAME_RE = re.compile(r"^journal\.(\d{6})\.log$")
 
 #: ``append`` flushes on its own once this many records are pending, so
 #: a bulk placement cannot hold its whole journal in memory.
 MAX_PENDING_RECORDS = 4096
-
-_SCALARS = (int, str, float, bool, type(None))
 
 #: Replay errors that mean a record is not one this journal writes.
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
@@ -147,62 +145,6 @@ class RecoveryError(ReproError):
     """
 
 
-def _pack_rng(state: Any) -> list:
-    """``random.Random.getstate()`` → ``[version, words, gauss]``.
-
-    ``words`` is the 625-word state (624 Mersenne-Twister words and the
-    position) as base64 of fixed-width little-endian ``uint32`` — 3.3 KB
-    where a JSON list of ints is 6.7 KB.
-    """
-    version, words, gauss = state
-    packed = struct.pack(f"<{len(words)}I", *words)
-    return [version, base64.b64encode(packed).decode("ascii"), gauss]
-
-
-def _unpack_rng(state: Any) -> tuple:
-    """Inverse of :func:`_pack_rng`; also reads the JSON list of ints."""
-    words = state[1]
-    if words.__class__ is str:
-        raw = base64.b64decode(words)
-        words = struct.unpack(f"<{len(raw) // 4}I", raw)
-    return (state[0], tuple(words), state[2])
-
-
-def _persistable_state(state: Dict[str, Any]) -> Dict[str, Any]:
-    return {k: v for k, v in state.items() if k not in _TRANSIENT_STATE_KEYS}
-
-
-def _detached(value: Any) -> Any:
-    """A copy of a journaled payload that shares no container with it.
-
-    The dedupe compares a live payload with this copy by ``==`` where
-    it used to compare sorted-JSON texts.  The two agree for what a
-    strategy keeps in ``server.state(key)`` and what ``params()``
-    returns — str-keyed dicts, lists, ints, strs — because dict
-    equality ignores key order just as ``sort_keys`` did.  (They part
-    only where Python equates what JSON tells apart, ``1 == 1.0 ==
-    True``, or the reverse, a tuple against a list; no strategy keeps
-    either.)  Dicts and lists are walked by hand: ``copy.deepcopy`` of
-    a Round-Robin ``positions`` map costs five times as much.
-    """
-    if value.__class__ is dict:
-        out = value.copy()
-        for key, item in value.items():
-            if item.__class__ not in _SCALARS:
-                out[key] = _detached(item)
-        return out
-    if value.__class__ is list:
-        return [
-            item if item.__class__ in _SCALARS else _detached(item)
-            for item in value
-        ]
-    return copy.deepcopy(value)
-
-
-def _copy(value: Any) -> Any:
-    return value if value.__class__ in _SCALARS else _detached(value)
-
-
 def _dict_catch_up(kept: Dict[Any, Any], new: Dict[Any, Any]) -> Dict[str, Any]:
     """Bring dict ``kept`` up to ``new`` in place; returns the ``set`` /
     ``del`` fields that did it, each in key order.
@@ -212,8 +154,8 @@ def _dict_catch_up(kept: Dict[Any, Any], new: Dict[Any, Any]) -> Dict[str, Any]:
     gone = sorted(k for k in kept if k not in new)
     fields: Dict[str, Any] = {}
     if put:
-        fields["set"] = {k: _copy(v) for k, v in put}
-        kept.update((k, _copy(v)) for k, v in put)
+        fields["set"] = {k: _detached(v) for k, v in put}
+        kept.update((k, _detached(v)) for k, v in put)
     if gone:
         fields["del"] = gone
         for k in gone:
@@ -244,8 +186,8 @@ def _catch_up(kept: Dict[str, Any], new: Dict[str, Any]) -> Dict[str, Any]:
             if inner:
                 nested[name] = inner
         else:
-            put[name] = _copy(value)
-            kept[name] = _copy(value)
+            put[name] = _detached(value)
+            kept[name] = _detached(value)
     gone = sorted(name for name in kept if name not in new)
     for name in gone:
         del kept[name]
@@ -272,91 +214,53 @@ def _apply_patch(state: Dict[str, Any], patch: Dict[str, Any]) -> None:
     _merge(state, patch)
 
 
-def _as_dict(items: Iterable[Any]) -> Dict[int, Any]:
-    """A membership list (see :meth:`~repro.core.storage.StorageBackend
-    .membership`) as an ``index → payload`` dict."""
-    return dict((item, None) if item.__class__ is int else item for item in items)
-
-
-def _membership(store: Any) -> list:
-    """An image store as a membership list, ascending."""
-    if store.__class__ is list:
-        return store
-    return [i if p is None else [i, p] for i, p in sorted(store.items())]
-
-
 @dataclass
-class RecoveredImage:
-    """Everything a crashed process needs to become its former self.
+class RecoveredImage(ClusterImage):
+    """A cluster image replayed from a journal into ``stores``: per key,
+    a :class:`~repro.core.storage.MemoryBackend` per server a record
+    names, over one interner.  A ``delta`` record is applied to them as a
+    reader applies it, the earlier per-entry records by the store's own
+    ``add``/``discard``/``clear``.  Once the replay ends,
+    :meth:`AppendLogJournal.load` sets ``records`` from them and lets
+    them go, before the caller rebuilds a cluster from the records."""
 
-    ``interners`` holds each key's entries in *dense index order* —
-    interning them first guarantees every store rebuild re-derives
-    identical bitmask bit positions, and so the never-crashed store's
-    index-ordered list.  ``stores`` holds each server's entries as an
-    ``index → payload`` dict, so every store record replays in O(1) per
-    index it names; :meth:`snapshot_text` lists them ascending, as the
-    store :func:`apply_image` rebuilds does.
-    """
+    stores: Dict[str, List[MemoryBackend]] = field(default_factory=dict)
 
-    interners: Dict[str, EntryInterner] = field(default_factory=dict)
-    #: ``index → payload`` dicts — or, fresh from :func:`build_image` and
-    #: good only for :meth:`snapshot_text`, membership lists.
-    stores: Dict[str, Dict[int, Any]] = field(default_factory=dict)
-    states: Dict[str, Dict[int, Dict[str, Any]]] = field(default_factory=dict)
-    #: As journaled: :func:`_pack_rng`'s form, or a schema-1 JSON list.
-    rng_state: Optional[list] = None
-    epochs: Dict[str, int] = field(default_factory=dict)
-    params: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    def _stores(self, key: str, server_ids: Any = ()) -> List[MemoryBackend]:
+        """``key``'s stores, grown to hold every id in ``server_ids``."""
+        stores = self.stores.setdefault(key, [])
+        interner = stores[0].interner if stores else EntryInterner()
+        needed = max(map(int, server_ids), default=0) + 1
+        stores.extend(MemoryBackend(interner=interner) for _ in range(len(stores), needed))
+        return stores
 
-    def is_empty(self) -> bool:
-        return not self.interners and not self.stores and self.rng_state is None
-
-    # -- record application -------------------------------------------------
-
-    def _interner(self, key: str) -> EntryInterner:
-        interner = self.interners.get(key)
-        if interner is None:
-            interner = self.interners[key] = EntryInterner()
-        return interner
-
-    def _store(self, key: str, server_id: Any) -> Dict[int, Any]:
-        return self.stores.setdefault(key, {}).setdefault(int(server_id), {})
+    def _store(self, key: str, server_id: Any) -> MemoryBackend:
+        return self._stores(key, (server_id,))[int(server_id)]
 
     def apply(self, record: Dict[str, Any]) -> None:
-        """Fold one journal record into the image: O(1) per index it
-        names, whatever the store's size."""
+        """Fold one journal record into the image."""
         op = record["op"]
         if op == "delta":
-            key = record["key"]
-            # The interning step a reader applies the same record with.
-            self._interner(key).extend(
-                starmap(Entry, record.get("new", ())), record.get("base", 0)
-            )
-            for sid, change in record["servers"].items():
-                store = self._store(key, sid)
-                store.update(_as_dict(change.get("add", ())))
-                for index in change.get("drop", ()):
-                    store.pop(index, None)
+            apply_record(self._stores(record["key"], record["servers"]), record)
         elif op == "add":  # "add" to "clear": the earlier per-entry spelling
-            entry_id, payload = record["e"]
-            index = self._interner(record["k"]).intern(Entry(entry_id, payload))
-            if "i" in record and record["i"] != index:
+            store = self._store(record["k"], record["s"])
+            entry = Entry(*record["e"])
+            store.add(entry)
+            index = store.interner.index_of(entry.entry_id)
+            if record.get("i", index) != index:
                 raise RecoveryError(
-                    f"journal add for {entry_id!r} recorded dense index "
+                    f"journal add for {entry.entry_id!r} recorded dense index "
                     f"{record['i']} but replay assigned {index}"
                 )
-            self._store(record["k"], record["s"]).setdefault(index, payload)
         elif op == "drop":
-            index = self._interner(record["k"]).index_of(record["id"])
-            self._store(record["k"], record["s"]).pop(index, None)
+            self._store(record["k"], record["s"]).discard(Entry(record["id"]))
         elif op == "reset":
-            intern = self._interner(record["k"]).intern
-            store: Dict[int, Any] = {}
-            for entry_id, payload in record["entries"]:
-                store.setdefault(intern(Entry(entry_id, payload)), payload)
-            self.stores.setdefault(record["k"], {})[record["s"]] = store
+            store = self._store(record["k"], record["s"])
+            store.clear()
+            for entry in record["entries"]:
+                store.add(Entry(*entry))
         elif op == "clear":
-            self.stores.setdefault(record["k"], {})[record["s"]] = {}
+            self._store(record["k"], record["s"]).clear()
         elif op == "state":
             self.states.setdefault(record["k"], {})[record["s"]] = record["state"]
         elif op == "patch":
@@ -372,49 +276,16 @@ class RecoveredImage:
         else:
             raise RecoveryError(f"unknown journal record op {op!r}")
 
-    # -- snapshot round-trip ------------------------------------------------
-
-    def snapshot_text(self) -> str:
-        """The snapshot's ``image`` object as JSON text: each interner as
-        its ``[entry_id, payload]`` pairs, each store as its membership
-        list."""
-        return _dumps(
-            {
-                "interners": {key: i.pairs() for key, i in self.interners.items()},
-                "stores": {
-                    key: {sid: _membership(store) for sid, store in by_server.items()}
-                    for key, by_server in self.stores.items()
-                },
-                "states": self.states,
-                "rng": self.rng_state,
-                "epochs": self.epochs,
-                "params": self.params,
-            }
-        )
-
     @classmethod
     def from_snapshot(
         cls, image: Dict[str, Any], schema: int = SNAPSHOT_SCHEMA
     ) -> "RecoveredImage":
-        out = cls(
-            states={
-                key: {int(sid): dict(state) for sid, state in by_server.items()}
-                for key, by_server in image["states"].items()
-            },
-            rng_state=image.get("rng"),
-            epochs=dict(image.get("epochs", {})),
-            params={k: dict(v) for k, v in image.get("params", {}).items()},
-        )
-        for key, pairs in image["interners"].items():
-            out._interner(key).extend(starmap(Entry, pairs))
-        for key, by_server in image["stores"].items():
-            index_of = out._interner(key).index_of
-            out.stores[key] = {
-                int(sid): _as_dict(items)
-                if schema >= 3
-                else {index_of(entry_id): payload for entry_id, payload in items}
-                for sid, items in by_server.items()
-            }
+        """A replay that starts from a snapshot's ``image`` object."""
+        if schema < 3:
+            image = dict(image, stores=indexed_stores(image))
+        out = cls(**vars(ClusterImage.from_json(image)))
+        for record in out.records.values():
+            out.apply(record)
         return out
 
 
@@ -632,9 +503,11 @@ class AppendLogJournal:
             records += self._replay_file(self._log_path(serial), image)
         self._serial = max([snapshot_serial, 1] + serials)
         self.log_records = records
+        image.records = store_records(image.stores)
+        image.stores.clear()
         # Seed the dedupe so the first post-recovery state/rng record is
         # only written if it actually differs.  Copies, not the image's
-        # own dicts: ``apply_image`` hands those to the live servers.
+        # own dicts, which are the caller's.
         for key, by_server in image.states.items():
             for sid, state in by_server.items():
                 self._journaled[("state", key, sid)] = _detached(state)
@@ -695,12 +568,12 @@ class AppendLogJournal:
 
     # -- compaction ----------------------------------------------------------
 
-    def compact(self, image: RecoveredImage, epoch: int = 0) -> None:
+    def compact(self, image: ClusterImage, epoch: int = 0) -> None:
         """Fold the live logs into ``snapshot.json`` and rotate.
 
         ``image`` must describe the *current* full state (see
-        :func:`build_image`); ``epoch`` stamps the snapshot for the
-        ``last_compaction_epoch`` capability/metric.
+        :func:`~repro.cluster.snapshots.capture_image`); ``epoch`` stamps
+        the snapshot for the ``last_compaction_epoch`` capability/metric.
         """
         if self.read_only:
             return
@@ -725,7 +598,7 @@ class AppendLogJournal:
         tmp = self.snapshot_path.with_name(self.snapshot_path.name + ".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
             # The image is the header dict's last member.
-            fh.write(f'{_dumps(header)[:-1]},"image":{image.snapshot_text()}}}\n')
+            fh.write(f'{_dumps(header)[:-1]},"image":{_dumps(image.to_json())}}}\n')
             fh.flush()
             if self.fsync:
                 os.fsync(fh.fileno())
@@ -767,64 +640,8 @@ class AppendLogJournal:
             self._fh = None
 
 
-def build_image(
-    cluster: "Cluster",
-    epochs: Optional[Dict[str, int]] = None,
-    params: Optional[Dict[str, Dict[str, Any]]] = None,
-) -> RecoveredImage:
-    """Capture a cluster's full durable state as a snapshot image.
-
-    For :meth:`AppendLogJournal.compact`: the image shares the cluster's
-    interners and holds each store as its membership list, so it can be
-    written, not applied.
-    """
-    image = RecoveredImage()
-    for server in cluster.servers:
-        for key in server.keys():
-            image.interners[key] = cluster.interner(key)
-            image.stores.setdefault(key, {})[server.server_id] = server.store(
-                key
-            ).membership()
-            state = _persistable_state(server.state(key))
-            if state:
-                image.states.setdefault(key, {})[server.server_id] = dict(state)
-    image.rng_state = _pack_rng(cluster.rng.getstate())
-    if epochs:
-        image.epochs = dict(epochs)
-    if params:
-        image.params = {name: dict(p) for name, p in params.items()}
-    return image
-
-
-def apply_image(image: RecoveredImage, cluster: "Cluster") -> None:
-    """Rebuild a fresh cluster's stores/state/RNG from an image.
-
-    Interners are replayed first, each entry checked onto the index the
-    image names (:meth:`~repro.core.interning.EntryInterner.extend`),
-    so every store rebuild re-derives identical bit positions whichever
-    server's entries are applied first.  A store is then rebuilt by
-    index, taking the interner's own entry object wherever it holds the
-    entry payload-free (:func:`~repro.core.storage.held_entry`).
-    """
-    for key, interner in image.interners.items():
-        cluster.interner(key).extend(map(interner.entry_at, range(len(interner))))
-    for key, by_server in image.stores.items():
-        interner = cluster.interner(key)
-        for server_id, store in by_server.items():
-            target = cluster.server(server_id).store(key)
-            for item in _membership(store):
-                target.add_at(*held_entry(interner, item))
-    for key, by_server in image.states.items():
-        for server_id, state in by_server.items():
-            cluster.server(server_id).state(key).update(state)
-    if image.rng_state is not None:
-        cluster.rng.setstate(_unpack_rng(image.rng_state))
-
-
 __all__ = [
     "AppendLogJournal",
     "RecoveredImage",
     "RecoveryError",
-    "apply_image",
-    "build_image",
 ]

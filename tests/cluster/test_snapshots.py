@@ -1,5 +1,7 @@
 """Unit tests for cluster placement snapshots."""
 
+import json
+
 import pytest
 
 from repro.cluster.cluster import Cluster
@@ -81,3 +83,53 @@ class TestSnapshot:
         target.server(0).store("other").add(Entry("junk"))
         restore_cluster(snapshot, target)
         assert target.storage_cost("other") == 0
+
+    def test_payloads_and_index_order_survive(self):
+        cluster = Cluster(4, seed=1)
+        strategy = RoundRobinY(cluster, y=2)
+        strategy.place([Entry(f"v{i}", {"port": i}) for i in range(9)])
+        strategy.delete(Entry("v3"))
+        strategy.add(Entry("v3", "back"))
+        fresh = restore_cluster(snapshot_cluster(cluster), Cluster(4, seed=8))
+        for mine, theirs in zip(fresh.servers, cluster.servers):
+            assert [(e.entry_id, e.payload) for e in mine.store("k")] == [
+                (e.entry_id, e.payload) for e in theirs.store("k")
+            ]
+            assert mine.store("k").indices() == theirs.store("k").indices()
+        assert fresh.rng.getstate() == cluster.rng.getstate()
+
+    def test_a_format_1_snapshot_still_loads(self):
+        snapshot = {
+            "format_version": 1,
+            "size": 3,
+            "servers": [
+                {"server_id": 0, "alive": True, "stores": {"k": ["b", "a"]},
+                 "state": {"k": {"tail": 2}}},
+                {"server_id": 1, "alive": False, "stores": {"k": ["a", "c"]},
+                 "state": {"k": {}}},
+                {"server_id": 2, "alive": True, "stores": {}, "state": {}},
+            ],
+        }
+        fresh = restore_cluster(snapshot, Cluster(3))
+        # Each id interned where a format-1 restore met it first.
+        assert [e.entry_id for e in fresh.server(0).store("k")] == ["b", "a"]
+        assert fresh.server(1).store("k").indices() == [1, 2]
+        assert fresh.server(0).state("k") == {"tail": 2}
+        assert fresh.alive_ids() == [0, 2]
+
+    def test_a_cluster_with_another_index_order_is_refused(self):
+        cluster, _ = _round_robin_cluster()
+        target = Cluster(10)
+        target.interner("k").intern(Entry("zz"))
+        with pytest.raises(ValueError, match="interned at index"):
+            restore_cluster(snapshot_cluster(cluster), target)
+
+    def test_a_snapshot_shares_no_state_with_either_cluster(self):
+        # Round-Robin edits its positions map in place.
+        cluster, strategy = _round_robin_cluster()
+        snapshot = snapshot_cluster(cluster)
+        frozen = json.dumps(snapshot, sort_keys=True)
+        strategy.add(Entry("after"))
+        fresh = restore_cluster(snapshot, Cluster(10))
+        RoundRobinY(fresh, y=2).add(Entry("later"))
+        assert json.dumps(snapshot, sort_keys=True) == frozen

@@ -13,7 +13,6 @@ from repro.core.storage import (
     MemoryBackend,
     StorageBackend,
     apply_record,
-    held_entry,
     masks_before,
     update_record,
 )
@@ -55,8 +54,7 @@ class TestInterface:
         assert a.membership() == [0, 2, 3, 4, 5, [6, "p"]]
         assert a.membership(1 << 6 | 1 << 3) == [3, [6, "p"]]
         b = MemoryBackend(interner=interner)
-        for item in a.membership():
-            assert b.add_at(*held_entry(interner, item))
+        apply_record([b], {"servers": {"0": {"add": a.membership()}}})
         assert [(e.entry_id, e.payload) for e in b] == [
             (e.entry_id, e.payload) for e in a
         ]

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.messages import AddRequest
+from repro.cluster.snapshots import ClusterImage, apply_image, store_records
 from repro.core.entry import Entry, make_entries
 from repro.core.storage import MemoryBackend, update_record
 from repro.net.codec import encode_message
@@ -17,7 +18,6 @@ from repro.storage.appendlog import (
     AppendLogJournal,
     RecoveredImage,
     RecoveryError,
-    apply_image,
 )
 
 
@@ -462,7 +462,7 @@ class TestReplayRobustness:
             handle.write('[{"op":"add","k":"k","s":0,"i":2,"e":["v9",null]}]')
         torn = path.read_bytes()
         image = AppendLogJournal(tmp_path, read_only=True).load()
-        assert image.stores["k"][0] == {0: None, 1: None}
+        assert image.records["k"]["servers"] == {"0": {"add": [0, 1]}}
         assert path.read_bytes() == torn
 
     def test_damage_before_the_last_line_is_a_recovery_error(self, tmp_path):
@@ -542,7 +542,7 @@ class TestReplayRobustness:
         record = {"op": "add", "k": "k", "s": 0, "i": 0, "e": ["a", None]}
         image.apply(record)
         image.apply(record)
-        assert image.stores["k"][0] == {0: None}
+        assert image.stores["k"][0].membership() == [0]
 
     def test_has_data_ignores_an_empty_directory(self, tmp_path):
         assert not AppendLogJournal(tmp_path).has_data()
@@ -550,10 +550,7 @@ class TestReplayRobustness:
 
 class TestCompaction:
     def _image_for(self, store):
-        image = RecoveredImage()
-        image.interners["k"] = store.interner
-        image.stores["k"] = {0: store.membership()}
-        return image
+        return ClusterImage(records=store_records({"k": [store.store]}))
 
     def test_compaction_folds_logs_into_the_snapshot(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
@@ -602,11 +599,10 @@ class TestCompaction:
         for entry in make_entries(4):
             store.add(entry)
         store.discard(Entry("v2"))
-        store.add(Entry("v2"))  # back at index 1, last in the replayed dict
+        store.add(Entry("v2"))  # back at index 1, after 2 and 3 in the log
         journal.close()
         image = AppendLogJournal(tmp_path, read_only=True).load()
-        assert list(image.stores["k"][0]) == [0, 2, 3, 1]
-        assert json.loads(image.snapshot_text())["stores"]["k"]["0"] == [0, 1, 2, 3]
+        assert image.to_json()["stores"]["k"]["0"] == [0, 1, 2, 3]
 
     def test_should_compact_honours_the_threshold(self, tmp_path):
         journal = AppendLogJournal(tmp_path, compact_every=3)
