@@ -194,6 +194,13 @@ def apply_image(image: ClusterImage, cluster: Cluster) -> None:
     """
     for key, record in image.records.items():
         apply_record(cluster.stores(key), record, replace=True)
+    apply_scratch(image, cluster)
+
+
+def apply_scratch(image: ClusterImage, cluster: Cluster) -> None:
+    """Set ``cluster``'s scratch states and RNG from ``image``, leaving
+    its stores alone: the part of :func:`apply_image` a journal replay
+    that landed in the cluster's stores still needs."""
     for key, by_server in image.states.items():
         for server_id, state in by_server.items():
             cluster.server(server_id).state(key).update(_detached(state))

@@ -25,13 +25,24 @@ Module                                     Paper artifact
 =========================================  =====================
 """
 
-from repro.experiments.runner import ExperimentResult, average_runs, seeded_runs
-from repro.experiments.report import render_series, render_table
+import importlib
+from typing import Any
 
-__all__ = [
-    "ExperimentResult",
-    "average_runs",
-    "seeded_runs",
-    "render_table",
-    "render_series",
-]
+#: The package's exports, by the submodule that defines them.  They
+#: load on first access, so importing a submodule (the command line
+#: does, for ``repro serve`` too) does not load the experiment stack.
+_EXPORTS = {
+    "ExperimentResult": "runner",
+    "average_runs": "runner",
+    "seeded_runs": "runner",
+    "render_table": "report",
+    "render_series": "report",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

@@ -22,12 +22,9 @@ import json
 import pathlib
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.core import columns
 from repro.core.exceptions import ReproError
-from repro.experiments.parallel import resolve_jobs
-from repro.experiments.plotting import plot_experiment
 from repro.experiments.profiles import PROFILES, profile_overrides
 from repro.experiments.registry import (
     EXPERIMENTS,
@@ -37,8 +34,13 @@ from repro.experiments.registry import (
     list_experiments,
     run_manifest,
 )
-from repro.experiments.report import render_experiment, render_table
-from repro.experiments.runner import ExperimentResult
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import ExperimentResult
+
+# The parser is built for every command, ``serve`` and ``call``
+# included, so this module imports no experiment, renderer or process
+# pool at the top: each command imports what it runs.
 
 
 def _parse_overrides(pairs: List[str]) -> Dict[str, str]:
@@ -68,6 +70,8 @@ def _write_json(payload: Dict[str, Any], path: pathlib.Path) -> None:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.experiments.report import render_table
+
     rows = [
         {
             "id": spec.experiment_id,
@@ -92,6 +96,10 @@ def _run_one(
     jobs: Optional[int] = None,
     profile: Optional[str] = None,
 ) -> ExperimentResult:
+    from repro.experiments.parallel import resolve_jobs
+    from repro.experiments.plotting import plot_experiment
+    from repro.experiments.report import render_experiment
+
     # A profile seeds the overrides; explicit --set values win.
     merged: Dict[str, Any] = {}
     if profile is not None:
@@ -190,6 +198,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         cheapest_for_updates,
         plan_rows,
     )
+    from repro.core import columns
+    from repro.experiments.report import render_table
 
     spec = DeploymentSpec(
         entry_count=args.entries,
@@ -225,6 +235,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from repro.experiments.report import render_experiment
     from repro.experiments.validate import ValidationConfig, all_passed, run
 
     result = run(ValidationConfig())
@@ -238,6 +249,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_chaos_soak(args: argparse.Namespace) -> int:
     from repro.experiments.chaos_soak import ChaosSoakConfig, run
+    from repro.experiments.parallel import resolve_jobs
+    from repro.experiments.report import render_experiment
 
     config = ChaosSoakConfig(seed=args.seed, events=args.events)
     manifest = run_manifest(get_spec("chaos"), config)
@@ -284,6 +297,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.cluster.client import Client, RetryPolicy
     from repro.cluster.faults import FaultPlan
     from repro.core.entry import make_entries
+    from repro.experiments.report import render_table
     from repro.obs import MetricsRegistry, format_counters, write_counters
     from repro.strategies.registry import create_strategy
 
@@ -329,6 +343,7 @@ def _cmd_trace_lookup(args: argparse.Namespace) -> int:
     from repro.cluster.cluster import Cluster
     from repro.cluster.client import Client
     from repro.core.entry import make_entries
+    from repro.experiments.report import render_table
     from repro.obs import Tracer, write_trace
     from repro.strategies.registry import create_strategy
 
@@ -411,6 +426,7 @@ def _cmd_trace_generate(args: argparse.Namespace) -> int:
 
 def _cmd_trace_replay(args: argparse.Namespace) -> int:
     from repro.cluster.cluster import Cluster
+    from repro.experiments.report import render_table
     from repro.io.traces import load_trace
     from repro.simulation.replay import TraceReplayer
     from repro.strategies.registry import create_strategy

@@ -2,33 +2,24 @@
 
 Each entry binds an experiment id (the paper artifact it regenerates)
 to its config class and run function, with enough metadata to build a
-command line and a report automatically.
+command line and a report automatically.  An entry names its module
+rather than importing it: the module loads the first time its config
+class or run function is used, so building the command line (and with
+it ``repro serve``) imports no experiment.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from types import ModuleType
+from typing import TYPE_CHECKING, Any, Callable, Dict, List
 
 from repro.core.exceptions import InvalidParameterError
-from repro.experiments import (
-    availability,
-    chaos_soak,
-    diverse_clients,
-    sensitivity,
-    fig4_lookup_cost,
-    fig6_coverage,
-    fig7_fault_tolerance,
-    fig9_unfairness,
-    fig12_cushion,
-    fig13_dynamic_unfairness,
-    fig14_update_overhead,
-    hotspot,
-    table1_storage,
-    table2_summary,
-)
-from repro.experiments.runner import ExperimentResult
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import ExperimentResult
 
 
 @dataclass(frozen=True)
@@ -38,12 +29,26 @@ class ExperimentSpec:
     experiment_id: str
     paper_artifact: str
     description: str
-    config_class: type
-    run: Callable[[Any], ExperimentResult]
+    #: The experiment's module, under :mod:`repro.experiments`.
+    module_name: str
+    #: Its config dataclass, an attribute of that module.
+    config_name: str
     #: Whether the first column is a numeric sweep (plottable).
     plottable: bool = True
     #: Plot failure-rate style data on a log axis.
     log_y: bool = False
+
+    @property
+    def module(self) -> ModuleType:
+        return importlib.import_module(f"repro.experiments.{self.module_name}")
+
+    @property
+    def config_class(self) -> type:
+        return getattr(self.module, self.config_name)
+
+    @property
+    def run(self) -> Callable[..., ExperimentResult]:
+        return self.module.run
 
 
 EXPERIMENTS: Dict[str, ExperimentSpec] = {
@@ -53,105 +58,105 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             "table1",
             "Table 1",
             "storage cost: closed forms vs measured placements",
-            table1_storage.Table1Config,
-            table1_storage.run,
+            "table1_storage",
+            "Table1Config",
             plottable=False,
         ),
         ExperimentSpec(
             "fig4",
             "Figure 4",
             "client lookup cost vs target answer size at a fixed budget",
-            fig4_lookup_cost.Fig4Config,
-            fig4_lookup_cost.run,
+            "fig4_lookup_cost",
+            "Fig4Config",
         ),
         ExperimentSpec(
             "fig6",
             "Figure 6",
             "maximum coverage vs total storage budget",
-            fig6_coverage.Fig6Config,
-            fig6_coverage.run,
+            "fig6_coverage",
+            "Fig6Config",
         ),
         ExperimentSpec(
             "fig7",
             "Figure 7",
             "worst-case fault tolerance vs target answer size",
-            fig7_fault_tolerance.Fig7Config,
-            fig7_fault_tolerance.run,
+            "fig7_fault_tolerance",
+            "Fig7Config",
         ),
         ExperimentSpec(
             "fig9",
             "Figure 9",
             "unfairness vs total storage (static placements)",
-            fig9_unfairness.Fig9Config,
-            fig9_unfairness.run,
+            "fig9_unfairness",
+            "Fig9Config",
         ),
         ExperimentSpec(
             "fig12",
             "Figure 12",
             "Fixed-x lookup failure time vs cushion size",
-            fig12_cushion.Fig12Config,
-            fig12_cushion.run,
+            "fig12_cushion",
+            "Fig12Config",
             log_y=True,
         ),
         ExperimentSpec(
             "fig13",
             "Figure 13",
             "RandomServer-x unfairness deterioration under churn",
-            fig13_dynamic_unfairness.Fig13Config,
-            fig13_dynamic_unfairness.run,
+            "fig13_dynamic_unfairness",
+            "Fig13Config",
         ),
         ExperimentSpec(
             "fig14",
             "Figure 14",
             "total update overhead: Fixed-x vs Hash-y",
-            fig14_update_overhead.Fig14Config,
-            fig14_update_overhead.run,
+            "fig14_update_overhead",
+            "Fig14Config",
         ),
         ExperimentSpec(
             "table2",
             "Table 2",
             "strategy/metric star summary, re-derived from measurements",
-            table2_summary.Table2Config,
-            table2_summary.run,
+            "table2_summary",
+            "Table2Config",
             plottable=False,
         ),
         ExperimentSpec(
             "hotspot",
             "Figure 1 / conclusion",
             "popular-key hot spot: partitioning vs partial lookup",
-            hotspot.HotspotConfig,
-            hotspot.run,
+            "hotspot",
+            "HotspotConfig",
             plottable=False,
         ),
         ExperimentSpec(
             "availability",
             "§4.4 companion",
             "lookup failure rate under random server crash/repair",
-            availability.AvailabilityConfig,
-            availability.run,
+            "availability",
+            "AvailabilityConfig",
         ),
         ExperimentSpec(
             "diverse",
             "§4.3 companion",
             "mixed client populations: small targets + crawlers",
-            diverse_clients.DiverseClientsConfig,
-            diverse_clients.run,
+            "diverse_clients",
+            "DiverseClientsConfig",
             plottable=False,
         ),
         ExperimentSpec(
             "sensitivity",
             "robustness check",
             "do the §4.2/§4.4 orderings hold at other cluster sizes?",
-            sensitivity.SensitivityConfig,
-            sensitivity.run,
+            "sensitivity",
+            "SensitivityConfig",
             plottable=False,
         ),
         ExperimentSpec(
             "chaos",
             "robustness gate",
             "soak all schemes under drop/duplicate/crash fault plans",
-            chaos_soak.ChaosSoakConfig,
-            chaos_soak.run,
+            "chaos_soak",
+            "ChaosSoakConfig",
             plottable=False,
         ),
     ]

@@ -67,7 +67,7 @@ from repro.cluster.messages import (
     PlaceRequest,
 )
 from repro.cluster.network import DROPPED, is_undelivered
-from repro.cluster.snapshots import apply_image, capture_image
+from repro.cluster.snapshots import capture_image
 from repro.core.entry import Entry, make_entries
 from repro.core.exceptions import InvalidParameterError
 from repro.core.storage import masks_before, update_record
@@ -435,15 +435,14 @@ class LookupService:
             if self.config.shard_count > 1
             else None
         )
-        # Crash recovery: replay the journal before any strategy is
-        # constructed, so dense interner indices, store order, strategy
-        # scratch state and the cluster RNG are all back to the crashed
-        # process's values first.
+        # Crash recovery: replay the journal into the cluster before any
+        # strategy is constructed, so dense interner indices, store
+        # order, strategy scratch state and the cluster RNG are all back
+        # to the crashed process's values first.
         image = None
         if self.journal is not None and self.journal.has_data():
-            loaded = self.journal.load()
-            if loaded.records or loaded.rng_state is not None:
-                apply_image(loaded, self.cluster)
+            loaded = self.journal.load(self.cluster)
+            if loaded.stores or loaded.rng_state is not None:
                 image = loaded
                 self.recovered = True
                 self.recovered_epoch = max(loaded.epochs.values(), default=0)
@@ -457,7 +456,7 @@ class LookupService:
             # shards nothing (their servers truthfully answer empty).
             effective = dict(params)
             recovered_key = image is not None and (
-                name in image.records or name in image.params
+                name in image.stores or name in image.params
             )
             if image is not None and name in image.params:
                 # The journaled *effective* params (e.g. Hash-y's drawn

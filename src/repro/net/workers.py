@@ -629,7 +629,7 @@ def _worker_main(
     lifeline_write: int,
     reuseport: bool,
     shared_sock: Optional[socket.socket],
-    ready_path: str,
+    ready_fd: int,
 ) -> None:
     # The child inherited the parent's signal handlers and both
     # lifeline ends across fork; reset the former, and drop the write
@@ -650,7 +650,7 @@ def _worker_main(
                 lifeline_read,
                 reuseport,
                 shared_sock,
-                ready_path,
+                ready_fd,
             )
         )
     )
@@ -666,7 +666,7 @@ async def _worker_async(
     lifeline_read: int,
     reuseport: bool,
     shared_sock: Optional[socket.socket],
-    ready_path: str,
+    ready_fd: int,
 ) -> int:
     if config.store == "log" and index != 0:
         # The writer owns the journal; readers replay it on boot (a
@@ -708,8 +708,9 @@ async def _worker_async(
             service.forwarder = forwarder
         sock = _worker_socket(host, port) if reuseport else shared_sock
         await service.start(sock=sock)
-        with open(ready_path, "w", encoding="utf-8") as handle:
-            handle.write(f"{host} {port}\n")
+        # Listening: one byte on the ready pipe tells the supervisor.
+        os.write(ready_fd, b"\n")
+        os.close(ready_fd)
         await stop.wait()
     finally:
         loop.remove_reader(lifeline_read)
@@ -752,6 +753,9 @@ class _Supervisor:
         self.bus_path = os.path.join(self.tmpdir, "writer.sock")
         self.reuseport = reuseport_available()
         self.procs: Dict[int, Any] = {}
+        #: Per worker spawned and not yet waited for, the read end of
+        #: its ready pipe (see :meth:`spawn`).
+        self._ready: Dict[int, int] = {}
         self.respawns: Dict[int, int] = {}
         self._stop = False
         self._placeholder: Optional[socket.socket] = None
@@ -784,13 +788,15 @@ class _Supervisor:
 
     # -- process management --------------------------------------------------
 
-    def _ready_path(self, index: int) -> str:
-        return os.path.join(self.tmpdir, f"worker-{index}.ready")
-
     def spawn(self, index: int) -> None:
-        ready = self._ready_path(index)
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(ready)
+        """Fork worker ``index`` with the write end of a fresh ready pipe.
+
+        The worker writes one byte to it once it listens.  The parent
+        closes its copy of the write end as soon as the fork is done,
+        before any other fork, so the worker holds the only one: the
+        read end reports EOF if the worker exits without reporting.
+        """
+        ready_r, ready_w = os.pipe()
         process = self.ctx.Process(
             target=_worker_main,
             args=(
@@ -804,25 +810,33 @@ class _Supervisor:
                 self._lifeline_w,
                 self.reuseport,
                 self._shared,
-                ready,
+                ready_w,
             ),
             name=f"repro-worker-{index}",
         )
-        process.start()
+        self._ready[index] = ready_r
+        try:
+            process.start()
+        finally:
+            os.close(ready_w)
         self.procs[index] = process
 
     def wait_ready(self, index: int, timeout: float = 30.0) -> None:
-        ready = self._ready_path(index)
+        """Block until worker ``index`` reports ready; raise as soon as
+        it exits instead, or once ``timeout`` seconds pass."""
+        ready = self._ready.pop(index)
         process = self.procs[index]
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if process.exitcode is not None:
-                raise RuntimeError(
-                    f"worker {index} exited {process.exitcode} at boot"
-                )
-            if os.path.exists(ready) and os.path.getsize(ready) > 0:
+        try:
+            fired = multiprocessing.connection.wait([ready, process.sentinel], timeout)
+            if ready in fired and os.read(ready, 1):
                 return
-            time.sleep(0.05)
+        finally:
+            os.close(ready)
+        # EOF or the sentinel: the worker is exiting, if not yet gone.
+        process.join(max(0.0, deadline - time.monotonic()))
+        if process.exitcode is not None:
+            raise RuntimeError(f"worker {index} exited {process.exitcode} at boot")
         raise RuntimeError(f"worker {index} never became ready")
 
     def write_manifests(self) -> None:
@@ -919,6 +933,8 @@ class _Supervisor:
             if process.exitcode is None:
                 process.kill()
                 process.join()
+        for ready in self._ready.values():
+            os.close(ready)
         with contextlib.suppress(OSError):
             os.close(self._lifeline_w)
         with contextlib.suppress(OSError):

@@ -7,11 +7,14 @@ the journal write returns): its update record (see
 :func:`~repro.core.storage.update_record`) — the very dict the worker
 fleet's writer ships to its readers as the delta — then the strategy
 state and RNG position it advanced to.  On cold start the
-journal replays snapshot + surviving log files into a
-:class:`RecoveredImage` — a :class:`~repro.cluster.snapshots.ClusterImage`
-— which callers apply back onto a fresh cluster, rebuilding dense
-interner index assignments and coverage bitmasks, and with them the
-index-ordered entry lists, bit-identically to a never-crashed process.
+journal replays snapshot + surviving log files straight into a fresh
+cluster's stores (:meth:`AppendLogJournal.load` with the cluster), each
+record applied once, rebuilding dense interner index assignments and
+coverage bitmasks, and with them the index-ordered entry lists,
+bit-identically to a never-crashed process.  The
+:class:`RecoveredImage` it returns — a
+:class:`~repro.cluster.snapshots.ClusterImage` — carries the rest; with
+no cluster given, its records describe the recovered stores too.
 
 Durability model
 ----------------
@@ -95,7 +98,8 @@ from typing import Any, Dict, List, Optional, Union
 from repro.core.entry import Entry
 from repro.core.exceptions import ReproError
 from repro.core.interning import EntryInterner
-from repro.core.storage import MemoryBackend, apply_record
+from repro.core.storage import MemoryBackend, StorageBackend, apply_record
+from repro.cluster.cluster import Cluster
 from repro.cluster.snapshots import (
     _TRANSIENT_STATE_KEYS,
     ClusterImage,
@@ -103,6 +107,7 @@ from repro.cluster.snapshots import (
     _pack_rng,
     _persistable_state,
     _unpack_rng,
+    apply_scratch,
     indexed_stores,
     store_records,
 )
@@ -217,20 +222,35 @@ def _apply_patch(state: Dict[str, Any], patch: Dict[str, Any]) -> None:
 @dataclass
 class RecoveredImage(ClusterImage):
     """A cluster image replayed from a journal into ``stores``: per key,
-    a :class:`~repro.core.storage.MemoryBackend` per server a record
+    the stores by server id — ``cluster``'s own when the replay has one,
+    else a :class:`~repro.core.storage.MemoryBackend` per server a record
     names, over one interner.  A ``delta`` record is applied to them as a
     reader applies it, the earlier per-entry records by the store's own
     ``add``/``discard``/``clear``.  Once the replay ends,
-    :meth:`AppendLogJournal.load` sets ``records`` from them and lets
-    them go, before the caller rebuilds a cluster from the records."""
+    :meth:`AppendLogJournal.load` sets ``records`` from the stores, or,
+    with a cluster, leaves them empty: the cluster's stores are the
+    recovered ones."""
 
-    stores: Dict[str, List[MemoryBackend]] = field(default_factory=dict)
+    stores: Dict[str, List[StorageBackend]] = field(default_factory=dict)
+    #: The cluster the replay lands in; None replays into stores of its own.
+    cluster: Optional[Cluster] = None
 
-    def _stores(self, key: str, server_ids: Any = ()) -> List[MemoryBackend]:
-        """``key``'s stores, grown to hold every id in ``server_ids``."""
-        stores = self.stores.setdefault(key, [])
-        interner = stores[0].interner if stores else EntryInterner()
+    def _stores(self, key: str, server_ids: Any = ()) -> List[StorageBackend]:
+        """``key``'s stores, holding every id in ``server_ids``."""
+        stores = self.stores.get(key)
         needed = max(map(int, server_ids), default=0) + 1
+        if self.cluster is not None:
+            if stores is None:
+                stores = self.stores[key] = self.cluster.stores(key)
+            if needed > len(stores):
+                raise RecoveryError(
+                    f"the journal names server {needed - 1} for {key!r}; "
+                    f"the cluster has {len(stores)} servers"
+                )
+            return stores
+        if stores is None:
+            stores = self.stores[key] = []
+        interner = stores[0].interner if stores else EntryInterner()
         stores.extend(MemoryBackend(interner=interner) for _ in range(len(stores), needed))
         return stores
 
@@ -276,17 +296,15 @@ class RecoveredImage(ClusterImage):
         else:
             raise RecoveryError(f"unknown journal record op {op!r}")
 
-    @classmethod
-    def from_snapshot(
-        cls, image: Dict[str, Any], schema: int = SNAPSHOT_SCHEMA
-    ) -> "RecoveredImage":
-        """A replay that starts from a snapshot's ``image`` object."""
+    def start_from(self, image: Dict[str, Any], schema: int = SNAPSHOT_SCHEMA) -> None:
+        """Start the replay from a snapshot's ``image`` object."""
         if schema < 3:
             image = dict(image, stores=indexed_stores(image))
-        out = cls(**vars(ClusterImage.from_json(image)))
-        for record in out.records.values():
-            out.apply(record)
-        return out
+        start = ClusterImage.from_json(image)
+        self.states, self.rng_state = start.states, start.rng_state
+        self.epochs, self.params = start.epochs, start.params
+        for record in start.records.values():
+            self.apply(record)
 
 
 class AppendLogJournal:
@@ -478,13 +496,19 @@ class AppendLogJournal:
 
     # -- reading -------------------------------------------------------------
 
-    def load(self) -> RecoveredImage:
+    def load(self, cluster: Optional[Cluster] = None) -> RecoveredImage:
         """Replay snapshot + surviving logs into a recovered image.
+
+        Given ``cluster`` (a fresh one: a recovery boot's), the replay
+        lands in it: each store record is applied once, to the cluster's
+        own stores, and the scratch states and RNG are set at the end;
+        the image's ``records`` stay empty.  Without one, they describe
+        the recovered stores.
 
         Also positions the journal's write serial after the newest log
         file, so subsequent appends continue the surviving history.
         """
-        image = RecoveredImage()
+        image = RecoveredImage(cluster=cluster)
         snapshot_serial = 0
         if self.snapshot_path.exists():
             snapshot = json.loads(self.snapshot_path.read_text())
@@ -496,15 +520,17 @@ class AppendLogJournal:
             snapshot_serial = snapshot.get("serial", 0)
             self.compactions = snapshot.get("compactions", 0)
             self.last_compaction_epoch = snapshot.get("last_compaction_epoch", 0)
-            image = RecoveredImage.from_snapshot(snapshot["image"], snapshot["schema"])
+            image.start_from(snapshot["image"], snapshot["schema"])
         records = 0
         serials = [s for s in self._log_serials() if s >= snapshot_serial]
         for serial in serials:
             records += self._replay_file(self._log_path(serial), image)
         self._serial = max([snapshot_serial, 1] + serials)
         self.log_records = records
-        image.records = store_records(image.stores)
-        image.stores.clear()
+        if cluster is None:
+            image.records = store_records(image.stores)
+        else:
+            apply_scratch(image, cluster)
         # Seed the dedupe so the first post-recovery state/rng record is
         # only written if it actually differs.  Copies, not the image's
         # own dicts, which are the caller's.

@@ -44,7 +44,9 @@ from repro.net.workers import (
     apply_delta,
     compute_apply_delta,
     load_snapshot,
+    _Supervisor,
     reuseport_available,
+    run_worker_fleet,
     snapshot_stores,
     wire_envelope,
 )
@@ -1084,3 +1086,54 @@ class TestWarmRespawn:
                 proc.send_signal(signal.SIGTERM)
                 out, _ = proc.communicate(timeout=30)
             assert "Traceback" not in out, out
+
+
+# --------------------------------------------------------------------------
+# Fleet boot: readiness is an event, and so is dying in boot
+# --------------------------------------------------------------------------
+
+
+def _log_config(data_dir):
+    return ServiceConfig(server_count=4, entry_count=6, store="log", data_dir=str(data_dir))
+
+
+class TestFleetBoot:
+    """The supervisor waits on a worker's ready pipe and its process
+    sentinel together, so a worker that exits in boot fails the boot as
+    it exits, at first boot and on a respawn alike."""
+
+    def test_a_writer_that_cannot_recover_fails_the_boot_at_once(self, tmp_path, capfd):
+        data = tmp_path / "data"
+        data.mkdir()
+        # A damaged line before the last one: recovery refuses to boot.
+        (data / "journal.000001.log").write_text("not json\n[]\n")
+        started = time.monotonic()
+        assert run_worker_fleet(_log_config(data), workers=2) == 1
+        assert time.monotonic() - started < 15  # the boot bound is 30 s
+        err = capfd.readouterr().err
+        assert "RecoveryError" in err
+        assert "worker fleet failed to boot: worker 0 exited 1 at boot" in err
+
+    def test_a_respawned_reader_that_dies_in_boot_fails_the_fleet_at_once(
+        self, tmp_path
+    ):
+        data = tmp_path / "data"
+        supervisor = _Supervisor(
+            _log_config(data), host="127.0.0.1", port=0, workers=2, ready_file=None
+        )
+        try:
+            supervisor.start_fleet()
+            first = supervisor.procs[1].pid
+            # Damage the journal under the running fleet: the next
+            # reader to boot cannot recover from it.
+            (log,) = data.glob("journal.*.log")
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write("not json\n[]\n")
+            os.kill(first, signal.SIGKILL)
+            started = time.monotonic()
+            assert supervisor.supervise() == 1
+            assert time.monotonic() - started < 15
+            assert supervisor.procs[1].pid != first
+            assert supervisor.procs[1].exitcode == 1
+        finally:
+            supervisor.shutdown()

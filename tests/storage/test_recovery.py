@@ -11,11 +11,14 @@ import struct
 
 import pytest
 
+from repro.cluster import snapshots
 from repro.cluster.faults import FaultPlan
 from repro.cluster.messages import AddRequest, DeleteRequest, LookupRequest
+from repro.cluster.snapshots import ClusterImage
+from repro.core import storage
 from repro.core.entry import Entry
 from repro.core.exceptions import InvalidParameterError
-from repro.core.storage import MemoryBackend
+from repro.core.storage import MemoryBackend, apply_record
 from repro.net.codec import encode_message
 from repro.net.service import DEFAULT_SCHEMES, LookupService, ServiceConfig
 from repro.net.workers import compute_apply_delta
@@ -152,6 +155,70 @@ class TestCrashRecovery:
         reborn.journal.close()
         epochs = AppendLogJournal(str(tmp_path), read_only=True).load().epochs
         assert epochs["full_replication"] == 7 and epochs["hash"] == 4
+
+
+def _tail_sequence():
+    """After a compaction: riders added, swapped and dropped, deletes."""
+    for key in sorted(DEFAULT_SCHEMES):
+        yield _send(key, AddRequest(entry=Entry("w3", {"port": 3})), server=6)
+        yield _send(key, DeleteRequest(entry=Entry("v5")), server=1)
+        yield _send(key, AddRequest(entry=Entry("w2", {"port": 8})), server=2)
+        yield _send(key, DeleteRequest(entry=Entry("w3")), server=7)
+
+
+class TestRecoveryAppliesEachRecordOnce:
+    def test_a_recovery_boot_applies_the_snapshot_and_each_delta_once(
+        self, tmp_path, monkeypatch
+    ):
+        crashed = LookupService(_config(tmp_path))
+        for envelope in _write_sequence():
+            crashed.handle_envelope(envelope)
+        crashed.compact_journal()
+        for envelope in _tail_sequence():
+            crashed.handle_envelope(envelope)
+        crashed.journal.close()
+
+        # What the data dir holds: each scheme's record from the
+        # snapshot, then the log tail's update records, in order.
+        snapshot = json.loads((tmp_path / "snapshot.json").read_text())
+        expected = list(ClusterImage.from_json(snapshot["image"]).records.values())
+        assert sorted(record["key"] for record in expected) == sorted(DEFAULT_SCHEMES)
+        (log,) = tmp_path.glob("journal.*.log")
+        tail = [r for line in _lines(log) for r in json.loads(line) if r["op"] == "delta"]
+        assert len(tail) >= len(DEFAULT_SCHEMES)
+        expected += tail
+
+        applied = []
+
+        def counting(stores, record, replace=False):
+            applied.append(record)
+            return apply_record(stores, record, replace)
+
+        for module in (storage, snapshots, appendlog):
+            monkeypatch.setattr(module, "apply_record", counting)
+        reborn = LookupService(_config(tmp_path))
+        assert reborn.recovered
+        assert applied == expected
+
+        assert _fingerprint(reborn) == _fingerprint(crashed)
+        for key in crashed.strategies:
+            assert _masks(reborn, key) == _masks(crashed, key)
+            for sid in range(crashed.cluster.size):
+                held = [
+                    (e.entry_id, e.payload)
+                    for e in crashed.cluster.server(sid).store(key)
+                ]
+                assert [
+                    (e.entry_id, e.payload)
+                    for e in reborn.cluster.server(sid).store(key)
+                ] == held
+
+    def test_a_journal_naming_more_servers_than_the_cluster_refuses_to_boot(
+        self, tmp_path
+    ):
+        LookupService(_config(tmp_path)).journal.close()
+        with pytest.raises(appendlog.RecoveryError, match="the cluster has 4 servers"):
+            LookupService(_config(tmp_path, server_count=4))
 
 
 class TestCompactionAndObservability:
