@@ -13,7 +13,7 @@ import pytest
 
 from repro.cluster import snapshots
 from repro.cluster.faults import FaultPlan
-from repro.cluster.messages import AddRequest, DeleteRequest, LookupRequest
+from repro.cluster.messages import AddRequest, DeleteRequest, LookupRequest, PlaceRequest
 from repro.cluster.snapshots import ClusterImage
 from repro.core import storage
 from repro.core.entry import Entry
@@ -310,15 +310,23 @@ def _fingerprint(service):
     }
 
 
-def _write_sequence():
-    """A fixed add/delete sequence over all five schemes, no-ops included."""
-    for key in sorted(DEFAULT_SCHEMES):
+#: A bulk placement's batch: a held entry, a rider and a fresh id.
+_PLACED = (Entry("v3"), Entry("p1", {"port": 5}), Entry("w9"))
+
+
+def _write_sequence(keys=sorted(DEFAULT_SCHEMES)):
+    """A fixed add/delete/place sequence over ``keys``, no-ops included.
+
+    The place reaches every state write a scheme has: Round-Robin's
+    ``SetCounters`` and ``positions``, RandomServer-x's ``h``."""
+    for key in keys:
         yield _send(key, AddRequest(entry=Entry("w1")), server=1)
         yield _send(key, AddRequest(entry=Entry("w2", {"port": 7})), server=5)
         yield _send(key, DeleteRequest(entry=Entry("v2")), server=2)
         yield _send(key, AddRequest(entry=Entry("v3")), server=0)  # present
         yield _send(key, DeleteRequest(entry=Entry("w1")), server=3)
         yield _send(key, DeleteRequest(entry=Entry("nobody")), server=4)
+        yield _send(key, PlaceRequest(entries=_PLACED), server=6)
 
 
 def _dumps(value, **kwargs):
@@ -439,41 +447,51 @@ def _expected_line(store, rest):
     return _dumps(store + rest)
 
 
+def _every_line_matches_the_oracle(tmp_path, **overrides):
+    log = tmp_path / "journal.000001.log"
+    oracle = _DedupeOracle()
+    service = LookupService(_config(tmp_path, **overrides))
+    params = {name: s.params() for name, s in service.strategies.items()}
+    (boot_line,) = _lines(log)  # the boot is one barrier
+    store, _ = _split_store_prefix(boot_line)
+    assert boot_line == _expected_line(
+        store,
+        oracle.params(params)
+        + oracle.sync_records(service, lambda server: server.keys()),
+    )
+
+    seen, records = 1, len(json.loads(boot_line))
+    counts = {"state": 0, "patch": 0, "rng": 0}
+    for envelope in _write_sequence():
+        assert service.handle_envelope(envelope)["ok"]
+        lines = _lines(log)
+        fresh, seen = lines[seen:], len(lines)
+        assert len(fresh) <= 1  # a write is one barrier, so one line
+        key = envelope["key"]
+        expected = oracle.sync_records(service, lambda server: [key])
+        if not fresh:
+            assert expected == []
+            continue
+        store, rest = _split_store_prefix(fresh[0])
+        assert fresh[0] == _expected_line(store, expected)
+        records += len(store) + len(rest)
+        for record in rest:
+            counts[record["op"]] += 1
+    # the sequence exercised both outcomes of both dedupes, and the
+    # state slots were patched, not rewritten
+    assert counts["state"] == 0 and 0 < counts["patch"] and 0 < counts["rng"] < 30
+    assert records == service.journal.log_records
+
+
 class TestJournalBytes:
     def test_every_line_matches_the_sorted_json_oracle(self, tmp_path):
-        log = tmp_path / "journal.000001.log"
-        oracle = _DedupeOracle()
-        service = LookupService(_config(tmp_path))
-        params = {name: s.params() for name, s in service.strategies.items()}
-        (boot_line,) = _lines(log)  # the boot is one barrier
-        store, _ = _split_store_prefix(boot_line)
-        assert boot_line == _expected_line(
-            store,
-            oracle.params(params)
-            + oracle.sync_records(service, lambda server: server.keys()),
-        )
+        _every_line_matches_the_oracle(tmp_path)
 
-        seen, records = 1, len(json.loads(boot_line))
-        counts = {"state": 0, "patch": 0, "rng": 0}
-        for envelope in _write_sequence():
-            assert service.handle_envelope(envelope)["ok"]
-            lines = _lines(log)
-            fresh, seen = lines[seen:], len(lines)
-            assert len(fresh) <= 1  # a write is one barrier, so one line
-            key = envelope["key"]
-            expected = oracle.sync_records(service, lambda server: [key])
-            if not fresh:
-                assert expected == []
-                continue
-            store, rest = _split_store_prefix(fresh[0])
-            assert fresh[0] == _expected_line(store, expected)
-            records += len(store) + len(rest)
-            for record in rest:
-                counts[record["op"]] += 1
-        # the sequence exercised both outcomes of both dedupes, and the
-        # state slots were patched, not rewritten
-        assert counts["state"] == 0 and 0 < counts["patch"] and 0 < counts["rng"] < 30
-        assert records == service.journal.log_records
+    def test_replicated_counters_match_the_oracle_too(self, tmp_path):
+        # ``_sync_counters``/``_mirror_counters`` rewrite values they
+        # leave unchanged: no record may come of that.
+        schemes = dict(DEFAULT_SCHEMES, round_robin={"y": 2, "counter_replicas": 2})
+        _every_line_matches_the_oracle(tmp_path, schemes=schemes)
 
 
 class TestWriteBarriers:
