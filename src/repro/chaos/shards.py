@@ -26,8 +26,10 @@ the usual ephemeral-port race, acceptable for a test harness.
 from __future__ import annotations
 
 import asyncio
+import glob
 import os
 import random
+import shutil
 import signal
 import socket
 import subprocess
@@ -854,6 +856,11 @@ async def run_fleet_restart_scenario(
             os.kill(pid, signal.SIGKILL)
     process.wait()
     report["killed"] = {"parent": process.pid, "workers": dict(worker_pids)}
+    # The writer removes the fleet's bus directory when it outlives its
+    # supervisor; killed with it, nothing can, so do what a reboot would.
+    stale = os.path.join(tempfile.gettempdir(), f"repro-workers-{process.pid}-*")
+    for path in glob.glob(stale):
+        shutil.rmtree(path, ignore_errors=True)
 
     # Phase 5: restart on the same data directory and verify recovery.
     fleet.restart(name)

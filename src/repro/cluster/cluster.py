@@ -16,10 +16,10 @@ from repro.core.entry import Entry
 from repro.core.exceptions import InvalidParameterError, NoOperationalServerError
 from repro.core.interning import EntryInterner
 from repro.cluster.network import Network
-from repro.cluster.server import Server, StoreFactory
+from repro.cluster.server import Server, StateLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.storage import StorageBackend
+    from repro.core.storage import MemoryBackend
     from repro.obs.tracer import Tracer
 
 
@@ -37,28 +37,20 @@ class Cluster:
         Seed for the cluster-wide RNG.  All randomness in strategies,
         clients, and server logics draws from this generator, so a
         seeded cluster replays identically.
-    store_factory:
-        Optional storage-backend factory (see
-        :data:`repro.cluster.server.StoreFactory`) passed to every
-        server; ``None`` keeps the in-memory default.
     """
 
-    def __init__(
-        self,
-        size: int,
-        seed: Optional[int] = None,
-        store_factory: Optional[StoreFactory] = None,
-    ) -> None:
+    def __init__(self, size: int, seed: Optional[int] = None) -> None:
         if size < 1:
             raise InvalidParameterError(f"cluster size must be >= 1, got {size}")
         # One interner per key, shared by every server, so a key's
         # entries live in a single dense index space cluster-wide and
         # store bitmasks are directly comparable (the bitset kernel).
         self._interners: Dict[str, EntryInterner] = {}
-        self._servers = [
-            Server(i, interners=self._interners, store_factory=store_factory)
-            for i in range(size)
-        ]
+        self._servers = [Server(i, interners=self._interners) for i in range(size)]
+        #: The servers' one :class:`~repro.cluster.server.StateLog`.
+        self.state_log = StateLog()
+        for server in self._servers:
+            server.state_log = self.state_log
         self.network = Network(self._servers)
         self.rng = random.Random(seed)
 
@@ -142,7 +134,7 @@ class Cluster:
         """
         return sum(s.stored_entry_count(key) for s in self._servers)
 
-    def stores(self, key: str) -> List["StorageBackend"]:
+    def stores(self, key: str) -> List["MemoryBackend"]:
         """Every server's store for ``key``, indexed by server id."""
         return [s.store(key) for s in self._servers]
 

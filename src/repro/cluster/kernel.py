@@ -167,7 +167,7 @@ class KernelPlan:
     """Everything the kernel needs, pre-resolved from a strategy."""
 
     rng: random.Random
-    #: Per-server dense-index lists (the live ``EntryStore`` internals;
+    #: Per-server dense-index lists (the live ``MemoryBackend`` internals;
     #: lookups never mutate stores, so sharing is safe).
     stores: List[List[int]]
     alive: List[bool]

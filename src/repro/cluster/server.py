@@ -20,10 +20,10 @@ same :class:`~repro.protocol.server.ServerProtocol` instances instead.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.interning import EntryInterner
-from repro.core.storage import EntryStore, MemoryBackend, StorageBackend
+from repro.core.storage import MemoryBackend
 from repro.cluster.messages import Message
 from repro.protocol.server import ServerProtocol
 
@@ -31,9 +31,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.cluster.network import Network
     from repro.obs.tracer import Tracer
 
-#: Builds the storage backend for one ``(key, server_id, interner)``
-#: triple.  ``None`` means the default: a plain :class:`MemoryBackend`.
-StoreFactory = Callable[[str, int, EntryInterner], StorageBackend]
+class StateLog:
+    """What one open write set in its servers' scratch states.
+
+    A cluster's servers share one.  ``before`` is None while no write is
+    open, and :meth:`Server.set_state` then logs nothing.  While one is
+    (a durable service opens it around each client update), it maps
+    ``(key, server_id)`` to the value each state slot held before the
+    write first set it — a top-level ``name``, or ``(name, item)`` one
+    level down — with None standing for absent.
+    """
+
+    __slots__ = ("before",)
+
+    def __init__(self) -> None:
+        self.before: Optional[dict[tuple[str, int], dict[Any, Any]]] = None
+
+    def open(self) -> None:
+        self.before = {}
+
+    def close(self) -> dict[tuple[str, int], dict[Any, Any]]:
+        """End the write; returns what it logged."""
+        before, self.before = self.before, None
+        return before or {}
 
 
 class ServerLogic(ABC):
@@ -70,7 +90,6 @@ class Server:
         self,
         server_id: int,
         interners: Optional[dict[str, EntryInterner]] = None,
-        store_factory: Optional[StoreFactory] = None,
     ) -> None:
         self.server_id = server_id
         self.alive = True
@@ -81,11 +100,11 @@ class Server:
         self._interners: dict[str, EntryInterner] = (
             interners if interners is not None else {}
         )
-        #: Builds a backend per key on first access; ``None`` keeps the
-        #: historical default of an in-memory :class:`EntryStore`.
-        self._store_factory: Optional[StoreFactory] = store_factory
-        self._stores: dict[str, StorageBackend] = {}
+        self._stores: dict[str, MemoryBackend] = {}
         self._state: dict[str, dict[str, Any]] = {}
+        #: Where :meth:`set_state` logs an open write's state writes; a
+        #: cluster hands all its servers one.
+        self.state_log = StateLog()
         self._logics: dict[str, ServerLogic] = {}
         #: The sans-IO request core: delivery dedupe + logic dispatch.
         #: Transports (simulated network, asyncio service) drive this.
@@ -98,18 +117,12 @@ class Server:
 
     # -- store access ------------------------------------------------------
 
-    def store(self, key: str) -> StorageBackend:
+    def store(self, key: str) -> MemoryBackend:
         """The local entry store for ``key``, created on first access."""
         if key not in self._stores:
             if key not in self._interners:
                 self._interners[key] = EntryInterner()
-            interner = self._interners[key]
-            if self._store_factory is not None:
-                self._stores[key] = self._store_factory(
-                    key, self.server_id, interner
-                )
-            else:
-                self._stores[key] = EntryStore(interner=interner)
+            self._stores[key] = MemoryBackend(interner=self._interners[key])
         return self._stores[key]
 
     def state(self, key: str) -> dict[str, Any]:
@@ -117,6 +130,31 @@ class Server:
         if key not in self._state:
             self._state[key] = {}
         return self._state[key]
+
+    def set_state(self, key: str, name: str, value: Any, item: Any = None) -> None:
+        """Set ``state(key)[name]`` to ``value`` — or, given ``item``,
+        ``state(key)[name][item]`` — where ``value`` None deletes it.
+
+        The state a strategy needs to survive a crash is written through
+        here: while a write is open on :attr:`state_log`, the slot's
+        value from before the write first set it is logged, and the
+        journal builds the write's ``patch`` from that log alone.  A
+        dict-valued name is set once, while absent, and after that
+        changed item by item.
+        """
+        state = self.state(key)
+        target = state if item is None else state[name]
+        slot = name if item is None else item
+        before = self.state_log.before
+        if before is not None:
+            changes = before.setdefault((key, self.server_id), {})
+            mark = name if item is None else (name, item)
+            if mark not in changes:
+                changes[mark] = target.get(slot)
+        if value is None:
+            target.pop(slot, None)
+        else:
+            target[slot] = value
 
     def stored_entry_count(self, key: str) -> int:
         return len(self._stores.get(key, ()))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from repro.core.exceptions import InvalidParameterError
-from repro.core.storage import StorageBackend, apply_record, update_record
+from repro.core.storage import MemoryBackend, apply_record, update_record
 from repro.cluster.cluster import Cluster
 
 PathLike = Union[str, pathlib.Path]
@@ -96,7 +96,7 @@ def _unpack_rng(state: Any) -> tuple:
     return (state[0], tuple(words), state[2])
 
 
-def store_records(stores: Mapping[str, Sequence[StorageBackend]]) -> Dict[str, dict]:
+def store_records(stores: Mapping[str, Sequence[MemoryBackend]]) -> Dict[str, dict]:
     """Per key, the update record of everything its ``stores`` (listed
     by server id) hold: what applying it with ``replace`` rebuilds."""
     return {

@@ -1,176 +1,49 @@
-"""The storage backend interface and the default in-memory backend.
+"""The per-(key, server) entry store, and the update record.
 
-Every simulated server keeps one local entry store per key.  The store
-used to be a single concrete class (``EntryStore`` in
-:mod:`repro.cluster.server`); it is now a *backend* behind the
-:class:`StorageBackend` interface so a deployment can choose where the
-entries live:
+Every simulated server keeps one local entry store per key: a
+:class:`MemoryBackend`, the bitset-backed in-memory store.  What a
+write did to a key's stores is one *update record*
+(:func:`update_record`), the diff of every server's mask around the
+write, by dense index.  The append-log journal
+(:mod:`repro.storage.appendlog`) appends it, the worker fleet's writer
+ships it to the readers as their delta, and a reader applies it with
+:func:`apply_record`.
 
-- :class:`MemoryBackend` — the original bitset-backed in-memory store,
-  the only one today.  ``EntryStore`` remains as an alias so existing
-  imports and type references keep working.
+Three properties are load-bearing:
 
-Durability does not need a backend of its own: what a write did to a
-key's stores is one *update record* (:func:`update_record`), the diff
-of every server's mask around the write, by dense index.  The
-append-log journal (:mod:`repro.storage.appendlog`) appends it, the
-worker fleet's writer ships it to the readers as their delta, and a
-reader applies it with :func:`apply_record`.
-
-The interface is exactly the store surface the rest of the codebase
-already depends on, made explicit.  Three layers are load-bearing and
-pin the contract:
-
-- **Seeded RNG sampling order** — :meth:`StorageBackend.sample` and
-  :meth:`StorageBackend.pop_random` draw from the entry list, which is
+- **Seeded RNG sampling order** — :meth:`MemoryBackend.sample` and
+  :meth:`MemoryBackend.pop_random` draw from the entry list, which is
   in ascending dense index: the order is a function of the store's
   *set* of entries, never of the order they arrived in, so seeded runs
-  replay identically whichever backend holds the entries and however
-  the same set was built.
-- **The bitset kernel** — :meth:`StorageBackend.mask` and the parallel
-  dense-index list must stay consistent with the shared per-key
+  replay identically however the same set was built.
+- **The bitset kernel** — :attr:`MemoryBackend.mask` and the parallel
+  dense-index list stay consistent with the shared per-key
   :class:`~repro.core.interning.EntryInterner`; coverage questions
   reduce to ``int.__or__`` + ``bit_count()``.
 - **Update records** — a record is a bitmask diff, so two stores over
   equal interners that report equal masks hold equal lists: a reader
-  that applied the writer's records answers with the writer's bytes.
-  A record names the index of every entry it interns, and the side
-  applying it checks that its interner agrees.
-
-Backends are constructed per ``(key, server)`` by a *store factory*
-(see :data:`StoreFactory`) threaded through
-:class:`~repro.cluster.cluster.Cluster` and
-:class:`~repro.cluster.server.Server`; the default factory is plain
-:class:`MemoryBackend`.
+  that applied the writer's records, or a store recovered from the
+  journal, answers with the writer's bytes.  A record names the index
+  of every entry it interns, and the side applying it checks that its
+  interner agrees.
 """
 
 from __future__ import annotations
 
 import random
-from abc import ABC, abstractmethod
 from bisect import bisect_left
 from itertools import starmap
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.entry import Entry
 from repro.core.interning import EntryInterner, iter_mask_indices
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    StoreFactory = Callable[[str, int, EntryInterner], "StorageBackend"]
-
-
-class StorageBackend(ABC):
-    """The per-(key, server) entry store contract.
-
-    A set of entries with O(1) membership, dense interned indices, and
-    a bitmask mirror, iterated in ascending dense index.
-    Implementations must keep three views in lock-step after every
-    mutation:
-
-    - the entry list (``as_list``/``__iter__``), in ascending dense
-      index whatever order the entries were added in,
-    - the parallel dense-index list (``indices()``), strictly
-      increasing,
-    - the bitmask over the interner's index space (``mask``).
-
-    Recovery invariant (what "bit-identical" means for a durable
-    backend): equal masks over equal interners.  The other two views
-    follow from the mask, so sampling the recovered store with an
-    equal RNG state yields the never-crashed store's answer bytes.
-    """
-
-    __slots__ = ()
-
-    @property
-    @abstractmethod
-    def mask(self) -> int:
-        """Bitmask over the interner's dense index space."""
-
-    @property
-    @abstractmethod
-    def interner(self) -> EntryInterner:
-        """The shared per-key interner this store's indices live in."""
-
-    @abstractmethod
-    def indices(self) -> list[int]:
-        """Dense indices of the held entries, ascending."""
-
-    @abstractmethod
-    def fragments(self, encode: Callable[[str], Any]) -> Optional[list]:
-        """``encode(entry_id)`` per held entry, in store order.
-
-        Read from the interner's memo table for ``encode`` (see
-        :meth:`~repro.core.interning.EntryInterner.fragments`), so
-        serialising a store is one C-level ``map`` over ``indices()``.
-        ``None`` when the store holds a *rider* — an entry that is not
-        an exact-type, payload-free :class:`Entry`, whose encoding an
-        id alone cannot give; the caller then walks ``as_list()``.
-        """
-
-    @abstractmethod
-    def membership(self, mask: Optional[int] = None) -> list:
-        """The held indices — all, or those of ``mask`` — ascending, as
-        an update record lists them: a held entry that carries a payload
-        as ``[index, payload]``.  ``mask`` may name held indices only."""
-
-    @abstractmethod
-    def take_touched(self) -> int:
-        """The indices a rider was added at or removed from since the
-        last call, as a mask; the tally then starts over.  A write that
-        drops a rider and adds its id back leaves the mask as it was,
-        so this is how its update record learns of the swap."""
-
-    @abstractmethod
-    def add(self, entry: Entry) -> bool:
-        """Insert ``entry``; return True if it was not already present."""
-
-    @abstractmethod
-    def add_at(self, index: int, entry: Entry) -> bool:
-        """:meth:`add` for an ``entry`` the interner holds at ``index``."""
-
-    @abstractmethod
-    def discard(self, entry: Entry) -> bool:
-        """Remove ``entry`` if present; return True if it was removed."""
-
-    @abstractmethod
-    def discard_at(self, index: int) -> bool:
-        """:meth:`discard` of the entry at dense ``index``."""
-
-    @abstractmethod
-    def sample(self, count: int, rng: random.Random) -> list[Entry]:
-        """``min(count, len(self))`` uniform samples; ``<= 0`` = all."""
-
-    @abstractmethod
-    def pop_random(self, rng: random.Random) -> Entry:
-        """Remove and return one uniformly random entry."""
-
-    @abstractmethod
-    def clear(self) -> None:
-        """Drop every entry."""
-
-    @abstractmethod
-    def __contains__(self, entry: Entry) -> bool: ...
-
-    @abstractmethod
-    def __len__(self) -> int: ...
-
-    @abstractmethod
-    def __iter__(self) -> Iterator[Entry]: ...
-
-    @abstractmethod
-    def as_list(self) -> list[Entry]:
-        """The held entries in ascending dense index."""
-
-    @abstractmethod
-    def as_set(self) -> set[Entry]: ...
-
 
 def _is_rider(entry: Entry) -> bool:
     """Whether serialising ``entry`` takes more than its id."""
     return entry.__class__ is not Entry or entry.payload is not None
 
 
-class MemoryBackend(StorageBackend):
+class MemoryBackend:
     """A set of entries with O(1) membership, iterated in index order.
 
     Servers need three things from their local store: membership tests
@@ -220,6 +93,7 @@ class MemoryBackend(StorageBackend):
 
     @property
     def interner(self) -> EntryInterner:
+        """The shared per-key interner this store's indices live in."""
         return self._interner
 
     def indices(self) -> list[int]:
@@ -232,6 +106,15 @@ class MemoryBackend(StorageBackend):
         return self._riders
 
     def fragments(self, encode: Callable[[str], Any]) -> Optional[list]:
+        """``encode(entry_id)`` per held entry, in store order.
+
+        Read from the interner's memo table for ``encode`` (see
+        :meth:`~repro.core.interning.EntryInterner.fragments`), so
+        serialising a store is one C-level ``map`` over ``indices()``.
+        ``None`` when the store holds a *rider* — an entry that is not
+        an exact-type, payload-free :class:`Entry`, whose encoding an
+        id alone cannot give; the caller then walks ``as_list()``.
+        """
         if self._riders:
             return None
         return list(map(self._interner.fragments(encode).__getitem__, self._indices))
@@ -246,6 +129,9 @@ class MemoryBackend(StorageBackend):
         return entry
 
     def membership(self, mask: Optional[int] = None) -> list:
+        """The held indices — all, or those of ``mask`` — ascending, as
+        an update record lists them: a held entry that carries a payload
+        as ``[index, payload]``.  ``mask`` may name held indices only."""
         indices = self._indices if mask is None else list(iter_mask_indices(mask))
         if not self._riders:
             return list(indices)
@@ -257,6 +143,10 @@ class MemoryBackend(StorageBackend):
         ]
 
     def take_touched(self) -> int:
+        """The indices a rider was added at or removed from since the
+        last call, as a mask; the tally then starts over.  A write that
+        drops a rider and adds its id back leaves the mask as it was,
+        so this is how its update record learns of the swap."""
         touched, self._touched = self._touched, 0
         return touched
 
@@ -265,6 +155,7 @@ class MemoryBackend(StorageBackend):
         return self.add_at(self._interner.intern(entry), entry)
 
     def add_at(self, index: int, entry: Entry) -> bool:
+        """:meth:`add` for an ``entry`` the interner holds at ``index``."""
         above = self._mask >> index
         if above & 1:
             return False
@@ -288,6 +179,7 @@ class MemoryBackend(StorageBackend):
         return index is not None and self.discard_at(index)
 
     def discard_at(self, index: int) -> bool:
+        """:meth:`discard` of the entry at dense ``index``."""
         if not (self._mask >> index) & 1:
             return False
         self._removed(bisect_left(self._indices, index))
@@ -315,6 +207,7 @@ class MemoryBackend(StorageBackend):
         return self._removed(position)
 
     def clear(self) -> None:
+        """Drop every entry."""
         if self._riders:
             for index, entry in zip(self._indices, self._entries):
                 if _is_rider(entry):
@@ -335,15 +228,16 @@ class MemoryBackend(StorageBackend):
         return iter(self._entries)
 
     def as_list(self) -> list[Entry]:
+        """The held entries in ascending dense index."""
         return list(self._entries)
 
     def as_set(self) -> set[Entry]:
         return set(self._entries)
 
 
-def masks_before(stores: Sequence[StorageBackend]) -> list[int]:
+def masks_before(stores: Sequence[MemoryBackend]) -> list[int]:
     """The stores' masks, as :func:`update_record` takes them for
-    ``before``.  Each store's :meth:`~StorageBackend.take_touched` tally
+    ``before``.  Each store's :meth:`~MemoryBackend.take_touched` tally
     starts over here, so the record sees the riders this write touched."""
     for store in stores:
         store.take_touched()
@@ -352,7 +246,7 @@ def masks_before(stores: Sequence[StorageBackend]) -> list[int]:
 
 def update_record(
     key: str,
-    stores: Sequence[StorageBackend],
+    stores: Sequence[MemoryBackend],
     before: Optional[Sequence[int]] = None,
     base: int = 0,
 ) -> Optional[dict]:
@@ -365,7 +259,7 @@ def update_record(
     hold.  The record holds the entries the write interned (``new``, as
     ``[entry_id, payload]`` in index order, the first at ``base``) and,
     per server whose store moved, the indices it gained (``add``,
-    :meth:`~StorageBackend.membership`'s spelling) — a held index whose
+    :meth:`~MemoryBackend.membership`'s spelling) — a held index whose
     rider was swapped counts as gained again — and lost (``drop``).
     Diffing every mask, not the servers a message reached, is what
     makes a record exact.
@@ -394,7 +288,7 @@ def update_record(
 
 
 def apply_record(
-    stores: Sequence[StorageBackend], record: dict, replace: bool = False
+    stores: Sequence[MemoryBackend], record: dict, replace: bool = False
 ) -> None:
     """Apply an update record to its key's ``stores`` (by server id).
 
@@ -434,16 +328,8 @@ def apply_record(
             store.discard_at(index)
 
 
-#: Backwards-compatible name: the store every server used before the
-#: backend split.  Kept as a real alias (not a subclass) so instance
-#: checks and constructed objects are indistinguishable from before.
-EntryStore = MemoryBackend
-
-
 __all__ = [
-    "EntryStore",
     "MemoryBackend",
-    "StorageBackend",
     "apply_record",
     "masks_before",
     "update_record",

@@ -16,7 +16,7 @@ Soundness comes from two rules enforced by the service, not here:
 
 1. **Only deterministic replies are cached.**  A per-server lookup
    answer consumes the cluster RNG only when ``0 < target < |store|``
-   (:meth:`EntryStore.sample <repro.cluster.server.EntryStore.sample>`
+   (:meth:`MemoryBackend.sample <repro.core.storage.MemoryBackend.sample>`
    short-circuits to the full local list otherwise).  The service only
    caches the RNG-free case, so a cache-enabled service draws exactly
    the same RNG stream as a cache-disabled one and every reply —

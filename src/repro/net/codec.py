@@ -67,7 +67,7 @@ from repro.core.entry import Entry
 from repro.cluster.messages import Heartbeat, LookupRequest, Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.storage import StorageBackend
+    from repro.core.storage import MemoryBackend
 
 #: Frames above this size are rejected (corrupt length prefix guard).
 MAX_FRAME = 16 * 1024 * 1024
@@ -383,7 +383,7 @@ def _dense_fragment(entry_id: str) -> Optional[bytes]:
     return bytes(out)
 
 
-def pack_store_bytes(store: "StorageBackend") -> Optional[bytes]:
+def pack_store_bytes(store: "MemoryBackend") -> Optional[bytes]:
     """``pack_value_bytes(store.as_list())`` from the store's indices.
 
     One ``join`` over the interner's fragment table instead of a walk

@@ -805,19 +805,20 @@ class LookupService:
         journal.record_rng(self.cluster.rng)
         journal.flush()
 
-    def _journal_sync_point(self, key: str, delivered: dict[int, int]) -> None:
+    def _journal_sync_point(
+        self, key: str, changes: dict[tuple[str, int], dict[Any, Any]]
+    ) -> None:
         """Journal a mutation that landed on ``key``'s stores.
 
         Its update record (:attr:`last_record`) first, then what replay
         cannot re-derive — strategy scratch state (Round-Robin
-        counters, reservoir estimates) and the cluster RNG position —
-        then a compaction if the log is due.  Only a server
-        whose handler ran can have changed its state, and the §6.4
-        ledger books every delivery before its handler runs (under a
-        fault plan too): the servers whose ``per_server`` count moved
-        since ``delivered`` are the ones to look at.  The flush at the
-        end is the write barrier: the mutation's records reach the log
-        file as one line, before the reply is built.
+        counters and positions, reservoir estimates) and the cluster
+        RNG position — then a compaction if the log is due.
+        ``changes`` is what the write set in scratch state, per
+        ``(key, server)``, as the cluster's
+        :class:`~repro.cluster.server.StateLog` logged it.  The flush at
+        the end is the write barrier: the mutation's records reach the
+        log file as one line, before the reply is built.
         """
         journal = self.journal
         if journal is None or journal.read_only:
@@ -825,10 +826,8 @@ class LookupService:
         if self.last_record is not None:
             journal.append(self.last_record)
         servers = self.cluster.servers
-        per_server = self.cluster.network.stats.per_server
-        for sid in sorted(s for s, n in per_server.items() if delivered.get(s) != n):
-            if servers[sid].has_store(key):
-                journal.record_state(key, sid, servers[sid].state(key))
+        for (name, sid), before in sorted(changes.items()):
+            journal.record_state(name, sid, servers[sid].state(name), before)
         journal.record_rng(self.cluster.rng)
         if journal.should_compact():
             self.compact_journal()
@@ -956,10 +955,12 @@ class LookupService:
             # ever see a pre-mutation cached reply, even if the
             # handler raises half-way through.
             self.note_mutation(key)
-            delivered = dict(network.stats.per_server)
             stores = self.cluster.stores(key)
             masks = masks_before(stores)
             base = len(stores[0].interner)
+            state_log = self.cluster.state_log
+            if self.journal is not None and not self.journal.read_only:
+                state_log.open()
         elif cache is not None:
             slot = self._cache_slot(server_id, key, message, raw)
             if slot is not None:
@@ -973,12 +974,12 @@ class LookupService:
             if mutates:
                 # The sync point: every store's mask diffed into the
                 # write's update record, journaled with the strategy
-                # counters and RNG position it advanced to.  In a
+                # state and RNG position it advanced to.  In a
                 # ``finally`` because a handler that raises half-way
                 # has still mutated, and the writer ships that partial
                 # diff to the readers.
                 self.last_record = update_record(key, stores, masks, base)
-                self._journal_sync_point(key, delivered)
+                self._journal_sync_point(key, state_log.close())
         if is_undelivered(reply):
             code = "dropped" if reply is DROPPED else "unavailable"
             return {

@@ -459,20 +459,15 @@ class WriteForwarder:
         self.on_fatal: Optional[Any] = None
         self._closed = False
 
-    async def start(self, *, retries: int = 80, delay: float = 0.1) -> None:
-        """Connect (the writer may still be booting) and resync."""
-        last: Optional[BaseException] = None
-        for _ in range(retries):
-            try:
-                self._reader, self._writer = await asyncio.open_unix_connection(
-                    self.path
-                )
-                break
-            except (ConnectionError, OSError, FileNotFoundError) as exc:
-                last = exc
-                await asyncio.sleep(delay)
-        else:
-            raise ConnectionError(f"writer bus never came up at {self.path}: {last}")
+    async def start(self) -> None:
+        """Connect and resync.
+
+        The bus is up before any reader boots — the supervisor forks
+        readers only once the writer reported ready, and a writer that
+        dies fails the fleet — so a bus that refuses is as fatal as one
+        lost later.
+        """
+        self._reader, self._writer = await asyncio.open_unix_connection(self.path)
         self._pump_task = asyncio.create_task(self._pump())
         await self._request(self._sync_frame())
 
@@ -719,6 +714,13 @@ async def _worker_async(
             await forwarder.stop()
         if bus is not None:
             await bus.stop()
+            # The bus's socket and the supervisor's temp dir around it
+            # go with the writer, which a SIGKILLed supervisor leaves
+            # to exit on its own.
+            with contextlib.suppress(OSError):
+                os.unlink(bus_path)
+            with contextlib.suppress(OSError):
+                os.rmdir(os.path.dirname(bus_path))
     return exit_code
 
 
@@ -749,7 +751,9 @@ class _Supervisor:
         self.workers = workers
         self.ready_file = ready_file
         self.ctx = multiprocessing.get_context("fork")
-        self.tmpdir = tempfile.mkdtemp(prefix="repro-workers-")
+        # Named for this process, so whoever kills it and its workers
+        # together can tell which directory nothing is left to remove.
+        self.tmpdir = tempfile.mkdtemp(prefix=f"repro-workers-{os.getpid()}-")
         self.bus_path = os.path.join(self.tmpdir, "writer.sock")
         self.reuseport = reuseport_available()
         self.procs: Dict[int, Any] = {}

@@ -36,12 +36,13 @@ from repro.protocol.events import MessageReceived
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.messages import Message
-    from repro.cluster.server import EntryStore, Server
+    from repro.cluster.server import Server
+    from repro.core.storage import MemoryBackend
     from repro.core.entry import Entry
 
 
 def answer_lookup(
-    store: "EntryStore", target: int, rng: random.Random
+    store: "MemoryBackend", target: int, rng: random.Random
 ) -> List["Entry"]:
     """The per-server lookup answer shared by every scheme.
 

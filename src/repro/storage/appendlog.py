@@ -46,13 +46,15 @@ A record is sized by what the write touched.  The update record (op
 ``delta``) lists, per server whose store moved, the dense indices it
 gained (a swapped payload included) and lost, and the entries the
 write interned, with the index the first one got; replay checks that
-each lands there.  A server's
-strategy scratch state is journaled in full the first time its slot
-is, and after that as a ``patch``: the top-level keys that changed,
-and the keys set or deleted one level down (Round-Robin's
-``positions``).  The ``rng`` record packs the Mersenne-Twister words
-as base64 of little-endian ``uint32``.  A fresh boot journals its
-placement as one update record per key, diffed from empty stores.
+each lands there.  A server's strategy scratch state is journaled in
+full the first time its slot is, and after that as a ``patch`` of what
+the write's handlers set through
+:meth:`~repro.cluster.server.Server.set_state`: the top-level keys it
+changed, and the keys it set or deleted one level down (Round-Robin's
+``positions``); the journal keeps no copy of any state.  The ``rng``
+record packs the Mersenne-Twister words as base64 of little-endian
+``uint32``.  A fresh boot journals its placement as one update record
+per key, diffed from empty stores.
 
 Replay reads the journal's earlier spellings too, though nothing
 writes them any more: per-entry ``add``/``drop``/``reset``/``clear``
@@ -93,15 +95,14 @@ import pathlib
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.entry import Entry
 from repro.core.exceptions import ReproError
 from repro.core.interning import EntryInterner
-from repro.core.storage import MemoryBackend, StorageBackend, apply_record
+from repro.core.storage import MemoryBackend, apply_record
 from repro.cluster.cluster import Cluster
 from repro.cluster.snapshots import (
-    _TRANSIENT_STATE_KEYS,
     ClusterImage,
     _detached,
     _pack_rng,
@@ -130,9 +131,6 @@ MAX_PENDING_RECORDS = 4096
 #: Replay errors that mean a record is not one this journal writes.
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
 
-_ABSENT = object()
-
-
 #: The one JSON spelling journal lines and snapshots are written in:
 #: what ``json.dumps(value, separators=(",", ":"))`` gives, without
 #: building the encoder per call.
@@ -150,57 +148,52 @@ class RecoveryError(ReproError):
     """
 
 
-def _dict_catch_up(kept: Dict[Any, Any], new: Dict[Any, Any]) -> Dict[str, Any]:
-    """Bring dict ``kept`` up to ``new`` in place; returns the ``set`` /
-    ``del`` fields that did it, each in key order.
-    """
-    was = kept.get
-    put = sorted((k, v) for k, v in new.items() if was(k, _ABSENT) != v)
-    gone = sorted(k for k in kept if k not in new)
+def _item_changes(now: Dict[str, Any], before: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``set`` and ``del`` fields, keys sorted, that took the items
+    ``before`` logged of one dict-valued key to their values in ``now``."""
     fields: Dict[str, Any] = {}
-    if put:
-        fields["set"] = {k: _detached(v) for k, v in put}
-        kept.update((k, _detached(v)) for k, v in put)
-    if gone:
-        fields["del"] = gone
-        for k in gone:
-            del kept[k]
-    return fields
-
-
-def _catch_up(kept: Dict[str, Any], new: Dict[str, Any]) -> Dict[str, Any]:
-    """Bring the kept copy of a state up to ``new`` (transient keys
-    aside) and return the ``patch`` record fields that did it; empty
-    when nothing changed.
-
-    ``set`` carries the top-level keys whose values changed, ``del``
-    the ones that are gone, and ``sub`` — for a key that holds a dict
-    on both sides — the same two fields one level down.  The fields
-    and ``kept`` share no container.
-    """
-    put: Dict[str, Any] = {}
-    nested: Dict[str, Any] = {}
-    for name, value in new.items():
-        if name in _TRANSIENT_STATE_KEYS:
-            continue
-        was = kept.get(name, _ABSENT)
-        if was == value:
-            continue
-        if was.__class__ is dict and value.__class__ is dict:
-            inner = _dict_catch_up(was, value)
-            if inner:
-                nested[name] = inner
-        else:
-            put[name] = _detached(value)
-            kept[name] = _detached(value)
-    gone = sorted(name for name in kept if name not in new)
-    for name in gone:
-        del kept[name]
-    fields: Dict[str, Any] = {}
+    put = {k: _detached(now[k]) for k in sorted(before) if k in now and now[k] != before[k]}
+    gone = sorted(k for k, was in before.items() if was is not None and k not in now)
     if put:
         fields["set"] = put
     if gone:
         fields["del"] = gone
+    return fields
+
+
+def _patch(state: Dict[str, Any], before: Dict[Any, Any]) -> Dict[str, Any]:
+    """The ``patch`` record fields that took ``state`` from the values a
+    write logged (see :class:`~repro.cluster.server.StateLog`); empty
+    when it set every slot back as it was.
+
+    ``set`` the logged top-level keys whose value changed, in the
+    state's order, ``del`` the ones that are gone, and ``sub`` the same
+    two fields per dict-valued key the write changed item by item, keys
+    sorted.  Only logged slots are read.
+    """
+    fields: Dict[str, Any] = {}
+    put = {}
+    for name, value in state.items():
+        if name in before and before[name] != value:
+            put[name] = _detached(value)
+    if put:
+        fields["set"] = put
+    gone = []
+    items: Dict[str, Dict[str, Any]] = {}
+    for mark, was in before.items():
+        if mark.__class__ is tuple:
+            items.setdefault(mark[0], {})[mark[1]] = was
+        elif was is not None and mark not in state:
+            gone.append(mark)
+    if gone:
+        fields["del"] = sorted(gone)
+    nested = {}
+    if items:
+        for name in state:
+            if name in items and name not in before:
+                inner = _item_changes(state[name], items[name])
+                if inner:
+                    nested[name] = inner
     if nested:
         fields["sub"] = nested
     return fields
@@ -231,11 +224,11 @@ class RecoveredImage(ClusterImage):
     with a cluster, leaves them empty: the cluster's stores are the
     recovered ones."""
 
-    stores: Dict[str, List[StorageBackend]] = field(default_factory=dict)
+    stores: Dict[str, List[MemoryBackend]] = field(default_factory=dict)
     #: The cluster the replay lands in; None replays into stores of its own.
     cluster: Optional[Cluster] = None
 
-    def _stores(self, key: str, server_ids: Any = ()) -> List[StorageBackend]:
+    def _stores(self, key: str, server_ids: Any = ()) -> List[MemoryBackend]:
         """``key``'s stores, holding every id in ``server_ids``."""
         stores = self.stores.get(key)
         needed = max(map(int, server_ids), default=0) + 1
@@ -348,9 +341,11 @@ class AppendLogJournal:
         self._records_since_compact = 0
         #: Records queued for the next barrier; see :meth:`flush`.
         self._pending: List[Dict[str, Any]] = []
-        #: Dedupe: the last *journaled* payload per slot — ``("state",
-        #: key, server)``, ``"rng"``, ``"params"`` — as a private copy.
-        self._journaled: Dict[Any, Any] = {}
+        #: Dedupe: the last journaled RNG state and params.
+        self._journaled: Dict[str, Any] = {}
+        #: The ``(key, server)`` scratch states journaled in full, which
+        #: a write then patches.
+        self._state_slots: Set[Tuple[str, int]] = set()
         if not read_only:
             self.data_dir.mkdir(parents=True, exist_ok=True)
 
@@ -441,32 +436,35 @@ class AppendLogJournal:
         if self.fsync:
             os.fsync(self._fh.fileno())
 
-    def record_state(self, key: str, server_id: int, state: Dict[str, Any]) -> None:
+    def record_state(
+        self, key: str, server_id: int, state: Dict[str, Any], before: Any = None
+    ) -> None:
         """Journal a strategy scratch state: in full the first time its
-        slot is journaled, then as a patch of what changed, if anything.
+        slot is journaled, then as a ``patch`` of what a write changed.
 
-        The kept copy takes the same patch, so an unchanged state costs
-        an ``==`` per top-level key and a changed one what changed.
+        ``before`` is the write's log for this state (see
+        :class:`~repro.cluster.server.StateLog`): each slot the write
+        set, with its value from before.  A patch reads those slots and
+        nothing else, so it costs what the write changed, not what the
+        state holds; with no log, a journaled state is left as it is.
         """
         if self.read_only:
             return
-        slot = ("state", key, server_id)
-        last = self._journaled.get(slot)
-        if last is None:
+        slot = (key, server_id)
+        if slot not in self._state_slots:
             # A never-journaled slot reads as empty, so a state that was
             # always empty is never journaled.
-            if not state:
-                return
             payload = _persistable_state(state)
             if payload:
                 self.append(
                     {"op": "state", "k": key, "s": server_id, "state": _detached(payload)}
                 )
-                self._journaled[slot] = _detached(payload)
+                self._state_slots.add(slot)
             return
-        patch = _catch_up(last, state)
-        if patch:
-            self.append({"op": "patch", "k": key, "s": server_id, **patch})
+        if before:
+            patch = _patch(state, before)
+            if patch:
+                self.append({"op": "patch", "k": key, "s": server_id, **patch})
 
     def record_rng(self, rng: random.Random) -> None:
         """Journal the cluster RNG state, skipping no-op rewrites."""
@@ -531,12 +529,11 @@ class AppendLogJournal:
             image.records = store_records(image.stores)
         else:
             apply_scratch(image, cluster)
-        # Seed the dedupe so the first post-recovery state/rng record is
-        # only written if it actually differs.  Copies, not the image's
-        # own dicts, which are the caller's.
-        for key, by_server in image.states.items():
-            for sid, state in by_server.items():
-                self._journaled[("state", key, sid)] = _detached(state)
+        # Seed the dedupe: a recovered state is patched from here on, and
+        # the first post-recovery rng record is only written if it differs.
+        self._state_slots.update(
+            (key, sid) for key, by_server in image.states.items() for sid in by_server
+        )
         if image.rng_state is not None:
             self._journaled["rng"] = _unpack_rng(image.rng_state)
         if image.params:

@@ -201,7 +201,7 @@ class PlacementStrategy(ABC):
         skeleton then contacts *every* server in the strategy's
         contact order (no early stop, since no target can be met), and
         each per-server ``LookupRequest(0)`` answer is the server's
-        entire store (``EntryStore.sample`` treats ``count <= 0`` as
+        entire store (``MemoryBackend.sample`` treats ``count <= 0`` as
         "all", matching the paper's traditional-lookup semantics).
         Consequently the result equals the coverage set restricted to
         servers the strategy's order reaches — for every paper

@@ -43,8 +43,10 @@ class _RandomServerLogic(StrategyLogic):
     """Server behaviour for RandomServer-x.
 
     Each server tracks its own estimate of ``h`` (the system-wide
-    entry count) in its per-key state; the estimate stays exact
-    because every add and delete is broadcast to every server.
+    entry count) in its per-key state, written through
+    :meth:`Server.set_state <repro.cluster.server.Server.set_state>`;
+    the estimate stays exact because every add and delete is
+    broadcast to every server.
     """
 
     def handle_message(self, server: Server, message: Message, network: Network) -> Any:
@@ -63,7 +65,7 @@ class _RandomServerLogic(StrategyLogic):
         if isinstance(message, StoreSetMessage):
             # Independently select a uniformly random x-subset of the
             # placed entries (all of them if there are fewer than x).
-            state["h"] = len(message.entries)
+            server.set_state(self.key, "h", len(message.entries))
             store.clear()
             if len(message.entries) <= x:
                 chosen = list(message.entries)
@@ -73,9 +75,9 @@ class _RandomServerLogic(StrategyLogic):
                 store.add(entry)
             return True
         if isinstance(message, StoreMessage):
-            return self._reservoir_add(store, state, message.entry, x)
+            return self._reservoir_add(server, store, message.entry, x)
         if isinstance(message, RemoveMessage):
-            state["h"] = max(0, state.get("h", 0) - 1)
+            server.set_state(self.key, "h", max(0, state.get("h", 0) - 1))
             removed = store.discard(message.entry)
             if removed and self.strategy.delete_mode == "replace":
                 self._fetch_replacement(server, message.entry, network)
@@ -118,10 +120,10 @@ class _RandomServerLogic(StrategyLogic):
             return True
         return False
 
-    def _reservoir_add(self, store, state, entry: Entry, x: int) -> bool:
+    def _reservoir_add(self, server: Server, store, entry: Entry, x: int) -> bool:
         """Vitter's reservoir step: keep the h-th arrival w.p. x/h."""
-        h = state.get("h", 0) + 1
-        state["h"] = h
+        h = server.state(self.key).get("h", 0) + 1
+        server.set_state(self.key, "h", h)
         if entry in store:
             return False
         if len(store) < x:

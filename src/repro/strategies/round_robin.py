@@ -59,6 +59,10 @@ class _RoundRobinLogic(StrategyLogic):
     - On whichever server is currently resolving a migration:
       ``migrations``: entry id → ``{"count", "replacement"}`` — the
       pseudocode's ``M[v]`` and ``R[v]``.
+
+    The first two are written through :meth:`Server.set_state
+    <repro.cluster.server.Server.set_state>`, which is what the
+    journal patches from; ``migrations`` lives only within one update.
     """
 
     def handle_message(self, server: Server, message: Message, network: Network) -> Any:
@@ -71,12 +75,11 @@ class _RoundRobinLogic(StrategyLogic):
         if isinstance(message, StorePositioned):
             store = server.store(self.key)
             store.add(message.entry)
-            self._positions(server)[message.entry.entry_id] = message.position
+            self._set_position(server, message.entry.entry_id, message.position)
             return True
         if isinstance(message, SetCounters):
-            state = server.state(self.key)
-            state["head"] = message.head
-            state["tail"] = message.tail
+            server.set_state(self.key, "head", message.head)
+            server.set_state(self.key, "tail", message.tail)
             return True
         if isinstance(message, QueryCounters):
             state = server.state(self.key)
@@ -92,7 +95,19 @@ class _RoundRobinLogic(StrategyLogic):
     # -- helpers -------------------------------------------------------------
 
     def _positions(self, server: Server) -> Dict[str, int]:
-        return server.state(self.key).setdefault("positions", {})
+        """The server's ``positions`` map, created empty on first use."""
+        positions = server.state(self.key).get("positions")
+        if positions is None:
+            positions = {}
+            server.set_state(self.key, "positions", positions)
+        return positions
+
+    def _set_position(
+        self, server: Server, entry_id: str, position: Optional[int]
+    ) -> None:
+        """Record where ``entry_id``'s local copy sits; None forgets it."""
+        self._positions(server)
+        server.set_state(self.key, "positions", position, entry_id)
 
     def _entry_at(self, server: Server, position: int) -> Optional[Entry]:
         """The local entry stored under sequence ``position``, if any."""
@@ -154,8 +169,8 @@ class _RoundRobinLogic(StrategyLogic):
             peer_head, peer_tail = reply
             head = max(head, peer_head)
             tail = max(tail, peer_tail)
-        state["head"] = head
-        state["tail"] = tail
+        server.set_state(self.key, "head", head)
+        server.set_state(self.key, "tail", tail)
 
     def _mirror_counters(self, server: Server, network: Network) -> None:
         """Propagate head/tail to the other counter replicas (§5.4 fn).
@@ -177,15 +192,14 @@ class _RoundRobinLogic(StrategyLogic):
         """Counter host: append the new entry at the tail position."""
         if self.strategy.counter_replicas > 1:
             self._sync_counters(server, network)
-        state = server.state(self.key)
-        position = state.get("tail", 0)
+        position = server.state(self.key).get("tail", 0)
         for round_index in range(self.strategy.y):
             network.send(
                 (position + round_index) % network.size,
                 self.key,
                 StorePositioned(message.entry, position),
             )
-        state["tail"] = position + 1
+        server.set_state(self.key, "tail", position + 1)
         if self.strategy.counter_replicas > 1:
             self._mirror_counters(server, network)
         return True
@@ -198,10 +212,9 @@ class _RoundRobinLogic(StrategyLogic):
         """Counter host: broadcast remove(v, head) and advance head."""
         if self.strategy.counter_replicas > 1:
             self._sync_counters(server, network)
-        state = server.state(self.key)
-        head = state.get("head", 0)
+        head = server.state(self.key).get("head", 0)
         network.broadcast(self.key, RemoveWithHead(message.entry, head))
-        state["head"] = head + 1
+        server.set_state(self.key, "head", head + 1)
         if self.strategy.counter_replicas > 1:
             self._mirror_counters(server, network)
         return True
@@ -219,8 +232,8 @@ class _RoundRobinLogic(StrategyLogic):
         store = server.store(self.key)
         if entry not in store:
             return False
-        positions = self._positions(server)
-        hole_position = positions.pop(entry.entry_id)
+        hole_position = self._positions(server)[entry.entry_id]
+        self._set_position(server, entry.entry_id, None)
         store.discard(entry)
         head_server = message.head % network.size
         replacement = network.send(
@@ -231,7 +244,7 @@ class _RoundRobinLogic(StrategyLogic):
         if is_undelivered(replacement) or replacement is None:
             return True
         store.add(replacement)
-        positions[replacement.entry_id] = hole_position
+        self._set_position(server, replacement.entry_id, hole_position)
         return True
 
     def _handle_migrate(
@@ -280,12 +293,11 @@ class _RoundRobinLogic(StrategyLogic):
         it — detectable because its recorded position is no longer the
         old head position.
         """
-        positions = self._positions(server)
-        if positions.get(message.entry.entry_id) != message.position:
+        if self._positions(server).get(message.entry.entry_id) != message.position:
             return False
         store = server.store(self.key)
         store.discard(message.entry)
-        positions.pop(message.entry.entry_id, None)
+        self._set_position(server, message.entry.entry_id, None)
         return True
 
 

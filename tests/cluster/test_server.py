@@ -1,59 +1,60 @@
-"""Unit tests for Server and EntryStore."""
+"""Unit tests for Server and its MemoryBackend store."""
 
 import random
 
 import pytest
 
-from repro.cluster.server import EntryStore, Server
+from repro.cluster.server import Server
+from repro.core.storage import MemoryBackend
 from repro.core.entry import Entry, make_entries
 
 
 class TestEntryStore:
     def test_add_returns_true_on_new(self):
-        store = EntryStore()
+        store = MemoryBackend()
         assert store.add(Entry("a"))
 
     def test_add_duplicate_returns_false(self):
-        store = EntryStore([Entry("a")])
+        store = MemoryBackend([Entry("a")])
         assert not store.add(Entry("a"))
         assert len(store) == 1
 
     def test_discard_present(self):
-        store = EntryStore(make_entries(3))
+        store = MemoryBackend(make_entries(3))
         assert store.discard(Entry("v2"))
         assert Entry("v2") not in store
         assert len(store) == 2
 
     def test_discard_absent_returns_false(self):
-        store = EntryStore()
+        store = MemoryBackend()
         assert not store.discard(Entry("x"))
 
     def test_membership(self):
-        store = EntryStore([Entry("a")])
+        store = MemoryBackend([Entry("a")])
         assert Entry("a") in store
         assert Entry("b") not in store
 
     def test_iteration_preserves_insertion_order(self):
         entries = make_entries(5)
-        store = EntryStore(entries)
+        store = MemoryBackend(entries)
         assert list(store) == entries
 
     def test_sample_size(self):
-        store = EntryStore(make_entries(10))
+        store = MemoryBackend(make_entries(10))
         sampled = store.sample(4, random.Random(1))
         assert len(sampled) == 4
         assert len(set(sampled)) == 4
 
     def test_sample_more_than_stored_returns_all(self):
-        store = EntryStore(make_entries(3))
+        store = MemoryBackend(make_entries(3))
         assert sorted(store.sample(10, random.Random(1))) == make_entries(3)
 
     def test_sample_zero_means_everything(self):
-        store = EntryStore(make_entries(3))
+        store = MemoryBackend(make_entries(3))
         assert sorted(store.sample(0, random.Random(1))) == make_entries(3)
 
     def test_sample_uniformity(self):
-        store = EntryStore(make_entries(4))
+        store = MemoryBackend(make_entries(4))
         rng = random.Random(9)
         counts = {e.entry_id: 0 for e in make_entries(4)}
         trials = 8000
@@ -64,17 +65,17 @@ class TestEntryStore:
             assert abs(count / trials - 0.25) < 0.03
 
     def test_pop_random_removes(self):
-        store = EntryStore(make_entries(5))
+        store = MemoryBackend(make_entries(5))
         popped = store.pop_random(random.Random(1))
         assert popped not in store
         assert len(store) == 4
 
     def test_pop_random_empty_raises(self):
         with pytest.raises(KeyError):
-            EntryStore().pop_random(random.Random(1))
+            MemoryBackend().pop_random(random.Random(1))
 
     def test_clear(self):
-        store = EntryStore(make_entries(3))
+        store = MemoryBackend(make_entries(3))
         store.clear()
         assert len(store) == 0
         assert store.add(Entry("v1"))  # ids cleared too

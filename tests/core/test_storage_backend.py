@@ -1,17 +1,14 @@
-"""The storage backend interface: contract, alias, factory threading."""
+"""The entry store: its three views, its index list, update records."""
 
 import random
 
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.server import Server
 from repro.core.entry import Entry, make_entries
 from repro.core.interning import EntryInterner
 from repro.core.storage import (
-    EntryStore,
     MemoryBackend,
-    StorageBackend,
     apply_record,
     masks_before,
     update_record,
@@ -19,20 +16,6 @@ from repro.core.storage import (
 
 
 class TestInterface:
-    def test_backend_is_abstract(self):
-        with pytest.raises(TypeError):
-            StorageBackend()
-
-    def test_entrystore_is_the_memory_backend(self):
-        # A real alias, not a subclass: pre-split instance checks and
-        # constructed objects must be indistinguishable.
-        assert EntryStore is MemoryBackend
-
-    def test_memory_backend_satisfies_the_contract(self):
-        assert issubclass(MemoryBackend, StorageBackend)
-        store = MemoryBackend(make_entries(3))
-        assert isinstance(store, StorageBackend)
-
     def test_three_views_stay_in_lockstep(self):
         interner = EntryInterner()
         store = MemoryBackend(interner=interner)
@@ -191,35 +174,9 @@ class TestUpdateRecord:
             apply_record(reader, record)
 
 
-class _RecordingBackend(MemoryBackend):
-    """A backend that records construction, to observe factory calls."""
-
-    __slots__ = ("created_for",)
-
-    def __init__(self, key, server_id, interner):
-        self.created_for = (key, server_id)
-        super().__init__(interner=interner)
-
-
 class TestStoreFactory:
-    def test_server_uses_the_factory_per_key(self):
-        interners = {}
-        server = Server(
-            3,
-            interners=interners,
-            store_factory=lambda k, s, i: _RecordingBackend(k, s, i),
-        )
-        store = server.store("hash")
-        assert isinstance(store, _RecordingBackend)
-        assert store.created_for == ("hash", 3)
-        assert store is server.store("hash")  # one store per key, cached
-
-    def test_factory_stores_share_the_cluster_interner(self):
-        cluster = Cluster(
-            4, seed=1, store_factory=lambda k, s, i: _RecordingBackend(k, s, i)
-        )
-        for server in cluster.servers:
-            assert server.store("k").interner is cluster.interner("k")
+    """A server makes one :class:`MemoryBackend` per key, over the
+    cluster's interner for it."""
 
     def test_default_factory_is_the_memory_backend(self):
         cluster = Cluster(2, seed=1)

@@ -922,6 +922,37 @@ class TestFleetEndToEnd:
             assert "[serve] stopped" in out
             assert "Traceback" not in out
 
+    def test_a_sigkilled_supervisor_leaves_no_bus_dir(self, tmp_path):
+        """The workers exit on lifeline EOF; the writer takes the bus
+        socket's temp dir with it, since its supervisor cannot."""
+        ready = str(tmp_path / "ready")
+        env = dict(os.environ, TMPDIR=str(tmp_path))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.getcwd(), "src"), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--workers", "2", "--port", "0",
+             "--servers", "4", "--entries", "6", "--ready-file", ready],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        try:
+            deadline = time.time() + 30
+            while not (os.path.exists(ready) and os.path.getsize(ready)):
+                assert proc.poll() is None and time.time() < deadline
+                time.sleep(0.05)
+            assert list(tmp_path.glob("repro-workers-*"))
+            pids = _manifest(f"{ready}.workers").values()
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        deadline = time.time() + 30
+        while not all(_exited(pid) for pid in pids):
+            assert time.time() < deadline, "a worker outlived its supervisor"
+            time.sleep(0.05)
+        assert list(tmp_path.glob("repro-workers-*")) == []
+
     def test_workers_reject_peers(self):
         from repro.core.exceptions import InvalidParameterError
         from repro.net.cli import cmd_serve
@@ -983,6 +1014,15 @@ async def _probe(host, port):
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+
+
+def _exited(pid):
+    """Whether ``pid`` is gone, or a zombie no one has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
 
 
 def _manifest(path):

@@ -1,11 +1,11 @@
-"""Property-based tests for EntryStore: it must behave as an ordered set."""
+"""Property-based tests for MemoryBackend: it must behave as an ordered set."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.server import EntryStore
+from repro.core.storage import MemoryBackend
 from repro.core.entry import Entry
 
 entry_ids = st.text(
@@ -21,7 +21,7 @@ operations = st.lists(
 @given(operations)
 def test_store_matches_model_set(ops):
     """The store's membership always equals a plain model dict's."""
-    store = EntryStore()
+    store = MemoryBackend()
     model = {}
     for action, entry_id in ops:
         entry = Entry(entry_id)
@@ -39,7 +39,7 @@ def test_store_matches_model_set(ops):
 
 @given(operations)
 def test_store_never_duplicates(ops):
-    store = EntryStore()
+    store = MemoryBackend()
     for action, entry_id in ops:
         if action == "add":
             store.add(Entry(entry_id))
@@ -53,7 +53,7 @@ def test_store_never_duplicates(ops):
        st.integers(min_value=0, max_value=40),
        st.integers())
 def test_sample_is_subset_of_requested_size(ids, count, seed):
-    store = EntryStore([Entry(i) for i in ids])
+    store = MemoryBackend([Entry(i) for i in ids])
     sampled = store.sample(count, random.Random(seed))
     assert len(sampled) == (len(ids) if count <= 0 or count >= len(ids) else count)
     assert {e.entry_id for e in sampled} <= set(ids)
@@ -62,7 +62,7 @@ def test_sample_is_subset_of_requested_size(ids, count, seed):
 
 @given(st.lists(entry_ids, unique=True, min_size=1, max_size=20), st.integers())
 def test_pop_random_drains_completely(ids, seed):
-    store = EntryStore([Entry(i) for i in ids])
+    store = MemoryBackend([Entry(i) for i in ids])
     rng = random.Random(seed)
     popped = [store.pop_random(rng).entry_id for _ in range(len(ids))]
     assert sorted(popped) == sorted(ids)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.messages import AddRequest
+from repro.cluster.server import Server
 from repro.cluster.snapshots import ClusterImage, apply_image, store_records
 from repro.core.entry import Entry, make_entries
 from repro.core.storage import MemoryBackend, update_record
@@ -195,8 +196,9 @@ class TestJournalRecords:
     def test_state_records_dedupe(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
         journal.record_state("k", 0, {"head": 1})
-        journal.record_state("k", 0, {"head": 1})  # unchanged: skipped
-        journal.record_state("k", 0, {"head": 2})
+        journal.record_state("k", 0, {"head": 1})  # nothing set: skipped
+        journal.record_state("k", 0, {"head": 1}, {"head": 1})  # set back: skipped
+        journal.record_state("k", 0, {"head": 2}, {"head": 1})
         assert journal.log_records == 2
 
     def test_empty_never_seen_state_is_skipped(self, tmp_path):
@@ -248,29 +250,30 @@ class TestJournalRecords:
 
 
     def test_in_place_mutation_of_a_journaled_state_is_seen(self, tmp_path):
-        # The dedupe keeps its own copy of the last journaled payload:
-        # a strategy mutating its (nested) state in place must compare
-        # unequal to it, never to itself.
+        # The journal keeps no copy of a state: a strategy editing its
+        # (nested) state in place through ``Server.set_state`` is seen
+        # through the write's log.
         journal = AppendLogJournal(tmp_path)
-        state = {"tail": 1, "positions": {"a": 0}, "log": [[1]]}
+        server = Server(0)
+        server.set_state("k", "tail", 1)
+        server.set_state("k", "positions", {"a": 0})
+        state = server.state("k")
         journal.record_state("k", 0, state)
-        state["positions"]["b"] = 1
-        journal.record_state("k", 0, state)
-        state["log"][0].append(2)
-        journal.record_state("k", 0, state)
-        journal.record_state("k", 0, state)  # unchanged: skipped
+        _write(journal, server, ("positions", 1, "b"))
+        _write(journal, server, ("log", [1, 2]))
+        _write(journal, server, ("tail", 1), ("positions", 0, "a"))  # unchanged
         assert journal.log_records == 3
         journal.close()
         assert AppendLogJournal(tmp_path).load().states["k"][0] == state
 
     def test_a_nested_dict_of_unhashable_values_is_patched_too(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
-        state = {"tail": 1, "m": {"a": [1], "b": [2]}}
+        server = Server(0)
+        server.set_state("k", "tail", 1)
+        server.set_state("k", "m", {"a": [1], "b": [2]})
+        state = server.state("k")
         journal.record_state("k", 0, state)
-        state["m"]["a"].append(3)
-        del state["m"]["b"]
-        state["m"]["c"] = [4]
-        journal.record_state("k", 0, state)
+        _write(journal, server, ("m", [1, 3], "a"), ("m", None, "b"), ("m", [4], "c"))
         journal.close()
         first, patch = _records(tmp_path)
         assert first["op"] == "state" and first["state"] == {"tail": 1, "m": {"a": [1], "b": [2]}}
@@ -284,12 +287,12 @@ class TestJournalRecords:
         # Equality stands in for the sorted-JSON fingerprint it replaced.
         journal = AppendLogJournal(tmp_path)
         journal.record_state("k", 0, {"head": 1, "tail": 2})
-        journal.record_state("k", 0, {"tail": 2, "head": 1})
+        journal.record_state("k", 0, {"tail": 2, "head": 1}, {"tail": 2, "head": 1})
         journal.record_params({"a": {"x": 1, "y": 2}, "b": {}})
         journal.record_params({"b": {}, "a": {"y": 2, "x": 1}})
         assert journal.log_records == 2
 
-    def test_load_seeds_the_dedupe_with_private_copies(self, tmp_path):
+    def test_load_seeds_the_dedupe(self, tmp_path):
         journal = AppendLogJournal(tmp_path)
         rng = random.Random(5)
         state = {"tail": 3, "positions": {"a": 0}}
@@ -299,17 +302,29 @@ class TestJournalRecords:
         journal.close()
 
         reborn = AppendLogJournal(tmp_path)
-        image = reborn.load()
+        reborn.load()
         before = reborn.log_records
         reborn.record_state("k", 0, state)
         reborn.record_rng(rng)
         reborn.record_params({"hash": {"y": 2}})
         assert reborn.log_records == before  # all three recognised
-        # apply_image hands the image's own dicts to the live servers,
-        # so an in-place edit of one must still register as a change.
-        image.states["k"][0]["positions"]["b"] = 1
-        reborn.record_state("k", 0, image.states["k"][0])
-        assert reborn.log_records == before + 1
+        # A recovered state is patched from here on, not written whole.
+        state["positions"]["b"] = 1
+        reborn.record_state("k", 0, state, {("positions", "b"): None})
+        reborn.close()
+        assert _records(tmp_path)[-1] == {
+            "op": "patch", "k": "k", "s": 0, "sub": {"positions": {"set": {"b": 1}}},
+        }
+
+
+def _write(journal, server, *writes):
+    """One write's ``set_state`` calls on ``server`` (each ``(name,
+    value[, item])`` for key ``k``), journaled from its log."""
+    server.state_log.open()
+    for write in writes:
+        server.set_state("k", *write)
+    changes = server.state_log.close()
+    journal.record_state("k", 0, server.state("k"), changes.get(("k", 0)))
 
 
 class TestSuppressedRecords:

@@ -314,12 +314,13 @@ def _fingerprint(service):
 _PLACED = (Entry("v3"), Entry("p1", {"port": 5}), Entry("w9"))
 
 
-def _write_sequence(keys=sorted(DEFAULT_SCHEMES)):
-    """A fixed add/delete/place sequence over ``keys``, no-ops included.
+def _write_sequence():
+    """A fixed add/delete/place sequence over all five schemes, no-ops
+    included.
 
     The place reaches every state write a scheme has: Round-Robin's
     ``SetCounters`` and ``positions``, RandomServer-x's ``h``."""
-    for key in keys:
+    for key in sorted(DEFAULT_SCHEMES):
         yield _send(key, AddRequest(entry=Entry("w1")), server=1)
         yield _send(key, AddRequest(entry=Entry("w2", {"port": 7})), server=5)
         yield _send(key, DeleteRequest(entry=Entry("v2")), server=2)
@@ -492,6 +493,49 @@ class TestJournalBytes:
         # leave unchanged: no record may come of that.
         schemes = dict(DEFAULT_SCHEMES, round_robin={"y": 2, "counter_replicas": 2})
         _every_line_matches_the_oracle(tmp_path, schemes=schemes)
+
+
+def _journaling_work(tmp_path, entries, monkeypatch):
+    """What the sync points of a fixed Round-Robin script read and copy
+    of the scratch states, counted per ``record_state``: the logged
+    slots and top-level names a patch reads, and the values it copies."""
+    service = LookupService(_config(
+        tmp_path / str(entries), entry_count=entries,
+        schemes={"round_robin": {"y": 2}}, log_compact_records=0,
+    ))
+    work = []
+    real_patch, real_detached = appendlog._patch, appendlog._detached
+
+    def patch(state, before):
+        work.append(("read", len(before) + len(state)))
+        return real_patch(state, before)
+
+    def detached(value):
+        work.append(("copy", 1 + len(value) if isinstance(value, (dict, list)) else 1))
+        return real_detached(value)
+
+    monkeypatch.setattr(appendlog, "_patch", patch)
+    monkeypatch.setattr(appendlog, "_detached", detached)
+    script = [DeleteRequest(entry=Entry("v5"))]
+    for i in range(10):
+        script += [AddRequest(entry=Entry(f"x{i}")), DeleteRequest(entry=Entry(f"x{i}"))]
+    for i, message in enumerate(script):
+        assert service.handle_envelope(_send("round_robin", message, server=i % 8))["ok"]
+    monkeypatch.undo()
+    service.journal.close()
+    return work
+
+
+class TestJournalingWork:
+    def test_a_round_robin_write_journals_the_same_work_at_any_size(
+        self, tmp_path, monkeypatch
+    ):
+        # Both sizes are multiples of the 8 servers, so the script's
+        # positions land on the same servers; only the stores' size
+        # differs, and the journal must not read it.
+        small = _journaling_work(tmp_path, 2_000, monkeypatch)
+        assert ("read", 0) not in small and len(small) > 20
+        assert _journaling_work(tmp_path, 20_000, monkeypatch) == small
 
 
 class TestWriteBarriers:
@@ -678,8 +722,8 @@ def _churn(seed, steps=40):
 @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
 @pytest.mark.parametrize("key", sorted(DEFAULT_SCHEMES))
 class TestTouchedServers:
-    """The sync point journals the state of only the servers a message
-    reached; no other server's state may have moved."""
+    """The sync point journals the state of only the servers whose
+    state the write set; no other server's state may have moved."""
 
     def test_the_kept_states_and_a_recovery_track_every_server(
         self, tmp_path, key, faults
@@ -690,13 +734,13 @@ class TestTouchedServers:
             service.cluster.network.install_fault_plan(
                 FaultPlan(seed=5, drop_probability=0.2, duplicate_probability=0.2)
             )
-        kept = service.journal._journaled
         for step, (message, sid) in enumerate(_churn(seed=28)):
             service.handle_envelope(_send(key, message, sid))
+            kept = AppendLogJournal(live, read_only=True).load().states
             for name in service.strategies:
                 for server in service.cluster.servers:
                     if server.has_store(name):
-                        assert kept.get(("state", name, server.server_id), {}) == (
+                        assert kept.get(name, {}).get(server.server_id, {}) == (
                             appendlog._persistable_state(server.state(name))
                         ), (step, name, server.server_id)
             crashed = tmp_path / f"crashed-{step}"

@@ -2,7 +2,7 @@
 
 Target 0 is the explicit "fetch everything" request: no target can be
 met, so the client walks the strategy's full contact order and every
-per-server answer is the entire store (``EntryStore.sample`` treats
+per-server answer is the entire store (``MemoryBackend.sample`` treats
 ``count <= 0`` as "all").  See
 :meth:`repro.strategies.base.PlacementStrategy.lookup_all`.
 """
