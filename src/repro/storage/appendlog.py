@@ -152,7 +152,9 @@ def _item_changes(now: Dict[str, Any], before: Dict[str, Any]) -> Dict[str, Any]
     """The ``set`` and ``del`` fields, keys sorted, that took the items
     ``before`` logged of one dict-valued key to their values in ``now``."""
     fields: Dict[str, Any] = {}
-    put = {k: _detached(now[k]) for k in sorted(before) if k in now and now[k] != before[k]}
+    put = {
+        k: _detached(now[k]) for k in sorted(before) if k in now and now[k] != before[k]
+    }
     gone = sorted(k for k, was in before.items() if was is not None and k not in now)
     if put:
         fields["set"] = put
@@ -172,10 +174,7 @@ def _patch(state: Dict[str, Any], before: Dict[Any, Any]) -> Dict[str, Any]:
     sorted.  Only logged slots are read.
     """
     fields: Dict[str, Any] = {}
-    put = {}
-    for name, value in state.items():
-        if name in before and before[name] != value:
-            put[name] = _detached(value)
+    put = {n: _detached(v) for n, v in state.items() if n in before and before[n] != v}
     if put:
         fields["set"] = put
     gone = []
