@@ -24,8 +24,10 @@ must produce identical summaries and exit codes.
 
 The same contract then runs against a ``serve --workers 2`` fleet
 (SO_REUSEPORT multi-process serve): every scheme answers through the
-fleet, degraded/failed exits hold, one SIGTERM to the parent tears
-down every worker (verified by pid), a SIGKILLed fleet leaves no
+fleet, degraded/failed exits hold, a reader worker answers each lookup
+of a write-carrying batch after exactly the writes before it (both
+writes cross the writer pipe in one frame), one SIGTERM to the parent
+tears down every worker (verified by pid), a SIGKILLed fleet leaves no
 worker behind, and the ``info.capabilities`` cache
 counters show real hot-key hits — written out as a JSON artifact
 with ``--cache-stats PATH`` for CI to upload.
@@ -579,13 +581,83 @@ def _assert_fleet_gone(pids: list[int], grace: float = 0.5) -> None:
         fail(f"worker pid {pid} survived the fleet teardown")
 
 
+def check_batch_through_reader(host: str, port: int) -> None:
+    """A reader answers each read of a write-carrying batch after exactly
+    the writes before it.
+
+    Finds a reader worker by its ``workers.role`` capability, then sends
+    it one binary batch ``[Add(e), Lookup(0), Delete(e), Lookup(0)]``
+    per scheme: the reader forwards both writes to the writer in one
+    bus frame and answers each lookup as the write before it lands.
+    Every sub-reply must be ok; no lookup after the delete may hold
+    ``e``, and it must equal a lookup sent after the batch; on
+    ``full_replication``, where every server holds every entry, the
+    lookup after the add must hold ``e``.
+    """
+    import socket
+    import struct
+
+    from repro.cluster.messages import AddRequest, DeleteRequest, LookupRequest
+    from repro.core.entry import Entry
+    from repro.net.codec import (
+        CODEC_BINARY,
+        CODEC_JSON,
+        decode_frame_body,
+        encode_envelope_as,
+        hello_envelope,
+    )
+
+    def exchange(sock: socket.socket, envelope: dict, codec: str) -> dict:
+        sock.sendall(encode_envelope_as(envelope, codec))
+        (length,) = struct.unpack(">I", sock.recv(4, socket.MSG_WAITALL))
+        return decode_frame_body(sock.recv(length, socket.MSG_WAITALL))
+
+    def ids(reply: dict) -> set:
+        return {entry.entry_id for entry in reply["value"]}
+
+    entry = Entry("zz-smoke-batch")
+    for _ in range(64):  # SO_REUSEPORT picks the worker; find a reader
+        sock = socket.create_connection((host, port), timeout=10)
+        info = exchange(sock, {"op": "info"}, CODEC_JSON)
+        if info["value"]["capabilities"]["workers"]["role"] == "reader":
+            break
+        sock.close()
+    else:
+        fail("no connection reached a reader worker")
+    with sock:
+        if exchange(sock, hello_envelope((CODEC_BINARY,)), CODEC_JSON)["value"]["codec"] != (
+            CODEC_BINARY
+        ):
+            fail("the reader did not negotiate the binary codec")
+        for scheme in sorted(EXPECTED):
+            requests = [
+                {"op": "send", "id": n, "server": 0, "key": scheme, "message": message}
+                for n, message in enumerate(
+                    (AddRequest(entry), LookupRequest(0), DeleteRequest(entry), LookupRequest(0))
+                )
+            ]
+            batch = {"op": "batch", "id": 1, "requests": requests}
+            subs = exchange(sock, batch, CODEC_BINARY)["value"]
+            if [sub.get("id") for sub in subs] != [0, 1, 2, 3] or not all(
+                sub["ok"] for sub in subs
+            ):
+                fail(f"{scheme}: batch through the reader answered {subs}")
+            after = exchange(sock, dict(requests[3], id=4), CODEC_BINARY)
+            if entry.entry_id in ids(subs[3]) or ids(subs[3]) != ids(after):
+                fail(f"{scheme}: the lookup after the delete does not hold the delete")
+            if scheme == "full_replication" and entry.entry_id not in ids(subs[1]):
+                fail(f"{scheme}: the lookup after the add does not hold the add")
+    print("ok batch through a reader: each lookup saw exactly the writes before it")
+
+
 def check_worker_fleet(ready_dir: str, deadline: float) -> dict:
     """The ``serve --workers 2`` leg: full exit-code contract + teardown.
 
     Asserts 0 (every scheme serves full answers through the fleet), 3
     (short-but-non-empty stays degraded), 4 (a lone non-home *fleet*
     answers empty), that mutating/reading across worker processes is
-    transparent to ``repro call``, that one SIGTERM to the parent
+    transparent to ``repro call`` and inside one batch through a reader
+    (:func:`check_batch_through_reader`), that one SIGTERM to the parent
     tears down every worker with a clean "[serve] stopped", and that
     the workers of a SIGKILLed parent exit on their own.
     """
@@ -628,6 +700,7 @@ def check_worker_fleet(ready_dir: str, deadline: float) -> dict:
             )
         check_degraded_exit(host, port, deadline)
         check_degraded_exit(host, port, deadline, codec="binary", batch=LOOKUPS)
+        check_batch_through_reader(host, port)
         caps = collect_cache_stats(host, port)
         workers = caps.get("workers") or {}
         if workers.get("count") != 2:

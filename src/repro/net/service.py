@@ -157,6 +157,10 @@ def _refusal(detail: str) -> dict[str, Any]:
     return {"ok": False, "error": "bad-request", "detail": detail}
 
 
+def _unavailable(detail: str) -> dict[str, Any]:
+    return {"ok": False, "error": "unavailable", "detail": detail}
+
+
 def _json_value(value: Any) -> bool:
     """Whether a payload comes back unchanged from the journal's JSON
     and the writer bus's tagged encoding — a tuple, an entry, a dict
@@ -541,7 +545,7 @@ class LookupService:
         if op is _BATCH:
             reply = await self._handle_batch(checked, raw, forwarder)
         elif forwarder is not None and envelope_mutates(checked):
-            reply = await self._forward(forwarder, checked)
+            (reply,) = await self._forward(forwarder, [(envelope, op, checked)], raw)
         else:
             reply = self._dispatch(op, checked, raw)
         return self._echo_id(envelope, reply)
@@ -587,22 +591,46 @@ class LookupService:
             reply["id"] = request_id
         return reply
 
-    @staticmethod
-    async def _forward(forwarder: Any, envelope: dict[str, Any]) -> dict[str, Any]:
-        """Ship one checked mutating envelope to the writer; returns its reply.
-
-        The reply (and its value) is JSON-shaped regardless of the
-        connection codec — the writer pipe speaks JSON — which is fine
-        for mutation acks (they carry scalars, not entry lists).
+    async def _forward(self, forwarder: Any, items: list[tuple], raw: bool) -> list[Any]:
+        """``items`` (``(request, op, checked)``, ``op`` None for a refusal
+        in ``checked``) answered in order, their writes sent to the writer
+        in one ``forwarder.forward(writes, landed)`` call, which calls
+        ``landed(reply, current)`` as each write's delta lands here: that
+        answers the reads up to the next write, or, if not ``current`` (the
+        stores already hold a later write), answers them ``unavailable``.
+        A lost writer answers each write not yet landed ``unavailable``.
+        Write replies are JSON-shaped: the pipe speaks JSON.
         """
-        try:
-            return await forwarder.forward(envelope)
-        except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-            return {
-                "ok": False,
-                "error": "unavailable",
-                "detail": f"writer worker unreachable: {exc}",
-            }
+        replies: list[Any] = []
+        at = 0
+
+        def landed(reply: Optional[dict], current: bool) -> None:
+            nonlocal at
+            if reply is not None:
+                replies.append(self._echo_id(items[at][0], reply))
+                at += 1
+            while at < len(items):
+                sub, op, checked = items[at]
+                if op is not None and envelope_mutates(checked):
+                    return
+                at += 1
+                if op is None:
+                    replies.append(checked)
+                elif current:
+                    replies.append(self._answered(sub, op, checked, raw))
+                else:
+                    replies.append(self._echo_id(sub, _unavailable(
+                        "writer pipe resynced mid-batch")))
+
+        landed(None, True)  # the reads before the first write
+        if at < len(items):
+            writes = [c for _, op, c in items if op is not None and envelope_mutates(c)]
+            try:
+                await forwarder.forward(writes, landed)
+            except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
+                while at < len(items):
+                    landed(_unavailable(f"writer worker unreachable: {exc}"), True)
+        return replies
 
     def _dispatch(self, op: Op, envelope: dict[str, Any], raw: bool) -> dict[str, Any]:
         """Answer one checked envelope; the handlers' exception boundary."""
@@ -674,16 +702,27 @@ class LookupService:
     async def _handle_batch(
         self, envelope: dict[str, Any], raw: bool, forwarder: Optional[Any]
     ) -> dict[str, Any]:
-        """The batch op: items answered in order, one loop for every deployment.
+        """The batch op: items answered in order.
 
         Each item is checked as a request of its own — a refused item
-        is one refused sub-reply.  Reads are answered locally; with a
-        forwarder attached, a mutating item awaits the writer
-        round-trip, which also applies the resulting delta here before
-        the sub-reply is emitted — a client that mutates and reads in
-        one batch sees its own write.  Each sub-reply echoes its own
-        request id for correlation.
+        is one refused sub-reply — and each sub-reply echoes its own
+        request id for correlation.  Without a forwarder every item is
+        answered here, one by one.  A fleet worker checks every item
+        first, then hands all the batch's writes to the writer at once
+        (:meth:`_forward`): each read is answered as its write's delta
+        lands here, so a client that mutates and reads in one batch
+        reads exactly the writes before each read.
         """
+        if forwarder is not None:
+            items = []
+            for sub in envelope["requests"]:
+                try:
+                    items.append((sub, *self._checked(sub, item=True)))
+                except _Refused as refused:
+                    reply = _refusal(str(refused))
+                    reply = self._echo_id(sub, reply) if refused.echo else reply
+                    items.append((sub, None, reply))
+            return {"ok": True, "value": await self._forward(forwarder, items, raw)}
         replies: list[Any] = []
         for sub in envelope["requests"]:
             try:
@@ -692,26 +731,19 @@ class LookupService:
                 reply = _refusal(str(refused))
                 replies.append(self._echo_id(sub, reply) if refused.echo else reply)
                 continue
-            if forwarder is not None and envelope_mutates(checked):
-                reply = await self._forward(forwarder, checked)
-            else:
-                reply = self._dispatch(op, checked, raw)
-                request_id = sub.get("id")
-                if (
-                    raw
-                    and op is _SEND
-                    and type(request_id) is int
-                    and request_id >= 0
-                    and reply["ok"]
-                ):
-                    # The binary-connection hot path: an ok send reply
-                    # is packed to its final wire bytes right here, so
-                    # the frame encoder later copies it in instead of
-                    # walking the reply dict again.
-                    replies.append(pack_send_reply(request_id, reply["value"]))
-                    continue
-            replies.append(self._echo_id(sub, reply))
+            replies.append(self._answered(sub, op, checked, raw))
         return {"ok": True, "value": replies}
+
+    def _answered(self, sub: dict[str, Any], op: Op, checked: dict, raw: bool) -> Any:
+        """A checked read item's sub-reply."""
+        reply = self._dispatch(op, checked, raw)
+        request_id = sub.get("id")
+        if raw and op is _SEND and type(request_id) is int and request_id >= 0 and reply["ok"]:
+            # The binary-connection hot path: an ok send reply is packed
+            # to its final wire bytes right here, so the frame encoder
+            # later copies it in instead of walking the reply dict again.
+            return pack_send_reply(request_id, reply["value"])
+        return self._echo_id(sub, reply)
 
     def info(self) -> dict[str, Any]:
         """The ``info`` op: topology plus per-scheme lookup profiles."""

@@ -39,11 +39,12 @@ which only the writer runs.
 Writer-pipe wire schema (JSON frames over the codec's length-prefixed
 framing; see ``docs/protocols.md`` §7):
 
-- reader → writer ``{"op": "fwd", "id": n, "envelope": {...}}`` — a
-  mutating client envelope, JSON-encoded.
+- reader → writer ``{"op": "fwd", "id": n, "envelopes": [{...}...]}``
+  — a client batch's mutating envelopes (one, for a lone write), in
+  order, JSON-encoded.
 - writer → reader ``{"op": "fwd_reply", "id": n, "reply": {...},
-  "delta": {...}?}`` — the client reply, plus the delta when state
-  changed.
+  "delta": {...}?}`` — one per envelope, in order: the client reply,
+  plus the delta when state changed.
 - writer → every other reader ``{"op": "delta", "delta": {...}}``.
 - reader → writer ``{"op": "sync", "id": n, "since": E}`` answered by
   ``{"op": "sync_reply", "id": n, "epoch": E, "stores": {...} |
@@ -67,10 +68,11 @@ carries strictly increasing, gap-free epochs, and a ``fwd_reply`` or
 ``sync_reply`` sits in its stream exactly where the state it reports
 does.  A reader has one applier — the forwarder's pump — which applies
 whatever a frame carries, in arrival order, before it resolves the
-request the frame answers: read-your-writes needs no waiting.  A gap
-can therefore only follow a fault; it is answered with one ``sync``,
-and until its reply arrives deltas are skipped (the snapshot covers
-them) and forward replies are held (their writes are in it).
+request the frame answers: a batch's reads are answered as the write
+before each lands, so each sees exactly the writes before it.  A gap
+can only follow a fault; it is answered with one ``sync``, and until
+its reply arrives deltas are skipped (the snapshot covers them) and
+forward replies are held (their batch's writes are all in it).
 
 Failure policy: a dead reader is respawned by the parent supervisor
 (it resyncs through the writer pipe on boot); a dead **writer** fails
@@ -361,39 +363,40 @@ class WriterBus:
         response["delta"] = delta
         return response
 
-    async def forward(self, envelope: Dict[str, Any]) -> Dict[str, Any]:
+    async def forward(self, envelopes: List[Dict[str, Any]], landed: Any) -> None:
         """The writer's own mutations, through the same epoch log.
 
         Worker 0's service sets ``forwarder = bus`` so a mutating
         envelope whose client connection landed on the writer itself
         still gets an epoch stamp and fans out to every reader —
-        otherwise only the readers' stores would ever converge.
+        otherwise only the readers' stores would ever converge.  As on
+        a reader, ``landed(reply, True)`` follows each write's apply.
         """
-        reply = self._apply(envelope, None)["reply"]
+        for envelope in envelopes:
+            landed(self._apply(envelope, None)["reply"], True)
         await self._drain()
-        return reply
 
     def _handle(self, frame: Dict[str, Any], writer: Any) -> None:
         """One reader frame in, its reply queued on ``writer``."""
         op = frame.get("op")
         if op == "fwd":
-            envelope = frame.get("envelope")
-            if type(envelope) is dict and envelope_mutates(envelope):
-                # Applied through the service's own request check.  A
-                # batch would mutate without a delta, and a read has no
-                # business here (its JSON reply may be spliced text the
-                # pipe does not carry), so neither is taken.
-                response = self._apply(envelope, writer)
-            else:
-                response = {
-                    "reply": {
-                        "ok": False,
-                        "error": "bad-request",
-                        "detail": "fwd wants one mutating send envelope",
-                    }
-                }
-            response["op"] = "fwd_reply"
-        elif op == "sync":
+            envelopes = frame.get("envelopes")
+            if type(envelopes) is not list or not envelopes:
+                envelopes = [None]
+            # Each applied through the service's own request check.  A
+            # batch would mutate without a delta, and a read has no
+            # business here (its JSON reply may be spliced text the
+            # pipe does not carry), so neither is taken.
+            writer.write(b"".join(encode_envelope(dict(
+                self._apply(envelope, writer)
+                if type(envelope) is dict and envelope_mutates(envelope)
+                else {"reply": {"ok": False, "error": "bad-request",
+                                "detail": "fwd wants a list of mutating send envelopes"}},
+                op="fwd_reply",
+                id=frame.get("id"),
+            )) for envelope in envelopes))
+            return
+        if op == "sync":
             response = {"op": "sync_reply", "epoch": self.epoch}
             since = frame.get("since")
             if isinstance(since, int) and not isinstance(since, bool) and (
@@ -434,8 +437,8 @@ class WriteForwarder:
     stores.  The pump applies what a frame carries — a broadcast
     delta, the delta riding on a ``fwd_reply``, a ``sync_reply``'s
     snapshot and hot set — in arrival order and only then resolves the
-    request the frame answers, so ``forward`` returns with the op's own
-    write already visible locally.
+    request the frame answers, so each forwarded write is visible
+    locally by the time its ``landed`` callback runs.
     """
 
     def __init__(self, service: LookupService, path: str) -> None:
@@ -446,7 +449,9 @@ class WriteForwarder:
         self.applier = DeltaApplier(service, applied=service.recovered_epoch)
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
-        self._pending: Dict[int, asyncio.Future] = {}
+        #: Per request in flight: its future, and for a ``fwd`` its
+        #: ``landed`` callback and how many of its writes are to land.
+        self._pending: Dict[int, List[Any]] = {}
         self._next_id = 0
         self._pump_task: Optional[asyncio.Task] = None
         #: A ``sync`` is on its way: deltas are skipped (its snapshot
@@ -489,11 +494,13 @@ class WriteForwarder:
         self._writer.write(encode_envelope(frame))
         return self._next_id
 
-    async def _request(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+    async def _request(
+        self, frame: Dict[str, Any], landed: Any = None, replies: int = 1
+    ) -> Dict[str, Any]:
         """One round trip; resolved by the pump once the reply is applied."""
         fid = self._send(frame)
         future = asyncio.get_running_loop().create_future()
-        self._pending[fid] = future
+        self._pending[fid] = [future, landed, replies]
         try:
             await self._writer.drain()
             return await future
@@ -505,19 +512,16 @@ class WriteForwarder:
         self._syncing = True
         return {"op": "sync", "since": self.applier.applied}
 
-    async def forward(self, envelope: Dict[str, Any]) -> Dict[str, Any]:
-        """One mutating envelope through the writer; read-your-writes."""
-        frame = await self._request(
-            {"op": "fwd", "envelope": wire_envelope(envelope)}
-        )
-        reply = frame.get("reply")
-        if not isinstance(reply, dict):
-            return {
-                "ok": False,
-                "error": "internal",
-                "detail": "writer returned no reply",
-            }
-        return reply
+    async def forward(self, envelopes: List[Dict[str, Any]], landed: Any) -> None:
+        """Checked mutating envelopes through the writer as one ``fwd``.
+
+        The pump calls ``landed(reply, current)`` once per write, in
+        order, after applying its delta here; ``current`` is False when
+        the stores already hold a later write of the batch (a resync).
+        Raises :class:`ConnectionError` if the bus is lost first.
+        """
+        frame = {"op": "fwd", "envelopes": [wire_envelope(e) for e in envelopes]}
+        await self._request(frame, landed, len(envelopes))
 
     async def _pump(self) -> None:
         try:
@@ -535,7 +539,7 @@ class WriteForwarder:
             print("[serve] writer pipe: cannot apply update", file=sys.stderr)
             traceback.print_exc()
         finally:
-            for future in self._pending.values():
+            for future, *_ in self._pending.values():
                 if not future.done():
                     future.set_exception(
                         ConnectionError("writer bus connection lost")
@@ -549,17 +553,18 @@ class WriteForwarder:
         if op == "delta":
             self._offer(frame.get("delta") or {})
         elif op == "fwd_reply":
-            if self._syncing:
-                self._held.append(frame)
-                return
             delta = frame.get("delta")
             if delta is not None:
                 self._offer(delta)
-            self._resolve(frame)
+            if self._syncing:
+                self._held.append(frame)
+            else:
+                self._resolve(frame)
         elif op == "sync_reply":
             self._adopt(frame)
-            for answered in (frame, *self._held):
-                self._resolve(answered)
+            self._resolve(frame)
+            for held in self._held:
+                self._resolve(held, resynced=True)
             self._held.clear()
 
     def _offer(self, delta: Dict[str, Any]) -> None:
@@ -587,9 +592,22 @@ class WriteForwarder:
             self.service.import_hot_set(hot)
         self._syncing = False
 
-    def _resolve(self, frame: Dict[str, Any]) -> None:
-        future = self._pending.get(frame.get("id"))
-        if future is not None and not future.done():
+    def _resolve(self, frame: Dict[str, Any], resynced: bool = False) -> None:
+        pending = self._pending.get(frame.get("id"))
+        if pending is None or pending[0].done():
+            return
+        future, landed, pending[2] = pending[0], pending[1], pending[2] - 1
+        if landed is not None:
+            reply = frame.get("reply")
+            if not isinstance(reply, dict):
+                reply = {"ok": False, "error": "internal", "detail": "writer sent no reply"}
+            try:
+                # A resync's snapshot holds the whole batch: this write's
+                # own state only if it is the batch's last.
+                landed(reply, not resynced or pending[2] == 0)
+            except Exception as exc:  # noqa: BLE001 - the caller's, not the pump's
+                future.set_exception(exc)
+        if pending[2] == 0 and not future.done():
             future.set_result(frame)
 
     def _fatal(self) -> None:

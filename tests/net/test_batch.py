@@ -24,6 +24,8 @@ from repro.net.codec import (
 from repro.net.service import MAX_BATCH, LookupService, ServiceConfig
 from repro.net.workers import apply_delta, compute_apply_delta, wire_envelope
 
+from .test_workers import _bus_fed_forwarder
+
 def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=30))
 
@@ -303,21 +305,22 @@ class TestBatchEnvelope:
 
 class StubForwarder:
     """What ``WriteForwarder.forward`` does, minus the bus socket: the
-    writer applies, the reply crosses a JSON pipe, and the delta lands
-    on the reader before the reply is handed back."""
+    writer applies the batch's writes, their replies cross a JSON pipe,
+    and each delta lands on the reader before its reply is handed back."""
 
     def __init__(self, writer, reader):
         self.writer = writer
         self.reader = reader
-        self.forwarded = 0
+        self.forwarded = []
 
-    async def forward(self, envelope):
-        self.forwarded += 1
-        reply, delta = compute_apply_delta(self.writer, wire_envelope(envelope))
+    async def forward(self, envelopes, landed):
+        self.forwarded.append([envelope["id"] for envelope in envelopes])
+        applied = [compute_apply_delta(self.writer, wire_envelope(e)) for e in envelopes]
         await asyncio.sleep(0)  # a real suspension, like the bus round-trip
-        if delta is not None:
-            apply_delta(self.reader, delta)
-        return json.loads(json.dumps(reply))
+        for reply, delta in applied:
+            if delta is not None:
+                apply_delta(self.reader, delta)
+            landed(json.loads(json.dumps(reply)), True)
 
 
 def _mixed_batch(codec):
@@ -373,8 +376,9 @@ class TestOneRequestPath:
     @pytest.mark.parametrize("codec", [CODEC_JSON, CODEC_BINARY])
     def test_mixed_batch_is_byte_identical_on_every_path(self, codec):
         """`handle_envelope` on a single process, the socket loop, and
-        a fleet reader handing its writes to a forwarder all emit the
-        same reply frame for the same mixed batch."""
+        a fleet reader handing its writes to a forwarder — a stub, and a
+        real `WriteForwarder` answered by a real `WriterBus` — all emit
+        the same reply frame for the same mixed batch."""
         envelope = _mixed_batch(codec)
         direct = LookupService(CONFIG).handle_envelope(
             _mixed_batch(codec), raw=codec == CODEC_BINARY
@@ -390,11 +394,25 @@ class TestOneRequestPath:
             stub = StubForwarder(LookupService(CONFIG), reader_service)
             reader_service.forwarder = stub
             frame = await _raw_exchange(host, port, codec, envelope)
-            assert stub.forwarded == 2  # the add and the delete, nothing else
+            assert stub.forwarded == [["a", 3]]  # one call: the add and the delete
             return frame
 
         forwarded = run(with_service(through_a_forwarder))
         assert forwarded == expected
+
+        async def through_the_bus(reader_service, host, port):
+            fwd = _bus_fed_forwarder(reader_service, LookupService(CONFIG))
+            reader_service.forwarder = fwd
+            try:
+                frame = await _raw_exchange(host, port, codec, envelope)
+            finally:
+                await fwd.stop()
+            (request,) = fwd._writer.frames
+            assert [e["message"]["type"] for e in request["envelopes"]] == [
+                "AddRequest", "DeleteRequest"]
+            return frame
+
+        assert run(with_service(through_the_bus)) == expected
 
         reply = decode_frame_body(forwarded[4:])
         assert reply["ok"] and reply["id"] == 99

@@ -30,7 +30,10 @@ class _Pipe:
         self.frames = []
 
     def write(self, data):
-        self.frames.append(decode_frame_body(data[4:]))
+        while data:  # one write may carry several frames
+            end = 4 + int.from_bytes(data[:4], "big")
+            self.frames.append(decode_frame_body(data[4:end]))
+            data = data[end:]
 
     async def drain(self):
         await asyncio.sleep(0)
@@ -92,7 +95,13 @@ envelopes = st.one_of(
     st.fixed_dictionaries({"op": st.sampled_from(["ping", "info", "verify"])}),
 )
 bus_frames = st.one_of(
-    st.fixed_dictionaries({"op": st.just("fwd"), "id": junk, "envelope": envelopes}),
+    st.fixed_dictionaries(
+        {
+            "op": st.just("fwd"),
+            "id": junk,
+            "envelopes": st.one_of(st.lists(envelopes, max_size=4), junk),
+        }
+    ),
     st.fixed_dictionaries(
         {"op": st.just("sync"), "id": junk},
         optional={"since": st.one_of(junk, st.sampled_from([-1, 0, 10**30]))},
@@ -105,28 +114,48 @@ bus_frames = st.one_of(
 
 @settings(max_examples=100)
 @given(st.lists(bus_frames, min_size=1, max_size=6))
-@example([{"op": "fwd", "id": math.nan, "envelope": None}])
+@example([{"op": "fwd", "id": math.nan, "envelopes": None}])
+@example([{"op": "fwd", "id": 1, "envelopes": []}])
 def test_writer_answers_or_drops_every_frame(frames):
     service = LookupService(CONFIG)
     bus = WriterBus(service, "unused.sock")
     origin, other = _Pipe(), _Pipe()
     bus._conns.update((origin, other))
+    # Each envelope the bus applies, and whether the stores moved.
+    applied = []
+    apply = bus._apply
+
+    def tracked(envelope, conn):
+        masks = _masks(service)
+        response = apply(envelope, conn)
+        applied.append((envelope, _masks(service) != masks))
+        return response
+
+    bus._apply = tracked
     for frame in map(_json, frames):
         epoch, masks = bus.epoch, _masks(service)
         written = len(origin.frames)
         bus._handle(frame, origin)
         replies = origin.frames[written:]
         if frame["op"] == "fwd":
-            (reply,) = replies
-            assert reply["op"] == "fwd_reply" and _same(reply["id"], frame.get("id"))
-            # The epoch moves exactly when the stores did.
-            moved = _masks(service) != masks
-            assert ("delta" in reply) is moved
-            assert bus.epoch == epoch + moved
-            envelope = frame["envelope"]
-            if moved:
-                assert isinstance(envelope, dict) and envelope.get("op") == "send"
-                assert reply["reply"]["ok"]
+            envelopes = frame["envelopes"]
+            if type(envelopes) is not list or not envelopes:
+                (reply,) = replies
+                assert reply["reply"]["error"] == "bad-request"
+                envelopes = [None]
+            # One reply per item, in order.
+            assert len(replies) == len(envelopes)
+            for envelope, reply in zip(envelopes, replies):
+                assert reply["op"] == "fwd_reply" and _same(reply["id"], frame.get("id"))
+                # The epoch moves exactly when the stores did.
+                moved = bool(applied) and applied[0][0] is envelope and applied.pop(0)[1]
+                assert ("delta" in reply) is moved
+                epoch += moved
+                if moved:
+                    assert reply["delta"]["epoch"] == epoch
+                    assert isinstance(envelope, dict) and envelope.get("op") == "send"
+                    assert reply["reply"]["ok"]
+            assert not applied and bus.epoch == epoch
         elif frame["op"] == "sync":
             (reply,) = replies
             assert reply["op"] == "sync_reply" and reply["epoch"] == bus.epoch

@@ -305,7 +305,7 @@ class Stalled:
     def __init__(self):
         self.calls = 0
 
-    async def forward(self, envelope):
+    async def forward(self, envelopes, landed):
         self.calls += 1
         await asyncio.Event().wait()
 
@@ -317,9 +317,10 @@ class Gated:
         self.service = service
         self.gate = asyncio.Event()
 
-    async def forward(self, envelope):
+    async def forward(self, envelopes, landed):
         await self.gate.wait()
-        return self.service.handle_envelope(envelope)
+        for envelope in envelopes:
+            landed(self.service.handle_envelope(envelope), True)
 
 
 def test_a_parked_connection_holds_later_frames_and_bounds_its_buffer():

@@ -210,9 +210,10 @@ class RecordingForwarder:
     def __init__(self):
         self.forwarded = []
 
-    async def forward(self, envelope):
-        self.forwarded.append(envelope)
-        return {"ok": True, "value": None}
+    async def forward(self, envelopes, landed):
+        self.forwarded.extend(envelopes)
+        for _ in envelopes:
+            landed({"ok": True, "value": None}, True)
 
 
 def _serve(service, envelope, raw, forwarder):

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 
 import pytest
 
@@ -70,6 +71,14 @@ def _send(key, message, server=0):
 
 def _masks(service, key):
     return [server.store(key).mask for server in service.cluster.servers]
+
+
+async def _forward(forwarder, envelope):
+    """One write through ``forwarder``'s batch ``forward``; its reply."""
+    replies = []
+    await forwarder.forward([envelope], lambda reply, current: replies.append(reply))
+    (reply,) = replies
+    return reply
 
 
 class TestEnvelopeClassification:
@@ -399,7 +408,8 @@ class TestWriterBusAndForwarder:
                 fwd = WriteForwarder(reader_svc, self._bus_path(tmp))
                 await fwd.start()
                 try:
-                    reply = await fwd.forward(
+                    reply = await _forward(
+                        fwd,
                         _send("full_replication", AddRequest(entry=Entry("zz-f")))
                     )
                     assert reply["ok"]
@@ -427,7 +437,8 @@ class TestWriterBusAndForwarder:
                 await fwd_a.start()
                 await fwd_b.start()
                 try:
-                    await fwd_a.forward(
+                    await _forward(
+                        fwd_a,
                         _send("full_replication", AddRequest(entry=Entry("zz-b")))
                     )
                     # b hears about it via broadcast, asynchronously
@@ -494,10 +505,12 @@ class TestWriterBusAndForwarder:
                 bus = WriterBus(writer_svc, self._bus_path(tmp))
                 await bus.start()
                 # mutations happen while no reader is connected
-                await bus.forward(
+                await _forward(
+                    bus,
                     _send("full_replication", AddRequest(entry=Entry("zz-r1")))
                 )
-                await bus.forward(
+                await _forward(
+                    bus,
                     _send("full_replication", AddRequest(entry=Entry("zz-r2")))
                 )
                 late = LookupService(CONFIG)
@@ -544,7 +557,10 @@ class _PipeWriter:
         self.frames = []
 
     def write(self, data):
-        self.frames.append(decode_frame_body(data[4:]))
+        while data:  # one write may carry several frames
+            end = 4 + int.from_bytes(data[:4], "big")
+            self.frames.append(decode_frame_body(data[4:end]))
+            data = data[end:]
 
     async def drain(self):
         await asyncio.sleep(0)
@@ -577,7 +593,7 @@ class TestWriterBusOrdering:
                 for n in range(6):
                     inbox.feed_data(
                         encode_envelope(
-                            {"op": "fwd", "id": n, "envelope": _add(f"zz-{tag}{n}")}
+                            {"op": "fwd", "id": n, "envelopes": [_add(f"zz-{tag}{n}")]}
                         )
                     )
                     if n == 2:
@@ -587,10 +603,10 @@ class TestWriterBusOrdering:
                                 {
                                     "op": "fwd",
                                     "id": 100,
-                                    "envelope": _send(
+                                    "envelopes": [_send(
                                         "full_replication",
                                         DeleteRequest(entry=Entry("zz-nope")),
-                                    ),
+                                    )],
                                 }
                             )
                         )
@@ -598,7 +614,7 @@ class TestWriterBusOrdering:
                 tasks.append((inbox, asyncio.create_task(bus._serve(inbox, conn))))
             # the writer's own clients mutate in between
             for n in range(6):
-                assert (await bus.forward(_add(f"zz-w{n}")))["ok"]
+                assert (await _forward(bus, _add(f"zz-w{n}")))["ok"]
             while bus.epoch < 18:
                 await asyncio.sleep(0)
             for inbox, task in tasks:
@@ -632,7 +648,7 @@ class TestWriterBusOrdering:
         bus = WriterBus(LookupService(CONFIG), "unused.sock")
         origin = _PipeWriter()
         for envelope in (_send("fixed", LookupRequest(0)), {"op": "ping"}):
-            bus._handle({"op": "fwd", "id": 3, "envelope": envelope}, origin)
+            bus._handle({"op": "fwd", "id": 3, "envelopes": [envelope]}, origin)
         assert [f["reply"]["error"] for f in origin.frames] == ["bad-request"] * 2
         assert bus.epoch == 0
 
@@ -640,7 +656,7 @@ class TestWriterBusOrdering:
         bus = WriterBus(LookupService(CONFIG), "unused.sock")
         origin, other = _PipeWriter(), _PipeWriter()
         bus._conns.update((origin, other))
-        bus._handle({"op": "fwd", "id": 7, "envelope": _add("zz-o")}, origin)
+        bus._handle({"op": "fwd", "id": 7, "envelopes": [_add("zz-o")]}, origin)
         assert [f["op"] for f in origin.frames] == ["fwd_reply"]
         assert [f["op"] for f in other.frames] == ["delta"]
         assert origin.frames[0]["delta"] == other.frames[0]["delta"]
@@ -688,6 +704,32 @@ def _pumped_forwarder(service=None):
     return fwd
 
 
+def _bus_fed_forwarder(reader, writer):
+    """A `_pumped_forwarder` on ``reader`` whose requests a real
+    `WriterBus` on ``writer`` answers as they are written, its replies
+    fed back to the pump."""
+    fwd = _pumped_forwarder(reader)
+    bus = WriterBus(writer, "unused.sock")
+    origin = types.SimpleNamespace(write=fwd._reader.feed_data)
+    pipe = fwd._writer
+
+    def write(data):
+        _PipeWriter.write(pipe, data)
+        bus._handle(pipe.frames[-1], origin)
+
+    pipe.write = write
+    return fwd
+
+
+def _wire(reply):
+    """A reply as a JSON client reads it."""
+    return decode_frame_body(encode_envelope_as(reply, CODEC_JSON)[4:])
+
+
+def _ids(sub):
+    return {entry.entry_id for entry in decode_value(sub["value"])}
+
+
 def _feed(fwd, **frame):
     fwd._reader.feed_data(encode_envelope(frame))
 
@@ -721,7 +763,7 @@ class TestPumpOrdering:
                 resolve(frame),
             )
             try:
-                forward = asyncio.create_task(fwd.forward(_add("zz-2")))
+                forward = asyncio.create_task(_forward(fwd, _add("zz-2")))
                 await _settle()
                 (request,) = fwd._writer.frames
                 assert request["op"] == "fwd"
@@ -748,6 +790,47 @@ class TestPumpOrdering:
                 await fwd.stop()
 
         run(scenario())
+
+
+class TestOneForwardPerBatch:
+    """A fleet reader's batch reaches the writer as one ``fwd`` frame,
+    and each read is answered as the write before it lands."""
+
+    @pytest.mark.parametrize("codec", [CODEC_JSON, CODEC_BINARY])
+    def test_a_batch_forwards_its_writes_in_one_frame(self, codec):
+        def batch():
+            messages = []
+            for entry in (Entry("zz-x"), Entry("zz-y")):
+                messages += [AddRequest(entry), LookupRequest(0), DeleteRequest(entry),
+                             LookupRequest(0)]
+            return {"op": "batch", "requests": [
+                dict(_send("full_replication", message), id=n,
+                     message=message if codec == CODEC_BINARY else encode_message(message))
+                for n, message in enumerate(messages)
+            ]}
+
+        raw = codec == CODEC_BINARY
+        expected = LookupService(CONFIG).handle_envelope(batch(), raw=raw)
+
+        async def scenario():
+            reader = LookupService(CONFIG)
+            fwd = _bus_fed_forwarder(reader, LookupService(CONFIG))
+            try:
+                return fwd._writer.frames, await reader._handle_batch(batch(), raw, fwd)
+            finally:
+                await fwd.stop()
+
+        frames, reply = run(scenario())
+        (frame,) = frames
+        assert frame["op"] == "fwd" and len(frame["envelopes"]) == 4
+        body = encode_envelope_as(reply, codec)
+        assert body == encode_envelope_as(expected, codec)
+        subs = decode_frame_body(body[4:])["value"]
+        assert all(sub["ok"] for sub in subs)
+        for n in (0, 4):
+            entry = "zz-x" if n == 0 else "zz-y"
+            assert entry in _ids(subs[n + 1]) and entry not in _ids(subs[n + 3])
+
 
 class TestPumpResync:
     """`WriteForwarder._pump` gap recovery and failure, sans socket."""
@@ -803,7 +886,7 @@ class TestPumpResync:
             fwd = _pumped_forwarder()
             pipe = fwd._writer
             try:
-                forward = asyncio.create_task(fwd.forward(_add("zz-held")))
+                forward = asyncio.create_task(_forward(fwd, _add("zz-held")))
                 await _settle()
                 _feed(fwd, op="delta", delta=_empty(5))  # a gap
                 # our write's reply overtakes the snapshot that holds it:
@@ -828,11 +911,82 @@ class TestPumpResync:
 
         run(scenario())
 
+    def test_a_resync_mid_batch_answers_each_read_honestly(self):
+        async def scenario():
+            writer = LookupService(CONFIG)
+            deltas = [
+                dict(compute_apply_delta(writer, _add(entry))[1], epoch=epoch)
+                for epoch, entry in ((6, "zz-m1"), (7, "zz-m2"))
+            ]
+            fwd = _pumped_forwarder()
+            pipe = fwd._writer
+            lookup = _send("full_replication", LookupRequest(0))
+            batch = {"op": "batch", "requests": [
+                dict(lookup, id=1), dict(_add("zz-m1"), id=2), dict(lookup, id=3),
+                dict(_add("zz-m2"), id=4), dict(lookup, id=5),
+            ]}
+            try:
+                task = asyncio.create_task(fwd.service._handle_batch(batch, False, fwd))
+                await _settle()
+                (request,) = pipe.frames
+                assert len(request["envelopes"]) == 2
+                _feed(fwd, op="delta", delta=_empty(5))  # a gap
+                for delta in deltas:
+                    _feed(fwd, op="fwd_reply", id=request["id"],
+                          reply={"ok": True, "value": True}, delta=delta)
+                await _settle()
+                assert [frame["op"] for frame in pipe.frames] == ["fwd", "sync"]
+                assert not task.done()
+                # The snapshot holds both writes of the batch.
+                _feed(fwd, op="sync_reply", id=pipe.frames[1]["id"], epoch=7,
+                      stores=snapshot_stores(writer))
+                return _wire(await task)["value"], fwd.applier.applied
+            finally:
+                await fwd.stop()
+
+        subs, applied = run(scenario())
+        assert applied == 7
+        assert [sub["id"] for sub in subs] == [1, 2, 3, 4, 5]
+        assert subs[1]["ok"] and subs[3]["ok"]
+        assert not {"zz-m1", "zz-m2"} & _ids(subs[0])
+        # Between the writes: the adopted state already holds the second.
+        assert subs[2] == {"ok": False, "error": "unavailable",
+                           "detail": "writer pipe resynced mid-batch", "id": 3}
+        assert {"zz-m1", "zz-m2"} <= _ids(subs[4])
+
+    def test_a_bus_lost_mid_batch_answers_the_rest_locally(self):
+        async def scenario():
+            _, delta = compute_apply_delta(LookupService(CONFIG), _add("zz-d1"))
+            fwd = _pumped_forwarder()
+            lookup = _send("full_replication", LookupRequest(0))
+            batch = {"op": "batch", "requests": [
+                dict(_add("zz-d1"), id=1), dict(lookup, id=2),
+                dict(_add("zz-d2"), id=3), dict(lookup, id=4),
+            ]}
+            try:
+                task = asyncio.create_task(fwd.service._handle_batch(batch, False, fwd))
+                await _settle()
+                (request,) = fwd._writer.frames
+                _feed(fwd, op="fwd_reply", id=request["id"],
+                      reply={"ok": True, "value": True}, delta=dict(delta, epoch=1))
+                fwd._reader.feed_eof()  # the writer dies after its first reply
+                return _wire(await task)["value"], fwd.fatal
+            finally:
+                await fwd.stop()
+
+        subs, fatal = run(scenario())
+        assert fatal == [True]
+        assert [sub["id"] for sub in subs] == [1, 2, 3, 4]
+        assert subs[0]["ok"] and "zz-d1" in _ids(subs[1])
+        assert subs[2]["error"] == "unavailable"
+        assert "writer worker unreachable" in subs[2]["detail"]
+        assert "zz-d1" in _ids(subs[3]) and "zz-d2" not in _ids(subs[3])
+
     def test_a_delta_that_cannot_apply_is_fatal(self):
         async def scenario():
             fwd = _pumped_forwarder()
             try:
-                forward = asyncio.create_task(fwd.forward(_add("zz-lost")))
+                forward = asyncio.create_task(_forward(fwd, _add("zz-lost")))
                 await _settle()
                 bad = {"epoch": 1, "key": "hash", "servers": {"not-a-server": {}}}
                 _feed(fwd, op="delta", delta=bad)

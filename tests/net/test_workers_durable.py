@@ -28,6 +28,8 @@ from repro.net.workers import (
     snapshot_stores,
 )
 
+from .test_workers import _forward
+
 
 def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=30))
@@ -199,10 +201,12 @@ class TestDurableBusSync:
                 try:
                     # two epochs land while no reader is up; the journal
                     # holds their mutations and epoch markers
-                    await bus.forward(
+                    await _forward(
+                        bus,
                         _send("full_replication", AddRequest(entry=Entry("zz-a")))
                     )
-                    await bus.forward(
+                    await _forward(
+                        bus,
                         _send("full_replication", AddRequest(entry=Entry("zz-b")))
                     )
                     assert bus.epoch == 2
@@ -223,7 +227,8 @@ class TestDurableBusSync:
                                 writer_svc, key
                             )
                         # a post-boot mutation still reaches it live
-                        await bus.forward(
+                        await _forward(
+                            bus,
                             _send(
                                 "full_replication",
                                 AddRequest(entry=Entry("zz-c")),
