@@ -25,9 +25,9 @@ go into the ``--bench-json`` artifact:
   with ``net_hotkey_cache_ratio`` recording the cached/uncached
   speedup (the PR's acceptance floor is 2x).
 - ``net_workers2_lookups_per_sec`` — the multi-core path: a real
-  ``repro serve --workers 2`` subprocess fleet (SO_REUSEPORT or the
-  shared-socket fallback) driven by concurrent batched binary
-  clients, torn down with SIGTERM and asserted to exit cleanly.  The
+  ``repro serve --workers 2`` subprocess fleet (SO_REUSEPORT) driven
+  by concurrent batched binary clients, torn down with SIGTERM and
+  asserted to exit cleanly.  The
   ``_workers2`` suffix lets ``scripts/check_bench_regression.py``
   demote the metric to informational on boxes with fewer cores.
 - ``net_log_store_lookups_per_sec`` / ``net_log_store_ratio`` — the
@@ -54,11 +54,10 @@ import os
 import random
 import signal
 import struct
-import subprocess
-import sys
 import tempfile
 import time
 
+from repro.chaos.process import ServeProcess
 from repro.cluster.messages import LookupRequest
 from repro.net.cache import DEFAULT_CAPACITY
 from repro.net.client import AsyncLookupClient
@@ -322,41 +321,11 @@ FLEET_CLIENTS = 3
 FLEET_LOOKUPS_PER_CLIENT = 800
 
 
-def _spawn_fleet(ready):
-    command = [
-        sys.executable,
-        "-m",
-        "repro",
-        "serve",
-        "--host", "127.0.0.1",
-        "--port", "0",
-        "--servers", "16",
-        "--entries", "40",
-        "--seed", "3",
-        "--workers", str(FLEET_WORKERS),
-        "--ready-file", ready,
-    ]
-    process = subprocess.Popen(
-        command,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env={**os.environ, "PYTHONPATH": "src"},
-    )
-    deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        if process.poll() is not None:
-            output = process.stdout.read() if process.stdout else ""
-            raise AssertionError(
-                f"fleet exited {process.returncode} at boot:\n{output}"
-            )
-        if os.path.exists(ready) and os.path.getsize(ready) > 0:
-            with open(ready, encoding="utf-8") as handle:
-                host, port = handle.read().split()
-            return process, host, int(port)
-        time.sleep(0.05)
-    process.kill()
-    raise AssertionError("fleet never became ready")
+#: A ``serve --workers 2`` fleet on an ephemeral port.
+FLEET_ARGS = [
+    "--host", "127.0.0.1", "--port", "0", "--servers", "16", "--entries", "40",
+    "--seed", "3", "--workers", str(FLEET_WORKERS),
+]
 
 
 async def _drive_fleet(host, port):
@@ -372,21 +341,12 @@ async def _drive_fleet(host, port):
 
 
 def test_bench_net_workers_throughput(bench_json_record):
-    with tempfile.TemporaryDirectory(prefix="bench-fleet-") as tmpdir:
-        ready = os.path.join(tmpdir, "fleet.ready")
-        process, host, port = _spawn_fleet(ready)
-        try:
-            lookups_per_sec = asyncio.run(
-                asyncio.wait_for(_drive_fleet(host, port), timeout=120)
-            )
-        finally:
-            process.send_signal(signal.SIGTERM)
-            try:
-                process.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                raise
-        output = process.stdout.read() if process.stdout else ""
+    with ServeProcess(FLEET_ARGS) as fleet:
+        lookups_per_sec = asyncio.run(
+            asyncio.wait_for(_drive_fleet(fleet.host, fleet.port), timeout=120)
+        )
+        code = fleet.stop()
+        output = fleet.output()
     print(
         f"\nnet service workers: {FLEET_WORKERS} workers x {FLEET_CLIENTS} "
         f"clients x {FLEET_LOOKUPS_PER_CLIENT} lookups "
@@ -394,7 +354,7 @@ def test_bench_net_workers_throughput(bench_json_record):
         f"-> {lookups_per_sec:,.0f} lookups/s"
     )
     # Clean SIGTERM teardown is part of the contract being measured.
-    assert process.returncode == 0, output
+    assert code == 0, output
     assert "[serve] stopped" in output
     assert "Traceback" not in output
     bench_json_record("net_workers2_lookups_per_sec", round(lookups_per_sec, 1))
@@ -432,16 +392,8 @@ async def _request_json(reader, writer):
     return reply["value"]
 
 
-def _read_manifest(path):
-    pids = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            index, pid = line.split()
-            pids[int(index)] = int(pid)
-    return pids
-
-
-async def _warm_respawn_hit_rate(ready, host, port, process):
+async def _warm_respawn_hit_rate(fleet):
+    host, port = fleet.host, fleet.port
     hot = encode_envelope_as(
         {
             "op": "send",
@@ -459,16 +411,10 @@ async def _warm_respawn_hit_rate(ready, host, port, process):
             break
     assert {0, 1} <= seen, f"probes only reached workers {sorted(seen)}"
 
-    victims = _read_manifest(f"{ready}.workers")
+    victims = fleet.workers()
     os.kill(victims[1], signal.SIGKILL)
-    deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        assert process.poll() is None, "fleet died after reader kill"
-        if _read_manifest(f"{ready}.workers").get(1, victims[1]) != victims[1]:
-            break
-        await asyncio.sleep(0.1)
-    else:
-        raise AssertionError("reader was never respawned")
+    # Raises if the fleet died or no reader came back.
+    fleet.await_respawn(1, victims[1])
 
     for _ in range(60):
         caps = await _fleet_probe(host, port, hot)
@@ -481,23 +427,11 @@ def test_bench_net_warm_respawn_hit_rate(bench_json_record):
     """Hit rate of the respawned reader's first served lookup: 1.0 when
     the warm handoff (hot-set import over the bus sync) works, 0.0 when
     the replacement boots cold."""
-    with tempfile.TemporaryDirectory(prefix="bench-respawn-") as tmpdir:
-        ready = os.path.join(tmpdir, "fleet.ready")
-        process, host, port = _spawn_fleet(ready)
-        try:
-            hit_rate = asyncio.run(
-                asyncio.wait_for(
-                    _warm_respawn_hit_rate(ready, host, port, process),
-                    timeout=120,
-                )
-            )
-        finally:
-            process.send_signal(signal.SIGTERM)
-            try:
-                process.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                raise
+    with ServeProcess(FLEET_ARGS) as fleet:
+        hit_rate = asyncio.run(
+            asyncio.wait_for(_warm_respawn_hit_rate(fleet), timeout=120)
+        )
+        fleet.stop()
     print(f"\nnet service warm respawn: respawned reader hit rate {hit_rate:.3f}")
     bench_json_record("net_warm_respawn_hit_rate", round(hit_rate, 3))
     assert hit_rate >= 0.99

@@ -40,10 +40,12 @@ binary reply frames that are byte-for-byte identical to the pre-crash
 control's, mutation included; a mutation it makes itself must survive
 a second SIGKILL and restart.
 
-The server is terminated with SIGTERM and must exit cleanly within
-the grace period; any leftover process is killed and reported as a
-failure.  The whole script is bounded by ``--timeout`` (default 120 s)
-so a wedged service fails fast instead of hanging the job.
+Every ``serve`` is launched through
+:class:`repro.chaos.process.ServeProcess`.  A server is terminated
+with SIGTERM and must exit cleanly within the grace period; any
+leftover process is killed and reported as a failure.  The whole
+script is bounded by ``--timeout`` (default 120 s) so a wedged service
+fails fast instead of hanging the job.
 
 Usage: ``PYTHONPATH=src python scripts/net_smoke.py [--timeout 120]``
 """
@@ -53,17 +55,23 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import signal
 import subprocess
 import sys
 import tempfile
 import time
+
+from repro.chaos.process import ServeProcess, wait_gone
 
 SERVERS = 12
 ENTRIES = 30
 SEED = 5
 TARGET = 8
 LOOKUPS = 3
+
+#: ``serve`` arguments every leg shares.
+SERVE_ARGS = [
+    "--port", "0", "--servers", str(SERVERS), "--entries", str(ENTRIES), "--seed", str(SEED),
+]
 
 X = 10  # fixed / random_server subset size
 Y = 2  # round_robin / hash copy count
@@ -86,21 +94,14 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
-def wait_for_ready(path: str, process: subprocess.Popen, deadline: float) -> tuple[str, int]:
-    while time.monotonic() < deadline:
-        if process.poll() is not None:
-            fail(f"server exited early with code {process.returncode}")
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read().strip()
-        except FileNotFoundError:
-            text = ""
-        if text:
-            host, port = text.split()
-            return host, int(port)
-        time.sleep(0.1)
-    fail("server never wrote the ready file")
-    raise AssertionError  # unreachable
+def stop_cleanly(server: ServeProcess, label: str) -> None:
+    """SIGTERM ``server``; it must exit 0 and say ``[serve] stopped``."""
+    code = server.stop()
+    output = server.output()
+    if code != 0:
+        fail(f"{label} exited {code}:\n{output}")
+    if "[serve] stopped" not in output:
+        fail(f"{label} did not report a clean stop:\n{output}")
 
 
 def run_call(
@@ -215,40 +216,15 @@ def check_degraded_exit(
     )
 
 
-def check_failed_exit(ready_dir: str, deadline: float) -> None:
+def check_failed_exit(deadline: float) -> None:
     # A lone shard that is not home to ``fixed`` truthfully answers
     # empty; an empty answer with a positive target is failed (4).
-    ready = os.path.join(ready_dir, "shard-ready.txt")
-    server = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--port",
-            "0",
-            "--ready-file",
-            ready,
-            "--servers",
-            str(SERVERS),
-            "--entries",
-            str(ENTRIES),
-            "--seed",
-            str(SEED),
-            "--shard",
-            "0/3",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-    try:
-        host, port = wait_for_ready(ready, server, deadline)
+    with ServeProcess([*SERVE_ARGS, "--shard", "0/3"]) as server:
         for codec, batch in (("json", 1), ("binary", LOOKUPS)):
             summary = run_call(
                 "fixed",
-                host,
-                port,
+                server.host,
+                server.port,
                 deadline,
                 verify=False,
                 expect=4,
@@ -263,15 +239,7 @@ def check_failed_exit(ready_dir: str, deadline: float) -> None:
                 f"ok exit-code {summary['exit_code']}{label}: "
                 "empty answer from a non-home shard is failed"
             )
-    finally:
-        if server.poll() is None:
-            server.send_signal(signal.SIGTERM)
-            try:
-                server.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                server.kill()
-                server.wait()
-                fail("shard server did not exit within 10s of SIGTERM")
+        server.stop()
 
 
 def collect_cache_stats(host: str, port: int) -> dict:
@@ -371,7 +339,7 @@ def check_cached_frame_identity(host: str, port: int) -> None:
     print(f"ok cached frame: cold and cached replies byte-identical ({len(cold)}B)")
 
 
-def check_log_store_recovery(ready_dir: str, deadline: float) -> None:
+def check_log_store_recovery(data_root: str) -> None:
     """``serve --store log``: SIGKILL mid-workload, restart, identical bytes.
 
     The control replies are captured from the *uncrashed* service right
@@ -403,38 +371,8 @@ def check_log_store_recovery(ready_dir: str, deadline: float) -> None:
         write_frame,
     )
 
-    data_dir = os.path.join(ready_dir, "log-store-data")
+    data_dir = os.path.join(data_root, "log-store-data")
     os.makedirs(data_dir, exist_ok=True)
-    ready = os.path.join(ready_dir, "log-store-ready.txt")
-
-    def spawn() -> subprocess.Popen:
-        if os.path.exists(ready):
-            os.unlink(ready)
-        return subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "serve",
-                "--port",
-                "0",
-                "--ready-file",
-                ready,
-                "--servers",
-                str(SERVERS),
-                "--entries",
-                str(ENTRIES),
-                "--seed",
-                str(SEED),
-                "--store",
-                "log",
-                "--data-dir",
-                data_dir,
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
 
     async def mutate(host: str, port: int, entry_id: str) -> None:
         reader, writer = await asyncio.open_connection(host, port)
@@ -496,13 +434,12 @@ def check_log_store_recovery(ready_dir: str, deadline: float) -> None:
     def run(coro):
         return asyncio.run(asyncio.wait_for(coro, timeout=30))
 
-    def restart(label: str) -> tuple[subprocess.Popen, str, int, dict]:
-        process = spawn()
-        host, port = wait_for_ready(ready, process, deadline)
-        caps = run(storage_caps(host, port))
+    def restart(server: ServeProcess, label: str) -> dict:
+        server.restart()
+        caps = run(storage_caps(server.host, server.port))
         if caps.get("kind") != "log" or not caps.get("recovered"):
             fail(f"{label} log-store service did not recover: {caps}")
-        return process, host, port, caps
+        return caps
 
     def same_frames(control: list[bytes], recovered: list[bytes], label: str) -> None:
         if recovered != control:
@@ -517,68 +454,30 @@ def check_log_store_recovery(ready_dir: str, deadline: float) -> None:
         reply = decode_frame_body(frames[first])
         return {entry.entry_id for entry in reply["value"]}
 
-    server = spawn()
-    caps: dict = {}
-    control: list[bytes] = []
-    try:
-        host, port = wait_for_ready(ready, server, deadline)
-        run(mutate(host, port, "w1"))
-        control = run(capture(host, port))
+    with ServeProcess([*SERVE_ARGS, "--store", "log", "--data-dir", data_dir]) as server:
+        run(mutate(server.host, server.port, "w1"))
+        control = run(capture(server.host, server.port))
         server.kill()
-        server.wait()
         # The kill cut the next write short: a fragment with no newline.
         newest = sorted(glob.glob(os.path.join(data_dir, "journal.*.log")))[-1]
         with open(newest, "a", encoding="utf-8") as handle:
             handle.write('[{"op":"add","k":"full_replication","s":0,"i":99,"e":["w9"')
-        server, host, port, caps = restart("restarted")
-        same_frames(control, run(capture(host, port)), "recovery")
-        run(mutate(host, port, "w2"))
-        control = run(capture(host, port))
+        caps = restart(server, "restarted")
+        same_frames(control, run(capture(server.host, server.port)), "recovery")
+        run(mutate(server.host, server.port, "w2"))
+        control = run(capture(server.host, server.port))
         server.kill()
-        server.wait()
-        server, host, port, caps = restart("twice restarted")
-        recovered = run(capture(host, port))
+        caps = restart(server, "twice restarted")
+        recovered = run(capture(server.host, server.port))
         if "w2" not in full_replication_ids(recovered):
             fail("the mutation made after a torn-tail restart was lost")
         same_frames(control, recovered, "second recovery")
-    finally:
-        if server.poll() is None:
-            server.send_signal(signal.SIGTERM)
-            try:
-                server.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                server.kill()
-                server.wait()
-                fail("log-store server did not exit within 10s of SIGTERM")
+        server.stop()
     print(
         f"ok log-store recovery: SIGKILL + torn tail + restart, a mutation, "
         f"SIGKILL + restart replayed {caps.get('log_records')} journal records "
         f"and served {len(control)} byte-identical reply frames"
     )
-
-
-def _fleet_pids(ready: str) -> list[int]:
-    with open(f"{ready}.workers", encoding="utf-8") as handle:
-        lines = [line.split() for line in handle if line.strip()]
-    return [int(pid) for _index, pid in lines]
-
-
-def _assert_fleet_gone(pids: list[int], grace: float = 0.5) -> None:
-    deadline = time.monotonic() + grace
-    while True:
-        alive = []
-        for pid in pids:
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                continue
-            alive.append(pid)
-        if not alive or time.monotonic() >= deadline:
-            break
-        time.sleep(0.05)
-    for pid in alive:
-        os.kill(pid, signal.SIGKILL)
-        fail(f"worker pid {pid} survived the fleet teardown")
 
 
 def check_batch_through_reader(host: str, port: int) -> None:
@@ -650,7 +549,7 @@ def check_batch_through_reader(host: str, port: int) -> None:
     print("ok batch through a reader: each lookup saw exactly the writes before it")
 
 
-def check_worker_fleet(ready_dir: str, deadline: float) -> dict:
+def check_worker_fleet(deadline: float) -> dict:
     """The ``serve --workers 2`` leg: full exit-code contract + teardown.
 
     Asserts 0 (every scheme serves full answers through the fleet), 3
@@ -661,34 +560,9 @@ def check_worker_fleet(ready_dir: str, deadline: float) -> dict:
     tears down every worker with a clean "[serve] stopped", and that
     the workers of a SIGKILLed parent exit on their own.
     """
-    ready = os.path.join(ready_dir, "fleet-ready.txt")
-    server = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--workers",
-            "2",
-            "--port",
-            "0",
-            "--ready-file",
-            ready,
-            "--servers",
-            str(SERVERS),
-            "--entries",
-            str(ENTRIES),
-            "--seed",
-            str(SEED),
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-    caps: dict = {}
-    try:
-        host, port = wait_for_ready(ready, server, deadline)
-        pids = _fleet_pids(ready)
+    with ServeProcess([*SERVE_ARGS, "--workers", "2"]) as server:
+        host, port = server.host, server.port
+        pids = list(server.workers().values())
         if len(pids) != 2:
             fail(f"expected 2 worker pids in the manifest, got {pids}")
         print(f"fleet up at {host}:{port}, workers {pids}")
@@ -705,55 +579,16 @@ def check_worker_fleet(ready_dir: str, deadline: float) -> dict:
         workers = caps.get("workers") or {}
         if workers.get("count") != 2:
             fail(f"capabilities do not report the 2-worker fleet: {workers}")
-    finally:
-        if server.poll() is None:
-            server.send_signal(signal.SIGTERM)
-            try:
-                server.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                server.kill()
-                server.wait()
-                fail("worker fleet did not exit within 15s of SIGTERM")
-    output = server.stdout.read() if server.stdout else ""
-    if server.returncode != 0:
-        fail(f"worker fleet exited {server.returncode}:\n{output}")
-    if "[serve] stopped" not in output:
-        fail(f"worker fleet did not report a clean stop:\n{output}")
-    _assert_fleet_gone(pids)
+        stop_cleanly(server, "worker fleet")
+        if left := wait_gone(pids, 0.5):
+            fail(f"worker pids {left} survived the fleet teardown")
     print("ok workers 2: fleet served all schemes and tore down cleanly")
 
     # exit code 4 through a fleet: a lone non-home shard, 2 workers
-    ready4 = os.path.join(ready_dir, "fleet-shard-ready.txt")
-    shard = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--workers",
-            "2",
-            "--port",
-            "0",
-            "--ready-file",
-            ready4,
-            "--servers",
-            str(SERVERS),
-            "--entries",
-            str(ENTRIES),
-            "--seed",
-            str(SEED),
-            "--shard",
-            "0/3",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-    try:
-        host, port = wait_for_ready(ready4, shard, deadline)
-        shard_pids = _fleet_pids(ready4)
+    with ServeProcess([*SERVE_ARGS, "--workers", "2", "--shard", "0/3"]) as shard:
+        shard_pids = list(shard.workers().values())
         summary = run_call(
-            "fixed", host, port, deadline, verify=False, expect=4
+            "fixed", shard.host, shard.port, deadline, verify=False, expect=4
         )
         for lookup in summary["lookups"]:
             if lookup["found"] != 0:
@@ -762,20 +597,11 @@ def check_worker_fleet(ready_dir: str, deadline: float) -> dict:
         # A SIGKILLed parent runs no teardown at all: the workers must
         # notice through the lifeline pipe.
         shard.kill()
-        shard.wait()
         # Orphans: they exit on lifeline EOF and init reaps them, so
         # allow more than the supervised teardown's half second.
-        _assert_fleet_gone(shard_pids, grace=10.0)
+        if left := wait_gone(shard_pids, 10.0):
+            fail(f"worker pids {left} survived their SIGKILLed supervisor")
         print("ok SIGKILL [workers 2]: workers exited")
-    finally:
-        if shard.poll() is None:
-            shard.send_signal(signal.SIGTERM)
-            try:
-                shard.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                shard.kill()
-                shard.wait()
-                fail("sharded worker fleet did not exit within 15s of SIGTERM")
     return caps
 
 
@@ -791,65 +617,28 @@ def main() -> int:
     args = parser.parse_args()
     deadline = time.monotonic() + args.timeout
 
+    with ServeProcess(SERVE_ARGS) as server:
+        host, port = server.host, server.port
+        print(f"server up at {host}:{port}")
+        for scheme in sorted(EXPECTED):
+            check_scheme(scheme, run_call(scheme, host, port, deadline))
+        # The same contract over the binary codec with pipelined
+        # batches: identical summaries, identical exit codes.
+        for scheme in sorted(EXPECTED):
+            check_scheme(
+                scheme,
+                run_call(scheme, host, port, deadline, codec="binary", batch=LOOKUPS),
+                label=f" [binary, batch {LOOKUPS}]",
+            )
+        check_degraded_exit(host, port, deadline)
+        check_degraded_exit(host, port, deadline, codec="binary", batch=LOOKUPS)
+        check_failed_exit(deadline)
+        check_cached_frame_identity(host, port)
+        single_caps = collect_cache_stats(host, port)
+        stop_cleanly(server, "server")
+    fleet_caps = check_worker_fleet(deadline)
     with tempfile.TemporaryDirectory() as tmpdir:
-        ready = os.path.join(tmpdir, "ready.txt")
-        server = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "serve",
-                "--port",
-                "0",
-                "--ready-file",
-                ready,
-                "--servers",
-                str(SERVERS),
-                "--entries",
-                str(ENTRIES),
-                "--seed",
-                str(SEED),
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        try:
-            host, port = wait_for_ready(ready, server, deadline)
-            print(f"server up at {host}:{port}")
-            for scheme in sorted(EXPECTED):
-                check_scheme(scheme, run_call(scheme, host, port, deadline))
-            # The same contract over the binary codec with pipelined
-            # batches: identical summaries, identical exit codes.
-            for scheme in sorted(EXPECTED):
-                check_scheme(
-                    scheme,
-                    run_call(
-                        scheme, host, port, deadline, codec="binary", batch=LOOKUPS
-                    ),
-                    label=f" [binary, batch {LOOKUPS}]",
-                )
-            check_degraded_exit(host, port, deadline)
-            check_degraded_exit(host, port, deadline, codec="binary", batch=LOOKUPS)
-            check_failed_exit(tmpdir, deadline)
-            check_cached_frame_identity(host, port)
-            single_caps = collect_cache_stats(host, port)
-        finally:
-            if server.poll() is None:
-                server.send_signal(signal.SIGTERM)
-                try:
-                    server.wait(timeout=10)
-                except subprocess.TimeoutExpired:
-                    server.kill()
-                    server.wait()
-                    fail("server did not exit within 10s of SIGTERM")
-        output = server.stdout.read() if server.stdout else ""
-        if server.returncode != 0:
-            fail(f"server exited {server.returncode}:\n{output}")
-        if "[serve] stopped" not in output:
-            fail(f"server did not report a clean stop:\n{output}")
-        fleet_caps = check_worker_fleet(tmpdir, deadline)
-        check_log_store_recovery(tmpdir, deadline)
+        check_log_store_recovery(tmpdir)
     if args.cache_stats:
         with open(args.cache_stats, "w", encoding="utf-8") as handle:
             json.dump(

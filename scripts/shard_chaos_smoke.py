@@ -58,7 +58,9 @@ import asyncio
 import json
 import subprocess
 import sys
+from typing import Callable, Optional
 
+from repro.chaos.process import ServeError
 from repro.chaos.shards import (
     ScenarioError,
     ShardFleet,
@@ -83,12 +85,27 @@ TARGET = 10
 WORKERS = 3
 
 
-def _dump_fleet_output(fleet: ShardFleet) -> None:
-    for name, process in fleet.processes.items():
-        if process.poll() is None:
-            continue
-        output = process.stdout.read() if process.stdout else ""
-        print(f"--- {name} (exited {process.returncode}) ---\n{output}")
+def run_on(fleet: ShardFleet, label: str, scenario: Callable, timeout: float) -> Optional[dict]:
+    """Start ``fleet``, run ``scenario(fleet)`` within ``timeout`` seconds,
+    stop the fleet, and print and return the report.
+
+    On a failure it prints why and every ``serve``'s output instead, and
+    returns ``None``.
+    """
+    try:
+        fleet.start()
+        print(f"{label} up: {fleet.addresses}")
+        report = asyncio.run(asyncio.wait_for(scenario(fleet), timeout=timeout))
+    except (ScenarioError, ServeError, asyncio.TimeoutError, subprocess.TimeoutExpired) as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        for name, serve in fleet.processes.items():
+            state = "running" if serve.running else f"exited {serve.process.returncode}"
+            print(f"--- {name} ({state}) ---\n{serve.output()}")
+        return None
+    finally:
+        fleet.stop_all()
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return report
 
 
 def check_routed_call(fleet: ShardFleet, batch: int, timeout: float) -> None:
@@ -126,27 +143,15 @@ def main() -> int:
     parser.add_argument("--timeout", type=float, default=120.0)
     args = parser.parse_args()
 
-    fleet = ShardFleet(
-        shard_count=SHARDS, servers=SERVERS, entries=ENTRIES, seed=SEED
-    )
-    try:
-        fleet.start()
-        print(f"fleet up: {fleet.addresses}")
+    def kill_shard(fleet: ShardFleet):
         for batch in (8, 1):
             check_routed_call(fleet, batch, args.timeout)
-        report = asyncio.run(
-            asyncio.wait_for(
-                run_kill_shard_scenario(fleet, target=TARGET),
-                timeout=args.timeout,
-            )
-        )
-    except (ScenarioError, asyncio.TimeoutError, subprocess.TimeoutExpired) as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        _dump_fleet_output(fleet)
-        fleet.stop_all()
+        return run_kill_shard_scenario(fleet, target=TARGET)
+
+    fleet = ShardFleet(shard_count=SHARDS, servers=SERVERS, entries=ENTRIES, seed=SEED)
+    report = run_on(fleet, "fleet", kill_shard, args.timeout)
+    if report is None:
         return 1
-    fleet.stop_all()
-    print(json.dumps(report, indent=2, sort_keys=True))
     print(
         f"shard chaos smoke passed: killed {report['victim']} "
         f"(primary for {', '.join(report['victim_keys'])}), lookups degraded "
@@ -154,28 +159,16 @@ def main() -> int:
     )
 
     worker_fleet = ShardFleet(
-        shard_count=1,
-        servers=SERVERS,
-        entries=ENTRIES,
-        seed=SEED,
-        workers=WORKERS,
+        shard_count=1, servers=SERVERS, entries=ENTRIES, seed=SEED, workers=WORKERS
     )
-    try:
-        worker_fleet.start()
-        print(f"worker fleet up: {worker_fleet.addresses} ({WORKERS} workers)")
-        worker_report = asyncio.run(
-            asyncio.wait_for(
-                run_kill_worker_scenario(worker_fleet, target=TARGET),
-                timeout=args.timeout,
-            )
-        )
-    except (ScenarioError, asyncio.TimeoutError) as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        _dump_fleet_output(worker_fleet)
-        worker_fleet.stop_all()
+    worker_report = run_on(
+        worker_fleet,
+        f"worker fleet ({WORKERS} workers)",
+        lambda fleet: run_kill_worker_scenario(fleet, target=TARGET),
+        args.timeout,
+    )
+    if worker_report is None:
         return 1
-    worker_fleet.stop_all()
-    print(json.dumps(worker_report, indent=2, sort_keys=True))
     respawn = worker_report["reader_respawn"]
     print(
         f"worker chaos smoke passed: mutation fanned out to every worker, "
@@ -186,32 +179,16 @@ def main() -> int:
     )
 
     durable_fleet = ShardFleet(
-        shard_count=1,
-        servers=SERVERS,
-        entries=ENTRIES,
-        seed=SEED,
-        workers=WORKERS,
-        store="log",
+        shard_count=1, servers=SERVERS, entries=ENTRIES, seed=SEED, workers=WORKERS, store="log"
     )
-    try:
-        durable_fleet.start()
-        print(
-            f"durable fleet up: {durable_fleet.addresses} "
-            f"({WORKERS} workers, log store)"
-        )
-        durable_report = asyncio.run(
-            asyncio.wait_for(
-                run_fleet_restart_scenario(durable_fleet),
-                timeout=args.timeout,
-            )
-        )
-    except (ScenarioError, asyncio.TimeoutError) as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        _dump_fleet_output(durable_fleet)
-        durable_fleet.stop_all()
+    durable_report = run_on(
+        durable_fleet,
+        f"durable fleet ({WORKERS} workers, log store)",
+        run_fleet_restart_scenario,
+        args.timeout,
+    )
+    if durable_report is None:
         return 1
-    durable_fleet.stop_all()
-    print(json.dumps(durable_report, indent=2, sort_keys=True))
     print(
         f"fleet restart smoke passed: SIGKILLed the whole fleet "
         f"(parent + {len(durable_report['killed']['workers'])} workers), "

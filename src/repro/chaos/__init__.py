@@ -23,16 +23,27 @@ Beyond the simulated faults, :mod:`repro.chaos.shards` attacks the
 real deployment: it SIGKILLs one shard of a live ``repro serve``
 fleet and asserts lookups merely *degrade* (never error, hang, or
 lie) until the shard rejoins.
+
+Every real ``serve`` — those scenarios', the CI smokes', the fleet
+tests' and the fleet benchmark's — is launched by
+:class:`~repro.chaos.process.ServeProcess`, which waits for its ready
+file and its exit together, reads its worker manifest, and kills,
+stops or restarts it.  It lives here, not in :mod:`repro.net`, so
+nothing ``serve`` itself imports grows.
 """
 
 from repro.chaos.harness import ChaosHarness, ChaosReport, default_fault_plan
+from repro.chaos.process import ServeError, ServeProcess, wait_gone
 from repro.chaos.shards import ShardFleet, ScenarioError, run_kill_shard_scenario
 
 __all__ = [
     "ChaosHarness",
     "ChaosReport",
     "ScenarioError",
+    "ServeError",
+    "ServeProcess",
     "ShardFleet",
     "default_fault_plan",
     "run_kill_shard_scenario",
+    "wait_gone",
 ]

@@ -26,21 +26,18 @@ the usual ephemeral-port race, acceptable for a test harness.
 from __future__ import annotations
 
 import asyncio
-import glob
+import contextlib
 import os
 import random
-import shutil
 import signal
 import socket
 import subprocess
-import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import contextlib
-
+from repro.chaos.process import ServeProcess
 from repro.cluster.messages import AddRequest, LookupRequest
 from repro.core.entry import Entry
 from repro.net.client import AsyncLookupClient
@@ -113,7 +110,7 @@ class ShardFleet:
         self.addresses: Dict[str, Tuple[str, int]] = {
             f"s{i}": (self.host, ports[i]) for i in range(self.shard_count)
         }
-        self.processes: Dict[str, subprocess.Popen] = {}
+        self.processes: Dict[str, ServeProcess] = {}
         self.incarnations: Dict[str, int] = {
             name: 1 for name in self.addresses
         }
@@ -135,36 +132,28 @@ class ShardFleet:
             if peer != name
         )
 
-    def spawn(self, name: str) -> subprocess.Popen:
-        index = int(name[1:])
+    def _argv(self, name: str) -> List[str]:
+        """Shard ``name``'s ``serve`` arguments at its current incarnation."""
         host, port = self.addresses[name]
-        ready = os.path.join(self._tmpdir.name, f"{name}.ready")
-        if os.path.exists(ready):
-            os.unlink(ready)
-        command = [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
+        args = [
             "--host", host,
             "--port", str(port),
             "--servers", str(self.servers),
             "--entries", str(self.entries),
             "--seed", str(self.seed),
-            "--shard", f"{index}/{self.shard_count}",
+            "--shard", f"{name[1:]}/{self.shard_count}",
             "--replicas", str(self.replicas),
             "--backup-fraction", str(self.backup_fraction),
-            "--ready-file", ready,
         ]
         if self.workers > 1:
-            command += ["--workers", str(self.workers)]
+            args += ["--workers", str(self.workers)]
         if self.store != "memory":
-            command += ["--store", self.store, "--data-dir", self.shard_data_dir(name)]
+            args += ["--store", self.store, "--data-dir", self.shard_data_dir(name)]
         if self.shard_count > 1:
             # The membership plane is one process per shard; a worker
             # fleet (workers > 1) runs without it (the CLI enforces
             # the combination is rejected).
-            command += [
+            args += [
                 "--peers", self._peer_flag(name),
                 "--incarnation", str(self.incarnations[name]),
                 "--heartbeat-interval", str(self.timings["heartbeat_interval"]),
@@ -172,68 +161,28 @@ class ShardFleet:
                 "--dead-after", str(self.timings["dead_after"]),
                 "--quarantine", str(self.timings["quarantine"]),
             ]
-        process = subprocess.Popen(
-            command,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        self.processes[name] = process
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            if process.poll() is not None:
-                output = process.stdout.read() if process.stdout else ""
-                raise ScenarioError(
-                    f"shard {name} exited {process.returncode} at boot:\n{output}"
-                )
-            if os.path.exists(ready) and os.path.getsize(ready) > 0:
-                return process
-            time.sleep(0.05)
-        raise ScenarioError(f"shard {name} never became ready")
+        return args
 
     def start(self) -> None:
         for name in sorted(self.addresses):
-            self.spawn(name)
-
-    def kill(self, name: str) -> None:
-        """SIGKILL — no goodbye, exactly what a failure detector is for."""
-        process = self.processes[name]
-        process.kill()
-        process.wait()
+            self.processes[name] = ServeProcess(self._argv(name))
+            self.processes[name].start()
 
     def restart(self, name: str) -> None:
         """Boot a fresh incarnation of a killed shard on the same port."""
         self.incarnations[name] += 1
-        self.spawn(name)
-
-    def worker_manifest(self, name: str) -> Dict[int, int]:
-        """The worker pid manifest (``index -> pid``) for shard ``name``.
-
-        ``serve --workers N`` maintains ``<ready-file>.workers`` with
-        one ``index pid`` line per live worker and rewrites it on
-        every respawn; this is how an external supervisor (or a chaos
-        scenario) finds a specific worker to kill and observes its
-        replacement arrive.
-        """
-        path = os.path.join(self._tmpdir.name, f"{name}.ready.workers")
-        pids: Dict[int, int] = {}
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                index_text, pid_text = line.split()
-                pids[int(index_text)] = int(pid_text)
-        return pids
+        serve = self.processes[name]
+        serve.args = self._argv(name)
+        serve.restart()
 
     def stop_all(self) -> None:
-        for process in self.processes.values():
-            if process.poll() is None:
-                process.send_signal(signal.SIGTERM)
-        for process in self.processes.values():
-            try:
-                process.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
-        self._tmpdir.cleanup()
+        try:
+            for serve in self.processes.values():
+                serve.stop()
+        finally:
+            for serve in self.processes.values():
+                serve.close()
+            self._tmpdir.cleanup()
 
 
 # --------------------------------------------------------------------------
@@ -348,8 +297,9 @@ async def run_kill_shard_scenario(
             if not row["success"]:
                 raise ScenarioError(f"healthy fleet missed target for {key}: {row}")
 
-        # Phase 2: SIGKILL the victim; survivors must condemn it.
-        fleet.kill(victim)
+        # Phase 2: SIGKILL the victim — no goodbye, exactly what a
+        # failure detector is for; survivors must condemn it.
+        fleet.processes[victim].kill()
         await _await_state(
             router, victim, "dead", time.monotonic() + detect_budget + 10
         )
@@ -599,23 +549,6 @@ async def _assert_warm_respawn(
     )
 
 
-def _await_respawn(
-    fleet: ShardFleet, name: str, index: int, old_pid: int, deadline: float
-) -> int:
-    while time.monotonic() < deadline:
-        try:
-            manifest = fleet.worker_manifest(name)
-        except (OSError, ValueError):
-            manifest = {}
-        fresh = manifest.get(index)
-        if fresh is not None and fresh != old_pid:
-            return fresh
-        time.sleep(0.05)
-    raise ScenarioError(
-        f"worker {index} (pid {old_pid}) was never respawned"
-    )
-
-
 async def run_kill_worker_scenario(
     fleet: ShardFleet,
     *,
@@ -653,9 +586,9 @@ async def run_kill_worker_scenario(
         )
     (name,) = fleet.addresses
     host, port = fleet.addresses[name]
-    process = fleet.processes[name]
+    serve = fleet.processes[name]
     keys = sorted(DEFAULT_SCHEMES)
-    manifest = fleet.worker_manifest(name)
+    manifest = serve.workers()
     if sorted(manifest) != list(range(fleet.workers)):
         raise ScenarioError(f"unexpected worker manifest: {manifest}")
     report: Dict[str, object] = {"workers": dict(manifest)}
@@ -702,9 +635,7 @@ async def run_kill_worker_scenario(
             raise ScenarioError(
                 f"{key}: lookup went short while a reader was down: {row}"
             )
-    respawned_pid = _await_respawn(
-        fleet, name, reader_index, reader_pid, time.monotonic() + 20
-    )
+    respawned_pid = serve.await_respawn(reader_index, reader_pid, timeout=20)
     report["reader_respawn"] = {
         "index": reader_index,
         "killed_pid": reader_pid,
@@ -723,10 +654,10 @@ async def run_kill_worker_scenario(
             raise ScenarioError(f"{key}: short lookup after reader respawn: {row}")
 
     # Phase 4: SIGKILL the writer; the whole fleet must fail loud.
-    writer_pid = fleet.worker_manifest(name)[0]
+    writer_pid = serve.workers()[0]
     os.kill(writer_pid, signal.SIGKILL)
     try:
-        returncode = process.wait(timeout=20)
+        returncode = serve.process.wait(timeout=20)
     except subprocess.TimeoutExpired:
         raise ScenarioError(
             "fleet parent kept running after the writer worker died"
@@ -843,24 +774,12 @@ async def run_fleet_restart_scenario(
     control = await _full_store_replies(fleet, host, port, keys)
     report["control_replies"] = sum(len(v) for v in control.values())
 
-    # Phase 4: SIGKILL everything at once.  The parent dies first so
-    # its supervisor cannot respawn or fail-loud; orphaned workers are
-    # then killed directly via the pid manifest.
-    process = fleet.processes[name]
-    worker_pids: Dict[int, int] = {}
-    if fleet.workers > 1:
-        worker_pids = fleet.worker_manifest(name)
-    process.kill()
-    for pid in worker_pids.values():
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(pid, signal.SIGKILL)
-    process.wait()
-    report["killed"] = {"parent": process.pid, "workers": dict(worker_pids)}
-    # The writer removes the fleet's bus directory when it outlives its
-    # supervisor; killed with it, nothing can, so do what a reboot would.
-    stale = os.path.join(tempfile.gettempdir(), f"repro-workers-{process.pid}-*")
-    for path in glob.glob(stale):
-        shutil.rmtree(path, ignore_errors=True)
+    # Phase 4: SIGKILL the parent and every worker at once (one
+    # ``killpg``), so no supervisor is left to respawn or fail loud.
+    serve = fleet.processes[name]
+    worker_pids = serve.workers()
+    serve.kill_group()
+    report["killed"] = {"parent": serve.pid, "workers": worker_pids}
 
     # Phase 5: restart on the same data directory and verify recovery.
     fleet.restart(name)

@@ -10,9 +10,10 @@ handlers here follow the same convention — take the parsed namespace,
 return an exit code.
 
 The ``--ready-file`` flag makes ``serve`` write ``host port\\n`` once
-the socket is bound.  With ``--port 0`` (an ephemeral port) this is
-the only way a supervisor can learn the address; the CI smoke job and
-``scripts/net_smoke.py`` rely on it.
+the socket is bound, by atomic replace.  With ``--port 0`` (an
+ephemeral port) this is the only way a supervisor can learn the
+address; :class:`repro.chaos.process.ServeProcess` and the benchmark
+rely on it.
 
 Sharded deployments add ``serve --shard i/N --peers s0=host:port,...``
 (one process per shard, heartbeating its peers) and ``call
@@ -54,7 +55,7 @@ from repro.net.membership import MembershipPump
 from repro.net.results import LookupReport, LookupResult
 from repro.net.router import ShardRouter
 from repro.net.service import DEFAULT_SCHEMES, LookupService, ServiceConfig
-from repro.net.workers import run_worker_fleet
+from repro.net.workers import replace_file, run_worker_fleet
 from repro.protocol.membership import MembershipConfig
 
 
@@ -345,8 +346,7 @@ async def _serve_async(args: argparse.Namespace) -> int:
     if pump is not None:
         pump.start()
     if args.ready_file:
-        with open(args.ready_file, "w", encoding="utf-8") as handle:
-            handle.write(f"{host} {port}\n")
+        replace_file(args.ready_file, f"{host} {port}\n")
     shard_note = (
         f" as shard {service.shard_name}/{shard_count}" if shard_count > 1 else ""
     )

@@ -4,9 +4,7 @@
 on **one** TCP port.  Each worker hosts a *full* scheme catalogue
 built from the same seed, so any worker can answer any read the
 process would have answered alone; the kernel load-balances incoming
-connections across the workers' ``SO_REUSEPORT`` listening sockets
-(fallback: one parent-bound socket shared by inheritance when the
-platform lacks the option).
+connections across the workers' ``SO_REUSEPORT`` listening sockets.
 
 Reads scale out; writes stay serial.  Worker 0 is the **writer**: the
 only process that ever executes a mutating op (``send`` add / delete /
@@ -114,11 +112,6 @@ MAX_RESPAWNS = 5
 #: Recent deltas the writer keeps for ``sync`` requests: a reader at
 #: most this far behind catches up from the log, not a full snapshot.
 DELTA_HISTORY = 64
-
-
-def reuseport_available() -> bool:
-    """Whether this platform can put N listeners on one port."""
-    return hasattr(socket, "SO_REUSEPORT")
 
 
 # --------------------------------------------------------------------------
@@ -617,138 +610,35 @@ class WriteForwarder:
 
 
 # --------------------------------------------------------------------------
-# Worker processes
+# The supervisor and its forked workers
 # --------------------------------------------------------------------------
 
 
-def _worker_socket(host: str, port: int) -> socket.socket:
-    """A fresh ``SO_REUSEPORT`` listener on the fleet's shared port."""
+def _reuseport_socket(host: str, port: int) -> socket.socket:
+    """A socket bound with ``SO_REUSEPORT`` on the fleet's shared port."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
     sock.bind((host, port))
-    sock.listen(256)
     return sock
 
 
-def _worker_main(
-    index: int,
-    total: int,
-    host: str,
-    port: int,
-    config: ServiceConfig,
-    bus_path: str,
-    lifeline_read: int,
-    lifeline_write: int,
-    reuseport: bool,
-    shared_sock: Optional[socket.socket],
-    ready_fd: int,
-) -> None:
-    # The child inherited the parent's signal handlers and both
-    # lifeline ends across fork; reset the former, and drop the write
-    # end so the pipe reports EOF the moment the *parent* dies.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-    with contextlib.suppress(OSError):
-        os.close(lifeline_write)
-    sys.exit(
-        asyncio.run(
-            _worker_async(
-                index,
-                total,
-                host,
-                port,
-                config,
-                bus_path,
-                lifeline_read,
-                reuseport,
-                shared_sock,
-                ready_fd,
-            )
-        )
-    )
-
-
-async def _worker_async(
-    index: int,
-    total: int,
-    host: str,
-    port: int,
-    config: ServiceConfig,
-    bus_path: str,
-    lifeline_read: int,
-    reuseport: bool,
-    shared_sock: Optional[socket.socket],
-    ready_fd: int,
-) -> int:
-    if config.store == "log" and index != 0:
-        # The writer owns the journal; readers replay it on boot (a
-        # respawn recovers from disk instead of a full network resync)
-        # but never append to it.
-        config = dataclasses.replace(config, store_read_only=True)
-    service = LookupService(config)
-    service.worker_index = index
-    service.worker_count = total
-    service.worker_role = "writer" if index == 0 else "reader"
-
-    stop = asyncio.Event()
-    exit_code = 0
-    loop = asyncio.get_running_loop()
-    for signame in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError):
-            loop.add_signal_handler(signame, stop.set)
-    # The lifeline becomes readable exactly once: at EOF, when every
-    # write end (held only by the parent) is gone.
-    loop.add_reader(lifeline_read, stop.set)
-
-    bus: Optional[WriterBus] = None
-    forwarder: Optional[WriteForwarder] = None
-
-    def writer_lost() -> None:
-        nonlocal exit_code
-        exit_code = 1
-        stop.set()
-
-    try:
-        if index == 0:
-            bus = WriterBus(service, bus_path)
-            await bus.start()
-            service.forwarder = bus
-        else:
-            forwarder = WriteForwarder(service, bus_path)
-            forwarder.on_fatal = writer_lost
-            await forwarder.start()
-            service.forwarder = forwarder
-        sock = _worker_socket(host, port) if reuseport else shared_sock
-        await service.start(sock=sock)
-        # Listening: one byte on the ready pipe tells the supervisor.
-        os.write(ready_fd, b"\n")
-        os.close(ready_fd)
-        await stop.wait()
-    finally:
-        loop.remove_reader(lifeline_read)
-        await service.stop()
-        if forwarder is not None:
-            await forwarder.stop()
-        if bus is not None:
-            await bus.stop()
-            # The bus's socket and the supervisor's temp dir around it
-            # go with the writer, which a SIGKILLed supervisor leaves
-            # to exit on its own.
-            with contextlib.suppress(OSError):
-                os.unlink(bus_path)
-            with contextlib.suppress(OSError):
-                os.rmdir(os.path.dirname(bus_path))
-    return exit_code
-
-
-# --------------------------------------------------------------------------
-# The parent supervisor
-# --------------------------------------------------------------------------
+def replace_file(path: str, text: str) -> None:
+    """Write ``path`` by atomic replace: a reader sees the old text or
+    the new, never an empty or torn file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    os.replace(tmp, path)
 
 
 class _Supervisor:
-    """Fork, watch, respawn readers, fail loud on the writer."""
+    """Fork, watch, respawn readers, fail loud on the writer.
+
+    A worker is forked from this object and reads its configuration
+    from the copy it inherited; only its index and ready pipe are
+    passed (:meth:`spawn`).
+    """
 
     def __init__(
         self,
@@ -773,7 +663,6 @@ class _Supervisor:
         # together can tell which directory nothing is left to remove.
         self.tmpdir = tempfile.mkdtemp(prefix=f"repro-workers-{os.getpid()}-")
         self.bus_path = os.path.join(self.tmpdir, "writer.sock")
-        self.reuseport = reuseport_available()
         self.procs: Dict[int, Any] = {}
         #: Per worker spawned and not yet waited for, the read end of
         #: its ready pipe (see :meth:`spawn`).
@@ -781,32 +670,92 @@ class _Supervisor:
         self.respawns: Dict[int, int] = {}
         self._stop = False
         self._placeholder: Optional[socket.socket] = None
-        self._shared: Optional[socket.socket] = None
         self._lifeline_r, self._lifeline_w = os.pipe()
 
-    # -- socket setup --------------------------------------------------------
-
     def bind(self) -> None:
-        """Resolve the fleet's one (host, port) before forking.
+        """Pin the fleet's one (host, port) before forking.
 
-        With ``SO_REUSEPORT`` the parent binds a placeholder (never
-        listened on) purely to pin an ephemeral port; each worker then
-        binds its own listener.  Without it, the parent binds the one
-        real listening socket and the workers inherit it across fork —
-        correct, but all accepts contend on one queue.
+        The parent binds a placeholder (never listened on) with
+        ``SO_REUSEPORT`` purely to resolve an ephemeral port; each
+        worker then binds its own listener on it.
         """
-        if self.reuseport:
-            self._placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._placeholder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._placeholder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            self._placeholder.bind((self.host, self.port))
-            self.host, self.port = self._placeholder.getsockname()[:2]
-        else:
-            self._shared = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._shared.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._shared.bind((self.host, self.port))
-            self._shared.listen(256)
-            self.host, self.port = self._shared.getsockname()[:2]
+        self._placeholder = _reuseport_socket(self.host, self.port)
+        self.host, self.port = self._placeholder.getsockname()[:2]
+
+    # -- the worker side of a fork -------------------------------------------
+
+    def _worker_main(self, index: int, ready_fd: int) -> None:
+        # The child inherited the parent's signal handlers and both
+        # lifeline ends across fork; reset the former, and drop the write
+        # end so the pipe reports EOF the moment the *parent* dies.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        with contextlib.suppress(OSError):
+            os.close(self._lifeline_w)
+        sys.exit(asyncio.run(self._worker_async(index, ready_fd)))
+
+    async def _worker_async(self, index: int, ready_fd: int) -> int:
+        config = self.config
+        if config.store == "log" and index != 0:
+            # The writer owns the journal; readers replay it on boot (a
+            # respawn recovers from disk instead of a full network resync)
+            # but never append to it.
+            config = dataclasses.replace(config, store_read_only=True)
+        service = LookupService(config)
+        service.worker_index = index
+        service.worker_count = self.workers
+        service.worker_role = "writer" if index == 0 else "reader"
+
+        stop = asyncio.Event()
+        exit_code = 0
+        loop = asyncio.get_running_loop()
+        for signame in (signal.SIGINT, signal.SIGTERM):
+            with contextlib.suppress(NotImplementedError):
+                loop.add_signal_handler(signame, stop.set)
+        # The lifeline becomes readable exactly once: at EOF, when every
+        # write end (held only by the parent) is gone.
+        loop.add_reader(self._lifeline_r, stop.set)
+
+        bus: Optional[WriterBus] = None
+        forwarder: Optional[WriteForwarder] = None
+
+        def writer_lost() -> None:
+            nonlocal exit_code
+            exit_code = 1
+            stop.set()
+
+        try:
+            if index == 0:
+                bus = WriterBus(service, self.bus_path)
+                await bus.start()
+                service.forwarder = bus
+            else:
+                forwarder = WriteForwarder(service, self.bus_path)
+                forwarder.on_fatal = writer_lost
+                await forwarder.start()
+                service.forwarder = forwarder
+            sock = _reuseport_socket(self.host, self.port)
+            sock.listen(256)
+            await service.start(sock=sock)
+            # Listening: one byte on the ready pipe tells the supervisor.
+            os.write(ready_fd, b"\n")
+            os.close(ready_fd)
+            await stop.wait()
+        finally:
+            loop.remove_reader(self._lifeline_r)
+            await service.stop()
+            if forwarder is not None:
+                await forwarder.stop()
+            if bus is not None:
+                await bus.stop()
+                # The bus's socket and the supervisor's temp dir around it
+                # go with the writer, which a SIGKILLed supervisor leaves
+                # to exit on its own.
+                with contextlib.suppress(OSError):
+                    os.unlink(self.bus_path)
+                with contextlib.suppress(OSError):
+                    os.rmdir(self.tmpdir)
+        return exit_code
 
     # -- process management --------------------------------------------------
 
@@ -820,20 +769,8 @@ class _Supervisor:
         """
         ready_r, ready_w = os.pipe()
         process = self.ctx.Process(
-            target=_worker_main,
-            args=(
-                index,
-                self.workers,
-                self.host,
-                self.port,
-                self.config,
-                self.bus_path,
-                self._lifeline_r,
-                self._lifeline_w,
-                self.reuseport,
-                self._shared,
-                ready_w,
-            ),
+            target=self._worker_main,
+            args=(index, ready_w),
             name=f"repro-worker-{index}",
         )
         self._ready[index] = ready_r
@@ -866,13 +803,14 @@ class _Supervisor:
 
         The manifest (``<ready-file>.workers``, one ``index pid`` line
         per live worker) is how the chaos harness finds victims; it is
-        rewritten after every respawn.
+        replaced after every respawn.
         """
         if not self.ready_file:
             return
-        with open(f"{self.ready_file}.workers", "w", encoding="utf-8") as handle:
-            for index in sorted(self.procs):
-                handle.write(f"{index} {self.procs[index].pid}\n")
+        replace_file(
+            f"{self.ready_file}.workers",
+            "".join(f"{index} {self.procs[index].pid}\n" for index in sorted(self.procs)),
+        )
 
     def start_fleet(self) -> None:
         self.bind()
@@ -884,16 +822,15 @@ class _Supervisor:
             self.spawn(index)
         for index in range(1, self.workers):
             self.wait_ready(index)
-        if self._placeholder is not None:
-            # Every worker holds its own REUSEPORT listener now; the
-            # port-pinning placeholder would otherwise black-hole a
-            # share of incoming connections (bound, never accepting).
-            self._placeholder.close()
-            self._placeholder = None
-        if self.ready_file:
-            with open(self.ready_file, "w", encoding="utf-8") as handle:
-                handle.write(f"{self.host} {self.port}\n")
+        # Every worker holds its own REUSEPORT listener now; the
+        # port-pinning placeholder would otherwise black-hole a share of
+        # incoming connections (bound, never accepting).
+        self._placeholder.close()
+        self._placeholder = None
+        # The manifest first: whoever sees the ready file can read it.
         self.write_manifests()
+        if self.ready_file:
+            replace_file(self.ready_file, f"{self.host} {self.port}\n")
 
     def request_stop(self, *_args: Any) -> None:
         self._stop = True
@@ -961,9 +898,8 @@ class _Supervisor:
             os.close(self._lifeline_w)
         with contextlib.suppress(OSError):
             os.close(self._lifeline_r)
-        for sock in (self._placeholder, self._shared):
-            if sock is not None:
-                sock.close()
+        if self._placeholder is not None:
+            self._placeholder.close()
         with contextlib.suppress(OSError):
             import shutil
 
@@ -993,11 +929,10 @@ def run_worker_fleet(
         print(f"[serve] worker fleet failed to boot: {exc}", file=sys.stderr)
         supervisor.shutdown()
         return 1
-    mode = "SO_REUSEPORT" if supervisor.reuseport else "shared socket"
     print(
         f"[serve] {len(config.schemes)} schemes on {config.server_count} "
         f"servers, listening on {supervisor.host}:{supervisor.port} "
-        f"with {workers} workers ({mode}, worker 0 writes)",
+        f"with {workers} workers (SO_REUSEPORT, worker 0 writes)",
         flush=True,
     )
     previous = {
@@ -1023,7 +958,6 @@ __all__ = [
     "apply_delta",
     "compute_apply_delta",
     "load_snapshot",
-    "reuseport_available",
     "run_worker_fleet",
     "snapshot_stores",
     "wire_envelope",

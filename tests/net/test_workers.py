@@ -3,8 +3,8 @@
 Most of the fleet is testable without forking: the delta computation /
 application pair and the :class:`DeltaApplier` ordering contract are
 sans-IO, and the writer bus + forwarder run in-process on a Unix
-socket.  One end-to-end test boots a real 2-worker fleet through the
-CLI supervisor (skipped where ``SO_REUSEPORT`` is unavailable).
+socket.  The end-to-end tests boot a real 2-worker fleet through the
+CLI supervisor with :class:`~repro.chaos.process.ServeProcess`.
 """
 
 import asyncio
@@ -22,6 +22,7 @@ import types
 
 import pytest
 
+from repro.chaos.process import ServeProcess
 from repro.cluster.messages import AddRequest, DeleteRequest, LookupRequest, PlaceRequest
 from repro.core.entry import Entry
 from repro.net.codec import (
@@ -46,7 +47,6 @@ from repro.net.workers import (
     compute_apply_delta,
     load_snapshot,
     _Supervisor,
-    reuseport_available,
     run_worker_fleet,
     snapshot_stores,
     wire_envelope,
@@ -1003,109 +1003,30 @@ class TestPumpResync:
         run(scenario())
 
 
-@pytest.mark.skipif(
-    not reuseport_available(), reason="SO_REUSEPORT unavailable on this platform"
-)
+#: A small 2-worker fleet on an ephemeral port.
+FLEET_ARGS = ["--workers", "2", "--port", "0", "--servers", "6", "--entries", "10"]
+
+
 class TestFleetEndToEnd:
     def test_cli_fleet_serves_and_tears_down_cleanly(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            ready = os.path.join(tmp, "ready")
-            env = dict(os.environ)
-            env["PYTHONPATH"] = os.pathsep.join(
-                [os.path.join(os.getcwd(), "src"), env.get("PYTHONPATH", "")]
-            )
-            proc = subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "serve",
-                    "--workers",
-                    "2",
-                    "--port",
-                    "0",
-                    "--servers",
-                    "6",
-                    "--entries",
-                    "10",
-                    "--ready-file",
-                    ready,
-                ],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT,
+        with ServeProcess(FLEET_ARGS) as serve:
+            assert len(serve.workers()) == 2  # two "index pid" lines
+            call = subprocess.run(
+                [sys.executable, "-m", "repro", "call", "round_robin",
+                 "--host", serve.host, "--port", str(serve.port),
+                 "--target", "5", "--count", "2"],
+                capture_output=True,
                 text=True,
-                env=env,
+                env=serve.env,
+                timeout=30,
             )
-            try:
-                deadline = time.time() + 30
-                while time.time() < deadline and not (
-                    os.path.exists(ready) and os.path.getsize(ready)
-                ):
-                    assert proc.poll() is None, proc.stdout.read()
-                    time.sleep(0.1)
-                host, port = open(ready).read().split()
-                manifest = open(f"{ready}.workers").read().split()
-                assert len(manifest) == 4  # two "index pid" lines
-                call = subprocess.run(
-                    [
-                        sys.executable,
-                        "-m",
-                        "repro",
-                        "call",
-                        "round_robin",
-                        "--host",
-                        host,
-                        "--port",
-                        port,
-                        "--target",
-                        "5",
-                        "--count",
-                        "2",
-                    ],
-                    capture_output=True,
-                    text=True,
-                    env=env,
-                    timeout=30,
-                )
-                assert call.returncode == 0, call.stdout + call.stderr
-                _pipelined_write_between_reads(host, int(port))
-            finally:
-                proc.send_signal(signal.SIGTERM)
-                out, _ = proc.communicate(timeout=30)
-            assert proc.returncode == 0, out
-            assert "[serve] stopped" in out
-            assert "Traceback" not in out
-
-    def test_a_sigkilled_supervisor_leaves_no_bus_dir(self, tmp_path):
-        """The workers exit on lifeline EOF; the writer takes the bus
-        socket's temp dir with it, since its supervisor cannot."""
-        ready = str(tmp_path / "ready")
-        env = dict(os.environ, TMPDIR=str(tmp_path))
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.getcwd(), "src"), env.get("PYTHONPATH", "")]
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--workers", "2", "--port", "0",
-             "--servers", "4", "--entries", "6", "--ready-file", ready],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            env=env,
-        )
-        try:
-            deadline = time.time() + 30
-            while not (os.path.exists(ready) and os.path.getsize(ready)):
-                assert proc.poll() is None and time.time() < deadline
-                time.sleep(0.05)
-            assert list(tmp_path.glob("repro-workers-*"))
-            pids = _manifest(f"{ready}.workers").values()
-        finally:
-            proc.kill()
-            proc.wait(timeout=30)
-        deadline = time.time() + 30
-        while not all(_exited(pid) for pid in pids):
-            assert time.time() < deadline, "a worker outlived its supervisor"
-            time.sleep(0.05)
-        assert list(tmp_path.glob("repro-workers-*")) == []
+            assert call.returncode == 0, call.stdout + call.stderr
+            _pipelined_write_between_reads(serve.host, serve.port)
+            code = serve.stop()
+            out = serve.output()
+        assert code == 0, out
+        assert "[serve] stopped" in out
+        assert "Traceback" not in out
 
     def test_workers_reject_peers(self):
         from repro.core.exceptions import InvalidParameterError
@@ -1170,24 +1091,6 @@ async def _probe(host, port):
             pass
 
 
-def _exited(pid):
-    """Whether ``pid`` is gone, or a zombie no one has reaped yet."""
-    try:
-        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
-            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
-    except FileNotFoundError:
-        return True
-
-
-def _manifest(path):
-    pids = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            index, pid = line.split()
-            pids[int(index)] = int(pid)
-    return pids
-
-
 class TestWarmRespawn:
     def test_respawned_reader_serves_hot_key_warm(self):
         """SIGKILL a reader mid-fleet: its replacement must answer the
@@ -1195,91 +1098,58 @@ class TestWarmRespawn:
         byte-identically to the pre-kill replies, because the writer
         shipped its hot set over the sync handshake and the reader
         imported it before accepting its first connection."""
-        with tempfile.TemporaryDirectory() as tmp:
-            ready = os.path.join(tmp, "ready")
-            env = dict(os.environ)
-            env["PYTHONPATH"] = os.pathsep.join(
-                [os.path.join(os.getcwd(), "src"), env.get("PYTHONPATH", "")]
-            )
-            proc = subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro", "serve",
-                    "--workers", "2", "--port", "0",
-                    "--servers", "6", "--entries", "10",
-                    "--ready-file", ready,
-                ],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT,
-                text=True,
-                env=env,
-            )
-            try:
-                deadline = time.time() + 30
-                while time.time() < deadline and not (
-                    os.path.exists(ready) and os.path.getsize(ready)
-                ):
-                    assert proc.poll() is None, proc.stdout.read()
-                    time.sleep(0.1)
-                host, port = open(ready).read().split()
-                port = int(port)
+        with ServeProcess(FLEET_ARGS) as serve:
+            host, port = serve.host, serve.port
 
-                async def scenario():
-                    # Warm every worker's cache: fresh connections land
-                    # on either worker; keep probing until both have
-                    # served the hot lookup at least once.  The writer
-                    # (index 0) matters most — its hot set is what the
-                    # respawned reader will be handed.
-                    baselines = {}
-                    for _ in range(60):
-                        raw, caps = await _probe(host, port)
-                        index = caps["workers"]["index"]
-                        if index in baselines:
-                            assert baselines[index] == raw
-                        baselines[index] = raw
-                        if {0, 1} <= set(baselines):
-                            break
-                    assert {0, 1} <= set(baselines), (
-                        f"probes only reached workers {sorted(baselines)}"
-                    )
-                    # Both workers answer byte-identically already.
-                    assert baselines[0] == baselines[1]
-                    return baselines[0]
-
-                baseline = asyncio.run(asyncio.wait_for(scenario(), 60))
-
-                victims = _manifest(f"{ready}.workers")
-                os.kill(victims[1], signal.SIGKILL)
-                deadline = time.time() + 30
-                while time.time() < deadline:
-                    assert proc.poll() is None, "fleet died after reader kill"
-                    fresh = _manifest(f"{ready}.workers")
-                    if fresh.get(1) and fresh[1] != victims[1]:
+            async def scenario():
+                # Warm every worker's cache: fresh connections land
+                # on either worker; keep probing until both have
+                # served the hot lookup at least once.  The writer
+                # (index 0) matters most — its hot set is what the
+                # respawned reader will be handed.
+                baselines = {}
+                for _ in range(60):
+                    raw, caps = await _probe(host, port)
+                    index = caps["workers"]["index"]
+                    if index in baselines:
+                        assert baselines[index] == raw
+                    baselines[index] = raw
+                    if {0, 1} <= set(baselines):
                         break
-                    time.sleep(0.1)
-                else:
-                    raise AssertionError("reader was never respawned")
+                assert {0, 1} <= set(baselines), (
+                    f"probes only reached workers {sorted(baselines)}"
+                )
+                # Both workers answer byte-identically already.
+                assert baselines[0] == baselines[1]
+                return baselines[0]
 
-                async def after():
-                    for _ in range(60):
-                        raw, caps = await _probe(host, port)
-                        if caps["workers"]["index"] != 1:
-                            continue  # landed on the writer; try again
-                        cache = caps["cache"]
-                        # Its *first* lookup (ours) was a hit: the hot
-                        # set arrived before the first connection.
-                        assert cache["hits"] >= 1, cache
-                        assert cache["misses"] == 0, cache
-                        assert raw == baseline
-                        return
-                    raise AssertionError(
-                        "probes never reached the respawned reader"
-                    )
+            baseline = asyncio.run(asyncio.wait_for(scenario(), 60))
 
-                asyncio.run(asyncio.wait_for(after(), 60))
-            finally:
-                proc.send_signal(signal.SIGTERM)
-                out, _ = proc.communicate(timeout=30)
-            assert "Traceback" not in out, out
+            victims = serve.workers()
+            os.kill(victims[1], signal.SIGKILL)
+            # Raises if the fleet died or no reader came back.
+            serve.await_respawn(1, victims[1])
+
+            async def after():
+                for _ in range(60):
+                    raw, caps = await _probe(host, port)
+                    if caps["workers"]["index"] != 1:
+                        continue  # landed on the writer; try again
+                    cache = caps["cache"]
+                    # Its *first* lookup (ours) was a hit: the hot
+                    # set arrived before the first connection.
+                    assert cache["hits"] >= 1, cache
+                    assert cache["misses"] == 0, cache
+                    assert raw == baseline
+                    return
+                raise AssertionError(
+                    "probes never reached the respawned reader"
+                )
+
+            asyncio.run(asyncio.wait_for(after(), 60))
+            serve.stop()
+            out = serve.output()
+        assert "Traceback" not in out, out
 
 
 # --------------------------------------------------------------------------
@@ -1330,4 +1200,31 @@ class TestFleetBoot:
             assert supervisor.procs[1].pid != first
             assert supervisor.procs[1].exitcode == 1
         finally:
+            supervisor.shutdown()
+
+
+class TestManifest:
+    def test_a_failed_replace_leaves_the_previous_manifest(self, tmp_path, monkeypatch):
+        """The manifest is replaced, never rewritten in place: a write
+        that fails leaves the previous one byte-identical."""
+        ready = tmp_path / "ready"
+        supervisor = _Supervisor(
+            CONFIG, host="127.0.0.1", port=0, workers=2, ready_file=str(ready)
+        )
+        try:
+            supervisor.procs = {index: types.SimpleNamespace(pid=100 + index) for index in (0, 1)}
+            supervisor.write_manifests()
+            before = (tmp_path / "ready.workers").read_bytes()
+            assert before == b"0 100\n1 101\n"
+            supervisor.procs[1] = types.SimpleNamespace(pid=102)
+
+            def refuse(*_args):
+                raise OSError("no space left on device")
+
+            monkeypatch.setattr(os, "replace", refuse)
+            with pytest.raises(OSError):
+                supervisor.write_manifests()
+            assert (tmp_path / "ready.workers").read_bytes() == before
+        finally:
+            supervisor.procs = {}
             supervisor.shutdown()
